@@ -6,7 +6,10 @@ vector field, with divisors ``omega . nu - omega_j``.  Momenta ``nu`` may
 have negative entries; powers of the ``lambda_i`` use inverses there.
 
 A divisor whose modulus falls below the resonance tolerance (default 1e-12)
-makes division fail loudly instead of amplifying noise.
+makes division fail loudly instead of amplifying noise.  For rotation
+spectra every divisor is evaluated in the stable form
+lambda_j * 2i sin(pi x) e^(i pi x), with x = nu.omega - omega_j reduced mod 1,
+so its modulus agrees with ``divisor_modulus`` near resonance.
 """
 
 from __future__ import annotations
@@ -18,10 +21,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
+import numpy as np
+
 from .errors import DivisorBelowTolerance, RationalDetected, ResonantSpectrum
 from .series import (
     VectorSeries,
     abs_degree,
+    graded_indices,
     graded_key,
     iter_indices,
     signed_degree,
@@ -46,8 +52,10 @@ class GermSpectrum:
     """Pairwise-distinct nonzero eigenvalues of a diagonal germ.
 
     When every eigenvalue has modulus one a rotation vector may be supplied
-    (or is implied by :meth:`from_rotation`); divisor moduli are then
-    evaluated through the stable form 2|sin(pi (nu.omega - omega_j))|.
+    (or is implied by :meth:`from_rotation`); divisors and their moduli are
+    then evaluated through the stable forms
+    lambda_j * 2i sin(pi x) e^(i pi x) and 2|sin(pi x)|, where
+    x = nu.omega - omega_j reduced mod 1.
     """
 
     lam: tuple
@@ -89,13 +97,23 @@ class GermSpectrum:
             out *= base ** e
         return out
 
+    def _offset(self, nu, j: int) -> float:
+        """nu.omega - omega_j reduced to [-1/2, 1/2]; lambda^nu / lambda_j = e^(2 pi i x)."""
+        dot = 0.0
+        for v, w in zip(nu, self.rotation):
+            dot += v * w
+        x = dot - self.rotation[j]
+        return x - round(x)
+
     def divisor(self, nu, j: int) -> complex:
+        if self.rotation is not None:
+            x = self._offset(nu, j)
+            return self.lam[j] * (2j * math.sin(math.pi * x)) * cmath.exp(1j * math.pi * x)
         return self.power(nu) - self.lam[j]
 
     def divisor_modulus(self, nu, j: int) -> float:
         if self.rotation is not None:
-            x = sum(v * w for v, w in zip(nu, self.rotation)) - self.rotation[j]
-            return 2.0 * abs(math.sin(math.pi * (x - round(x))))
+            return 2.0 * abs(math.sin(math.pi * self._offset(nu, j)))
         return abs(self.divisor(nu, j))
 
 
@@ -159,37 +177,55 @@ def is_resonant_field(spectrum: FieldSpectrum, max_degree: int, tol: float = DEF
 # ---------------------------------------------------------------------------
 
 
-def apply_inverse_D(spectrum, g: VectorSeries, tol: float = DEFAULT_TOL) -> VectorSeries:
+@lru_cache(maxsize=16)
+def divisor_table(spectrum, D: int):
+    """Divisors and their moduli as two ``(n, slots)`` arrays over the graded-lex slots of degree <= D.
+
+    Row j, slot alpha holds ``spectrum.divisor(alpha, j)``; built on first
+    use and kept for the 16 most recent (spectrum, D) pairs.
+    """
+    indices = graded_indices(spectrum.n, D)
+    table = np.array(
+        [[spectrum.divisor(alpha, j) for alpha in indices] for j in range(spectrum.n)],
+        dtype=complex,
+    )
+    return table, np.abs(table)
+
+
+def apply_inverse_D(spectrum, g: VectorSeries, tol: float = DEFAULT_TOL,
+                    on_small_divisor: str = "raise", clipped: list | None = None) -> VectorSeries:
     """Per-monomial division by the divisors; preserves the valuation.
 
-    Requires valuation(g) >= 2.  Raises :class:`DivisorBelowTolerance` on a
-    (near-)resonant divisor instead of emitting a huge coefficient.
+    Requires valuation(g) >= 2.  A nonzero coefficient whose divisor has
+    modulus below ``tol`` raises :class:`DivisorBelowTolerance` for the
+    first such (alpha, j) in graded-lex order, instead of emitting a huge
+    coefficient.  With ``on_small_divisor="clip"`` those coefficients become
+    zero instead, and each (alpha, j, modulus) is appended to ``clipped``.
     """
     if not g.is_zero() and g.valuation() < 2:
         raise ValueError("inverse divisor operator is defined on valuation >= 2")
-    out = {}
-    for alpha, vec in g.coeff_items():
-        new = []
-        for j, c in enumerate(vec):
-            if c == 0:
-                new.append(0j)
-                continue
-            d = spectrum.divisor(alpha, j)
-            if abs(d) < tol:
-                raise DivisorBelowTolerance(alpha, j, abs(d))
-            new.append(c / d)
-        out[alpha] = tuple(new)
-    return VectorSeries.from_coeffs(g.n, g.trunc, out)
+    table, modulus = divisor_table(spectrum, g.trunc)
+    values = g.to_array()
+    nonzero = values != 0
+    small = nonzero & (modulus < tol)
+    if small.any():
+        indices = graded_indices(g.n, g.trunc)
+        slots, axes = np.nonzero(small.T)
+        bad = [(indices[i], j, float(modulus[j, i]))
+               for i, j in zip(slots.tolist(), axes.tolist())]
+        if on_small_divisor == "raise":
+            raise DivisorBelowTolerance(*bad[0])
+        if clipped is not None:
+            clipped.extend(bad)
+        nonzero &= ~small
+    out = np.divide(values, table, out=np.zeros_like(values), where=nonzero)
+    return VectorSeries.from_array(g.n, g.trunc, out)
 
 
 def apply_forward_D(spectrum, g: VectorSeries) -> VectorSeries:
     """Per-monomial multiplication by the divisors (the forward operator)."""
-    out = {}
-    for alpha, vec in g.coeff_items():
-        out[alpha] = tuple(
-            c * spectrum.divisor(alpha, j) for j, c in enumerate(vec)
-        )
-    return VectorSeries.from_coeffs(g.n, g.trunc, out)
+    table, _ = divisor_table(spectrum, g.trunc)
+    return VectorSeries.from_array(g.n, g.trunc, g.to_array() * table)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ totals are reproducible bit for bit.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import product
 
@@ -34,9 +35,9 @@ from .series import (
     VectorSeries,
     degree,
     formal_derivative,
-    graded_key,
     iter_indices,
     multi_factorial,
+    reserve,
     shift_expand,
     unit_index,
 )
@@ -141,46 +142,17 @@ class InverseDivisorOperator(OperatorHandle):
 # ---------------------------------------------------------------------------
 
 
-def _divide_slice(spectrum, coeffs, tol, on_small_divisor, clipped):
-    """Divide the degree-d coefficients by their divisors, honoring clip mode."""
-    out = {}
-    for alpha, vec in coeffs:
-        new = [0j] * len(vec)
-        bad = None
-        for j, c in enumerate(vec):
-            if c == 0:
-                continue
-            dv = spectrum.divisor(alpha, j)
-            if abs(dv) < tol:
-                bad = (alpha, j, abs(dv))
-                if on_small_divisor == "raise":
-                    raise DivisorBelowTolerance(alpha, j, abs(dv))
-                clipped.append(bad)
-                new[j] = 0j
-            else:
-                new[j] = c / dv
-        out[alpha] = tuple(new)
-    return out
-
-
 def _solve_recursive(spectrum, f: VectorSeries, D: int, on_small_divisor, tol):
     n = f.n
     f = f.truncate(D)
-    h_coeffs: dict = {}
+    reserve(n, D)  # every truncation d <= D below reads a prefix of these tables
+    h = VectorSeries.zero(n, D)
     clipped: list = []
     for d in range(2, D + 1):
-        fd = f.truncate(d)
-        arg = VectorSeries.identity(n, d) + VectorSeries.from_coeffs(n, d, h_coeffs)
-        rhs = fd.compose(arg)
-        slice_d = [
-            (alpha, rhs.coefficient(alpha))
-            for alpha in sorted(rhs.support(), key=graded_key)
-            if sum(alpha) == d
-        ]
-        h_coeffs.update(
-            _divide_slice(spectrum, slice_d, tol, on_small_divisor, clipped)
+        rhs = f.truncate(d).compose(VectorSeries.identity(n, d) + h.truncate(d))
+        h = h + apply_inverse_D(
+            spectrum, rhs.homogeneous(d).truncate(D), tol, on_small_divisor, clipped
         )
-    h = VectorSeries.from_coeffs(n, D, h_coeffs)
     return h, tuple(clipped)
 
 
@@ -204,14 +176,17 @@ def solve_recursive_field(field_: VectorField, D: int, on_small_divisor: str = "
 # tree-sum solver
 # ---------------------------------------------------------------------------
 
-# per-(alpha, axis) compiled summands: (constant, ((node label, node axis), ...))
-_TREE_PLANS: dict = {}
+# per-(alpha, axis) compiled summands: (constant, ((node label, node axis), ...)),
+# for the _TREE_PLAN_LIMIT most recently used problems
+_TREE_PLANS: OrderedDict = OrderedDict()
+_TREE_PLAN_LIMIT = 16
 
 
 def _tree_plan(spectrum, n: int, D: int, support_key: frozenset, tol: float):
     key = (spectrum.key(), n, D, support_key, tol)
     plan = _TREE_PLANS.get(key)
     if plan is not None:
+        _TREE_PLANS.move_to_end(key)
         return plan
     plan = {}
     for alpha in iter_indices(n, D, 2):
@@ -241,6 +216,8 @@ def _tree_plan(spectrum, n: int, D: int, support_key: frozenset, tol: float):
                     break
             plan[(alpha, j)] = (tuple(entries), bad)
     _TREE_PLANS[key] = plan
+    if len(_TREE_PLANS) > _TREE_PLAN_LIMIT:
+        _TREE_PLANS.popitem(last=False)
     return plan
 
 
@@ -379,11 +356,6 @@ def tree_value(theta, op, family: SeriesFamily, u, w: VectorSeries | None = None
             continue
         acc = acc + term.scale(u * multi_factorial(gamma) * inv_t_fact)
     return op(acc)
-
-
-def germ_inversion_family(f: VectorSeries) -> SeriesFamily:
-    """The shift family of f, the right-hand side expansion both problems share."""
-    return shift_expand(f)
 
 
 def solve_fixedpoint_germ(germ: Germ, D: int, tol: float = DEFAULT_TOL) -> Linearization:

@@ -10,6 +10,19 @@ Conventions used throughout the package:
   operations are exact on the retained range, i.e. the stored data is
   treated as a polynomial.  Mixing different ``n`` or ``trunc`` raises
   :class:`~treelin.errors.TruncationMismatch`.
+* Storage is dense: a series in ``n`` variables truncated at ``D`` is one
+  complex vector with a slot for every index of degree <= D
+  (``C(n + D, n)`` slots), in graded lexicographic order, the order of
+  :func:`iter_indices`.  Degrees <= d come first, so the storage of the
+  truncation to d is a prefix.  Queries (``items``, ``support``, ``len``,
+  ``valuation``) report nonzero slots only.
+* The Cauchy product has a normative summation order that depends on
+  neither the values nor the support of its operands.  For n = 1 it is the
+  order of ``numpy.convolve``; for n >= 2 each output slot sums the
+  products a_i * b_j over its slot pairs (i, j) in ascending i, one pass of
+  ``numpy.bincount`` over a precomputed pair table.  Zero terms are never
+  skipped, so the degree <= d part of a product is bitwise the same
+  whatever the operands hold above degree d.
 * The z-adic valuation of a series is the least total degree of a stored
   nonzero coefficient (``math.inf`` for the zero series); the matching
   ultrametric norm is ``2**-valuation``.
@@ -22,9 +35,6 @@ import math
 import numpy as np
 
 from .errors import CompositionError, TruncationMismatch
-
-_DENSE_CUTOFF = 4000  # switch to dense accumulation above this many term pairs
-
 
 # ---------------------------------------------------------------------------
 # index helpers
@@ -99,17 +109,129 @@ def _indices_of_degree(n: int, d: int):
 
 
 # ---------------------------------------------------------------------------
+# the graded-lex basis and the product tables
+# ---------------------------------------------------------------------------
+
+def slot_count(n: int, D: int) -> int:
+    """Number of indices of degree <= D in n variables: C(n + D, n)."""
+    return math.comb(n + D, n)
+
+
+class _Basis:
+    """The indices of degree <= D in graded-lex order, with their slots."""
+
+    def __init__(self, n: int, D: int):
+        self.D = D
+        self.indices = list(iter_indices(n, D))
+        self.slot = {a: i for i, a in enumerate(self.indices)}
+        self.degrees = np.array([sum(a) for a in self.indices], dtype=np.intp)
+
+
+class _PairTable:
+    """Slot pairs (i, j) with deg i + deg j <= D, sorted by the slot of i + j.
+
+    Within one output slot the pairs are in ascending i.  Because graded-lex
+    order puts degrees <= d first, the table of a truncation d <= D is the
+    prefix ``[:cut[d]]`` of this one.
+    """
+
+    def __init__(self, n: int, D: int):
+        self.D = D
+        exps = np.array(_basis(n, D).indices[: slot_count(n, D)], dtype=np.intp)
+        upto = np.array([slot_count(n, d) for d in range(D + 1)], dtype=np.intp)
+        # slot i pairs with every slot of degree <= D - deg(i): a prefix
+        counts = upto[D - exps.sum(axis=1)]
+        left = np.repeat(np.arange(len(exps), dtype=np.intp), counts)
+        right = np.arange(len(left), dtype=np.intp)
+        right -= np.repeat(np.cumsum(counts) - counts, counts)
+        # mixed-radix keys add without carries, since every entry is <= D
+        key = exps @ (D + 1) ** np.arange(n - 1, -1, -1, dtype=np.intp)
+        by_key = np.argsort(key)
+        out = key[left]
+        out += key[right]
+        out = by_key[np.searchsorted(key[by_key], out)]
+        order = np.argsort(out, kind="stable")
+        # drop each unsorted array once its sorted copy exists, to keep the
+        # build's peak memory at a few table-sized arrays
+        self.left = left[order]
+        del left
+        self.right = right[order]
+        del right
+        out = out[order]
+        del order
+        self.cut = np.searchsorted(out, upto)
+        # output index of each real and imaginary part, interleaved
+        self.out2 = np.repeat(2 * out, 2)
+        self.out2[1::2] += 1
+
+    def pairs(self, d: int):
+        """(left, right, interleaved output) arrays of the truncation-d table."""
+        c = self.cut[d]
+        return self.left[:c], self.right[:c], self.out2[: 2 * c]
+
+
+# Each cache holds, per number of variables, the entry for the largest
+# truncation built so far; it serves every smaller truncation as a prefix.
+_CACHE_DIMENSIONS = 8
+_BASES: dict = {}
+_PAIR_TABLES: dict = {}
+
+
+def _cached(cache: dict, build, n: int, D: int):
+    entry = cache.pop(n, None)
+    if entry is None or entry.D < D:
+        entry = build(n, D)
+    cache[n] = entry
+    if len(cache) > _CACHE_DIMENSIONS:
+        del cache[next(iter(cache))]
+    return entry
+
+
+def _basis(n: int, D: int) -> _Basis:
+    return _cached(_BASES, _Basis, n, D)
+
+
+def _pair_table(n: int, D: int) -> _PairTable:
+    return _cached(_PAIR_TABLES, _PairTable, n, D)
+
+
+def graded_indices(n: int, D: int) -> list:
+    """The indices of degree <= D in slot order (graded lexicographic)."""
+    return _basis(n, D).indices[: slot_count(n, D)]
+
+
+def reserve(n: int, D: int) -> None:
+    """Build the basis and product table for truncation D now.
+
+    Every truncation d <= D is then served by a prefix of them; a solver
+    that works through d = 2..D calls this once with its target degree.
+    """
+    _basis(n, D)
+    if n > 1:
+        _pair_table(n, D)
+
+
+def _slot(basis: _Basis, alpha, n: int, trunc: int):
+    """Slot of a validated index, or None above the truncation."""
+    alpha = tuple(int(a) for a in alpha)
+    if len(alpha) != n or any(a < 0 for a in alpha):
+        raise ValueError(f"bad index {alpha} for n={n}")
+    return basis.slot[alpha] if sum(alpha) <= trunc else None
+
+
+# ---------------------------------------------------------------------------
 # scalar series
 # ---------------------------------------------------------------------------
 
 class ScalarSeries:
     """A single truncated power series in ``n`` variables.
 
-    Coefficients are stored sparsely as ``{index: complex}``; exact zeros and
-    indices above the truncation degree are dropped at construction.
+    Coefficients live in a dense complex vector over the graded-lex slots
+    of degree <= ``trunc``; indices above the truncation degree are dropped
+    at construction.  The vector is never modified after construction.
     """
 
-    __slots__ = ("n", "trunc", "_c")
+    __slots__ = ("n", "trunc", "_v")
 
     def __init__(self, n: int, trunc: int, coeffs=None):
         if n < 1:
@@ -118,17 +240,14 @@ class ScalarSeries:
             raise ValueError("truncation degree must be non-negative")
         self.n = n
         self.trunc = trunc
-        clean = {}
+        self._v = np.zeros(slot_count(n, trunc), dtype=complex)
         if coeffs:
+            basis = _basis(n, trunc)
             for alpha, c in coeffs.items():
-                alpha = tuple(int(a) for a in alpha)
-                if len(alpha) != n or any(a < 0 for a in alpha):
-                    raise ValueError(f"bad index {alpha} for n={n}")
+                i = _slot(basis, alpha, n, trunc)
                 c = complex(c)
-                if c != 0 and sum(alpha) <= trunc:
-                    clean[alpha] = clean.get(alpha, 0j) + c
-            clean = {a: c for a, c in clean.items() if c != 0}
-        self._c = clean
+                if i is not None:
+                    self._v[i] += c
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -143,35 +262,56 @@ class ScalarSeries:
     def one(cls, n, trunc):
         return cls.monomial(n, trunc, (0,) * n, 1.0)
 
+    @classmethod
+    def from_vector(cls, n: int, trunc: int, vector) -> "ScalarSeries":
+        """Wrap a complex vector of ``slot_count(n, trunc)`` graded-lex slots."""
+        s = cls.__new__(cls)
+        s.n = n
+        s.trunc = trunc
+        s._v = vector
+        return s
+
     # -- basic queries -------------------------------------------------------
+    @property
+    def vector(self):
+        """The dense coefficient vector (read only by convention)."""
+        return self._v
+
     def get(self, alpha) -> complex:
-        return self._c.get(tuple(alpha), 0j)
+        i = _basis(self.n, self.trunc).slot.get(tuple(alpha))
+        if i is None or i >= len(self._v):
+            return 0j
+        return complex(self._v[i])
 
     def items(self):
-        """Coefficients in graded lexicographic order."""
-        return [(a, self._c[a]) for a in sorted(self._c, key=graded_key)]
+        """Nonzero coefficients in graded lexicographic order."""
+        indices = _basis(self.n, self.trunc).indices
+        nz = np.flatnonzero(self._v)
+        return list(zip([indices[i] for i in nz.tolist()], self._v[nz].tolist()))
 
     @property
     def support(self):
-        return frozenset(self._c)
+        indices = _basis(self.n, self.trunc).indices
+        return frozenset(indices[i] for i in np.flatnonzero(self._v).tolist())
 
     def __len__(self):
-        return len(self._c)
+        return int(np.count_nonzero(self._v))
 
     def is_zero(self) -> bool:
-        return not self._c
+        return not self._v.any()
 
     def valuation(self):
-        if not self._c:
+        nz = np.flatnonzero(self._v)
+        if not len(nz):
             return math.inf
-        return min(sum(a) for a in self._c)
+        return int(_basis(self.n, self.trunc).degrees[nz[0]])
 
     def znorm(self) -> float:
         v = self.valuation()
         return 0.0 if v is math.inf else 2.0 ** (-v)
 
     def max_abs(self) -> float:
-        return max((abs(c) for c in self._c.values()), default=0.0)
+        return float(np.abs(self._v).max())
 
     # -- arithmetic -----------------------------------------------------------
     def _check(self, other):
@@ -181,28 +321,22 @@ class ScalarSeries:
                 f"n={other.n},D={other.trunc}"
             )
 
+    def _wrap(self, vector) -> "ScalarSeries":
+        return ScalarSeries.from_vector(self.n, self.trunc, vector)
+
     def __add__(self, other):
         self._check(other)
-        out = dict(self._c)
-        for a, c in other._c.items():
-            s = out.get(a, 0j) + c
-            if s == 0:
-                out.pop(a, None)
-            else:
-                out[a] = s
-        return self._wrap(out)
+        return self._wrap(self._v + other._v)
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        return self._wrap(self._v - other._v)
 
     def __neg__(self):
-        return self._wrap({a: -c for a, c in self._c.items()})
+        return self._wrap(-self._v)
 
     def scale(self, c):
-        c = complex(c)
-        if c == 0:
-            return ScalarSeries.zero(self.n, self.trunc)
-        return self._wrap({a: v * c for a, v in self._c.items()})
+        return self._wrap(self._v * complex(c))
 
     def __mul__(self, other):
         if isinstance(other, ScalarSeries):
@@ -212,71 +346,29 @@ class ScalarSeries:
     __rmul__ = __mul__
 
     def multiply(self, other: "ScalarSeries") -> "ScalarSeries":
-        """Cauchy product truncated at the shared degree."""
+        """Cauchy product truncated at the shared degree, in the normative order."""
         self._check(other)
-        if not self._c or not other._c:
-            return ScalarSeries.zero(self.n, self.trunc)
-        small, big = (self, other) if len(self) <= len(other) else (other, self)
-        if self.n <= 2 and len(small) * len(big) > _DENSE_CUTOFF:
-            return self._mul_dense(small, big)
-        D = self.trunc
-        out = {}
-        big_items = big.items()
-        for a, ca in small.items():
-            da = sum(a)
-            for b, cb in big_items:
-                if da + sum(b) > D:
-                    continue
-                k = index_add(a, b)
-                out[k] = out.get(k, 0j) + ca * cb
-        return self._wrap({k: v for k, v in out.items() if v != 0})
-
-    @staticmethod
-    def _mul_dense(small: "ScalarSeries", big: "ScalarSeries") -> "ScalarSeries":
-        # exact shifted accumulation; deterministic (sorted iteration order)
-        D = small.trunc
-        n = small.n
-        shape = (D + 1,) * n
-        dense = np.zeros(shape, dtype=complex)
-        for a, c in big.items():
-            dense[a] = c
-        acc = np.zeros(shape, dtype=complex)
-        if n == 1:
-            for (a0,), c in small.items():
-                acc[a0:] += c * dense[: D + 1 - a0]
-        else:
-            for (a0, a1), c in small.items():
-                acc[a0:, a1:] += c * dense[: D + 1 - a0, : D + 1 - a1]
-        out = {}
-        for idx in np.argwhere(acc != 0):
-            a = tuple(int(x) for x in idx)
-            if sum(a) <= D:
-                out[a] = complex(acc[a])
-        return ScalarSeries(small.n, D, out)
-
-    def pow_int(self, k: int) -> "ScalarSeries":
-        if k < 0:
-            raise ValueError("negative powers are not supported")
-        out = ScalarSeries.one(self.n, self.trunc)
-        base = self
-        while k:
-            if k & 1:
-                out = out.multiply(base)
-            base = base.multiply(base) if k > 1 else base
-            k >>= 1
-        return out
+        a, b = self._v, other._v
+        if self.n == 1:
+            return self._wrap(np.convolve(a, b)[: len(a)])
+        left, right, out2 = _pair_table(self.n, self.trunc).pairs(self.trunc)
+        terms = a[left]
+        terms *= b[right]
+        acc = np.bincount(out2, weights=terms.view(np.float64), minlength=2 * len(a))
+        return self._wrap(acc.view(np.complex128))
 
     def truncate(self, new_trunc: int) -> "ScalarSeries":
         if new_trunc == self.trunc:
             return self
-        return ScalarSeries(self.n, new_trunc, self._c)
-
-    def _wrap(self, coeffs) -> "ScalarSeries":
-        s = ScalarSeries.__new__(ScalarSeries)
-        s.n = self.n
-        s.trunc = self.trunc
-        s._c = coeffs
-        return s
+        if new_trunc < 0:
+            raise ValueError("truncation degree must be non-negative")
+        size = slot_count(self.n, new_trunc)
+        if size <= len(self._v):
+            vector = self._v[:size]
+        else:
+            vector = np.zeros(size, dtype=complex)
+            vector[: len(self._v)] = self._v
+        return ScalarSeries.from_vector(self.n, new_trunc, vector)
 
     # -- comparison ------------------------------------------------------------
     def __eq__(self, other):
@@ -284,20 +376,16 @@ class ScalarSeries:
             isinstance(other, ScalarSeries)
             and self.n == other.n
             and self.trunc == other.trunc
-            and self._c == other._c
+            and bool(np.array_equal(self._v, other._v))
         )
 
     def __hash__(self):
-        return hash((self.n, self.trunc, frozenset(self._c.items())))
+        return hash((self.n, self.trunc, tuple(self.items())))
 
     def approx_equal(self, other, rel=1e-9, abs_tol=1e-12) -> bool:
         self._check(other)
-        keys = set(self._c) | set(other._c)
         scale = max(self.max_abs(), other.max_abs(), 1.0)
-        return all(
-            abs(self.get(k) - other.get(k)) <= max(abs_tol, rel * scale)
-            for k in keys
-        )
+        return float(np.abs(self._v - other._v).max()) <= max(abs_tol, rel * scale)
 
     def __repr__(self):
         terms = ", ".join(f"{a}:{c:.4g}" for a, c in self.items()[:6])
@@ -339,21 +427,24 @@ class VectorSeries:
 
     @classmethod
     def monomial(cls, n, trunc, alpha, vec):
-        return cls([
-            ScalarSeries.monomial(n, trunc, alpha, v) if v != 0
-            else ScalarSeries.zero(n, trunc)
-            for v in vec
-        ])
+        return cls([ScalarSeries.monomial(n, trunc, alpha, v) for v in vec])
 
     @classmethod
     def from_coeffs(cls, n, trunc, coeffs):
         """Build from ``{index: (c_1..c_n)}``."""
-        per = [dict() for _ in range(n)]
+        array = np.zeros((n, slot_count(n, trunc)), dtype=complex)
+        basis = _basis(n, trunc)
         for alpha, vec in coeffs.items():
-            for j, v in enumerate(vec):
-                if v != 0:
-                    per[j][tuple(alpha)] = v
-        return cls([ScalarSeries(n, trunc, p) for p in per])
+            i = _slot(basis, alpha, n, trunc)
+            if i is not None:
+                for j, v in enumerate(vec):
+                    array[j, i] = v
+        return cls.from_array(n, trunc, array)
+
+    @classmethod
+    def from_array(cls, n: int, trunc: int, array) -> "VectorSeries":
+        """Wrap an ``(n, slot_count(n, trunc))`` complex array, one row per component."""
+        return cls([ScalarSeries.from_vector(n, trunc, row) for row in array])
 
     # -- queries ---------------------------------------------------------------
     @property
@@ -370,6 +461,10 @@ class VectorSeries:
     def coefficient(self, alpha):
         return tuple(c.get(alpha) for c in self.components)
 
+    def to_array(self):
+        """The ``(n, slots)`` coefficient array, one row per component."""
+        return np.stack([c.vector for c in self.components])
+
     def support(self):
         s = set()
         for c in self.components:
@@ -378,7 +473,11 @@ class VectorSeries:
 
     def coeff_items(self):
         """(index, coefficient vector) pairs in graded lexicographic order."""
-        return [(a, self.coefficient(a)) for a in sorted(self.support(), key=graded_key)]
+        array = self.to_array()
+        nz = np.flatnonzero(array.any(axis=0))
+        indices = _basis(self.n, self.trunc).indices
+        columns = array[:, nz].T.tolist()
+        return [(indices[i], tuple(col)) for i, col in zip(nz.tolist(), columns)]
 
     def is_zero(self):
         return all(c.is_zero() for c in self.components)
@@ -395,12 +494,18 @@ class VectorSeries:
 
     def per_degree_max(self):
         """degree -> max coefficient modulus over all components, sorted by degree."""
-        out = {}
-        for comp in self.components:
-            for a, c in comp.items():
-                d = sum(a)
-                out[d] = max(out.get(d, 0.0), abs(c))
-        return dict(sorted(out.items()))
+        mags = np.abs(self.to_array()).max(axis=0)
+        starts = [slot_count(self.n, d - 1) if d else 0 for d in range(self.trunc + 1)]
+        top = np.maximum.reduceat(mags, starts)
+        return {d: float(m) for d, m in enumerate(top.tolist()) if m > 0}
+
+    def homogeneous(self, d: int) -> "VectorSeries":
+        """The degree-d part, at the same truncation."""
+        lo = slot_count(self.n, d - 1) if d > 0 else 0
+        hi = slot_count(self.n, d) if d <= self.trunc else lo
+        array = np.zeros((self.n, slot_count(self.n, self.trunc)), dtype=complex)
+        array[:, lo:hi] = self.to_array()[:, lo:hi]
+        return VectorSeries.from_array(self.n, self.trunc, array)
 
     # -- arithmetic --------------------------------------------------------------
     def __add__(self, other):
@@ -451,31 +556,46 @@ class VectorSeries:
                     f"inner component {j} has valuation 0; composition undefined"
                 )
         n, D = self.n, self.trunc
-        cache = {(0,) * n: ScalarSeries.one(n, D)}
+        inner_val = inner.valuation()
+        # valuation(inner) >= 1 makes deg(power) >= |alpha|: skip vanishing ones
+        terms = [(alpha, vec) for alpha, vec in self.coeff_items()
+                 if sum(alpha) == 0 or inner_val * sum(alpha) <= D]
+        acc = np.zeros((n, slot_count(n, D)), dtype=complex)
+        powers = _powers(inner.components, [alpha for alpha, _ in terms])
+        for (_, vec), p in zip(terms, powers):
+            acc += np.multiply.outer(vec, p.vector)
+        return VectorSeries.from_array(n, D, acc)
 
-        def power(alpha) -> ScalarSeries:
-            p = cache.get(alpha)
-            if p is not None:
-                return p
+
+def _powers(variables, alphas):
+    """The monomials prod_i variables[i] ** alpha_i for graded-lex sorted ``alphas``, in order.
+
+    Each power is its parent's, alpha - e_i for the first nonzero axis i,
+    times variables[i].  Powers are built one degree at a time and only the
+    previous degree is kept, so a long support costs two levels of memory.
+    """
+    n, D = variables[0].n, variables[0].trunc
+    zero = (0,) * n
+    parent = {}
+    for alpha in alphas:
+        while alpha != zero and alpha not in parent:
             i = next(k for k, a in enumerate(alpha) if a > 0)
-            prev = power(index_sub(alpha, unit_index(n, i)))
-            p = prev.multiply(inner.components[i])
-            cache[alpha] = p
-            return p
-
-        out = [ScalarSeries.zero(n, D) for _ in range(n)]
-        for alpha in sorted(self.support(), key=graded_key):
-            # valuation(inner) >= 1 makes deg(power) >= |alpha|: skip hopeless ones
-            if inner.valuation() * sum(alpha) > D and sum(alpha) > 0:
-                continue
-            p = power(alpha)
-            if p.is_zero():
-                continue
-            for j in range(n):
-                c = self.components[j].get(alpha)
-                if c != 0:
-                    out[j] = out[j] + p.scale(c)
-        return VectorSeries(out)
+            parent[alpha] = (index_sub(alpha, unit_index(n, i)), i)
+            alpha = parent[alpha][0]
+    by_degree: dict = {}
+    for alpha in parent:
+        by_degree.setdefault(sum(alpha), []).append(alpha)
+    level = {zero: ScalarSeries.one(n, D)}
+    k = 0
+    for d in range(max(by_degree, default=0) + 1):
+        if d:
+            level = {
+                alpha: level[parent[alpha][0]].multiply(variables[parent[alpha][1]])
+                for alpha in by_degree[d]
+            }
+        while k < len(alphas) and sum(alphas[k]) == d:
+            yield level[alphas[k]]
+            k += 1
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +606,7 @@ def formal_derivative(f: ScalarSeries, beta) -> ScalarSeries:
     """Binomial-weighted derivative: sum over alpha >= beta of binom(alpha,beta) f_alpha z^(alpha-beta)."""
     beta = tuple(beta)
     out = {}
-    for alpha, c in f._c.items():
+    for alpha, c in f.items():
         if dominates(alpha, beta):
             out[index_sub(alpha, beta)] = c * multi_binom(alpha, beta)
     return ScalarSeries(f.n, f.trunc, out)
@@ -508,7 +628,7 @@ def weighted_norm(f, r: float) -> float:
     comps = f.components if isinstance(f, VectorSeries) else (f,)
     best = 0.0
     for comp in comps:
-        for a, c in comp._c.items():
+        for a, c in comp.items():
             best = max(best, abs(c) * r ** sum(a))
     return best
 
@@ -587,21 +707,9 @@ class SeriesFamily:
             raise TruncationMismatch("argument disagrees with family on n or truncation")
         if not x.is_zero() and x.valuation() < 1:
             raise CompositionError("family evaluation needs an argument of valuation >= 1")
-        n, D = self.n, self.inner_trunc
-        cache = {(0,) * n: ScalarSeries.one(n, D)}
-
-        def power(beta) -> ScalarSeries:
-            p = cache.get(beta)
-            if p is not None:
-                return p
-            i = next(k for k, b in enumerate(beta) if b > 0)
-            p = power(index_sub(beta, unit_index(n, i))).multiply(x.components[i])
-            cache[beta] = p
-            return p
-
-        acc = VectorSeries.zero(n, D)
-        for beta, g in self.items():
-            p = power(beta)
+        items = self.items()
+        acc = VectorSeries.zero(self.n, self.inner_trunc)
+        for (_, g), p in zip(items, _powers(x.components, [beta for beta, _ in items])):
             if not p.is_zero():
                 acc = acc + g.mul_scalar_series(p)
         return acc
@@ -665,7 +773,9 @@ def shift_expand(f: VectorSeries) -> SeriesFamily:
     if not f.is_zero() and f.valuation() < 2:
         raise ValueError("shift expansion needs valuation >= 2")
     out = {}
-    for beta in iter_indices(f.n, f.trunc):
+    # no index above the top degree of f has a nonzero derivative
+    top = max(f.per_degree_max(), default=0)
+    for beta in iter_indices(f.n, top):
         g = vector_formal_derivative(f, beta)
         if not g.is_zero():
             out[beta] = g

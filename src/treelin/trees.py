@@ -312,17 +312,6 @@ class ScaleSequence:
     def from_table(cls, values):
         return cls(values, generator="table")
 
-    @classmethod
-    def from_convergents(cls, cf):
-        """Strictly increasing denominators >= 2 of a continued fraction."""
-        vals = []
-        for q in cf.q:
-            if q >= 2 and (not vals or q > vals[-1]):
-                vals.append(q)
-        if not vals:
-            raise ValueError("no usable denominators in the continued fraction")
-        return cls(vals, generator="table")
-
     def __getitem__(self, k: int) -> int:
         if k < 0:
             raise IndexError("scale index must be >= 0")

@@ -55,6 +55,15 @@ def test_rotation_spectrum_stable_powers():
         assert abs(direct - stable) < 1e-12
 
 
+def test_rotation_divisor_is_stable_near_resonance():
+    # x = 40 w_1 - w_2 - 12 is about -1e-11, so lambda^nu and lambda_2 nearly cancel
+    spec = GermSpectrum.from_rotation((0.31, 0.4 + 1e-11))
+    nu, j = (40, 0), 1
+    modulus = spec.divisor_modulus(nu, j)
+    assert 1e-11 < modulus < 1e-10
+    assert abs(abs(spec.divisor(nu, j)) - modulus) <= 1e-12 * modulus
+
+
 def test_resonance_witness_examples():
     # lambda = (4, 2): lambda_2^2 = lambda_1
     spec = GermSpectrum((4.0, 2.0))

@@ -29,6 +29,8 @@ from treelin import (
     tree_value,
     verify_conjugacy,
 )
+from treelin import cli
+from treelin.documents import load_json, problem_from_doc
 from treelin.linearize import InverseDivisorOperator, solve
 from treelin.series import (
     ScalarSeries,
@@ -96,6 +98,16 @@ def test_clip_mode_records_and_continues():
     lin = solve_recursive_germ(Germ(spec, f), 4, on_small_divisor="clip")
     assert not lin.conforming
     assert any(alpha == (0, 2) and j == 0 for alpha, j, _ in lin.clipped)
+
+
+def test_clip_mode_records_every_resonance_in_graded_lex_order():
+    # lambda = (4, 2, 8): lambda_2^2 = lambda_1, lambda_1 lambda_2 = lambda_2^3 = lambda_3
+    spec = GermSpectrum((4.0, 2.0, 8.0))
+    f = random_vector_series(np.random.default_rng(1), 3, 6)
+    lin = solve_recursive_germ(Germ(spec, f), 6, on_small_divisor="clip")
+    assert lin.clipped == (((0, 2, 0), 0, 0.0), ((1, 1, 0), 2, 0.0), ((0, 3, 0), 2, 0.0))
+    assert lin.h.coefficient((0, 2, 0))[0] == 0
+    assert lin.h.coefficient((0, 2, 0))[1] != 0
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +205,22 @@ def test_fixed_point_matches_recursive(rng, golden_spectrum_1d):
     H = fixed_point_inversion(op, shift_expand(f.truncate(7)), 1.0,
                               VectorSeries.zero(1, 7), 7)
     assert_series_close(H, solve_recursive_germ(germ, 7).h, rel=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["germ", "field"])
+@pytest.mark.parametrize("D", [12, 16])
+def test_fixed_point_converges_at_moderate_degree(tmp_path, kind, D):
+    # at these sizes a product whose summation order depends on the support
+    # leaves roundoff at settled degrees, which stalls the valuation gain
+    for seed in (1, 2, 3):
+        path = str(tmp_path / f"{kind}-{seed}.json")
+        assert cli.main(["fixture", kind, "--n", "2", "--degree-f", "3",
+                         "--trunc", str(D), "--seed", str(seed), "--out", path]) == 0
+        problem = problem_from_doc(load_json(path))
+        fix = solve(problem, D, "fixedpoint")
+        rec = solve(problem, D, "recursive")
+        gap = (fix.h - rec.h).max_abs() / max(1.0, rec.h.max_abs())
+        assert gap <= 1e-10, (seed, gap)
 
 
 def test_fixed_point_no_contraction():

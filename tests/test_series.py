@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from treelin import (
@@ -23,6 +24,7 @@ from treelin.series import (
     iter_indices,
     multi_binom,
     signed_degree,
+    slot_count,
     unit_index,
 )
 
@@ -130,21 +132,39 @@ def test_multiply_matches_convolution_oracle(rng, n):
             assert abs(prod.get(k) - v) <= 1e-12 * max(1.0, abs(v))
 
 
-def test_multiply_dense_path_matches_dict_path(rng):
-    # force both paths on the same data and compare exactly
-    f = random_scalar_series(rng, 2, 12, density=1.0)
-    g = random_scalar_series(rng, 2, 12, density=1.0)
-    import treelin.series as series_mod
+def test_multiply_kernel_matches_oracles(rng):
+    # full density exercises every pair of the product table
+    for n, D in ((1, 12), (2, 12), (3, 8)):
+        f = random_scalar_series(rng, n, D, density=1.0)
+        g = random_scalar_series(rng, n, D, density=1.0)
+        prod = f.multiply(g)
+        oracle = convolve_oracle(f, g)
+        assert set(prod.support) == set(oracle)
+        for k, v in oracle.items():
+            assert abs(prod.get(k) - v) <= 1e-12 * max(1.0, abs(v))
+    # one variable at high degree is exactly the convolution of the coefficients
+    f = random_scalar_series(rng, 1, 300, density=1.0)
+    g = random_scalar_series(rng, 1, 300, density=0.5)
+    a = np.array([f.get((k,)) for k in range(301)])
+    b = np.array([g.get((k,)) for k in range(301)])
+    got = np.array([f.multiply(g).get((k,)) for k in range(301)])
+    assert np.array_equal(got, np.convolve(a, b)[:301])
 
-    old = series_mod._DENSE_CUTOFF
-    try:
-        series_mod._DENSE_CUTOFF = 0
-        dense = f.multiply(g)
-        series_mod._DENSE_CUTOFF = 10 ** 18
-        sparse = f.multiply(g)
-    finally:
-        series_mod._DENSE_CUTOFF = old
-    assert_series_close(dense, sparse, rel=1e-13)
+
+@pytest.mark.parametrize("n,D,d", [(1, 20, 9), (2, 12, 5), (3, 8, 4)])
+def test_product_low_degrees_ignore_high_terms(rng, n, D, d):
+    # the summation order never depends on values or support, so terms of
+    # degree > d in one operand leave the degree <= d part bitwise unchanged
+    f = random_scalar_series(rng, n, D, max_degree=d, density=0.7)
+    g = random_scalar_series(rng, n, D, density=0.7)
+    f_more = f + random_scalar_series(rng, n, D, min_degree=d + 1)
+    keep = slot_count(n, d)
+    low = f.multiply(g).vector[:keep]
+    assert low.tobytes() == f_more.multiply(g).vector[:keep].tobytes()
+    swapped = g.multiply(f).vector[:keep]
+    assert swapped.tobytes() == g.multiply(f_more).vector[:keep].tobytes()
+    # and the truncation to d computes the same prefix from a prefix table
+    assert low.tobytes() == f.truncate(d).multiply(g.truncate(d)).vector.tobytes()
 
 
 def test_multiply_commutative_and_associative(rng):
