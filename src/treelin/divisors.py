@@ -256,7 +256,7 @@ def omega_tilde(spectrum: GermSpectrum, p: int, mode: str = "realizable") -> flo
     return _omega_tilde_impl(spectrum.lam, spectrum.rotation, p, mode)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _omega_tilde_impl(lam, rotation, p, mode):
     spectrum = GermSpectrum(lam, rotation)
     best = math.inf
@@ -268,7 +268,7 @@ def _omega_tilde_impl(lam, rotation, p, mode):
     return best
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def omega_frac(omega: tuple, p: int) -> float:
     """min of the nearest-integer distance of nu.omega over 0 < abs-degree(nu) <= p."""
     if p < 1:
@@ -297,7 +297,7 @@ def _hat_indices(n: int, bound: int):
             yield nu
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def omega_hat(omega: tuple, p: int, tol: float = DEFAULT_TOL) -> float:
     """min of |nu.omega| over the restricted index set with abs-degree <= p.
 

@@ -39,7 +39,6 @@ from .series import (
     multi_factorial,
     reserve,
     shift_expand,
-    unit_index,
 )
 from .trees import enumerate_labeled, standard_decomposition
 
@@ -189,18 +188,20 @@ def _tree_plan(spectrum, n: int, D: int, support_key: frozenset, tol: float):
         _TREE_PLANS.move_to_end(key)
         return plan
     plan = {}
+    divisor_of: dict = {}
     for alpha in iter_indices(n, D, 2):
         for j in range(n):
             entries = []
             bad = None
             for N in range(1, degree(alpha)):
-                for theta in enumerate_labeled(N, alpha, j, support_key, n):
-                    if theta.binom_product == 0:
-                        continue
+                for theta in enumerate_labeled(N, alpha, j, support_key, n,
+                                               contributing_only=True):
                     const = complex(theta.weight * theta.binom_product)
                     ok = True
-                    for nu, ax, _ in theta.lines():
-                        dv = spectrum.divisor(nu, ax)
+                    for nu, ax in zip(theta.momenta, theta.line_axes):
+                        dv = divisor_of.get((nu, ax))
+                        if dv is None:
+                            dv = divisor_of[(nu, ax)] = spectrum.divisor(nu, ax)
                         if abs(dv) < tol:
                             bad = (nu, ax, abs(dv))
                             ok = False
@@ -462,10 +463,7 @@ def verify_conjugacy(problem, h) -> ConjugacyReport:
     if isinstance(problem, Germ):
         lam = spectrum.lam
         FH = VectorSeries([H.components[j].scale(lam[j]) for j in range(n)]) + f.compose(H)
-        Az = VectorSeries([
-            ScalarSeries.monomial(n, D, unit_index(n, j), lam[j]) for j in range(n)
-        ])
-        defect = FH - H.compose(Az)
+        defect = FH - H.compose_diagonal(lam)
     else:
         defect = apply_forward_D(spectrum, h) - f.compose(ident + h)
     scale = max(1.0, f.max_abs(), h.max_abs())

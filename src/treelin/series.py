@@ -566,6 +566,16 @@ class VectorSeries:
             acc += np.multiply.outer(vec, p.vector)
         return VectorSeries.from_array(n, D, acc)
 
+    def compose_diagonal(self, lam) -> "VectorSeries":
+        """F(diag(lam) z): the coefficient of z^alpha times lam^alpha, slot by slot.
+
+        The same series as :meth:`compose` with the inner series
+        ``(lam_1 z_1, ..., lam_n z_n)``, without its products.
+        """
+        exps = np.array(graded_indices(self.n, self.trunc), dtype=np.intp)
+        lam_alpha = np.prod(np.array(lam, dtype=complex) ** exps, axis=1)
+        return VectorSeries.from_array(self.n, self.trunc, self.to_array() * lam_alpha)
+
 
 def _powers(variables, alphas):
     """The monomials prod_i variables[i] ** alpha_i for graded-lex sorted ``alphas``, in order.

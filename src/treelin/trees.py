@@ -23,6 +23,7 @@ from itertools import product
 from . import divisors
 from .series import (
     degree,
+    dominates,
     graded_key,
     index_add,
     index_sub,
@@ -46,7 +47,7 @@ def is_valid_m(m) -> bool:
     return all(sum(m[j:]) <= N - 1 - j for j in range(N))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _forest(N: int):
     if N < 1:
         raise ValueError("tree order must be >= 1")
@@ -122,7 +123,7 @@ def recompose(t: int, subtrees) -> tuple:
     return m
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def children_lists(m) -> tuple:
     """Per-node tuples of child indices (preorder indexing)."""
     m = tuple(m)
@@ -239,7 +240,7 @@ def _label_tuples(count: int, budget: int, support_sorted):
             yield (alpha,) + rest
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _labeled_forest_cached(N, alpha, j, support_key, n):
     support_sorted = sorted(support_key, key=graded_key)
     target = degree(alpha)
@@ -247,11 +248,22 @@ def _labeled_forest_cached(N, alpha, j, support_key, n):
     out = []
     if target < N + 1:
         return ()
-    for m in _forest(N):
-        children = children_lists(m)
-        for labels in _label_tuples(N, budget, support_sorted):
-            for rest in product(range(n), repeat=N - 1):
-                axes = (j,) + rest
+    for labels in _label_tuples(N, budget, support_sorted):
+        # the total momentum is the label sum less one unit per non-root exit
+        # axis, so only axis tuples with these counts can reach alpha
+        need = [sum(column) - a for column, a in zip(zip(*labels), alpha)]
+        if any(c < 0 for c in need):
+            continue
+        axes_list = []
+        for rest in product(range(n), repeat=N - 1):
+            counts = [0] * n
+            for ax in rest:
+                counts[ax] += 1
+            if counts == need:
+                axes_list.append((j,) + rest)
+        for m in _forest(N):
+            children = children_lists(m)
+            for axes in axes_list:
                 tree = _build_labeled(m, children, labels, axes, n)
                 if tree.nu_theta == alpha:
                     out.append(tree)
@@ -259,12 +271,141 @@ def _labeled_forest_cached(N, alpha, j, support_key, n):
     return tuple(out)
 
 
-def enumerate_labeled(N: int, alpha, j: int, support, n: int | None = None):
+class _Subtrees:
+    """The contributing subtrees below a line, generated top-down by momentum.
+
+    A subtree whose exit line carries momentum ``nu`` is a root label L from
+    the support, t >= 0 ordered children entering along axes a_1..a_t whose
+    axis counts beta satisfy beta <= L, and one subtree per child, with
+    child momenta that are nonnegative, of degree >= 2 and sum to
+    nu - L + beta.  Because beta <= L at every node these are exactly the
+    labelings whose every binom(label, beta) is nonzero, and no momentum
+    ever leaves the nonnegative indices.  The exit axis constrains nothing
+    below the line, so one entry per momentum serves every axis.
+
+    A subtree is a record (m, labels, axes, betas, momenta, weight factors,
+    binomial factors), every field in preorder; ``axes`` holds the exit
+    axes of the non-root nodes, the factors are beta!/m! and
+    binom(label, beta) per node.
+    """
+
+    def __init__(self, support_key: frozenset, n: int):
+        self.n = n
+        self.support = sorted(support_key, key=graded_key)
+        self._by_order: dict = {}  # nu -> {order: records sorted by (m, labels, axes)}
+        self._all: dict = {}       # nu -> every record, any order
+        self._splits: dict = {}    # (rest, t) -> ordered splits into t child momenta
+
+    def of_order(self, nu, N: int) -> tuple:
+        """Subtrees of order N below a line of momentum ``nu``, in sort-key order."""
+        self._subtrees(nu)
+        return self._by_order[nu].get(N, ())
+
+    def _subtrees(self, nu) -> tuple:
+        out = self._all.get(nu)
+        if out is None:
+            by_order: dict = {}
+            for rec in self._build(nu):
+                by_order.setdefault(len(rec[0]), []).append(rec)
+            for recs in by_order.values():
+                recs.sort(key=lambda r: (r[0], r[1], r[2]))
+            self._by_order[nu] = {N: tuple(recs) for N, recs in by_order.items()}
+            out = self._all[nu] = tuple(r for recs in by_order.values() for r in recs)
+        return out
+
+    def _build(self, nu):
+        n = self.n
+        for L in self.support:
+            d = index_sub(nu, L)
+            if not any(d):
+                yield ((0,), (L,), (), ((0,) * n,), (nu,), (1.0,), (1,))
+                continue
+            # t children need beta <= L and t momenta of degree >= 2 in |d| + t
+            for t in range(1, min(degree(d), degree(L)) + 1):
+                for axes in product(range(n), repeat=t):
+                    beta = [0] * n
+                    for a in axes:
+                        beta[a] += 1
+                    beta = tuple(beta)
+                    rest = index_add(d, beta)
+                    if any(r < 0 for r in rest) or not dominates(L, beta):
+                        continue
+                    head = (
+                        (t,), (L,), (), (beta,), (nu,),
+                        (multi_factorial(beta) / math.factorial(t),),
+                        (multi_binom(L, beta),),
+                    )
+                    for split in self._split(rest, t):
+                        for kids in product(*[self._subtrees(mu) for mu in split]):
+                            m, labels, below, betas, momenta, wf, bf = head
+                            for a, k in zip(axes, kids):
+                                m += k[0]
+                                labels += k[1]
+                                below += (a,) + k[2]
+                                betas += k[3]
+                                momenta += k[4]
+                                wf += k[5]
+                                bf += k[6]
+                            yield (m, labels, below, betas, momenta, wf, bf)
+
+    def _split(self, rest, t: int) -> tuple:
+        """Ordered t-tuples of child momenta summing to ``rest``, each with subtrees."""
+        key = (rest, t)
+        out = self._splits.get(key)
+        if out is None:
+            if t == 1:
+                out = ((rest,),) if degree(rest) >= 2 and self._subtrees(rest) else ()
+            else:
+                out = []
+                for first in product(*[range(r + 1) for r in rest]):
+                    if degree(first) < 2 or degree(rest) - degree(first) < 2 * (t - 1):
+                        continue
+                    if not self._subtrees(first):
+                        continue
+                    for tail in self._split(index_sub(rest, first), t - 1):
+                        out.append((first,) + tail)
+                out = tuple(out)
+            self._splits[key] = out
+        return out
+
+
+@lru_cache(maxsize=16)
+def _subtree_memo(support_key: frozenset, n: int) -> _Subtrees:
+    return _Subtrees(support_key, n)
+
+
+def _labeled_from_record(rec, j: int) -> LabeledTree:
+    m, labels, below, betas, momenta, wf, bf = rec
+    weight = 1.0
+    binom = 1.0
+    for w, b in zip(wf, bf):  # node by node in preorder, as in _build_labeled
+        weight *= w
+        binom *= b
+    return LabeledTree(
+        m=m,
+        node_labels=labels,
+        line_axes=(j,) + below,
+        betas=betas,
+        momenta=momenta,
+        weight=weight,
+        binom_product=binom,
+    )
+
+
+def enumerate_labeled(N: int, alpha, j: int, support, n: int | None = None, *,
+                      contributing_only: bool = False):
     """Labeled trees of order N with total momentum ``alpha`` and root axis ``j``.
 
     ``support`` is the set of admissible node labels (each of degree >= 2);
     labels outside it would multiply the inversion summand by zero.  The
     result is deterministic: sorted by (m-vector, node labels, line axes).
+
+    By default every such labeling is listed, including those where a node
+    label fails to dominate the axes of its entering lines, whose
+    ``binom_product`` is zero.  With ``contributing_only=True`` only the
+    labelings with nonzero ``binom_product`` are returned, in the same
+    order and with bitwise the same fields; they are generated top-down by
+    momentum, so no zero-weight labeling is ever built.
     """
     alpha = tuple(alpha)
     if n is None:
@@ -274,7 +415,12 @@ def enumerate_labeled(N: int, alpha, j: int, support, n: int | None = None):
     support_key = frozenset(
         tuple(a) for a in support if degree(a) >= 2
     )
-    return list(_labeled_forest_cached(N, alpha, j, support_key, n))
+    if not contributing_only:
+        return list(_labeled_forest_cached(N, alpha, j, support_key, n))
+    return [
+        _labeled_from_record(rec, j)
+        for rec in _subtree_memo(support_key, n).of_order(alpha, N)
+    ]
 
 
 # ---------------------------------------------------------------------------

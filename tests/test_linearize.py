@@ -29,9 +29,11 @@ from treelin import (
     tree_value,
     verify_conjugacy,
 )
-from treelin import cli
+from treelin import cli, divisors, trees
+from treelin.divisors import omega_frac, omega_hat, omega_tilde
 from treelin.documents import load_json, problem_from_doc
-from treelin.linearize import InverseDivisorOperator, solve
+from treelin.linearize import _TREE_PLAN_LIMIT, _TREE_PLANS, InverseDivisorOperator, solve
+from treelin.trees import children_lists
 from treelin.series import (
     ScalarSeries,
     SeriesFamily,
@@ -157,6 +159,52 @@ def test_three_solvers_agree_field(rng, n, D):
         tree = solve_tree_field(vf, D)
         assert_series_close(rec.h, tree.h, rel=1e-9)
         assert rec.residual_max < 1e-9 * max(1.0, rec.h.max_abs())
+
+
+@pytest.mark.parametrize("kind", ["germ", "field"])
+def test_tree_agrees_with_recursive_at_degree_12(tmp_path, kind):
+    path = str(tmp_path / "fixture.json")
+    assert cli.main(["fixture", kind, "--n", "1", "--degree-f", "3",
+                     "--trunc", "12", "--seed", "4", "--out", path]) == 0
+    problem = problem_from_doc(load_json(path))
+    tree = solve(problem, 12, "tree")
+    rec = solve(problem, 12, "recursive")
+    assert (tree.h - rec.h).max_abs() <= 1e-10 * max(1.0, rec.h.max_abs())
+
+
+def test_module_caches_stay_bounded(golden_spectrum_1d):
+    # more distinct supports than the plan and subtree caches keep
+    D = 7
+    supports = [
+        frozenset([(2,)] + [(d,) for d in range(3, D + 1) if mask >> (d - 3) & 1])
+        for mask in range(_TREE_PLAN_LIMIT + 4)
+    ]
+    for sup in supports:
+        f = VectorSeries.from_coeffs(1, D, {a: (0.25,) for a in sup})
+        solve_tree_germ(Germ(golden_spectrum_1d, f), D)
+        for alpha in iter_indices(1, D, 2):
+            for N in range(1, sum(alpha)):
+                enumerate_labeled(N, alpha, 0, sup)
+    for p in range(2, 300):
+        omega_frac((GOLDEN,), p)
+        omega_hat((GOLDEN,), p)
+        omega_tilde(golden_spectrum_1d, p)
+    children_lists.cache_clear()
+    for m in enumerate_forest(10):  # 4,862 trees
+        children_lists(m)
+    assert len(_TREE_PLANS) <= _TREE_PLAN_LIMIT
+    caches = (trees._forest, trees.children_lists, trees._labeled_forest_cached,
+              trees._subtree_memo, divisors._omega_tilde_impl, divisors.omega_frac,
+              divisors.omega_hat, divisors.divisor_table)
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.maxsize is not None, cache.__name__
+        assert info.currsize <= info.maxsize, cache.__name__
+    # every cache the solve and the loops above drive past its limit is full
+    for cache in (trees._subtree_memo, trees.children_lists, trees._labeled_forest_cached,
+                  divisors._omega_tilde_impl, divisors.omega_frac, divisors.omega_hat):
+        info = cache.cache_info()
+        assert info.currsize == info.maxsize, cache.__name__
 
 
 def test_germ_field_structural_parity(rng):
@@ -503,6 +551,21 @@ def test_kepler_e2_row_is_sin_cos():
 # ---------------------------------------------------------------------------
 # conjugacy verification
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n,D", [(1, 14), (2, 9), (3, 7)])
+def test_compose_diagonal_matches_composition(rng, n, D):
+    # verify_conjugacy takes H(A z) slot by slot instead of composing
+    rotation = GermSpectrum.from_rotation((GOLDEN, SILVER, 1.0 / math.e)[:n]).lam
+    for lam in (rotation, (0.5, -1.25 + 0.5j, 1.5j)[:n]):
+        H = random_vector_series(rng, n, D, min_degree=1)
+        Az = VectorSeries([
+            ScalarSeries.monomial(n, D, tuple(int(i == j) for i in range(n)), lam[j])
+            for j in range(n)
+        ])
+        ref = H.compose(Az)
+        gap = (H.compose_diagonal(lam) - ref).max_abs()
+        assert gap <= 1e-13 * ref.max_abs()
 
 
 def test_verify_zero_candidate_reports_f_norm(rng, golden_spectrum_1d):

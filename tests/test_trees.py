@@ -156,6 +156,45 @@ def test_labeled_deterministic_order():
     assert keys == sorted(keys)
 
 
+def thinned_support(n, max_degree, seed):
+    """About half of the full support, always keeping a label of degree 2."""
+    rng = np.random.default_rng(seed)
+    full = list(iter_indices(n, max_degree, 2))
+    quadratic = [a for a in full if sum(a) == 2]
+    kept = [a for a in full if rng.uniform() < 0.5]
+    return frozenset(kept + [quadratic[int(rng.integers(0, len(quadratic)))]])
+
+
+# The root axis only prefixes the line axes, so the dearest brute-force
+# cases, the full supports at n >= 2, check root axis 0 alone.
+@pytest.mark.parametrize("n,alpha_max,supports,axes", [
+    (1, 10, ("full", 1, 2, 3), (0,)),
+    (2, 6, ("full",), (0,)),
+    (2, 6, (4, 5), (0, 1)),
+    (3, 5, ("full",), (0,)),
+    (3, 5, (6,), (0, 1, 2)),
+])
+def test_contributing_only_is_the_brute_force_minus_zero_weights(n, alpha_max, supports, axes):
+    total = 0
+    for which in supports:
+        sup = (full_support(n, alpha_max) if which == "full"
+               else thinned_support(n, alpha_max, which))
+        for alpha in iter_indices(n, alpha_max, 2):
+            for j in axes:
+                for N in range(1, sum(alpha)):
+                    brute = [t for t in enumerate_labeled(N, alpha, j, sup, n)
+                             if t.binom_product != 0]
+                    fast = enumerate_labeled(N, alpha, j, sup, n, contributing_only=True)
+                    assert len(fast) == len(brute), (which, alpha, j, N)
+                    for a, b in zip(brute, fast):
+                        assert a.sort_key() == b.sort_key()
+                        assert (a.momenta, a.betas) == (b.momenta, b.betas)
+                        assert a.weight.hex() == b.weight.hex()
+                        assert a.binom_product.hex() == b.binom_product.hex()
+                    total += len(fast)
+    assert total > 0
+
+
 # ---------------------------------------------------------------------------
 # scale sequences
 # ---------------------------------------------------------------------------
