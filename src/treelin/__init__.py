@@ -38,6 +38,7 @@ from .divisors import (
     phi_counting,
 )
 from .errors import (
+    CoefficientOverflow,
     CompositionError,
     DivisorBelowTolerance,
     FamilyViolation,

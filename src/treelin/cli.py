@@ -3,7 +3,7 @@
 Canonical artifacts (solution documents, CSV tables) go to stdout or the
 requested output file and are byte-identical across reruns; volatile notes
 such as timings go to stderr.  Exit codes: 0 success, 1 usage error,
-2 domain error (resonance, rational input, family violation).
+2 domain error (resonance, rational input, family violation, coefficient overflow).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from . import diagnostics, divisors, documents, linearize, trees
 from .errors import (
+    CoefficientOverflow,
     DivisorBelowTolerance,
     FamilyViolation,
     NoContraction,
@@ -31,6 +32,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SILVER = math.sqrt(2.0) - 1.0
 
 _DOMAIN_ERRORS = (
+    CoefficientOverflow,
     DivisorBelowTolerance,
     ResonantSpectrum,
     RationalDetected,

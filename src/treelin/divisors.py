@@ -204,22 +204,35 @@ def apply_inverse_D(spectrum, g: VectorSeries, tol: float = DEFAULT_TOL,
     """
     if not g.is_zero() and g.valuation() < 2:
         raise ValueError("inverse divisor operator is defined on valuation >= 2")
-    table, modulus = divisor_table(spectrum, g.trunc)
-    values = g.to_array()
+    out = divide_slots(spectrum, g.to_array(), g.trunc, 0, tol, on_small_divisor, clipped)
+    return VectorSeries.from_array(g.n, g.trunc, out)
+
+
+def divide_slots(spectrum, values, D: int, lo: int, tol: float = DEFAULT_TOL,
+                 on_small_divisor: str = "raise", clipped: list | None = None):
+    """Divide an ``(n, width)`` array holding slots ``lo : lo + width`` of truncation D.
+
+    The division behind :func:`apply_inverse_D`, with its tolerance rule:
+    the first nonzero value over a divisor of modulus below ``tol``, in
+    graded-lex order, raises, or in clip mode every such value becomes zero
+    and its (alpha, j, modulus) is appended to ``clipped``.
+    """
+    table, modulus = divisor_table(spectrum, D)
+    hi = lo + values.shape[1]
+    table, modulus = table[:, lo:hi], modulus[:, lo:hi]
     nonzero = values != 0
     small = nonzero & (modulus < tol)
     if small.any():
-        indices = graded_indices(g.n, g.trunc)
+        indices = graded_indices(spectrum.n, D)
         slots, axes = np.nonzero(small.T)
-        bad = [(indices[i], j, float(modulus[j, i]))
+        bad = [(indices[lo + i], j, float(modulus[j, i]))
                for i, j in zip(slots.tolist(), axes.tolist())]
         if on_small_divisor == "raise":
             raise DivisorBelowTolerance(*bad[0])
         if clipped is not None:
             clipped.extend(bad)
         nonzero &= ~small
-    out = np.divide(values, table, out=np.zeros_like(values), where=nonzero)
-    return VectorSeries.from_array(g.n, g.trunc, out)
+    return np.divide(values, table, out=np.zeros_like(values), where=nonzero)
 
 
 def apply_forward_D(spectrum, g: VectorSeries) -> VectorSeries:

@@ -32,6 +32,20 @@ class DivisorBelowTolerance(TreelinError):
         )
 
 
+class CoefficientOverflow(TreelinError):
+    """A coefficient of the solution h is not finite: its growth left double precision.
+
+    ``degree`` is the first degree holding a non-finite coefficient.
+    """
+
+    def __init__(self, degree):
+        self.degree = degree
+        super().__init__(
+            f"h has a non-finite coefficient at degree {degree}: "
+            f"its growth overflows double precision"
+        )
+
+
 class ResonantSpectrum(TreelinError):
     """An Omega value hit (near-)zero while accumulating a Bruno sum."""
 

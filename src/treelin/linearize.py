@@ -21,26 +21,39 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
 from .divisors import (
     DEFAULT_TOL,
     FieldSpectrum,
     GermSpectrum,
     apply_forward_D,
     apply_inverse_D,
+    divide_slots,
 )
-from .errors import DivisorBelowTolerance, NoContraction, TruncationMismatch
+from .errors import (
+    CoefficientOverflow,
+    DivisorBelowTolerance,
+    NoContraction,
+    TruncationMismatch,
+)
 from .series import (
     ScalarSeries,
     SeriesFamily,
     VectorSeries,
     degree,
     formal_derivative,
+    graded_indices,
+    graded_key,
+    index_sub,
     iter_indices,
     multi_factorial,
-    reserve,
+    product_slice,
     shift_expand,
+    slot_count,
+    unit_index,
 )
-from .trees import enumerate_labeled, standard_decomposition
+from .trees import _subtree_memo, enumerate_labeled, standard_decomposition
 
 # ---------------------------------------------------------------------------
 # problems and solutions
@@ -142,33 +155,63 @@ class InverseDivisorOperator(OperatorHandle):
 
 
 def _solve_recursive(spectrum, f: VectorSeries, D: int, on_small_divisor, tol):
+    """Degree-by-degree solution, online: each power of z + h is built once.
+
+    The degree-d part of the equation is D h_d = [f(z + h)]_d.  Because f
+    and h have valuation >= 2, the degree-d slots of (z + h)^alpha for
+    |alpha| >= 2 depend only on h below degree d, which is final by then.
+    So one dense vector per power of the support of f (and its parent
+    chain, alpha - e_i for the first nonzero axis i) is filled one degree
+    slice at a time, and the sum over alpha runs in graded-lex order, as in
+    :meth:`VectorSeries.compose`.  :func:`solve` silences numpy's overflow
+    warnings, so the check of each finished slice is what reports one.
+    """
     n = f.n
-    f = f.truncate(D)
-    reserve(n, D)  # every truncation d <= D below reads a prefix of these tables
-    h = VectorSeries.zero(n, D)
+    indices = graded_indices(n, D)
+    F = f.to_array()
+    terms = [(indices[s], F[:, s]) for s in np.flatnonzero(F.any(axis=0)).tolist()]
+    H = VectorSeries.identity(n, D).to_array()
+    h = np.zeros_like(H)
+    parent: dict = {}
+    for alpha, _ in terms:
+        while sum(alpha) >= 2 and alpha not in parent:
+            i = next(k for k, a in enumerate(alpha) if a > 0)
+            parent[alpha] = (index_sub(alpha, unit_index(n, i)), i)
+            alpha = parent[alpha][0]
+    powers = {unit_index(n, i): H[i] for i in range(n)}
+    chain = sorted(parent, key=graded_key)
+    for alpha in chain:
+        powers[alpha] = np.zeros(H.shape[1], dtype=complex)
     clipped: list = []
     for d in range(2, D + 1):
-        rhs = f.truncate(d).compose(VectorSeries.identity(n, d) + h.truncate(d))
-        h = h + apply_inverse_D(
-            spectrum, rhs.homogeneous(d).truncate(D), tol, on_small_divisor, clipped
-        )
-    return h, tuple(clipped)
+        lo, hi = slot_count(n, d - 1), slot_count(n, d)
+        for alpha in chain:
+            if sum(alpha) > d:
+                break
+            up, i = parent[alpha]
+            powers[alpha][lo:hi] = product_slice(powers[up], H[i], n, D, d)
+        rhs = np.zeros((n, hi - lo), dtype=complex)
+        for alpha, coef in terms:
+            if sum(alpha) > d:
+                break
+            rhs += np.multiply.outer(coef, powers[alpha][lo:hi])
+        h_d = divide_slots(spectrum, rhs, D, lo, tol, on_small_divisor, clipped)
+        if not np.isfinite(h_d).all():
+            raise CoefficientOverflow(d)
+        h[:, lo:hi] = H[:, lo:hi] = h_d
+    return VectorSeries.from_array(n, D, h), tuple(clipped)
 
 
 def solve_recursive_germ(germ: Germ, D: int, on_small_divisor: str = "raise",
                          tol: float = DEFAULT_TOL) -> Linearization:
     """Degree-by-degree solution of the conjugacy equation for a germ."""
-    h, clipped = _solve_recursive(germ.spectrum, germ.f, D, on_small_divisor, tol)
-    rep = verify_conjugacy(germ, h)
-    return Linearization(h, "recursive", D, rep.znorm, rep.max_abs, clipped)
+    return solve(germ, D, "recursive", on_small_divisor, tol)
 
 
 def solve_recursive_field(field_: VectorField, D: int, on_small_divisor: str = "raise",
                           tol: float = DEFAULT_TOL) -> Linearization:
     """Degree-by-degree solution of the straightening equation for a field."""
-    h, clipped = _solve_recursive(field_.spectrum, field_.f, D, on_small_divisor, tol)
-    rep = verify_conjugacy(field_, h)
-    return Linearization(h, "recursive", D, rep.znorm, rep.max_abs, clipped)
+    return solve(field_, D, "recursive", on_small_divisor, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +262,20 @@ def _tree_plan(spectrum, n: int, D: int, support_key: frozenset, tol: float):
     _TREE_PLANS[key] = plan
     if len(_TREE_PLANS) > _TREE_PLAN_LIMIT:
         _TREE_PLANS.popitem(last=False)
+    # the subtrees only serve another plan of the same support; keeping them
+    # costs more memory than the plan itself
+    _subtree_memo.cache_clear()
     return plan
 
 
 def _solve_tree(spectrum, f: VectorSeries, D: int, on_small_divisor, tol):
+    """Explicit tree-sum solution (the same trees for germs and fields).
+
+    Each coefficient is the sum over labeled rooted trees of the divisor and
+    coefficient product, weighted per node by binom(label, entering axes)
+    times beta!/m! (the multinomial share of the ordered child slots).
+    """
     n = f.n
-    f = f.truncate(D)
     support_key = frozenset(a for a in f.support() if degree(a) >= 2)
     plan = _tree_plan(spectrum, n, D, support_key, tol)
     fval = {}
@@ -265,23 +316,14 @@ def _solve_tree(spectrum, f: VectorSeries, D: int, on_small_divisor, tol):
 
 def solve_tree_germ(germ: Germ, D: int, on_small_divisor: str = "raise",
                     tol: float = DEFAULT_TOL) -> Linearization:
-    """Explicit tree-sum solution for a germ.
-
-    Each coefficient is the sum over labeled rooted trees of the divisor and
-    coefficient product, weighted per node by binom(label, entering axes)
-    times beta!/m! (the multinomial share of the ordered child slots).
-    """
-    h, clipped = _solve_tree(germ.spectrum, germ.f, D, on_small_divisor, tol)
-    rep = verify_conjugacy(germ, h)
-    return Linearization(h, "tree", D, rep.znorm, rep.max_abs, clipped)
+    """Explicit tree-sum solution for a germ."""
+    return solve(germ, D, "tree", on_small_divisor, tol)
 
 
 def solve_tree_field(field_: VectorField, D: int, on_small_divisor: str = "raise",
                      tol: float = DEFAULT_TOL) -> Linearization:
     """Explicit tree-sum solution for a vector field (same trees, field divisors)."""
-    h, clipped = _solve_tree(field_.spectrum, field_.f, D, on_small_divisor, tol)
-    rep = verify_conjugacy(field_, h)
-    return Linearization(h, "tree", D, rep.znorm, rep.max_abs, clipped)
+    return solve(field_, D, "tree", on_small_divisor, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +338,8 @@ def fixed_point_inversion(op, family: SeriesFamily, u, w: VectorSeries, D: int,
     The family must be the expansion of the right-hand side about zero.  A
     non-expanding op gains at least one unit of valuation per step, so the
     iteration stabilizes within D iterations; failure to gain raises
-    :class:`NoContraction`.
+    :class:`NoContraction`, and an iterate with a non-finite coefficient
+    raises :class:`CoefficientOverflow`.
     """
     if family.inner_trunc != D:
         raise TruncationMismatch("family truncation must match the target degree")
@@ -305,7 +348,7 @@ def fixed_point_inversion(op, family: SeriesFamily, u, w: VectorSeries, D: int,
     last_gain = -1
     limit = max_iter if max_iter is not None else D + 3
     for _ in range(limit):
-        Hn = op(w + family.evaluate(H).scale(u))
+        Hn = _check_finite(op(w + family.evaluate(H).scale(u)))
         diff = Hn - H
         if diff.is_zero():
             return Hn
@@ -359,41 +402,59 @@ def tree_value(theta, op, family: SeriesFamily, u, w: VectorSeries | None = None
     return op(acc)
 
 
+def _solve_fixedpoint(spectrum, f: VectorSeries, D: int, on_small_divisor, tol):
+    if on_small_divisor != "raise":
+        raise ValueError("the fixed-point solver has no clip mode")
+    op = InverseDivisorOperator(spectrum, tol)
+    return fixed_point_inversion(op, shift_expand(f), 1.0, VectorSeries.zero(f.n, D), D), ()
+
+
 def solve_fixedpoint_germ(germ: Germ, D: int, tol: float = DEFAULT_TOL) -> Linearization:
-    op = InverseDivisorOperator(germ.spectrum, tol)
-    h = fixed_point_inversion(
-        op, shift_expand(germ.f.truncate(D)), 1.0, VectorSeries.zero(germ.f.n, D), D
-    )
-    rep = verify_conjugacy(germ, h)
-    return Linearization(h, "fixedpoint", D, rep.znorm, rep.max_abs)
+    return solve(germ, D, "fixedpoint", tol=tol)
 
 
 def solve_fixedpoint_field(field_: VectorField, D: int, tol: float = DEFAULT_TOL) -> Linearization:
-    op = InverseDivisorOperator(field_.spectrum, tol)
-    h = fixed_point_inversion(
-        op, shift_expand(field_.f.truncate(D)), 1.0, VectorSeries.zero(field_.f.n, D), D
-    )
-    rep = verify_conjugacy(field_, h)
-    return Linearization(h, "fixedpoint", D, rep.znorm, rep.max_abs)
+    return solve(field_, D, "fixedpoint", tol=tol)
 
 
-_SOLVERS = {
-    ("germ", "recursive"): solve_recursive_germ,
-    ("germ", "tree"): solve_tree_germ,
-    ("germ", "fixedpoint"): solve_fixedpoint_germ,
-    ("field", "recursive"): solve_recursive_field,
-    ("field", "tree"): solve_tree_field,
-    ("field", "fixedpoint"): solve_fixedpoint_field,
+# ---------------------------------------------------------------------------
+# the solver entry point
+# ---------------------------------------------------------------------------
+
+_METHODS = {
+    "recursive": _solve_recursive,
+    "tree": _solve_tree,
+    "fixedpoint": _solve_fixedpoint,
 }
 
 
-def solve(problem, D: int, method: str = "recursive", **kw) -> Linearization:
-    kind = "germ" if isinstance(problem, Germ) else "field"
+def solve(problem, D: int, method: str = "recursive", on_small_divisor: str = "raise",
+          tol: float = DEFAULT_TOL) -> Linearization:
+    """Linearize a germ or a vector field to degree D by one of the three methods.
+
+    The kinds differ only in the spectrum, whose divisors each method
+    divides by, and in the defect :func:`verify_conjugacy` measures.  A
+    divisor below ``tol`` raises :class:`DivisorBelowTolerance`, or with
+    ``on_small_divisor="clip"`` (recursive and tree only) its coefficient
+    is set to zero and recorded in ``clipped``.  A non-finite coefficient
+    of h raises :class:`CoefficientOverflow` naming its degree.
+    """
     try:
-        fn = _SOLVERS[(kind, method)]
+        route = _METHODS[method]
     except KeyError:
         raise ValueError(f"unknown method {method!r}") from None
-    return fn(problem, D, **kw)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h, clipped = route(problem.spectrum, problem.f.truncate(D), D, on_small_divisor, tol)
+    rep = verify_conjugacy(problem, _check_finite(h))
+    return Linearization(h, method, D, rep.znorm, rep.max_abs, clipped)
+
+
+def _check_finite(h: VectorSeries) -> VectorSeries:
+    """``h``, or :class:`CoefficientOverflow` naming its first degree with a non-finite coefficient."""
+    finite = np.isfinite(h.to_array()).all(axis=0)
+    if not finite.all():
+        raise CoefficientOverflow(sum(graded_indices(h.n, h.trunc)[int(np.argmin(finite))]))
+    return h
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,9 @@ Conventions used throughout the package:
   products a_i * b_j over its slot pairs (i, j) in ascending i, one pass of
   ``numpy.bincount`` over a precomputed pair table.  Zero terms are never
   skipped, so the degree <= d part of a product is bitwise the same
-  whatever the operands hold above degree d.
+  whatever the operands hold above degree d.  :func:`product_slice`
+  computes the degree-d slots alone, from the same terms in the same
+  order, so they are bitwise those of the full product.
 * The z-adic valuation of a series is the least total degree of a stored
   nonzero coefficient (``math.inf`` for the zero series); the matching
   ultrametric norm is ``2**-valuation``.
@@ -200,15 +202,24 @@ def graded_indices(n: int, D: int) -> list:
     return _basis(n, D).indices[: slot_count(n, D)]
 
 
-def reserve(n: int, D: int) -> None:
-    """Build the basis and product table for truncation D now.
+def product_slice(a, b, n: int, D: int, d: int):
+    """The degree-d slots of the truncation-D product of two slot vectors, 1 <= d <= D.
 
-    Every truncation d <= D is then served by a prefix of them; a solver
-    that works through d = 2..D calls this once with its target degree.
+    Bitwise the slots ``slot_count(n, d - 1):slot_count(n, d)`` of
+    :meth:`ScalarSeries.multiply`.  For n = 1 it is the one dot product
+    ``numpy.convolve`` takes for slot d; for n >= 2 it is the degree-d range
+    of the pair table, summed in the table's order.
     """
-    _basis(n, D)
-    if n > 1:
-        _pair_table(n, D)
+    if n == 1:
+        return np.convolve(a[: d + 1], b[: d + 1], mode="valid")
+    table = _pair_table(n, D)
+    lo, hi = table.cut[d - 1], table.cut[d]
+    terms = a[table.left[lo:hi]]
+    terms *= b[table.right[lo:hi]]
+    base = slot_count(n, d - 1)
+    acc = np.bincount(table.out2[2 * lo: 2 * hi] - 2 * base, weights=terms.view(np.float64),
+                      minlength=2 * (slot_count(n, d) - base))
+    return acc.view(np.complex128)
 
 
 def _slot(basis: _Basis, alpha, n: int, trunc: int):

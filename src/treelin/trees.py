@@ -369,7 +369,7 @@ class _Subtrees:
         return out
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def _subtree_memo(support_key: frozenset, n: int) -> _Subtrees:
     return _Subtrees(support_key, n)
 

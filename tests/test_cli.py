@@ -103,6 +103,15 @@ def test_bruno_command_rational_exits_2(capsys):
     assert "flag=" in out
 
 
+def test_family_overflow_exits_2(capsys):
+    code = main(["diagnose", "family", "--k", "1", "--omega", "0.6180339887498949",
+                 "--degree", "1000"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "CoefficientOverflow" in captured.err and "degree 643" in captured.err
+
+
 def test_trees_command_counts(capsys):
     code = main(["trees", "enum", "--order", "4"])
     assert code == 0

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from treelin import (
+    CoefficientOverflow,
     DivisorBelowTolerance,
     FieldSpectrum,
     Germ,
@@ -30,7 +31,8 @@ from treelin import (
     verify_conjugacy,
 )
 from treelin import cli, divisors, trees
-from treelin.divisors import omega_frac, omega_hat, omega_tilde
+from treelin.diagnostics import germ_family_radius
+from treelin.divisors import DEFAULT_TOL, apply_inverse_D, omega_frac, omega_hat, omega_tilde
 from treelin.documents import load_json, problem_from_doc
 from treelin.linearize import _TREE_PLAN_LIMIT, _TREE_PLANS, InverseDivisorOperator, solve
 from treelin.trees import children_lists
@@ -42,6 +44,14 @@ from treelin.series import (
 )
 
 from conftest import GOLDEN, SILVER, assert_series_close, random_vector_series
+
+
+def fixture_problem(tmp_path, kind, n, D, seed):
+    """A `treelin fixture --degree-f 3` problem."""
+    path = str(tmp_path / f"{kind}-{n}-{D}-{seed}.json")
+    assert cli.main(["fixture", kind, "--n", str(n), "--degree-f", "3",
+                     "--trunc", str(D), "--seed", str(seed), "--out", path]) == 0
+    return problem_from_doc(load_json(path))
 
 
 def quadratic_germ(spectrum, k=1, D=8):
@@ -113,6 +123,90 @@ def test_clip_mode_records_every_resonance_in_graded_lex_order():
 
 
 # ---------------------------------------------------------------------------
+# the online recursion against the per-degree composition
+# ---------------------------------------------------------------------------
+
+
+def recursive_oracle(problem, D, on_small_divisor="raise"):
+    """The recursion by one full composition f(z + h) per degree."""
+    n, f = problem.f.n, problem.f.truncate(D)
+    h, clipped = VectorSeries.zero(n, D), []
+    for d in range(2, D + 1):
+        rhs = f.truncate(d).compose(VectorSeries.identity(n, d) + h.truncate(d))
+        h = h + apply_inverse_D(problem.spectrum, rhs.homogeneous(d).truncate(D),
+                                DEFAULT_TOL, on_small_divisor, clipped)
+    return h, tuple(clipped)
+
+
+@pytest.mark.parametrize("kind", ["germ", "field"])
+@pytest.mark.parametrize("n,D", [(2, 16), (3, 10)])
+def test_online_recursion_is_bitwise_the_composition(tmp_path, kind, n, D):
+    for seed in (1, 2, 3):
+        problem = fixture_problem(tmp_path, kind, n, D, seed)
+        h, _ = recursive_oracle(problem, D)
+        got = solve(problem, D, "recursive").h
+        assert got.to_array().tobytes() == h.to_array().tobytes(), seed
+
+
+@pytest.mark.parametrize("kind", ["germ", "field"])
+def test_online_recursion_in_one_variable(tmp_path, kind):
+    # one slot per degree: the coefficient products round as scalars here,
+    # so h may move in the last bits
+    problem = fixture_problem(tmp_path, kind, 1, 300, 1)
+    h, _ = recursive_oracle(problem, 300)
+    got = solve(problem, 300, "recursive").h
+    assert (got - h).max_abs() <= 1e-13 * h.max_abs()
+
+
+def near_resonant_germ():
+    # 2 omega_2 - omega_1 = 3e-14: the divisor at ((0, 2), 0) has modulus
+    # about 1.9e-13, below the tolerance but not zero
+    spec = GermSpectrum.from_rotation((2.0 * SILVER - 3e-14, SILVER))
+    return Germ(spec, random_vector_series(np.random.default_rng(2), 2, 6))
+
+
+@pytest.mark.parametrize("problem", [
+    near_resonant_germ(),
+    Germ(GermSpectrum((4.0, 2.0, 8.0)), random_vector_series(np.random.default_rng(1), 3, 6)),
+])
+def test_online_recursion_small_divisors_match_the_composition(problem):
+    with pytest.raises(DivisorBelowTolerance) as want:
+        recursive_oracle(problem, 6)
+    with pytest.raises(DivisorBelowTolerance) as got:
+        solve(problem, 6, "recursive")
+    assert (got.value.index, got.value.axis, got.value.modulus) == (
+        want.value.index, want.value.axis, want.value.modulus)
+    h, clipped = recursive_oracle(problem, 6, "clip")
+    lin = solve(problem, 6, "recursive", on_small_divisor="clip")
+    assert clipped and lin.clipped == clipped
+    assert lin.h.to_array().tobytes() == h.to_array().tobytes()
+
+
+@pytest.mark.parametrize("kind", ["germ", "field"])
+@pytest.mark.parametrize("n,D", [(3, 20), (2, 40)])
+def test_online_recursion_at_ceiling_sizes(tmp_path, kind, n, D):
+    problem = fixture_problem(tmp_path, kind, n, D, 1)
+    lin = solve(problem, D, "recursive")
+    assert verify_conjugacy(problem, lin.h).max_rel <= 1e-10
+
+
+@pytest.mark.parametrize("method", ["recursive", "tree", "fixedpoint"])
+def test_coefficient_overflow_names_the_first_degree(method):
+    # h_2 = 1e150, h_3 ~ 1e300, h_4 ~ 1e450
+    f = VectorSeries.from_coeffs(1, 5, {(2,): (1e150,)})
+    with pytest.raises(CoefficientOverflow) as exc:
+        solve(VectorField(FieldSpectrum((1.0,)), f), 5, method)
+    assert exc.value.degree == 4
+
+
+def test_family_overflow_is_an_error():
+    # h is finite up to degree 642 and not from 643 on
+    with pytest.raises(CoefficientOverflow) as exc:
+        germ_family_radius(1, GOLDEN, 1000)
+    assert exc.value.degree == 643
+
+
+# ---------------------------------------------------------------------------
 # three-way solver agreement
 # ---------------------------------------------------------------------------
 
@@ -163,10 +257,7 @@ def test_three_solvers_agree_field(rng, n, D):
 
 @pytest.mark.parametrize("kind", ["germ", "field"])
 def test_tree_agrees_with_recursive_at_degree_12(tmp_path, kind):
-    path = str(tmp_path / "fixture.json")
-    assert cli.main(["fixture", kind, "--n", "1", "--degree-f", "3",
-                     "--trunc", "12", "--seed", "4", "--out", path]) == 0
-    problem = problem_from_doc(load_json(path))
+    problem = fixture_problem(tmp_path, kind, 1, 12, 4)
     tree = solve(problem, 12, "tree")
     rec = solve(problem, 12, "recursive")
     assert (tree.h - rec.h).max_abs() <= 1e-10 * max(1.0, rec.h.max_abs())
@@ -201,10 +292,13 @@ def test_module_caches_stay_bounded(golden_spectrum_1d):
         assert info.maxsize is not None, cache.__name__
         assert info.currsize <= info.maxsize, cache.__name__
     # every cache the solve and the loops above drive past its limit is full
-    for cache in (trees._subtree_memo, trees.children_lists, trees._labeled_forest_cached,
+    for cache in (trees.children_lists, trees._labeled_forest_cached,
                   divisors._omega_tilde_impl, divisors.omega_frac, divisors.omega_hat):
         info = cache.cache_info()
         assert info.currsize == info.maxsize, cache.__name__
+    # the subtree memo holds at most one support, and a cached plan releases it
+    info = trees._subtree_memo.cache_info()
+    assert info.maxsize == 1 and info.currsize == 0
 
 
 def test_germ_field_structural_parity(rng):
@@ -261,10 +355,7 @@ def test_fixed_point_converges_at_moderate_degree(tmp_path, kind, D):
     # at these sizes a product whose summation order depends on the support
     # leaves roundoff at settled degrees, which stalls the valuation gain
     for seed in (1, 2, 3):
-        path = str(tmp_path / f"{kind}-{seed}.json")
-        assert cli.main(["fixture", kind, "--n", "2", "--degree-f", "3",
-                         "--trunc", str(D), "--seed", str(seed), "--out", path]) == 0
-        problem = problem_from_doc(load_json(path))
+        problem = fixture_problem(tmp_path, kind, 2, D, seed)
         fix = solve(problem, D, "fixedpoint")
         rec = solve(problem, D, "recursive")
         gap = (fix.h - rec.h).max_abs() / max(1.0, rec.h.max_abs())

@@ -23,6 +23,7 @@ from treelin.series import (
     dominates,
     iter_indices,
     multi_binom,
+    product_slice,
     signed_degree,
     slot_count,
     unit_index,
@@ -165,6 +166,17 @@ def test_product_low_degrees_ignore_high_terms(rng, n, D, d):
     assert swapped.tobytes() == g.multiply(f_more).vector[:keep].tobytes()
     # and the truncation to d computes the same prefix from a prefix table
     assert low.tobytes() == f.truncate(d).multiply(g.truncate(d)).vector.tobytes()
+
+
+@pytest.mark.parametrize("n,D", [(1, 40), (2, 12), (3, 8)])
+def test_product_slice_is_the_degree_slice_of_multiply(rng, n, D):
+    # full density, so every pair of the table carries a nonzero term
+    f = random_scalar_series(rng, n, D)
+    g = random_scalar_series(rng, n, D)
+    full = f.multiply(g).vector
+    for d in range(1, D + 1):
+        got = product_slice(f.vector, g.vector, n, D, d)
+        assert got.tobytes() == full[slot_count(n, d - 1):slot_count(n, d)].tobytes(), d
 
 
 def test_multiply_commutative_and_associative(rng):
