@@ -89,8 +89,13 @@ def _cmd_linearize(args) -> int:
         start = time.perf_counter()
         kw = {} if method == "fixedpoint" else {"on_small_divisor": mode}
         results[method] = linearize.solve(problem, args.degree, method, **kw)
-        _note(f"{method}: {time.perf_counter() - start:.3f}s, "
-              f"residual max {results[method].residual_max:.3e}")
+        note = (f"{method}: {time.perf_counter() - start:.3f}s, "
+                f"residual max {results[method].residual_max:.3e}")
+        if method == "tree":
+            plan = linearize.tree_plan(problem, args.degree)
+            note += (f", degrees 2..{args.degree}: summands {list(plan.summands)}, "
+                     f"monomials {list(plan.monomials)}")
+        _note(note)
     primary = results[methods[0]]
     extras = {}
     if len(results) > 1:

@@ -11,6 +11,7 @@ never an assertion.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,16 +222,25 @@ def growth_report(h: VectorSeries, window: float = 0.5) -> GrowthReport:
     ds = np.array([d for d, _ in fit], dtype=float)
     ys = np.array([math.log(m) for _, m in fit])
     slope = float(np.polyfit(ds, ys, 1)[0])
-    radii = []
-    for i in range(len(fit)):
-        sub_d = np.delete(ds, i)
-        sub_y = np.delete(ys, i)
-        radii.append(math.exp(-float(np.polyfit(sub_d, sub_y, 1)[0])))
-    spread = (max(radii) - min(radii)) / max(np.median(radii), 1e-300)
+    radii = np.exp(-_leave_one_out_slopes(ds, ys)).tolist()
+    spread = (max(radii) - min(radii)) / max(statistics.median(radii), 1e-300)
     return GrowthReport(
         tuple(per_degree), tuple(int(d) for d in ds), slope,
         math.exp(-slope), float(spread), False,
     )
+
+
+def _leave_one_out_slopes(x, y):
+    """Least-squares slopes of the line through (x, y) with point i left out, for every i.
+
+    With centered data (the sums of x and y vanish) leaving out point i of
+    m gives the slope ((m-1) Sxy - m x_i y_i) / ((m-1) Sxx - m x_i^2),
+    where Sxx and Sxy are the centered sums over all m points.
+    """
+    m = len(x)
+    x = x - x.mean()
+    y = y - y.mean()
+    return ((m - 1) * (x @ y) - m * x * y) / ((m - 1) * (x @ x) - m * x * x)
 
 
 def majorant_partial_sums(h: VectorSeries, r: float):

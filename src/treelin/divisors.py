@@ -212,27 +212,43 @@ def divide_slots(spectrum, values, D: int, lo: int, tol: float = DEFAULT_TOL,
                  on_small_divisor: str = "raise", clipped: list | None = None):
     """Divide an ``(n, width)`` array holding slots ``lo : lo + width`` of truncation D.
 
-    The division behind :func:`apply_inverse_D`, with its tolerance rule:
-    the first nonzero value over a divisor of modulus below ``tol``, in
-    graded-lex order, raises, or in clip mode every such value becomes zero
-    and its (alpha, j, modulus) is appended to ``clipped``.
+    The division behind :func:`apply_inverse_D`, with the tolerance rule of
+    :func:`small_divisors` and :func:`settle_small_divisors`: a nonzero
+    value over a divisor of modulus below ``tol`` raises, or in clip mode
+    becomes zero and is recorded in ``clipped``.
     """
-    table, modulus = divisor_table(spectrum, D)
-    hi = lo + values.shape[1]
-    table, modulus = table[:, lo:hi], modulus[:, lo:hi]
+    table, _ = divisor_table(spectrum, D)
+    table = table[:, lo:lo + values.shape[1]]
     nonzero = values != 0
+    small, bad = small_divisors(spectrum, nonzero, D, lo, tol)
+    settle_small_divisors(bad, on_small_divisor, clipped)
+    return np.divide(values, table, out=np.zeros_like(values), where=nonzero & ~small)
+
+
+def small_divisors(spectrum, nonzero, D: int, lo: int, tol: float = DEFAULT_TOL):
+    """The resonance test of the solvers, on an ``(n, width)`` block of slots ``lo : lo + width``.
+
+    Returns the mask of the ``nonzero`` entries whose divisor modulus is
+    below ``tol``, and one (alpha, j, modulus) record per such entry in
+    graded-lex order (by slot, then axis).
+    """
+    _, modulus = divisor_table(spectrum, D)
+    modulus = modulus[:, lo:lo + nonzero.shape[1]]
     small = nonzero & (modulus < tol)
-    if small.any():
-        indices = graded_indices(spectrum.n, D)
-        slots, axes = np.nonzero(small.T)
-        bad = [(indices[lo + i], j, float(modulus[j, i]))
-               for i, j in zip(slots.tolist(), axes.tolist())]
-        if on_small_divisor == "raise":
-            raise DivisorBelowTolerance(*bad[0])
-        if clipped is not None:
-            clipped.extend(bad)
-        nonzero &= ~small
-    return np.divide(values, table, out=np.zeros_like(values), where=nonzero)
+    if not small.any():
+        return small, []
+    indices = graded_indices(spectrum.n, D)
+    slots, axes = np.nonzero(small.T)
+    return small, [(indices[lo + i], j, float(modulus[j, i]))
+                   for i, j in zip(slots.tolist(), axes.tolist())]
+
+
+def settle_small_divisors(bad, on_small_divisor: str = "raise", clipped: list | None = None):
+    """Raise :class:`DivisorBelowTolerance` for the first record of ``bad``, or in clip mode record them all."""
+    if bad and on_small_divisor == "raise":
+        raise DivisorBelowTolerance(*bad[0])
+    if clipped is not None:
+        clipped.extend(bad)
 
 
 def apply_forward_D(spectrum, g: VectorSeries) -> VectorSeries:

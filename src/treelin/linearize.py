@@ -4,14 +4,15 @@ Three routes to the same tangent-to-identity change of variables h:
 
 * order-by-order recursion on the conjugacy equation (divide each new degree
   slice by its divisors),
-* the explicit sum over labeled rooted trees, one summand per labeling,
+* the explicit sum over labeled rooted trees, compiled into one polynomial
+  per coefficient in the nonzero coefficients of f, built over subtrees,
 * the generic non-expanding fixed-point iteration driven by the shift
   family of f.
 
 All three agree coefficient-wise on their shared validity range; the tests
 and the acceptance suite make that executable.  Summation order inside the
-tree sum is normative (trees by ascending order, then lexicographic), so
-totals are reproducible bit for bit.
+tree sum is normative (see :class:`trees.LinePolynomials` and
+:class:`TreePlan`), so totals are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from .divisors import (
     apply_forward_D,
     apply_inverse_D,
     divide_slots,
+    settle_small_divisors,
 )
 from .errors import (
     CoefficientOverflow,
-    DivisorBelowTolerance,
     NoContraction,
     TruncationMismatch,
 )
@@ -46,14 +47,13 @@ from .series import (
     graded_indices,
     graded_key,
     index_sub,
-    iter_indices,
     multi_factorial,
     product_slice,
     shift_expand,
     slot_count,
     unit_index,
 )
-from .trees import _subtree_memo, enumerate_labeled, standard_decomposition
+from .trees import LinePolynomials, standard_decomposition
 
 # ---------------------------------------------------------------------------
 # problems and solutions
@@ -218,54 +218,94 @@ def solve_recursive_field(field_: VectorField, D: int, on_small_divisor: str = "
 # tree-sum solver
 # ---------------------------------------------------------------------------
 
-# per-(alpha, axis) compiled summands: (constant, ((node label, node axis), ...)),
-# for the _TREE_PLAN_LIMIT most recently used problems
+# compiled plans (see TreePlan) of the _TREE_PLAN_LIMIT most recently used
+# (spectrum, n, D, variables, tol)
 _TREE_PLANS: OrderedDict = OrderedDict()
 _TREE_PLAN_LIMIT = 16
 
 
-def _tree_plan(spectrum, n: int, D: int, support_key: frozenset, tol: float):
-    key = (spectrum.key(), n, D, support_key, tol)
+@dataclass(frozen=True)
+class TreePlan:
+    """The tree sum of h as arrays over the nonzero coefficients of f.
+
+    The variables are those coefficients f_{L,a}, in graded-lex order of L,
+    then by axis (:func:`_tree_variables`).  Let v be their values followed
+    by a 1.  Row r adds ``const[r] * prod(v[rows[r]])`` to the flat slot
+    ``slots[r]`` (axis * slot_count + slot) of h.  Index rows list a
+    monomial's variables in ascending order, padded with the 1; the rows of
+    a slot run in lexicographic order of their index rows.  ``clipped``
+    holds the (alpha, j, modulus) records of the lines whose divisor is
+    below the tolerance.  ``summands[d - 2]`` and ``monomials[d - 2]``
+    count the labelings summed and the rows of the coefficients of
+    degree d.
+    """
+
+    const: np.ndarray
+    rows: np.ndarray
+    slots: np.ndarray
+    clipped: tuple
+    summands: tuple
+    monomials: tuple
+
+
+def _tree_variables(f: VectorSeries):
+    """The nonzero coefficients of f as TreePlan variables, and their values."""
+    F = f.to_array()
+    slots, axes = np.nonzero(F.T)
+    indices = graded_indices(f.n, f.trunc)
+    variables = tuple((indices[s], a) for s, a in zip(slots.tolist(), axes.tolist()))
+    return variables, F.T[slots, axes]
+
+
+def tree_plan(problem, D: int, tol: float = DEFAULT_TOL) -> TreePlan:
+    """The (cached) tree plan :func:`solve` uses for ``problem`` at degree D."""
+    variables, _ = _tree_variables(problem.f.truncate(D))
+    return _tree_plan(problem.spectrum, D, variables, tol)
+
+
+def _tree_plan(spectrum, D: int, variables: tuple, tol: float) -> TreePlan:
+    n = spectrum.n
+    key = (spectrum.key(), n, D, variables, tol)
     plan = _TREE_PLANS.get(key)
     if plan is not None:
         _TREE_PLANS.move_to_end(key)
         return plan
-    plan = {}
-    divisor_of: dict = {}
-    for alpha in iter_indices(n, D, 2):
-        for j in range(n):
-            entries = []
-            bad = None
-            for N in range(1, degree(alpha)):
-                for theta in enumerate_labeled(N, alpha, j, support_key, n,
-                                               contributing_only=True):
-                    const = complex(theta.weight * theta.binom_product)
-                    ok = True
-                    for nu, ax in zip(theta.momenta, theta.line_axes):
-                        dv = divisor_of.get((nu, ax))
-                        if dv is None:
-                            dv = divisor_of[(nu, ax)] = spectrum.divisor(nu, ax)
-                        if abs(dv) < tol:
-                            bad = (nu, ax, abs(dv))
-                            ok = False
-                            break
-                        const /= dv
-                    if ok:
-                        entries.append(
-                            (const, tuple(zip(theta.node_labels, theta.line_axes)))
-                        )
-                    if bad:
-                        break
-                if bad:
-                    break
-            plan[(alpha, j)] = (tuple(entries), bad)
+    lines = LinePolynomials(spectrum, variables, D, tol)
+    M = slot_count(n, D)
+    slot_of = {alpha: s for s, alpha in enumerate(graded_indices(n, D))}
+    keys: list = []
+    const: list = []
+    slots: list = []
+    summands = [0] * (D - 1)
+    monomials = [0] * (D - 1)
+    for (nu, a), poly in lines.poly.items():
+        keys.extend(poly)
+        const.extend(poly.values())
+        slots.extend([a * M + slot_of[nu]] * len(poly))
+        summands[degree(nu) - 2] += lines.count[(nu, a)]
+        monomials[degree(nu) - 2] += len(poly)
+    rows = _index_rows(keys, len(variables))
+    slots = np.array(slots, dtype=np.intp)
+    order = np.lexsort(tuple(rows[:, c] for c in reversed(range(rows.shape[1]))) + (slots,))
+    plan = TreePlan(np.array(const, dtype=complex)[order], rows[order],
+                    slots[order], tuple(lines.clipped), tuple(summands), tuple(monomials))
     _TREE_PLANS[key] = plan
     if len(_TREE_PLANS) > _TREE_PLAN_LIMIT:
         _TREE_PLANS.popitem(last=False)
-    # the subtrees only serve another plan of the same support; keeping them
-    # costs more memory than the plan itself
-    _subtree_memo.cache_clear()
     return plan
+
+
+def _index_rows(keys: list, V: int) -> np.ndarray:
+    """Monomial keys (one exponent byte per variable) as rows of variable indices padded with V."""
+    exps = np.frombuffer(b"".join(k.to_bytes(V, "little") for k in keys),
+                         dtype=np.uint8).reshape(len(keys), V)
+    row, var = np.nonzero(exps)
+    reps = exps[row, var]
+    row, var = np.repeat(row, reps), np.repeat(var, reps)  # one entry per factor
+    lengths = np.bincount(row, minlength=len(keys))
+    rows = np.full((len(keys), int(lengths.max(initial=0))), V, dtype=np.int32)
+    rows[row, np.arange(len(row)) - (np.cumsum(lengths) - lengths)[row]] = var
+    return rows
 
 
 def _solve_tree(spectrum, f: VectorSeries, D: int, on_small_divisor, tol):
@@ -273,45 +313,21 @@ def _solve_tree(spectrum, f: VectorSeries, D: int, on_small_divisor, tol):
 
     Each coefficient is the sum over labeled rooted trees of the divisor and
     coefficient product, weighted per node by binom(label, entering axes)
-    times beta!/m! (the multinomial share of the ordered child slots).
+    times beta!/m! (the multinomial share of the ordered child slots).  The
+    sum is compiled once per set of nonzero coefficients of f into a
+    :class:`TreePlan`, and evaluated with one gather, one product per row
+    and one sum per slot.
     """
     n = f.n
-    support_key = frozenset(a for a in f.support() if degree(a) >= 2)
-    plan = _tree_plan(spectrum, n, D, support_key, tol)
-    fval = {}
-    for alpha in support_key:
-        vec = f.coefficient(alpha)
-        for j, c in enumerate(vec):
-            fval[(alpha, j)] = c
-    coeffs: dict = {}
+    variables, values = _tree_variables(f)
+    plan = _tree_plan(spectrum, D, variables, tol)
     clipped: list = []
-    for alpha in iter_indices(n, D, 2):
-        vec = [0j] * n
-        touched = False
-        for j in range(n):
-            entries, bad = plan[(alpha, j)]
-            if bad is not None:
-                if on_small_divisor == "raise":
-                    raise DivisorBelowTolerance(*bad)
-                clipped.append((alpha, j, bad[2]))
-                continue
-            total = 0j
-            for const, fkeys in entries:
-                prod = const
-                for fk in fkeys:
-                    c = fval.get(fk)
-                    if not c:
-                        prod = 0j
-                        break
-                    prod *= c
-                total += prod
-            if total != 0:
-                vec[j] = total
-                touched = True
-        if touched:
-            coeffs[alpha] = tuple(vec)
-    h = VectorSeries.from_coeffs(n, D, coeffs)
-    return h, tuple(clipped)
+    settle_small_divisors(plan.clipped, on_small_divisor, clipped)
+    terms = plan.const * np.append(values, 1.0)[plan.rows].prod(axis=1)
+    h = np.zeros(n * slot_count(n, D), dtype=complex)
+    h.real = np.bincount(plan.slots, terms.real, h.size)
+    h.imag = np.bincount(plan.slots, terms.imag, h.size)
+    return VectorSeries.from_array(n, D, h.reshape(n, -1)), tuple(clipped)
 
 
 def solve_tree_germ(germ: Germ, D: int, on_small_divisor: str = "raise",

@@ -18,18 +18,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
+from itertools import groupby, product
+
+import numpy as np
 
 from . import divisors
+from .errors import UsageError
 from .series import (
     degree,
     dominates,
+    graded_indices,
     graded_key,
     index_add,
     index_sub,
     multi_binom,
     multi_factorial,
     signed_degree,
+    slot_count,
     unit_index,
 )
 
@@ -271,35 +276,94 @@ def _labeled_forest_cached(N, alpha, j, support_key, n):
     return tuple(out)
 
 
-class _Subtrees:
+class _RootChoices:
+    """The ways to hang a contributing subtree below a line of momentum ``nu``.
+
+    The subtree's root is a label L from ``labels`` with t >= 0 ordered
+    children entering along axes a_1..a_t, whose axis counts beta satisfy
+    beta <= L, and the children's momenta are nonnegative, of degree >= 2
+    and sum to nu - L + beta.  Because beta <= L at every node these are
+    exactly the labelings whose every binom(label, beta) is nonzero, and no
+    momentum ever leaves the nonnegative indices.  Subclasses say through
+    ``_has(mu)`` whether a line of momentum ``mu`` carries any subtree.
+    """
+
+    def __init__(self, labels, n: int):
+        self.n = n
+        self.support = sorted(labels, key=graded_key)
+        self._splits: dict = {}  # (rest, t) -> ordered splits into t child momenta
+
+    def _has(self, mu) -> bool:
+        raise NotImplementedError
+
+    def _roots(self, nu):
+        """(L, axes, beta, splits) per root with at least one split, by ascending L.
+
+        The leaf L == nu has no axes and the one empty split.
+        """
+        n = self.n
+        for L in self.support:
+            d = index_sub(nu, L)
+            if not any(d):
+                yield L, (), (0,) * n, ((),)
+                continue
+            # t children need beta <= L and t momenta of degree >= 2 in |d| + t
+            for t in range(1, min(degree(d), degree(L)) + 1):
+                for axes in product(range(n), repeat=t):
+                    beta = [0] * n
+                    for a in axes:
+                        beta[a] += 1
+                    beta = tuple(beta)
+                    rest = index_add(d, beta)
+                    if any(r < 0 for r in rest) or not dominates(L, beta):
+                        continue
+                    splits = self._split(rest, t)
+                    if splits:
+                        yield L, axes, beta, splits
+
+    def _split(self, rest, t: int) -> tuple:
+        """Ordered t-tuples of child momenta summing to ``rest``, each with subtrees."""
+        key = (rest, t)
+        out = self._splits.get(key)
+        if out is None:
+            if t == 1:
+                out = ((rest,),) if degree(rest) >= 2 and self._has(rest) else ()
+            else:
+                out = []
+                for first in product(*[range(r + 1) for r in rest]):
+                    if degree(first) < 2 or degree(rest) - degree(first) < 2 * (t - 1):
+                        continue
+                    if not self._has(first):
+                        continue
+                    for tail in self._split(index_sub(rest, first), t - 1):
+                        out.append((first,) + tail)
+                out = tuple(out)
+            self._splits[key] = out
+        return out
+
+
+class _Subtrees(_RootChoices):
     """The contributing subtrees below a line, generated top-down by momentum.
 
-    A subtree whose exit line carries momentum ``nu`` is a root label L from
-    the support, t >= 0 ordered children entering along axes a_1..a_t whose
-    axis counts beta satisfy beta <= L, and one subtree per child, with
-    child momenta that are nonnegative, of degree >= 2 and sum to
-    nu - L + beta.  Because beta <= L at every node these are exactly the
-    labelings whose every binom(label, beta) is nonzero, and no momentum
-    ever leaves the nonnegative indices.  The exit axis constrains nothing
-    below the line, so one entry per momentum serves every axis.
-
-    A subtree is a record (m, labels, axes, betas, momenta, weight factors,
-    binomial factors), every field in preorder; ``axes`` holds the exit
-    axes of the non-root nodes, the factors are beta!/m! and
-    binom(label, beta) per node.
+    The exit axis constrains nothing below a line, so one entry per
+    momentum serves every axis.  A subtree is a record (m, labels, axes,
+    betas, momenta, weight factors, binomial factors), every field in
+    preorder; ``axes`` holds the exit axes of the non-root nodes, the
+    factors are beta!/m! and binom(label, beta) per node.
     """
 
     def __init__(self, support_key: frozenset, n: int):
-        self.n = n
-        self.support = sorted(support_key, key=graded_key)
+        super().__init__(support_key, n)
         self._by_order: dict = {}  # nu -> {order: records sorted by (m, labels, axes)}
         self._all: dict = {}       # nu -> every record, any order
-        self._splits: dict = {}    # (rest, t) -> ordered splits into t child momenta
 
     def of_order(self, nu, N: int) -> tuple:
         """Subtrees of order N below a line of momentum ``nu``, in sort-key order."""
         self._subtrees(nu)
         return self._by_order[nu].get(N, ())
+
+    def _has(self, mu) -> bool:
+        return bool(self._subtrees(mu))
 
     def _subtrees(self, nu) -> tuple:
         out = self._all.get(nu)
@@ -314,59 +378,135 @@ class _Subtrees:
         return out
 
     def _build(self, nu):
-        n = self.n
-        for L in self.support:
-            d = index_sub(nu, L)
-            if not any(d):
-                yield ((0,), (L,), (), ((0,) * n,), (nu,), (1.0,), (1,))
-                continue
-            # t children need beta <= L and t momenta of degree >= 2 in |d| + t
-            for t in range(1, min(degree(d), degree(L)) + 1):
-                for axes in product(range(n), repeat=t):
-                    beta = [0] * n
-                    for a in axes:
-                        beta[a] += 1
-                    beta = tuple(beta)
-                    rest = index_add(d, beta)
-                    if any(r < 0 for r in rest) or not dominates(L, beta):
-                        continue
-                    head = (
-                        (t,), (L,), (), (beta,), (nu,),
-                        (multi_factorial(beta) / math.factorial(t),),
-                        (multi_binom(L, beta),),
-                    )
-                    for split in self._split(rest, t):
-                        for kids in product(*[self._subtrees(mu) for mu in split]):
-                            m, labels, below, betas, momenta, wf, bf = head
-                            for a, k in zip(axes, kids):
-                                m += k[0]
-                                labels += k[1]
-                                below += (a,) + k[2]
-                                betas += k[3]
-                                momenta += k[4]
-                                wf += k[5]
-                                bf += k[6]
-                            yield (m, labels, below, betas, momenta, wf, bf)
+        for L, axes, beta, splits in self._roots(nu):
+            head = (
+                (len(axes),), (L,), (), (beta,), (nu,),
+                (multi_factorial(beta) / math.factorial(len(axes)),),
+                (multi_binom(L, beta),),
+            )
+            for split in splits:
+                for kids in product(*[self._subtrees(mu) for mu in split]):
+                    m, labels, below, betas, momenta, wf, bf = head
+                    for a, k in zip(axes, kids):
+                        m += k[0]
+                        labels += k[1]
+                        below += (a,) + k[2]
+                        betas += k[3]
+                        momenta += k[4]
+                        wf += k[5]
+                        bf += k[6]
+                    yield (m, labels, below, betas, momenta, wf, bf)
 
-    def _split(self, rest, t: int) -> tuple:
-        """Ordered t-tuples of child momenta summing to ``rest``, each with subtrees."""
-        key = (rest, t)
-        out = self._splits.get(key)
-        if out is None:
-            if t == 1:
-                out = ((rest,),) if degree(rest) >= 2 and self._subtrees(rest) else ()
-            else:
-                out = []
-                for first in product(*[range(r + 1) for r in rest]):
-                    if degree(first) < 2 or degree(rest) - degree(first) < 2 * (t - 1):
+
+class LinePolynomials(_RootChoices):
+    """The tree sum of every line (nu, a) as a polynomial in f's nonzero coefficients.
+
+    The variables are the coefficients f_{L,a} named in ``variables``
+    (pairs (L, a), variable v is the v-th).  The polynomial of a line is
+    built bottom-up over subtrees, by degree of nu:
+
+        S(nu, a) = (1 / div(nu, a)) * sum_L f_{L,a} R(nu, L),
+
+    with R(nu, L) = 1 for nu == L, and otherwise the sum of
+    beta!/t! * binom(L, beta) * prod_i S(mu_i, a_i) over the root choices
+    of :class:`_RootChoices` (child count t, ordered child axes, ordered
+    splits into child momenta mu_i).  Expanding every product gives back
+    the sum over the contributing labelings, summand by summand, with the
+    labelings' weights, binomials and line divisors; grouping it by subtree
+    is the distributive law, so no labeling is ever enumerated.  Then
+    h_{alpha,j} = S(alpha, j) evaluated at f.
+
+    Divisors come from :func:`divisors.divisor_table` by graded-lex slot.
+    A line whose polynomial is nonempty and whose divisor modulus is below
+    ``tol`` is resolved by :func:`divisors.small_divisors`: its polynomial
+    becomes zero and its (nu, a, modulus) record joins ``clipped``, in
+    graded-lex order.
+
+    ``poly[(nu, a)]`` maps a monomial to its constant.  A monomial is an
+    int holding one byte per variable, the variable's exponent, so the
+    product of monomials is the sum of their keys.  ``count[(nu, a)]`` is
+    the number of labelings summed, the same recursion with every constant
+    1.  Each sum is accumulated in the order the loops visit its terms:
+    lines by slot, labels L ascending, root choices in :meth:`_roots`
+    order, splits in :meth:`_split` order, and products child by child.
+    """
+
+    EXPONENT_BITS = 8
+
+    def __init__(self, spectrum, variables, D: int, tol: float):
+        if D > 1 << self.EXPONENT_BITS:  # a line of degree D has at most D - 1 nodes
+            raise UsageError(f"the tree method reaches degree {1 << self.EXPONENT_BITS} at most")
+        n = spectrum.n
+        super().__init__({L for L, _ in variables}, n)
+        self.key = {v: 1 << (self.EXPONENT_BITS * i) for i, v in enumerate(variables)}
+        self.poly: dict = {}
+        self.count: dict = {}
+        self.clipped: list = []
+        self._live: set = set()
+        table, _ = divisors.divisor_table(spectrum, D)
+        indices = graded_indices(n, D)
+        for d in range(2, D + 1):
+            lo, hi = slot_count(n, d - 1), slot_count(n, d)
+            lines = [self._line(indices[s]) for s in range(lo, hi)]
+            nonzero = np.array([[bool(polys[a]) for polys, _ in lines] for a in range(n)])
+            small, bad = divisors.small_divisors(spectrum, nonzero, D, lo, tol)
+            self.clipped.extend(bad)
+            for i, (polys, counts) in enumerate(lines):
+                nu = indices[lo + i]
+                for a in range(n):
+                    if not nonzero[a, i] or small[a, i]:
                         continue
-                    if not self._subtrees(first):
-                        continue
-                    for tail in self._split(index_sub(rest, first), t - 1):
-                        out.append((first,) + tail)
-                out = tuple(out)
-            self._splits[key] = out
-        return out
+                    dv = complex(table[a, lo + i])
+                    self.poly[(nu, a)] = {k: c / dv for k, c in polys[a].items()}
+                    self.count[(nu, a)] = counts[a]
+                    self._live.add(nu)
+
+    def _has(self, mu) -> bool:
+        return mu in self._live
+
+    def _line(self, nu):
+        """Per axis a, sum_L f_{L,a} R(nu, L) (undivided) and its labeling count."""
+        n = self.n
+        polys = [{} for _ in range(n)]
+        counts = [0] * n
+        for L, choices in groupby(self._roots(nu), key=lambda choice: choice[0]):
+            R, rc = self._root_sum(L, choices)
+            for a in range(n):
+                kv = self.key.get((L, a))
+                if kv is None or not R:
+                    continue
+                P = polys[a]
+                for k, c in R.items():
+                    P[k + kv] = P.get(k + kv, 0) + c
+                counts[a] += rc
+        return polys, counts
+
+    def _root_sum(self, L, choices):
+        """R(nu, L) from the root choices of one label L, and its labeling count."""
+        poly, count = self.poly, self.count
+        R: dict = {}
+        rc = 0
+        for _, axes, beta, splits in choices:
+            if not axes:  # the leaf L == nu, the only choice of its label
+                return {0: 1.0}, 1
+            w = multi_factorial(beta) / math.factorial(len(axes)) * multi_binom(L, beta)
+            for split in splits:
+                factors = [poly.get(line) for line in zip(split, axes)]
+                if not all(factors):
+                    continue
+                term = {k: w * c for k, c in factors[0].items()}
+                cnt = count[(split[0], axes[0])]
+                for line, F in zip(zip(split[1:], axes[1:]), factors[1:]):
+                    nxt: dict = {}
+                    for k1, c1 in term.items():
+                        for k2, c2 in F.items():
+                            nxt[k1 + k2] = nxt.get(k1 + k2, 0) + c1 * c2
+                    term = nxt
+                    cnt *= count[line]
+                for k, c in term.items():
+                    R[k] = R.get(k, 0) + c
+                rc += cnt
+        return R, rc
 
 
 @lru_cache(maxsize=1)

@@ -188,6 +188,20 @@ def test_linearize_deterministic_across_runs_and_threads(tmp_path):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def test_tree_note_reports_the_plan_counts(tmp_path, capsys):
+    # the counts belong to the method: every contributing labeling of the
+    # n=2 degree-3 fixture up to degree 6 is one summand, 1,868 monomials
+    problem = _write_problem(tmp_path, seed=1, n=2, degree_f=3, trunc=6)
+    out = tmp_path / "tree.json"
+    capsys.readouterr()
+    assert main(["linearize", "germ", "--input", str(problem), "--degree", "6",
+                 "--method", "tree", "--output", str(out)]) == 0
+    note = capsys.readouterr().err
+    assert ("degrees 2..6: summands [6, 32, 236, 2048, 19288], "
+            "monomials [6, 30, 122, 426, 1284]") in note
+    assert "summands" not in out.read_text()
+
+
 def test_usage_errors_exit_1(capsys):
     assert main(["linearize"]) == 1
     assert main(["bruno"]) == 1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from treelin import (
@@ -27,7 +28,7 @@ from treelin.diagnostics import germ_omega_of_p, proof_bound_constant
 from treelin.trees import ScaleSequence
 from treelin.series import iter_indices
 
-from conftest import GOLDEN, random_vector_series
+from conftest import GOLDEN, SILVER, random_vector_series
 
 LIOUVILLE = sum(10.0 ** -math.factorial(k) for k in range(1, 5))
 
@@ -172,6 +173,30 @@ def test_growth_report_scale_covariance(rng):
     r1 = growth_report(solve_recursive_germ(Germ(spec, f), 24).h)
     r2 = growth_report(solve_recursive_germ(Germ(spec, scaled), 24).h)
     assert r2.radius == pytest.approx(r1.radius / c, rel=1e-6)
+
+
+def polyfit_jackknife_spread(h, window=0.5):
+    """The spread growth_report gives, from one np.polyfit per left-out degree."""
+    per_degree = [(d, m) for d, m in h.per_degree_max().items() if m > 0]
+    dmax = per_degree[-1][0]
+    cut = dmax - max(2, int(round(window * (dmax - per_degree[0][0]))))
+    fit = [(d, m) for d, m in per_degree if d >= cut]
+    ds = np.array([d for d, _ in fit], dtype=float)
+    ys = np.array([math.log(m) for _, m in fit])
+    radii = [math.exp(-np.polyfit(np.delete(ds, i), np.delete(ys, i), 1)[0])
+             for i in range(len(fit))]
+    return (max(radii) - min(radii)) / np.median(radii)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_growth_report_spread_matches_the_polyfit_jackknife(k):
+    for D in (200, 300):
+        for omega in (GOLDEN, SILVER, 0.7548776662466927):
+            spectrum = GermSpectrum.from_rotation((omega,))
+            f = VectorSeries.from_coeffs(1, D, {(k + 1,): (-spectrum.lam[0] / k,)})
+            h = solve_recursive_germ(Germ(spectrum, f), D).h
+            want = polyfit_jackknife_spread(h)
+            assert growth_report(h).jackknife_spread == pytest.approx(want, rel=1e-12)
 
 
 def test_majorant_sums_monotone(rng):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from treelin import (
     GermSpectrum,
     IdentityOperator,
     NoContraction,
+    UsageError,
     VectorField,
     VectorSeries,
     classical_lagrange_1d,
@@ -34,7 +36,13 @@ from treelin import cli, divisors, trees
 from treelin.diagnostics import germ_family_radius
 from treelin.divisors import DEFAULT_TOL, apply_inverse_D, omega_frac, omega_hat, omega_tilde
 from treelin.documents import load_json, problem_from_doc
-from treelin.linearize import _TREE_PLAN_LIMIT, _TREE_PLANS, InverseDivisorOperator, solve
+from treelin.linearize import (
+    _TREE_PLAN_LIMIT,
+    _TREE_PLANS,
+    InverseDivisorOperator,
+    solve,
+    tree_plan,
+)
 from treelin.trees import children_lists
 from treelin.series import (
     ScalarSeries,
@@ -165,10 +173,13 @@ def near_resonant_germ():
     return Germ(spec, random_vector_series(np.random.default_rng(2), 2, 6))
 
 
-@pytest.mark.parametrize("problem", [
+SMALL_DIVISOR_GERMS = [
     near_resonant_germ(),
     Germ(GermSpectrum((4.0, 2.0, 8.0)), random_vector_series(np.random.default_rng(1), 3, 6)),
-])
+]
+
+
+@pytest.mark.parametrize("problem", SMALL_DIVISOR_GERMS)
 def test_online_recursion_small_divisors_match_the_composition(problem):
     with pytest.raises(DivisorBelowTolerance) as want:
         recursive_oracle(problem, 6)
@@ -263,9 +274,66 @@ def test_tree_agrees_with_recursive_at_degree_12(tmp_path, kind):
     assert (tree.h - rec.h).max_abs() <= 1e-10 * max(1.0, rec.h.max_abs())
 
 
+@pytest.mark.parametrize("problem", SMALL_DIVISOR_GERMS)
+def test_tree_small_divisors_match_the_recursion(problem):
+    # a line is clipped alone, as the recursion clips its one coefficient
+    with pytest.raises(DivisorBelowTolerance) as want:
+        solve(problem, 6, "recursive")
+    with pytest.raises(DivisorBelowTolerance) as got:
+        solve(problem, 6, "tree")
+    assert (got.value.index, got.value.axis, got.value.modulus) == (
+        want.value.index, want.value.axis, want.value.modulus)
+    rec = solve(problem, 6, "recursive", on_small_divisor="clip")
+    tree = solve(problem, 6, "tree", on_small_divisor="clip")
+    assert tree.clipped and tree.clipped == rec.clipped
+    assert (tree.h - rec.h).max_abs() <= 2e-15 * rec.h.max_abs()
+
+
+@pytest.mark.parametrize("kind", ["germ", "field"])
+@pytest.mark.parametrize("n,D", [(1, 16), (2, 8), (3, 6)])
+def test_tree_agrees_with_recursive_at_ceiling_sizes(tmp_path, kind, n, D):
+    problem = fixture_problem(tmp_path, kind, n, D, 1)
+    tree = solve(problem, D, "tree")
+    rec = solve(problem, D, "recursive")
+    assert (tree.h - rec.h).max_abs() <= 1e-10 * max(1.0, rec.h.max_abs())
+
+
+def test_tree_degree_limit_is_a_usage_error():
+    # a monomial key holds one exponent byte per variable
+    f = VectorSeries.from_coeffs(1, 257, {(2,): (0.5,)})
+    with pytest.raises(UsageError):
+        solve(Germ(GermSpectrum.from_rotation((GOLDEN,)), f), 257, "tree")
+
+
+def test_tree_solve_enumerates_no_labeling(tmp_path, monkeypatch):
+    problem = fixture_problem(tmp_path, "germ", 2, 6, 2)
+    _TREE_PLANS.clear()
+    trees._subtree_memo.cache_clear()
+    built = []
+    init = trees.LabeledTree.__init__
+
+    def counted_init(tree, *args, **kw):
+        built.append(tree)
+        init(tree, *args, **kw)
+
+    def no_enumeration(*args, **kw):
+        raise AssertionError("enumerate_labeled called on the solve path")
+
+    monkeypatch.setattr(trees.LabeledTree, "__init__", counted_init)
+    for name, module in sorted(sys.modules.items()):
+        if name.split(".")[0] == "treelin" and hasattr(module, "enumerate_labeled"):
+            monkeypatch.setattr(module, "enumerate_labeled", no_enumeration)
+    lin = solve(problem, 6, "tree")
+    assert not built
+    assert lin.h.max_abs() > 0
+    assert sum(tree_plan(problem, 6).summands) > 0
+    assert trees._subtree_memo.cache_info().currsize == 0
+
+
 def test_module_caches_stay_bounded(golden_spectrum_1d):
     # more distinct supports than the plan and subtree caches keep
     D = 7
+    trees._subtree_memo.cache_clear()
     supports = [
         frozenset([(2,)] + [(d,) for d in range(3, D + 1) if mask >> (d - 3) & 1])
         for mask in range(_TREE_PLAN_LIMIT + 4)
@@ -296,7 +364,8 @@ def test_module_caches_stay_bounded(golden_spectrum_1d):
                   divisors._omega_tilde_impl, divisors.omega_frac, divisors.omega_hat):
         info = cache.cache_info()
         assert info.currsize == info.maxsize, cache.__name__
-    # the subtree memo holds at most one support, and a cached plan releases it
+    # the subtree memo holds at most one support, and only enumerate_labeled's
+    # contributing_only mode fills it
     info = trees._subtree_memo.cache_info()
     assert info.maxsize == 1 and info.currsize == 0
 

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
 from itertools import product
 
 import numpy as np
 import pytest
 
 from treelin import (
+    FieldSpectrum,
+    GermSpectrum,
     ScaleSequence,
     count_scale,
     counting_bound,
@@ -18,9 +21,9 @@ from treelin import (
     scale_of_line,
     standard_decomposition,
 )
-from treelin.divisors import frac_distance, omega_frac, omega_hat, phi_counting
-from treelin.series import abs_degree, iter_indices, signed_degree
-from treelin.trees import catalan, children_lists, is_valid_m
+from treelin.divisors import DEFAULT_TOL, frac_distance, omega_frac, omega_hat, phi_counting
+from treelin.series import abs_degree, graded_key, iter_indices, signed_degree
+from treelin.trees import LinePolynomials, catalan, children_lists, is_valid_m
 
 from conftest import GOLDEN, SILVER
 
@@ -193,6 +196,45 @@ def test_contributing_only_is_the_brute_force_minus_zero_weights(n, alpha_max, s
                         assert a.binom_product.hex() == b.binom_product.hex()
                     total += len(fast)
     assert total > 0
+
+
+# Grouping the summands of the contributing labelings by f-monomial must give
+# the line polynomials the solver's plan is built from, constant by constant,
+# and the plan's labeling count (its recursion with every constant 1) must be
+# the number of labelings.
+@pytest.mark.parametrize("n,alpha_max,supports", [
+    (1, 9, ("full", 1, 2)),
+    (2, 5, ("full", 4, 5)),
+    (3, 4, ("full", 6)),
+])
+@pytest.mark.parametrize("kind", ["germ", "field"])
+def test_line_polynomials_are_the_labeling_sums(kind, n, alpha_max, supports):
+    omega = (GOLDEN, SILVER, 1.0 / math.e)[:n]
+    spectrum = (GermSpectrum.from_rotation(omega) if kind == "germ"
+                else FieldSpectrum(tuple(1.0 + w for w in omega)))
+    for which in supports:
+        sup = (full_support(n, alpha_max) if which == "full"
+               else thinned_support(n, alpha_max, which))
+        variables = tuple((L, a) for L in sorted(sup, key=graded_key) for a in range(n))
+        lines = LinePolynomials(spectrum, variables, alpha_max, DEFAULT_TOL)
+        assert not lines.clipped
+        for alpha in iter_indices(n, alpha_max, 2):
+            for j in range(n):
+                want: dict = {}
+                count = 0
+                for N in range(1, sum(alpha)):
+                    for t in enumerate_labeled(N, alpha, j, sup, n, contributing_only=True):
+                        c = t.weight * t.binom_product
+                        for nu, ax in zip(t.momenta, t.line_axes):
+                            c /= spectrum.divisor(nu, ax)
+                        k = sum(lines.key[v] for v in zip(t.node_labels, t.line_axes))
+                        want[k] = want.get(k, 0) + c
+                        count += 1
+                got = lines.poly.get((alpha, j), {})
+                assert got.keys() == want.keys(), (which, alpha, j)
+                for k, c in want.items():
+                    assert abs(got[k] - c) <= 1e-12 * abs(c), (which, alpha, j)
+                assert lines.count.get((alpha, j), 0) == count, (which, alpha, j)
 
 
 # ---------------------------------------------------------------------------
