@@ -58,6 +58,16 @@ def _note(message: str):
     print(message, file=sys.stderr)
 
 
+def _at_least(least: int):
+    """An argparse type: an integer no smaller than ``least``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+    return integer
+
+
 def _thread_count() -> int:
     raw = os.environ.get("TREELIN_THREADS", "1")
     try:
@@ -152,7 +162,12 @@ def _cmd_trees(args) -> int:
         return 0
     if args.alpha is None:
         raise UsageError("--labeled needs --alpha")
-    alpha = tuple(int(x) for x in args.alpha.split(","))
+    try:
+        alpha = tuple(int(x) for x in args.alpha.split(","))
+    except ValueError:
+        raise UsageError(f"--alpha needs comma-separated integers, got {args.alpha!r}") from None
+    if args.axis > len(alpha):
+        raise UsageError(f"--axis {args.axis} exceeds the {len(alpha)} axes of --alpha")
     support = (
         _support_from_file(args.support)
         if args.support
@@ -175,7 +190,10 @@ def _cmd_trees(args) -> int:
 
 
 def _cmd_bruno(args) -> int:
-    omega = Fraction(args.omega) if "/" in args.omega else float(args.omega)
+    try:
+        omega = Fraction(args.omega) if "/" in args.omega else float(args.omega)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"--omega needs a real number or a fraction p/q, got {args.omega!r}") from None
     flagged = None
     try:
         cf = divisors.continued_fraction(omega, args.terms)
@@ -206,35 +224,40 @@ def _cmd_bruno(args) -> int:
 
 def _cmd_omega(args) -> int:
     doc = documents.load_json(args.spectrum)
+    if not isinstance(doc, dict):
+        raise UsageError("a spectrum document is a JSON object")
     rows = ["p,value"]
-    if args.variant == "tilde":
-        if "rotation" in doc:
-            spec = divisors.GermSpectrum.from_rotation(doc["rotation"])
-        elif "lambda" in doc:
-            spec = divisors.GermSpectrum(
-                tuple(complex(x[0], x[1]) for x in doc["lambda"])
+    try:
+        if args.variant == "tilde":
+            if "rotation" in doc:
+                spec = divisors.GermSpectrum.from_rotation(doc["rotation"])
+            elif "lambda" in doc:
+                spec = divisors.GermSpectrum(
+                    tuple(complex(x[0], x[1]) for x in doc["lambda"])
+                )
+            else:
+                raise UsageError("tilde variant needs a germ spectrum (rotation or lambda)")
+            for p in range(2, args.p_max + 1):
+                rows.append(f"{p},{divisors.omega_tilde(spec, p, args.mode)!r}")
+        elif args.variant == "frac":
+            omega = tuple(float(w) for w in doc.get("rotation", doc.get("omega", ())))
+            if not omega:
+                raise UsageError("frac variant needs a real vector (rotation or omega)")
+            for p in range(1, args.p_max + 1):
+                rows.append(f"{p},{divisors.omega_frac(omega, p)!r}")
+        elif args.variant == "hat":
+            raw = doc.get("omega")
+            if raw is None:
+                raise UsageError("hat variant needs an omega vector")
+            omega = tuple(
+                complex(x[0], x[1]) if isinstance(x, list) else complex(x) for x in raw
             )
+            for p in range(2, args.p_max + 1):
+                rows.append(f"{p},{divisors.omega_hat(omega, p)!r}")
         else:
-            raise UsageError("tilde variant needs a germ spectrum (rotation or lambda)")
-        for p in range(2, args.p_max + 1):
-            rows.append(f"{p},{divisors.omega_tilde(spec, p, args.mode)!r}")
-    elif args.variant == "frac":
-        omega = tuple(float(w) for w in doc.get("rotation", doc.get("omega", ())))
-        if not omega:
-            raise UsageError("frac variant needs a real vector (rotation or omega)")
-        for p in range(1, args.p_max + 1):
-            rows.append(f"{p},{divisors.omega_frac(omega, p)!r}")
-    elif args.variant == "hat":
-        raw = doc.get("omega")
-        if raw is None:
-            raise UsageError("hat variant needs an omega vector")
-        omega = tuple(
-            complex(x[0], x[1]) if isinstance(x, list) else complex(x) for x in raw
-        )
-        for p in range(2, args.p_max + 1):
-            rows.append(f"{p},{divisors.omega_hat(omega, p)!r}")
-    else:
-        raise UsageError(f"unknown variant {args.variant!r}")
+            raise UsageError(f"unknown variant {args.variant!r}")
+    except (IndexError, TypeError, ValueError) as exc:
+        raise UsageError(f"malformed spectrum document: {exc}") from exc
     _emit("\n".join(rows) + "\n", args.output)
     return 0
 
@@ -246,13 +269,16 @@ def _cmd_omega(args) -> int:
 
 def _class_spec(text: str) -> diagnostics.ClassSpec:
     kind, _, param = text.partition(":")
-    if kind == "gevrey":
-        return diagnostics.ClassSpec.gevrey(float(param))
-    if kind == "geometric":
-        return diagnostics.ClassSpec.geometric(float(param))
-    if kind == "table":
-        doc = documents.load_json(param)
-        return diagnostics.ClassSpec.from_table(doc)
+    try:
+        if kind == "gevrey":
+            return diagnostics.ClassSpec.gevrey(float(param))
+        if kind == "geometric":
+            return diagnostics.ClassSpec.geometric(float(param))
+        if kind == "table":
+            doc = documents.load_json(param)
+            return diagnostics.ClassSpec.from_table(doc)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad class spec {text!r}: {exc}") from exc
     raise UsageError(f"unknown class spec {text!r} (use gevrey:s, geometric:C, table:file)")
 
 
@@ -291,9 +317,12 @@ def _cmd_diagnose(args) -> int:
         P = trees.ScaleSequence.pow2()
         spec_m = _class_spec(args.class_m)
         spec_n = _class_spec(args.class_n or args.class_m)
-        rep = diagnostics.condition_sequence(
-            diagnostics.germ_omega_of_p(args.omega), P, spec_m, spec_n, args.dmax
-        )
+        try:
+            rep = diagnostics.condition_sequence(
+                diagnostics.germ_omega_of_p(args.omega), P, spec_m, spec_n, args.dmax
+            )
+        except ValueError as exc:  # the classes are out of order
+            raise UsageError(str(exc)) from exc
         rows.append("degree,value")
         rows.extend(f"{d},{v!r}" for d, v in rep.values)
         rows.append(f"# max_value={rep.max_value!r}")
@@ -394,7 +423,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("linearize", help="solve a germ or field linearization problem")
     p.add_argument("kind", choices=["germ", "field"])
     p.add_argument("--input", required=True)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=_at_least(0), required=True)
     p.add_argument("--method", default="recursive",
                    choices=["recursive", "tree", "fixedpoint", "all"])
     p.add_argument("--verify", action="store_true")
@@ -407,18 +436,18 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("trees", help="enumerate rooted or labeled rooted trees")
     p.add_argument("action", choices=["enum"])
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_at_least(1), required=True)
     p.add_argument("--labeled", action="store_true")
     p.add_argument("--alpha", help="total momentum, comma separated")
-    p.add_argument("--axis", type=int, default=1, help="root line axis (1-based)")
+    p.add_argument("--axis", type=_at_least(1), default=1, help="root line axis (1-based)")
     p.add_argument("--support", help="series document or JSON index list")
-    p.add_argument("--chunk-size", type=int, default=64)
+    p.add_argument("--chunk-size", type=_at_least(1), default=64)
     p.add_argument("--output", metavar="PATH")
     p.set_defaults(fn=_cmd_trees)
 
     p = sub.add_parser("bruno", help="continued fraction and 1-D Bruno partial sums")
     p.add_argument("--omega", required=True, help="a real number or a fraction p/q")
-    p.add_argument("--terms", type=int, default=10)
+    p.add_argument("--terms", type=_at_least(1), default=10)
     p.add_argument("--output", metavar="PATH")
     p.set_defaults(fn=_cmd_bruno)
 
@@ -437,9 +466,9 @@ def build_parser() -> _Parser:
                    help="gevrey:s | geometric:C | table:file")
     p.add_argument("--class-n")
     p.add_argument("--omega", type=float)
-    p.add_argument("--dmax", type=int, default=200)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--degree", type=int, default=40)
+    p.add_argument("--dmax", type=_at_least(2), default=200)
+    p.add_argument("--k", type=_at_least(1), default=1)
+    p.add_argument("--degree", type=_at_least(0), default=40)
     p.add_argument("--majorant-r", type=float)
     p.add_argument("--emit-csv", metavar="PATH")
     p.add_argument("--output", metavar="PATH")
@@ -454,9 +483,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("fixture", help="generate a reproducible random problem document")
     p.add_argument("kind", choices=["germ", "field"])
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=int, default=1, choices=(1, 2, 3))
     p.add_argument("--degree-f", type=int, default=4)
-    p.add_argument("--trunc", type=int, default=8)
+    p.add_argument("--trunc", type=_at_least(0), default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(fn=_cmd_fixture)

@@ -53,23 +53,23 @@ def series_from_doc(doc: dict):
     try:
         n = int(doc["n"])
         D = int(doc["D"])
-        terms = doc.get("terms", [])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"malformed series document: {exc}") from exc
-    kind = doc.get("kind", "vector")
-    if kind == "scalar":
+        kind = doc.get("kind", "vector")
+        if n < 1 or D < 0:
+            raise UsageError(f"a series needs n >= 1 and D >= 0, got n={n}, D={D}")
         coeffs = {}
-        for t in terms:
+        for t in doc.get("terms", []):
             alpha = _alpha(t, n, D)
-            coeffs[alpha] = _cplx(t["value"])
+            value = t["value"]
+            if kind == "scalar":
+                coeffs[alpha] = _cplx(value)
+                continue
+            if not isinstance(value, list) or len(value) != n:
+                raise UsageError(f"vector term at {alpha} needs {n} components")
+            coeffs[alpha] = tuple(_cplx(v) for v in value)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"malformed series document: {exc}") from exc
+    if kind == "scalar":
         return ScalarSeries(n, D, coeffs)
-    coeffs = {}
-    for t in terms:
-        alpha = _alpha(t, n, D)
-        value = t["value"]
-        if not isinstance(value, list) or len(value) != n:
-            raise UsageError(f"vector term at {alpha} needs {n} components")
-        coeffs[alpha] = tuple(_cplx(v) for v in value)
     return VectorSeries.from_coeffs(n, D, coeffs)
 
 
@@ -113,7 +113,7 @@ def problem_to_doc(problem, options: dict | None = None) -> dict:
 
 
 def problem_from_doc(doc: dict):
-    kind = doc.get("kind")
+    kind = doc.get("kind") if isinstance(doc, dict) else None
     if kind not in ("germ", "field"):
         raise UsageError(f"unknown problem kind {kind!r}")
     try:
@@ -125,24 +125,29 @@ def problem_from_doc(doc: dict):
     f = series_from_doc(series_doc)
     if not isinstance(f, VectorSeries) or f.n != n:
         raise UsageError("problem series must be an n-component vector series")
-    if kind == "germ":
-        if "rotation" in spectrum_doc:
-            rot = [float(w) for w in spectrum_doc["rotation"]]
-            if len(rot) != n:
-                raise UsageError("rotation vector length mismatch")
-            spec = GermSpectrum.from_rotation(rot)
-        elif "lambda" in spectrum_doc:
-            lam = [_cplx(x) for x in spectrum_doc["lambda"]]
-            if len(lam) != n:
-                raise UsageError("eigenvalue count mismatch")
-            spec = GermSpectrum(tuple(lam))
-        else:
-            raise UsageError("germ spectrum needs 'rotation' or 'lambda'")
-        return Germ(spec, f)
-    omega = spectrum_doc.get("omega")
-    if omega is None or len(omega) != n:
-        raise UsageError("field spectrum needs an 'omega' list of length n")
-    return VectorField(FieldSpectrum(tuple(_cplx(x) for x in omega)), f)
+    # the spectra and problems check their own invariants (nonzero, distinct
+    # eigenvalues, valuation >= 2) and raise ValueError
+    try:
+        if kind == "germ":
+            if "rotation" in spectrum_doc:
+                rot = [float(w) for w in spectrum_doc["rotation"]]
+                if len(rot) != n:
+                    raise UsageError("rotation vector length mismatch")
+                spec = GermSpectrum.from_rotation(rot)
+            elif "lambda" in spectrum_doc:
+                lam = [_cplx(x) for x in spectrum_doc["lambda"]]
+                if len(lam) != n:
+                    raise UsageError("eigenvalue count mismatch")
+                spec = GermSpectrum(tuple(lam))
+            else:
+                raise UsageError("germ spectrum needs 'rotation' or 'lambda'")
+            return Germ(spec, f)
+        omega = spectrum_doc.get("omega")
+        if omega is None or len(omega) != n:
+            raise UsageError("field spectrum needs an 'omega' list of length n")
+        return VectorField(FieldSpectrum(tuple(_cplx(x) for x in omega)), f)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise UsageError(f"malformed problem document: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -170,7 +170,7 @@ def _solve_recursive(spectrum, f: VectorSeries, D: int, on_small_divisor, tol):
     indices = graded_indices(n, D)
     F = f.to_array()
     terms = [(indices[s], F[:, s]) for s in np.flatnonzero(F.any(axis=0)).tolist()]
-    H = VectorSeries.identity(n, D).to_array()
+    H = VectorSeries.identity(n, D).to_array().copy()  # written below, so not the storage
     h = np.zeros_like(H)
     parent: dict = {}
     for alpha, _ in terms:
@@ -538,8 +538,8 @@ def verify_conjugacy(problem, h) -> ConjugacyReport:
     ident = VectorSeries.identity(n, D)
     H = ident + h
     if isinstance(problem, Germ):
-        lam = spectrum.lam
-        FH = VectorSeries([H.components[j].scale(lam[j]) for j in range(n)]) + f.compose(H)
+        lam = np.array(spectrum.lam)
+        FH = VectorSeries.from_array(n, D, H.to_array() * lam[:, None]) + f.compose(H)
         defect = FH - H.compose_diagonal(lam)
     else:
         defect = apply_forward_D(spectrum, h) - f.compose(ident + h)

@@ -14,8 +14,9 @@ Conventions used throughout the package:
   complex vector with a slot for every index of degree <= D
   (``C(n + D, n)`` slots), in graded lexicographic order, the order of
   :func:`iter_indices`.  Degrees <= d come first, so the storage of the
-  truncation to d is a prefix.  Queries (``items``, ``support``, ``len``,
-  ``valuation``) report nonzero slots only.
+  truncation to d is a prefix.  A vector series is one ``(n, slots)``
+  array whose rows are its components.  Queries (``items``, ``support``,
+  ``len``, ``valuation``) report nonzero slots only.
 * The Cauchy product has a normative summation order that depends on
   neither the values nor the support of its operands.  For n = 1 it is the
   order of ``numpy.convolve``; for n >= 2 each output slot sums the
@@ -231,10 +232,112 @@ def _slot(basis: _Basis, alpha, n: int, trunc: int):
 
 
 # ---------------------------------------------------------------------------
+# the dense storage shared by scalar and vector series
+# ---------------------------------------------------------------------------
+
+class _DenseSeries:
+    """Graded-lex storage: a complex array whose last axis is the slot axis.
+
+    The array has shape ``(M,)`` for a scalar series and ``(n, M)`` for a
+    vector series, ``M = slot_count(n, trunc)``, and is never modified after
+    construction.  Every operation that reads the same on both kinds lives
+    here; each acts on the whole array at once.
+    """
+
+    __slots__ = ("n", "trunc", "_v")
+
+    @classmethod
+    def _from(cls, n: int, trunc: int, array):
+        s = cls.__new__(cls)
+        s.n = n
+        s.trunc = trunc
+        s._v = array
+        return s
+
+    def _wrap(self, array):
+        return self._from(self.n, self.trunc, array)
+
+    def _check(self, other):
+        if type(other) is not type(self) or self.n != other.n or self.trunc != other.trunc:
+            raise TruncationMismatch(
+                f"incompatible series: n={self.n},D={self.trunc} vs "
+                f"n={other.n},D={other.trunc}"
+            )
+
+    def _used(self):
+        """Mask of the slots holding a nonzero coefficient in some row."""
+        return (self._v != 0).reshape(-1, self._v.shape[-1]).any(axis=0)
+
+    # -- queries ---------------------------------------------------------------
+    def is_zero(self) -> bool:
+        return not self._v.any()
+
+    def valuation(self):
+        nz = np.flatnonzero(self._used())
+        if not len(nz):
+            return math.inf
+        return int(_basis(self.n, self.trunc).degrees[nz[0]])
+
+    def znorm(self) -> float:
+        v = self.valuation()
+        return 0.0 if v is math.inf else 2.0 ** (-v)
+
+    def max_abs(self) -> float:
+        return float(np.abs(self._v).max())
+
+    # -- arithmetic -----------------------------------------------------------
+    def __add__(self, other):
+        self._check(other)
+        return self._wrap(self._v + other._v)
+
+    def __sub__(self, other):
+        self._check(other)
+        return self._wrap(self._v - other._v)
+
+    def __neg__(self):
+        return self._wrap(-self._v)
+
+    def scale(self, c):
+        return self._wrap(self._v * complex(c))
+
+    def truncate(self, new_trunc: int):
+        if new_trunc == self.trunc:
+            return self
+        if new_trunc < 0:
+            raise ValueError("truncation degree must be non-negative")
+        size = slot_count(self.n, new_trunc)
+        if size <= self._v.shape[-1]:
+            array = self._v[..., :size]
+        else:
+            array = np.zeros(self._v.shape[:-1] + (size,), dtype=complex)
+            array[..., : self._v.shape[-1]] = self._v
+        return self._from(self.n, new_trunc, array)
+
+    # -- comparison ------------------------------------------------------------
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.n == other.n
+            and self.trunc == other.trunc
+            and bool(np.array_equal(self._v, other._v))
+        )
+
+    def __hash__(self):
+        return hash((self.n, self.trunc, tuple(self._v.ravel().tolist())))
+
+    def approx_equal(self, other, rel=1e-9, abs_tol=1e-12) -> bool:
+        """Every row within max(abs_tol, rel * max(1, its largest modulus in either series))."""
+        self._check(other)
+        scale = np.maximum(np.abs(self._v).max(axis=-1), np.abs(other._v).max(axis=-1))
+        gap = np.abs(self._v - other._v).max(axis=-1)
+        return bool((gap <= np.maximum(abs_tol, rel * np.maximum(scale, 1.0))).all())
+
+
+# ---------------------------------------------------------------------------
 # scalar series
 # ---------------------------------------------------------------------------
 
-class ScalarSeries:
+class ScalarSeries(_DenseSeries):
     """A single truncated power series in ``n`` variables.
 
     Coefficients live in a dense complex vector over the graded-lex slots
@@ -242,7 +345,7 @@ class ScalarSeries:
     at construction.  The vector is never modified after construction.
     """
 
-    __slots__ = ("n", "trunc", "_v")
+    __slots__ = ()
 
     def __init__(self, n: int, trunc: int, coeffs=None):
         if n < 1:
@@ -276,11 +379,7 @@ class ScalarSeries:
     @classmethod
     def from_vector(cls, n: int, trunc: int, vector) -> "ScalarSeries":
         """Wrap a complex vector of ``slot_count(n, trunc)`` graded-lex slots."""
-        s = cls.__new__(cls)
-        s.n = n
-        s.trunc = trunc
-        s._v = vector
-        return s
+        return cls._from(n, trunc, vector)
 
     # -- basic queries -------------------------------------------------------
     @property
@@ -308,47 +407,7 @@ class ScalarSeries:
     def __len__(self):
         return int(np.count_nonzero(self._v))
 
-    def is_zero(self) -> bool:
-        return not self._v.any()
-
-    def valuation(self):
-        nz = np.flatnonzero(self._v)
-        if not len(nz):
-            return math.inf
-        return int(_basis(self.n, self.trunc).degrees[nz[0]])
-
-    def znorm(self) -> float:
-        v = self.valuation()
-        return 0.0 if v is math.inf else 2.0 ** (-v)
-
-    def max_abs(self) -> float:
-        return float(np.abs(self._v).max())
-
     # -- arithmetic -----------------------------------------------------------
-    def _check(self, other):
-        if self.n != other.n or self.trunc != other.trunc:
-            raise TruncationMismatch(
-                f"incompatible series: n={self.n},D={self.trunc} vs "
-                f"n={other.n},D={other.trunc}"
-            )
-
-    def _wrap(self, vector) -> "ScalarSeries":
-        return ScalarSeries.from_vector(self.n, self.trunc, vector)
-
-    def __add__(self, other):
-        self._check(other)
-        return self._wrap(self._v + other._v)
-
-    def __sub__(self, other):
-        self._check(other)
-        return self._wrap(self._v - other._v)
-
-    def __neg__(self):
-        return self._wrap(-self._v)
-
-    def scale(self, c):
-        return self._wrap(self._v * complex(c))
-
     def __mul__(self, other):
         if isinstance(other, ScalarSeries):
             return self.multiply(other)
@@ -368,36 +427,6 @@ class ScalarSeries:
         acc = np.bincount(out2, weights=terms.view(np.float64), minlength=2 * len(a))
         return self._wrap(acc.view(np.complex128))
 
-    def truncate(self, new_trunc: int) -> "ScalarSeries":
-        if new_trunc == self.trunc:
-            return self
-        if new_trunc < 0:
-            raise ValueError("truncation degree must be non-negative")
-        size = slot_count(self.n, new_trunc)
-        if size <= len(self._v):
-            vector = self._v[:size]
-        else:
-            vector = np.zeros(size, dtype=complex)
-            vector[: len(self._v)] = self._v
-        return ScalarSeries.from_vector(self.n, new_trunc, vector)
-
-    # -- comparison ------------------------------------------------------------
-    def __eq__(self, other):
-        return (
-            isinstance(other, ScalarSeries)
-            and self.n == other.n
-            and self.trunc == other.trunc
-            and bool(np.array_equal(self._v, other._v))
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.trunc, tuple(self.items())))
-
-    def approx_equal(self, other, rel=1e-9, abs_tol=1e-12) -> bool:
-        self._check(other)
-        scale = max(self.max_abs(), other.max_abs(), 1.0)
-        return float(np.abs(self._v - other._v).max()) <= max(abs_tol, rel * scale)
-
     def __repr__(self):
         terms = ", ".join(f"{a}:{c:.4g}" for a, c in self.items()[:6])
         more = "..." if len(self) > 6 else ""
@@ -408,10 +437,14 @@ class ScalarSeries:
 # vector series
 # ---------------------------------------------------------------------------
 
-class VectorSeries:
-    """An n-component truncated series in n variables; the space germs live in."""
+class VectorSeries(_DenseSeries):
+    """An n-component truncated series in n variables; the space germs live in.
 
-    __slots__ = ("components",)
+    Stored as one ``(n, slot_count(n, trunc))`` array whose rows are the
+    components.
+    """
+
+    __slots__ = ()
 
     def __init__(self, components):
         components = tuple(components)
@@ -423,22 +456,19 @@ class VectorSeries:
         for c in components:
             if c.n != n or c.trunc != D:
                 raise TruncationMismatch("components disagree on n or truncation")
-        self.components = components
+        self.n = n
+        self.trunc = D
+        self._v = np.array([c.vector for c in components])
 
     # -- constructors -----------------------------------------------------------
     @classmethod
     def zero(cls, n, trunc):
-        return cls([ScalarSeries.zero(n, trunc)] * n)
+        return cls.from_array(n, trunc, np.zeros((n, slot_count(n, trunc)), dtype=complex))
 
     @classmethod
     def identity(cls, n, trunc):
-        return cls([
-            ScalarSeries.monomial(n, trunc, unit_index(n, i)) for i in range(n)
-        ])
-
-    @classmethod
-    def monomial(cls, n, trunc, alpha, vec):
-        return cls([ScalarSeries.monomial(n, trunc, alpha, v) for v in vec])
+        """z -> z: row i holds z_i."""
+        return cls.from_coeffs(n, trunc, {unit_index(n, i): unit_index(n, i) for i in range(n)})
 
     @classmethod
     def from_coeffs(cls, n, trunc, coeffs):
@@ -454,58 +484,39 @@ class VectorSeries:
 
     @classmethod
     def from_array(cls, n: int, trunc: int, array) -> "VectorSeries":
-        """Wrap an ``(n, slot_count(n, trunc))`` complex array, one row per component."""
-        return cls([ScalarSeries.from_vector(n, trunc, row) for row in array])
+        """Wrap an ``(n, slot_count(n, trunc))`` complex array, one row per component, without copying."""
+        return cls._from(n, trunc, array)
 
     # -- queries ---------------------------------------------------------------
     @property
-    def n(self):
-        return self.components[0].n
-
-    @property
-    def trunc(self):
-        return self.components[0].trunc
+    def components(self):
+        """The components as scalar series, each a view of its row."""
+        return tuple(ScalarSeries.from_vector(self.n, self.trunc, row) for row in self._v)
 
     def component(self, j) -> ScalarSeries:
-        return self.components[j]
+        return ScalarSeries.from_vector(self.n, self.trunc, self._v[j])
 
     def coefficient(self, alpha):
         return tuple(c.get(alpha) for c in self.components)
 
     def to_array(self):
-        """The ``(n, slots)`` coefficient array, one row per component."""
-        return np.stack([c.vector for c in self.components])
+        """The ``(n, slots)`` coefficient array, one row per component (the storage itself)."""
+        return self._v
 
     def support(self):
-        s = set()
-        for c in self.components:
-            s |= c.support
-        return frozenset(s)
+        indices = _basis(self.n, self.trunc).indices
+        return frozenset(indices[i] for i in np.flatnonzero(self._used()).tolist())
 
     def coeff_items(self):
         """(index, coefficient vector) pairs in graded lexicographic order."""
-        array = self.to_array()
-        nz = np.flatnonzero(array.any(axis=0))
+        nz = np.flatnonzero(self._used())
         indices = _basis(self.n, self.trunc).indices
-        columns = array[:, nz].T.tolist()
+        columns = self._v[:, nz].T.tolist()
         return [(indices[i], tuple(col)) for i, col in zip(nz.tolist(), columns)]
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.components)
-
-    def valuation(self):
-        return min(c.valuation() for c in self.components)
-
-    def znorm(self) -> float:
-        v = self.valuation()
-        return 0.0 if v is math.inf else 2.0 ** (-v)
-
-    def max_abs(self) -> float:
-        return max(c.max_abs() for c in self.components)
 
     def per_degree_max(self):
         """degree -> max coefficient modulus over all components, sorted by degree."""
-        mags = np.abs(self.to_array()).max(axis=0)
+        mags = np.abs(self._v).max(axis=0)
         starts = [slot_count(self.n, d - 1) if d else 0 for d in range(self.trunc + 1)]
         top = np.maximum.reduceat(mags, starts)
         return {d: float(m) for d, m in enumerate(top.tolist()) if m > 0}
@@ -514,40 +525,14 @@ class VectorSeries:
         """The degree-d part, at the same truncation."""
         lo = slot_count(self.n, d - 1) if d > 0 else 0
         hi = slot_count(self.n, d) if d <= self.trunc else lo
-        array = np.zeros((self.n, slot_count(self.n, self.trunc)), dtype=complex)
-        array[:, lo:hi] = self.to_array()[:, lo:hi]
-        return VectorSeries.from_array(self.n, self.trunc, array)
+        array = np.zeros_like(self._v)
+        array[:, lo:hi] = self._v[:, lo:hi]
+        return self._wrap(array)
 
     # -- arithmetic --------------------------------------------------------------
-    def __add__(self, other):
-        return VectorSeries([a + b for a, b in zip(self.components, other.components)])
-
-    def __sub__(self, other):
-        return VectorSeries([a - b for a, b in zip(self.components, other.components)])
-
-    def __neg__(self):
-        return VectorSeries([-c for c in self.components])
-
-    def scale(self, c):
-        return VectorSeries([comp.scale(c) for comp in self.components])
-
     def mul_scalar_series(self, s: ScalarSeries) -> "VectorSeries":
-        return VectorSeries([comp.multiply(s) for comp in self.components])
-
-    def truncate(self, new_trunc):
-        return VectorSeries([c.truncate(new_trunc) for c in self.components])
-
-    def approx_equal(self, other, rel=1e-9, abs_tol=1e-12) -> bool:
-        return all(
-            a.approx_equal(b, rel, abs_tol)
-            for a, b in zip(self.components, other.components)
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, VectorSeries) and self.components == other.components
-
-    def __hash__(self):
-        return hash(self.components)
+        """Each component times ``s``: one :meth:`ScalarSeries.multiply` per row."""
+        return self._wrap(np.array([comp.multiply(s).vector for comp in self.components]))
 
     def __repr__(self):
         return f"VectorSeries(n={self.n}, D={self.trunc}, v={self.valuation()})"
@@ -561,11 +546,11 @@ class VectorSeries:
         """
         if self.n != inner.n or self.trunc != inner.trunc:
             raise TruncationMismatch("composition needs matching n and truncation")
-        for j, comp in enumerate(inner.components):
-            if not comp.is_zero() and comp.valuation() < 1:
-                raise CompositionError(
-                    f"inner component {j} has valuation 0; composition undefined"
-                )
+        constant = np.flatnonzero(inner._v[:, 0])
+        if len(constant):
+            raise CompositionError(
+                f"inner component {constant[0]} has valuation 0; composition undefined"
+            )
         n, D = self.n, self.trunc
         inner_val = inner.valuation()
         # valuation(inner) >= 1 makes deg(power) >= |alpha|: skip vanishing ones
@@ -585,7 +570,7 @@ class VectorSeries:
         """
         exps = np.array(graded_indices(self.n, self.trunc), dtype=np.intp)
         lam_alpha = np.prod(np.array(lam, dtype=complex) ** exps, axis=1)
-        return VectorSeries.from_array(self.n, self.trunc, self.to_array() * lam_alpha)
+        return self._wrap(self._v * lam_alpha)
 
 
 def _powers(variables, alphas):
@@ -623,18 +608,24 @@ def _powers(variables, alphas):
 # formal derivatives and the shift family
 # ---------------------------------------------------------------------------
 
-def formal_derivative(f: ScalarSeries, beta) -> ScalarSeries:
-    """Binomial-weighted derivative: sum over alpha >= beta of binom(alpha,beta) f_alpha z^(alpha-beta)."""
+def formal_derivative(f, beta):
+    """Binomial-weighted derivative: sum over alpha >= beta of binom(alpha,beta) f_alpha z^(alpha-beta).
+
+    Takes a scalar or a vector series and returns the same kind; only the
+    slots holding a nonzero coefficient are visited.
+    """
     beta = tuple(beta)
-    out = {}
-    for alpha, c in f.items():
+    basis = _basis(f.n, f.trunc)
+    src, dst, binom = [], [], []
+    for s in np.flatnonzero(f._used()).tolist():
+        alpha = basis.indices[s]
         if dominates(alpha, beta):
-            out[index_sub(alpha, beta)] = c * multi_binom(alpha, beta)
-    return ScalarSeries(f.n, f.trunc, out)
-
-
-def vector_formal_derivative(f: VectorSeries, beta) -> VectorSeries:
-    return VectorSeries([formal_derivative(c, beta) for c in f.components])
+            src.append(s)
+            dst.append(basis.slot[index_sub(alpha, beta)])
+            binom.append(multi_binom(alpha, beta))
+    out = np.zeros_like(f._v)
+    out[..., dst] += f._v[..., src] * np.array(binom, dtype=float)
+    return f._wrap(out)
 
 
 def weighted_norm(f, r: float) -> float:
@@ -758,9 +749,9 @@ class SeriesFamily:
         comp = []
         for i in range(n):
             comp.append({
-                b: vs.components[i]
+                b: vs.component(i)
                 for b, vs in inner.coeffs.items()
-                if not vs.components[i].is_zero()
+                if not vs.component(i).is_zero()
             })
         one = {(0,) * n: ScalarSeries.one(n, Dz)}
         pow_cache = {(0,) * n: one}
@@ -797,7 +788,7 @@ def shift_expand(f: VectorSeries) -> SeriesFamily:
     # no index above the top degree of f has a nonzero derivative
     top = max(f.per_degree_max(), default=0)
     for beta in iter_indices(f.n, top):
-        g = vector_formal_derivative(f, beta)
+        g = formal_derivative(f, beta)
         if not g.is_zero():
             out[beta] = g
     return SeriesFamily(f.n, f.trunc, f.trunc, out)

@@ -276,30 +276,81 @@ def _labeled_forest_cached(N, alpha, j, support_key, n):
     return tuple(out)
 
 
-class _RootChoices:
-    """The ways to hang a contributing subtree below a line of momentum ``nu``.
+class LinePolynomials:
+    """The tree sum of every line (nu, a) as a polynomial in f's nonzero coefficients.
 
-    The subtree's root is a label L from ``labels`` with t >= 0 ordered
-    children entering along axes a_1..a_t, whose axis counts beta satisfy
-    beta <= L, and the children's momenta are nonnegative, of degree >= 2
-    and sum to nu - L + beta.  Because beta <= L at every node these are
-    exactly the labelings whose every binom(label, beta) is nonzero, and no
-    momentum ever leaves the nonnegative indices.  Subclasses say through
-    ``_has(mu)`` whether a line of momentum ``mu`` carries any subtree.
+    The variables are the coefficients f_{L,a} named in ``variables``
+    (pairs (L, a), variable v is the v-th).  The polynomial of a line is
+    built bottom-up over subtrees, by degree of nu:
+
+        S(nu, a) = (1 / div(nu, a)) * sum_L f_{L,a} R(nu, L),
+
+    with R(nu, L) = 1 for nu == L, and otherwise the sum of
+    beta!/t! * binom(L, beta) * prod_i S(mu_i, a_i) over the root choices
+    of :meth:`_roots` (child count t, ordered child axes, ordered splits
+    into child momenta mu_i).  Expanding every product gives back
+    the sum over the contributing labelings, summand by summand, with the
+    labelings' weights, binomials and line divisors; grouping it by subtree
+    is the distributive law, so no labeling is ever enumerated.  Then
+    h_{alpha,j} = S(alpha, j) evaluated at f.
+
+    Divisors come from :func:`divisors.divisor_table` by graded-lex slot.
+    A line whose polynomial is nonempty and whose divisor modulus is below
+    ``tol`` is resolved by :func:`divisors.small_divisors`: its polynomial
+    becomes zero and its (nu, a, modulus) record joins ``clipped``, in
+    graded-lex order.
+
+    ``poly[(nu, a)]`` maps a monomial to its constant.  A monomial is an
+    int holding one byte per variable, the variable's exponent, so the
+    product of monomials is the sum of their keys.  ``count[(nu, a)]`` is
+    the number of labelings summed, the same recursion with every constant
+    1.  Each sum is accumulated in the order the loops visit its terms:
+    lines by slot, labels L ascending, root choices in :meth:`_roots`
+    order, splits in :meth:`_split` order, and products child by child.
     """
 
-    def __init__(self, labels, n: int):
-        self.n = n
-        self.support = sorted(labels, key=graded_key)
-        self._splits: dict = {}  # (rest, t) -> ordered splits into t child momenta
+    EXPONENT_BITS = 8
 
-    def _has(self, mu) -> bool:
-        raise NotImplementedError
+    def __init__(self, spectrum, variables, D: int, tol: float):
+        if D > 1 << self.EXPONENT_BITS:  # a line of degree D has at most D - 1 nodes
+            raise UsageError(f"the tree method reaches degree {1 << self.EXPONENT_BITS} at most")
+        n = self.n = spectrum.n
+        self.support = sorted({L for L, _ in variables}, key=graded_key)
+        self._splits: dict = {}  # (rest, t) -> ordered splits into t child momenta
+        self.key = {v: 1 << (self.EXPONENT_BITS * i) for i, v in enumerate(variables)}
+        self.poly: dict = {}
+        self.count: dict = {}
+        self.clipped: list = []
+        self._live: set = set()
+        table, _ = divisors.divisor_table(spectrum, D)
+        indices = graded_indices(n, D)
+        for d in range(2, D + 1):
+            lo, hi = slot_count(n, d - 1), slot_count(n, d)
+            lines = [self._line(indices[s]) for s in range(lo, hi)]
+            nonzero = np.array([[bool(polys[a]) for polys, _ in lines] for a in range(n)])
+            small, bad = divisors.small_divisors(spectrum, nonzero, D, lo, tol)
+            self.clipped.extend(bad)
+            for i, (polys, counts) in enumerate(lines):
+                nu = indices[lo + i]
+                for a in range(n):
+                    if not nonzero[a, i] or small[a, i]:
+                        continue
+                    dv = complex(table[a, lo + i])
+                    self.poly[(nu, a)] = {k: c / dv for k, c in polys[a].items()}
+                    self.count[(nu, a)] = counts[a]
+                    self._live.add(nu)
 
     def _roots(self, nu):
         """(L, axes, beta, splits) per root with at least one split, by ascending L.
 
-        The leaf L == nu has no axes and the one empty split.
+        The ways to hang a contributing subtree below a line of momentum
+        ``nu``: a root label L with t >= 0 ordered children entering along
+        axes a_1..a_t, whose axis counts beta satisfy beta <= L, and child
+        momenta that are nonnegative, of degree >= 2, carry subtrees and sum
+        to nu - L + beta.  Because beta <= L at every node these are exactly
+        the labelings whose every binom(label, beta) is nonzero, and no
+        momentum ever leaves the nonnegative indices.  The leaf L == nu has
+        no axes and the one empty split.
         """
         n = self.n
         for L in self.support:
@@ -327,142 +378,19 @@ class _RootChoices:
         out = self._splits.get(key)
         if out is None:
             if t == 1:
-                out = ((rest,),) if degree(rest) >= 2 and self._has(rest) else ()
+                out = ((rest,),) if degree(rest) >= 2 and rest in self._live else ()
             else:
                 out = []
                 for first in product(*[range(r + 1) for r in rest]):
                     if degree(first) < 2 or degree(rest) - degree(first) < 2 * (t - 1):
                         continue
-                    if not self._has(first):
+                    if first not in self._live:
                         continue
                     for tail in self._split(index_sub(rest, first), t - 1):
                         out.append((first,) + tail)
                 out = tuple(out)
             self._splits[key] = out
         return out
-
-
-class _Subtrees(_RootChoices):
-    """The contributing subtrees below a line, generated top-down by momentum.
-
-    The exit axis constrains nothing below a line, so one entry per
-    momentum serves every axis.  A subtree is a record (m, labels, axes,
-    betas, momenta, weight factors, binomial factors), every field in
-    preorder; ``axes`` holds the exit axes of the non-root nodes, the
-    factors are beta!/m! and binom(label, beta) per node.
-    """
-
-    def __init__(self, support_key: frozenset, n: int):
-        super().__init__(support_key, n)
-        self._by_order: dict = {}  # nu -> {order: records sorted by (m, labels, axes)}
-        self._all: dict = {}       # nu -> every record, any order
-
-    def of_order(self, nu, N: int) -> tuple:
-        """Subtrees of order N below a line of momentum ``nu``, in sort-key order."""
-        self._subtrees(nu)
-        return self._by_order[nu].get(N, ())
-
-    def _has(self, mu) -> bool:
-        return bool(self._subtrees(mu))
-
-    def _subtrees(self, nu) -> tuple:
-        out = self._all.get(nu)
-        if out is None:
-            by_order: dict = {}
-            for rec in self._build(nu):
-                by_order.setdefault(len(rec[0]), []).append(rec)
-            for recs in by_order.values():
-                recs.sort(key=lambda r: (r[0], r[1], r[2]))
-            self._by_order[nu] = {N: tuple(recs) for N, recs in by_order.items()}
-            out = self._all[nu] = tuple(r for recs in by_order.values() for r in recs)
-        return out
-
-    def _build(self, nu):
-        for L, axes, beta, splits in self._roots(nu):
-            head = (
-                (len(axes),), (L,), (), (beta,), (nu,),
-                (multi_factorial(beta) / math.factorial(len(axes)),),
-                (multi_binom(L, beta),),
-            )
-            for split in splits:
-                for kids in product(*[self._subtrees(mu) for mu in split]):
-                    m, labels, below, betas, momenta, wf, bf = head
-                    for a, k in zip(axes, kids):
-                        m += k[0]
-                        labels += k[1]
-                        below += (a,) + k[2]
-                        betas += k[3]
-                        momenta += k[4]
-                        wf += k[5]
-                        bf += k[6]
-                    yield (m, labels, below, betas, momenta, wf, bf)
-
-
-class LinePolynomials(_RootChoices):
-    """The tree sum of every line (nu, a) as a polynomial in f's nonzero coefficients.
-
-    The variables are the coefficients f_{L,a} named in ``variables``
-    (pairs (L, a), variable v is the v-th).  The polynomial of a line is
-    built bottom-up over subtrees, by degree of nu:
-
-        S(nu, a) = (1 / div(nu, a)) * sum_L f_{L,a} R(nu, L),
-
-    with R(nu, L) = 1 for nu == L, and otherwise the sum of
-    beta!/t! * binom(L, beta) * prod_i S(mu_i, a_i) over the root choices
-    of :class:`_RootChoices` (child count t, ordered child axes, ordered
-    splits into child momenta mu_i).  Expanding every product gives back
-    the sum over the contributing labelings, summand by summand, with the
-    labelings' weights, binomials and line divisors; grouping it by subtree
-    is the distributive law, so no labeling is ever enumerated.  Then
-    h_{alpha,j} = S(alpha, j) evaluated at f.
-
-    Divisors come from :func:`divisors.divisor_table` by graded-lex slot.
-    A line whose polynomial is nonempty and whose divisor modulus is below
-    ``tol`` is resolved by :func:`divisors.small_divisors`: its polynomial
-    becomes zero and its (nu, a, modulus) record joins ``clipped``, in
-    graded-lex order.
-
-    ``poly[(nu, a)]`` maps a monomial to its constant.  A monomial is an
-    int holding one byte per variable, the variable's exponent, so the
-    product of monomials is the sum of their keys.  ``count[(nu, a)]`` is
-    the number of labelings summed, the same recursion with every constant
-    1.  Each sum is accumulated in the order the loops visit its terms:
-    lines by slot, labels L ascending, root choices in :meth:`_roots`
-    order, splits in :meth:`_split` order, and products child by child.
-    """
-
-    EXPONENT_BITS = 8
-
-    def __init__(self, spectrum, variables, D: int, tol: float):
-        if D > 1 << self.EXPONENT_BITS:  # a line of degree D has at most D - 1 nodes
-            raise UsageError(f"the tree method reaches degree {1 << self.EXPONENT_BITS} at most")
-        n = spectrum.n
-        super().__init__({L for L, _ in variables}, n)
-        self.key = {v: 1 << (self.EXPONENT_BITS * i) for i, v in enumerate(variables)}
-        self.poly: dict = {}
-        self.count: dict = {}
-        self.clipped: list = []
-        self._live: set = set()
-        table, _ = divisors.divisor_table(spectrum, D)
-        indices = graded_indices(n, D)
-        for d in range(2, D + 1):
-            lo, hi = slot_count(n, d - 1), slot_count(n, d)
-            lines = [self._line(indices[s]) for s in range(lo, hi)]
-            nonzero = np.array([[bool(polys[a]) for polys, _ in lines] for a in range(n)])
-            small, bad = divisors.small_divisors(spectrum, nonzero, D, lo, tol)
-            self.clipped.extend(bad)
-            for i, (polys, counts) in enumerate(lines):
-                nu = indices[lo + i]
-                for a in range(n):
-                    if not nonzero[a, i] or small[a, i]:
-                        continue
-                    dv = complex(table[a, lo + i])
-                    self.poly[(nu, a)] = {k: c / dv for k, c in polys[a].items()}
-                    self.count[(nu, a)] = counts[a]
-                    self._live.add(nu)
-
-    def _has(self, mu) -> bool:
-        return mu in self._live
 
     def _line(self, nu):
         """Per axis a, sum_L f_{L,a} R(nu, L) (undivided) and its labeling count."""
@@ -509,43 +437,16 @@ class LinePolynomials(_RootChoices):
         return R, rc
 
 
-@lru_cache(maxsize=1)
-def _subtree_memo(support_key: frozenset, n: int) -> _Subtrees:
-    return _Subtrees(support_key, n)
-
-
-def _labeled_from_record(rec, j: int) -> LabeledTree:
-    m, labels, below, betas, momenta, wf, bf = rec
-    weight = 1.0
-    binom = 1.0
-    for w, b in zip(wf, bf):  # node by node in preorder, as in _build_labeled
-        weight *= w
-        binom *= b
-    return LabeledTree(
-        m=m,
-        node_labels=labels,
-        line_axes=(j,) + below,
-        betas=betas,
-        momenta=momenta,
-        weight=weight,
-        binom_product=binom,
-    )
-
-
-def enumerate_labeled(N: int, alpha, j: int, support, n: int | None = None, *,
-                      contributing_only: bool = False):
+def enumerate_labeled(N: int, alpha, j: int, support, n: int | None = None):
     """Labeled trees of order N with total momentum ``alpha`` and root axis ``j``.
 
     ``support`` is the set of admissible node labels (each of degree >= 2);
     labels outside it would multiply the inversion summand by zero.  The
     result is deterministic: sorted by (m-vector, node labels, line axes).
 
-    By default every such labeling is listed, including those where a node
-    label fails to dominate the axes of its entering lines, whose
-    ``binom_product`` is zero.  With ``contributing_only=True`` only the
-    labelings with nonzero ``binom_product`` are returned, in the same
-    order and with bitwise the same fields; they are generated top-down by
-    momentum, so no zero-weight labeling is ever built.
+    Every such labeling is listed, including those where a node label
+    fails to dominate the axes of its entering lines, whose
+    ``binom_product`` is zero.
     """
     alpha = tuple(alpha)
     if n is None:
@@ -555,12 +456,7 @@ def enumerate_labeled(N: int, alpha, j: int, support, n: int | None = None, *,
     support_key = frozenset(
         tuple(a) for a in support if degree(a) >= 2
     )
-    if not contributing_only:
-        return list(_labeled_forest_cached(N, alpha, j, support_key, n))
-    return [
-        _labeled_from_record(rec, j)
-        for rec in _subtree_memo(support_key, n).of_order(alpha, N)
-    ]
+    return list(_labeled_forest_cached(N, alpha, j, support_key, n))
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,27 @@ def test_problem_document_round_trip(rng):
     assert digest(problem_to_doc(back)) == digest(doc)
 
 
+def _problem_doc(lam=None, terms=None, n=1, D=4):
+    """A germ problem document; ``lam`` replaces the rotation spectrum by eigenvalues."""
+    spectrum = {"rotation": [GOLDEN, 0.5 * GOLDEN][:n]} if lam is None else {"lambda": lam}
+    if terms is None:
+        terms = [{"alpha": [2] + [0] * (n - 1), "value": [[0.5, 0.0]] * n}]
+    return {"kind": "germ", "n": n, "D": D, "spectrum": spectrum,
+            "series": {"n": n, "D": D, "kind": "vector", "terms": terms}}
+
+
+# documents that reach the constructors of spectra, series and problems
+MALFORMED_PROBLEMS = {
+    "no variables": _problem_doc(n=0, terms=[]),
+    "negative degree": _problem_doc(D=-2, terms=[]),
+    "linear term": _problem_doc(terms=[{"alpha": [1], "value": [[0.5, 0.0]]}]),
+    "zero eigenvalue": _problem_doc(lam=[[0.0, 0.0]]),
+    "repeated eigenvalues": _problem_doc(n=2, lam=[[2.0, 0.0], [2.0, 0.0]]),
+    "term without value": _problem_doc(terms=[{"alpha": [2]}]),
+    "spectrum not a mapping": {**_problem_doc(), "spectrum": 3},
+}
+
+
 def test_malformed_documents_rejected():
     from treelin import UsageError
 
@@ -62,6 +83,12 @@ def test_malformed_documents_rejected():
                          "terms": [{"alpha": [9], "value": [1, 0]}]})
     with pytest.raises(UsageError):
         problem_from_doc({"kind": "spiral"})
+    for doc in MALFORMED_PROBLEMS.values():
+        with pytest.raises(UsageError):
+            problem_from_doc(doc)
+    for n, D in ((0, 3), (-1, 3), (1, -2)):
+        with pytest.raises(UsageError):
+            series_from_doc({"n": n, "D": D, "terms": []})
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +229,41 @@ def test_tree_note_reports_the_plan_counts(tmp_path, capsys):
     assert "summands" not in out.read_text()
 
 
-def test_usage_errors_exit_1(capsys):
+def test_usage_errors_exit_1(tmp_path, capsys):
     assert main(["linearize"]) == 1
     assert main(["bruno"]) == 1
     assert main(["linearize", "germ", "--input", "missing.json",
                  "--degree", "4"]) == 1
+    capsys.readouterr()
+    problem = _write_problem(tmp_path)
+    bad_args = [
+        ["fixture", "germ", "--n", "0"],
+        ["fixture", "germ", "--n", "4"],
+        ["fixture", "germ", "--trunc", "-1"],
+        ["linearize", "germ", "--input", str(problem), "--degree", "-3"],
+        ["trees", "enum", "--order", "0"],
+        ["trees", "enum", "--order", "2", "--labeled", "--alpha", "3", "--axis", "2"],
+        ["bruno", "--omega", "0.6", "--terms", "0"],
+        ["diagnose", "family", "--omega", "0.6", "--k", "0"],
+        ["diagnose", "condition", "--omega", "0.6", "--class-m", "gevrey:x"],
+        ["diagnose", "condition", "--omega", "0.6", "--class-m", "geometric:2",
+         "--class-n", "geometric:1"],
+        ["bruno", "--omega", "1/0"],
+    ]
+    for variant, spectrum in (("tilde", {"rotation": [0.3, 0.3]}), ("tilde", {"lambda": [[]]}),
+                              ("frac", {"rotation": ["x"]}), ("hat", [GOLDEN])):
+        path = tmp_path / f"spectrum_{len(bad_args)}.json"
+        path.write_text(json.dumps(spectrum))
+        bad_args.append(["omega", "--spectrum", str(path), "--p-max", "3", "--variant", variant])
+    for name, doc in MALFORMED_PROBLEMS.items():
+        path = tmp_path / f"{name.replace(' ', '_')}.json"
+        path.write_text(json.dumps(doc))
+        bad_args.append(["linearize", "germ", "--input", str(path), "--degree", "4"])
+    for argv in bad_args:
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: "), (argv, err)
+        assert "Traceback" not in err, argv
 
 
 def test_domain_error_exit_2(tmp_path):

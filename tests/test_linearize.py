@@ -308,7 +308,6 @@ def test_tree_degree_limit_is_a_usage_error():
 def test_tree_solve_enumerates_no_labeling(tmp_path, monkeypatch):
     problem = fixture_problem(tmp_path, "germ", 2, 6, 2)
     _TREE_PLANS.clear()
-    trees._subtree_memo.cache_clear()
     built = []
     init = trees.LabeledTree.__init__
 
@@ -327,13 +326,11 @@ def test_tree_solve_enumerates_no_labeling(tmp_path, monkeypatch):
     assert not built
     assert lin.h.max_abs() > 0
     assert sum(tree_plan(problem, 6).summands) > 0
-    assert trees._subtree_memo.cache_info().currsize == 0
 
 
 def test_module_caches_stay_bounded(golden_spectrum_1d):
-    # more distinct supports than the plan and subtree caches keep
+    # more distinct supports than the plan cache keeps
     D = 7
-    trees._subtree_memo.cache_clear()
     supports = [
         frozenset([(2,)] + [(d,) for d in range(3, D + 1) if mask >> (d - 3) & 1])
         for mask in range(_TREE_PLAN_LIMIT + 4)
@@ -353,8 +350,8 @@ def test_module_caches_stay_bounded(golden_spectrum_1d):
         children_lists(m)
     assert len(_TREE_PLANS) <= _TREE_PLAN_LIMIT
     caches = (trees._forest, trees.children_lists, trees._labeled_forest_cached,
-              trees._subtree_memo, divisors._omega_tilde_impl, divisors.omega_frac,
-              divisors.omega_hat, divisors.divisor_table)
+              divisors._omega_tilde_impl, divisors.omega_frac, divisors.omega_hat,
+              divisors.divisor_table)
     for cache in caches:
         info = cache.cache_info()
         assert info.maxsize is not None, cache.__name__
@@ -364,10 +361,6 @@ def test_module_caches_stay_bounded(golden_spectrum_1d):
                   divisors._omega_tilde_impl, divisors.omega_frac, divisors.omega_hat):
         info = cache.cache_info()
         assert info.currsize == info.maxsize, cache.__name__
-    # the subtree memo holds at most one support, and only enumerate_labeled's
-    # contributing_only mode fills it
-    info = trees._subtree_memo.cache_info()
-    assert info.maxsize == 1 and info.currsize == 0
 
 
 def test_germ_field_structural_parity(rng):

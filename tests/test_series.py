@@ -104,6 +104,79 @@ def test_mixed_truncation_rejected():
 
 
 # ---------------------------------------------------------------------------
+# the dense storage
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n,D", [(1, 12), (2, 8), (3, 6)])
+def test_mul_scalar_series_is_the_per_component_multiply(rng, n, D):
+    f = random_vector_series(rng, n, D, min_degree=0, density=0.7)
+    s = random_scalar_series(rng, n, D, density=0.6)
+    got = f.mul_scalar_series(s).to_array()
+    assert got.shape == (n, slot_count(n, D))
+    for j in range(n):
+        assert got[j].tobytes() == f.component(j).multiply(s).vector.tobytes()
+
+
+def test_vector_series_is_one_array_with_row_views(rng):
+    n, D = 3, 5
+    array = random_vector_series(rng, n, D, density=0.5).to_array().copy()
+    f = VectorSeries.from_array(n, D, array)
+    assert f.to_array() is array
+    for j, comp in enumerate(f.components):
+        assert np.shares_memory(comp.vector, array[j])
+        assert comp.vector.tobytes() == array[j].tobytes()
+        assert np.shares_memory(f.component(j).vector, array[j])
+    # the component constructor stacks the rows
+    assert VectorSeries(f.components) == f
+
+
+def dict_loop_derivative(f: VectorSeries, beta) -> VectorSeries:
+    """Oracle: the binomial-weighted derivative, term by term over each component's dict."""
+    comps = []
+    for comp in f.components:
+        out = {}
+        for alpha, c in comp.items():
+            if dominates(alpha, beta):
+                out[tuple(a - b for a, b in zip(alpha, beta))] = c * multi_binom(alpha, beta)
+        comps.append(ScalarSeries(f.n, f.trunc, out))
+    return VectorSeries(comps)
+
+
+@pytest.mark.parametrize("n,D", [(1, 20), (2, 9), (3, 6)])
+def test_vector_formal_derivative_is_the_dict_loop(rng, n, D):
+    f = random_vector_series(rng, n, D, min_degree=2, density=0.5)
+    family = shift_expand(f)
+    nonzero = set()
+    for beta in iter_indices(n, D):
+        want = dict_loop_derivative(f, beta)
+        assert formal_derivative(f, beta).to_array().tobytes() == want.to_array().tobytes()
+        if not want.is_zero():
+            nonzero.add(beta)
+            assert family.coeffs[beta].to_array().tobytes() == want.to_array().tobytes()
+    assert set(family.coeffs) == nonzero
+
+
+def test_approx_equal_scales_each_component():
+    f = VectorSeries.from_coeffs(2, 3, {(2, 0): (1e6, 1.0)})
+    # off by 1e-6 in the small component: within 1e-9 of the largest
+    # coefficient overall, but not of that component's own
+    assert not f.approx_equal(VectorSeries.from_coeffs(2, 3, {(2, 0): (1e6, 1.0 + 1e-6)}))
+    assert f.approx_equal(VectorSeries.from_coeffs(2, 3, {(2, 0): (1e6 + 1e-4, 1.0)}))
+
+
+def test_mismatched_series_rejected(rng):
+    f = random_vector_series(rng, 2, 5)
+    for other in (random_vector_series(rng, 2, 6), random_vector_series(rng, 3, 5)):
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a.approx_equal(b)):
+            with pytest.raises(TruncationMismatch):
+                op(f, other)
+    for s in (random_scalar_series(rng, 2, 6), random_scalar_series(rng, 3, 5)):
+        with pytest.raises(TruncationMismatch):
+            f.mul_scalar_series(s)
+
+
+# ---------------------------------------------------------------------------
 # multiplication
 # ---------------------------------------------------------------------------
 
