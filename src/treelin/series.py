@@ -268,6 +268,10 @@ class _DenseSeries:
         """Mask of the slots holding a nonzero coefficient in some row."""
         return (self._v != 0).reshape(-1, self._v.shape[-1]).any(axis=0)
 
+    def _support(self):
+        indices = _basis(self.n, self.trunc).indices
+        return frozenset(indices[i] for i in np.flatnonzero(self._used()).tolist())
+
     # -- queries ---------------------------------------------------------------
     def is_zero(self) -> bool:
         return not self._v.any()
@@ -399,10 +403,7 @@ class ScalarSeries(_DenseSeries):
         nz = np.flatnonzero(self._v)
         return list(zip([indices[i] for i in nz.tolist()], self._v[nz].tolist()))
 
-    @property
-    def support(self):
-        indices = _basis(self.n, self.trunc).indices
-        return frozenset(indices[i] for i in np.flatnonzero(self._v).tolist())
+    support = property(_DenseSeries._support)
 
     def __len__(self):
         return int(np.count_nonzero(self._v))
@@ -503,9 +504,7 @@ class VectorSeries(_DenseSeries):
         """The ``(n, slots)`` coefficient array, one row per component (the storage itself)."""
         return self._v
 
-    def support(self):
-        indices = _basis(self.n, self.trunc).indices
-        return frozenset(indices[i] for i in np.flatnonzero(self._used()).tolist())
+    support = _DenseSeries._support
 
     def coeff_items(self):
         """(index, coefficient vector) pairs in graded lexicographic order."""
