@@ -292,11 +292,19 @@ def _load_h(path: str) -> VectorSeries:
     return series
 
 
+def _require_fit(radius: float, source: str) -> None:
+    """Refuse a growth fit that had too few degrees: growth_report leaves it NaN."""
+    if math.isnan(radius):
+        raise UsageError(f"the growth fit needs h nonzero in at least "
+                         f"{diagnostics.MIN_FIT_DEGREES} degrees; {source} gives fewer")
+
+
 def _cmd_diagnose(args) -> int:
     rows: list[str] = []
     if args.what == "growth":
         h = _load_h(args.input)
         rep = diagnostics.growth_report(h)
+        _require_fit(rep.radius, args.input)
         rows.append("degree,max_abs")
         rows.extend(f"{d},{m!r}" for d, m in rep.per_degree)
         rows.append(f"# radius={rep.radius!r} slope={rep.slope!r} "
@@ -330,6 +338,7 @@ def _cmd_diagnose(args) -> int:
         if args.omega is None:
             raise UsageError("family diagnostics need --omega")
         rep = diagnostics.germ_family_radius(args.k, args.omega, args.degree)
+        _require_fit(rep.radius, f"--degree {args.degree}")
         rows.append("k,omega,degree,radius,log_radius,jackknife_spread,"
                     "bruno_value,reference_log_radius,empirical_gap")
         rows.append(
@@ -344,6 +353,7 @@ def _cmd_diagnose(args) -> int:
             raise UsageError("domain diagnostics need a field problem document")
         rep = diagnostics.vf_domain_estimate(problem, args.degree,
                                              args.majorant_r or 0.5)
+        _require_fit(rep.rho, f"--degree {args.degree}")
         rows.append("omega,degree,rho,d_estimate,log_d,bruno_value,gap,divergence_flag")
         rows.append(
             f"{rep.omega!r},{rep.degree},{rep.rho!r},{rep.d_estimate!r},"

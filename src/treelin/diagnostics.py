@@ -194,6 +194,10 @@ def condition_sequence(omega_of_p, P, class_m: ClassSpec, class_n: ClassSpec,
 # ---------------------------------------------------------------------------
 
 
+# A log-linear fit with a leave-one-out spread needs this many degrees of h.
+MIN_FIT_DEGREES = 3
+
+
 @dataclass(frozen=True)
 class GrowthReport:
     per_degree: tuple          # (degree, max modulus) pairs
@@ -210,14 +214,16 @@ def growth_report(h: VectorSeries, window: float = 0.5) -> GrowthReport:
     The radius estimate is exp(-slope); low-degree transients are excluded
     by fitting only the top part of the degree range.  The jackknife spread
     (relative range of leave-one-out estimates) measures fit stability.
+    With fewer than ``MIN_FIT_DEGREES`` nonzero degrees there is no fit:
+    the slope, radius and spread are NaN and ``divergent`` is set.
     """
     per_degree = [(d, m) for d, m in h.per_degree_max().items() if m > 0]
-    if len(per_degree) < 3:
+    if len(per_degree) < MIN_FIT_DEGREES:
         return GrowthReport(tuple(per_degree), (), math.nan, math.nan, math.nan, True)
     dmax = per_degree[-1][0]
     cut = dmax - max(2, int(round(window * (dmax - per_degree[0][0]))))
     fit = [(d, m) for d, m in per_degree if d >= cut]
-    if len(fit) < 3:
+    if len(fit) < MIN_FIT_DEGREES:
         fit = per_degree
     ds = np.array([d for d, _ in fit], dtype=float)
     ys = np.array([math.log(m) for _, m in fit])

@@ -8,7 +8,6 @@ reruns are well defined.
 
 from __future__ import annotations
 
-import hashlib
 import json
 
 from .divisors import FieldSpectrum, GermSpectrum
@@ -160,6 +159,10 @@ def canonical_bytes(doc: dict) -> bytes:
 
 
 def digest(doc: dict) -> str:
+    # imported here: hashlib loads OpenSSL's libcrypto, several MB resident,
+    # and only commands that write a run report hash anything
+    import hashlib
+
     return hashlib.sha256(canonical_bytes(doc)).hexdigest()
 
 

@@ -20,12 +20,16 @@ Conventions used throughout the package:
 * The Cauchy product has a normative summation order that depends on
   neither the values nor the support of its operands.  For n = 1 it is the
   order of ``numpy.convolve``; for n >= 2 each output slot sums the
-  products a_i * b_j over its slot pairs (i, j) in ascending i, one pass of
-  ``numpy.bincount`` over a precomputed pair table.  Zero terms are never
-  skipped, so the degree <= d part of a product is bitwise the same
-  whatever the operands hold above degree d.  :func:`product_slice`
-  computes the degree-d slots alone, from the same terms in the same
-  order, so they are bitwise those of the full product.
+  products a_i * b_j over its slot pairs (i, j) in ascending i, with
+  ``numpy.bincount`` over a precomputed pair table.  The table is built
+  and read in runs of whole output-degree blocks, each of at most
+  ``_BLOCK`` pairs unless one block alone is longer.  Every slot's pairs
+  lie in one run, so the sum runs per run in the same order as one pass
+  over the whole table would.  Zero terms are never skipped, so the
+  degree <= d part of a product is bitwise the same whatever the
+  operands hold above degree d.  :func:`product_slice` computes the
+  degree-d slots alone, as the run of that one block, so they are
+  bitwise those of the full product.
 * The z-adic valuation of a series is the least total degree of a stored
   nonzero coefficient (``math.inf`` for the zero series); the matching
   ultrametric norm is ``2**-valuation``.
@@ -130,47 +134,96 @@ class _Basis:
         self.degrees = np.array([sum(a) for a in self.indices], dtype=np.intp)
 
 
+# Longest run of the pair table, in pairs.  The table is built, and every
+# product reads it, in runs of whole output-degree blocks of at most this many
+# pairs (a block longer than that is a run alone), so the temporaries of a
+# large table are one run long, not one table long.
+_BLOCK = 1 << 14
+
+
 class _PairTable:
     """Slot pairs (i, j) with deg i + deg j <= D, sorted by the slot of i + j.
 
     Within one output slot the pairs are in ascending i.  Because graded-lex
     order puts degrees <= d first, the table of a truncation d <= D is the
-    prefix ``[:cut[d]]`` of this one.
+    prefix ``[:cut[d]]`` of this one.  It is built run by run (:meth:`runs`):
+    each run is sorted on its own and written in place, so the table comes
+    out as one sort of the whole would leave it.
     """
 
     def __init__(self, n: int, D: int):
         self.D = D
+        self._runs: dict = {}
         exps = np.array(_basis(n, D).indices[: slot_count(n, D)], dtype=np.intp)
-        upto = np.array([slot_count(n, d) for d in range(D + 1)], dtype=np.intp)
-        # slot i pairs with every slot of degree <= D - deg(i): a prefix
-        counts = upto[D - exps.sum(axis=1)]
-        left = np.repeat(np.arange(len(exps), dtype=np.intp), counts)
-        right = np.arange(len(left), dtype=np.intp)
-        right -= np.repeat(np.cumsum(counts) - counts, counts)
-        # mixed-radix keys add without carries, since every entry is <= D
-        key = exps @ (D + 1) ** np.arange(n - 1, -1, -1, dtype=np.intp)
-        by_key = np.argsort(key)
-        out = key[left]
-        out += key[right]
-        out = by_key[np.searchsorted(key[by_key], out)]
-        order = np.argsort(out, kind="stable")
-        # drop each unsorted array once its sorted copy exists, to keep the
-        # build's peak memory at a few table-sized arrays
-        self.left = left[order]
-        del left
-        self.right = right[order]
-        del right
-        out = out[order]
-        del order
-        self.cut = np.searchsorted(out, upto)
+        degrees = exps.sum(axis=1)
+        per_degree = np.bincount(degrees)
+        # the slots of degree < d, and the pairs of output degree <= d
+        self._below = np.concatenate(([0], np.cumsum(per_degree)))
+        self.cut = np.cumsum(np.convolve(per_degree, per_degree)[: D + 1])
+        size = int(self.cut[D])
+        self.left = np.empty(size, dtype=np.intp)
+        self.right = np.empty(size, dtype=np.intp)
         # output index of each real and imaginary part, interleaved
-        self.out2 = np.repeat(2 * out, 2)
-        self.out2[1::2] += 1
+        self.out2 = np.empty(2 * size, dtype=np.intp)
+        # The slot of an index g of degree d is slot_count(n, d) - 1 less the
+        # indices of degree d after it; those first above g at axis p - 1
+        # number C(r_p + n - p - 1, n - p), with the tail sum r_p = g_p + ...
+        # + g_(n-1).  Tail sums add over a pair, so each term is a lookup.
+        tails = np.cumsum(exps[:, ::-1], axis=1)[:, ::-1].T.copy()
+        weight = np.array([[math.comb(t + n, n) - 1 for t in range(D + 1)]] + [
+            [-math.comb(t + n - p - 1, n - p) for t in range(D + 1)] for p in range(1, n)
+        ], dtype=np.intp)
+        for lo, hi, base, top in self.runs(D):
+            # slot i of degree k pairs with the slots of degree first - k ..
+            # last - k, one contiguous range; the pairs are listed by i, then
+            # j, so a stable sort by output slot keeps each slot's in ascending i
+            first, last = degrees[base], degrees[top - 1]
+            k = degrees[:top]
+            start = self._below[np.maximum(first - k, 0)]
+            counts = self._below[last + 1 - k] - start
+            left = np.repeat(np.arange(top, dtype=np.intp), counts)
+            right = np.arange(hi - lo, dtype=np.intp)
+            right -= np.repeat(np.cumsum(counts) - counts - start, counts)
+            out = np.zeros(hi - lo, dtype=np.intp)
+            for tail, w in zip(tails, weight):
+                r = tail[left]
+                r += tail[right]
+                out += np.take(w, r, out=r)
+            # a stable sort on the narrowest type that holds the run's slots
+            # (numpy radix-sorts up to 16 bits) gives the same order, faster
+            out -= base
+            order = np.argsort(out.astype(np.min_scalar_type(top - base - 1)), kind="stable")
+            out += base
+            np.take(left, order, out=self.left[lo:hi])
+            del left
+            np.take(right, order, out=self.right[lo:hi])
+            del right
+            out = out[order]
+            out *= 2
+            self.out2[2 * lo: 2 * hi: 2] = out
+            out += 1
+            self.out2[2 * lo + 1: 2 * hi: 2] = out
 
-    def pairs(self, d: int):
-        """(left, right, interleaved output) arrays of the truncation-d table."""
-        c = self.cut[d]
-        return self.left[:c], self.right[:c], self.out2[: 2 * c]
+    def runs(self, T: int):
+        """Runs of the truncation-T table: (first pair, end pair, first slot, end slot).
+
+        Whole output-degree blocks are grouped from degree 0 up while a run
+        stays within ``_BLOCK`` pairs; a longer block is a run alone.  Every
+        output slot's pairs lie in one run, so a product summed run by run
+        adds the same terms in the same order as one pass over the table.
+        """
+        runs = self._runs.get(T)
+        if runs is None:
+            pairs = [0] + self.cut[: T + 1].tolist()  # pairs of output degree < d
+            slots = self._below.tolist()
+            bounds, first = [], 0
+            for d in range(1, T + 1):
+                if pairs[d + 1] - pairs[first] > _BLOCK:
+                    bounds.append((first, d))
+                    first = d
+            bounds.append((first, T + 1))
+            runs = self._runs[T] = [(pairs[a], pairs[b], slots[a], slots[b]) for a, b in bounds]
+        return runs
 
 
 # Each cache holds, per number of variables, the entry for the largest
@@ -183,6 +236,7 @@ _PAIR_TABLES: dict = {}
 def _cached(cache: dict, build, n: int, D: int):
     entry = cache.pop(n, None)
     if entry is None or entry.D < D:
+        entry = None  # release a smaller entry before building its successor
         entry = build(n, D)
     cache[n] = entry
     if len(cache) > _CACHE_DIMENSIONS:
@@ -208,19 +262,23 @@ def product_slice(a, b, n: int, D: int, d: int):
 
     Bitwise the slots ``slot_count(n, d - 1):slot_count(n, d)`` of
     :meth:`ScalarSeries.multiply`.  For n = 1 it is the one dot product
-    ``numpy.convolve`` takes for slot d; for n >= 2 it is the degree-d range
-    of the pair table, summed in the table's order.
+    ``numpy.convolve`` takes for slot d; for n >= 2 it is the degree-d block
+    of the pair table, one run summed as every run of a full product is.
     """
     if n == 1:
         return np.convolve(a[: d + 1], b[: d + 1], mode="valid")
     table = _pair_table(n, D)
-    lo, hi = table.cut[d - 1], table.cut[d]
+    return _product_run(a, b, table, table.cut[d - 1], table.cut[d],
+                        slot_count(n, d - 1), slot_count(n, d))
+
+
+def _product_run(a, b, table: _PairTable, lo: int, hi: int, base: int, top: int):
+    """Output slots ``base:top`` of a * b, from the pairs ``lo:hi`` of ``table``, which are all of theirs."""
     terms = a[table.left[lo:hi]]
     terms *= b[table.right[lo:hi]]
-    base = slot_count(n, d - 1)
-    acc = np.bincount(table.out2[2 * lo: 2 * hi] - 2 * base, weights=terms.view(np.float64),
-                      minlength=2 * (slot_count(n, d) - base))
-    return acc.view(np.complex128)
+    acc = np.bincount(table.out2[2 * lo: 2 * hi], weights=terms.view(np.float64),
+                      minlength=2 * top)
+    return acc.view(np.complex128)[base:]
 
 
 def _slot(basis: _Basis, alpha, n: int, trunc: int):
@@ -422,11 +480,14 @@ class ScalarSeries(_DenseSeries):
         a, b = self._v, other._v
         if self.n == 1:
             return self._wrap(np.convolve(a, b)[: len(a)])
-        left, right, out2 = _pair_table(self.n, self.trunc).pairs(self.trunc)
-        terms = a[left]
-        terms *= b[right]
-        acc = np.bincount(out2, weights=terms.view(np.float64), minlength=2 * len(a))
-        return self._wrap(acc.view(np.complex128))
+        table = _pair_table(self.n, self.trunc)
+        runs = table.runs(self.trunc)
+        if len(runs) == 1:
+            return self._wrap(_product_run(a, b, table, *runs[0]))
+        out = np.empty_like(a)
+        for lo, hi, base, top in runs:
+            out[base:top] = _product_run(a, b, table, lo, hi, base, top)
+        return self._wrap(out)
 
     def __repr__(self):
         terms = ", ".join(f"{a}:{c:.4g}" for a, c in self.items()[:6])

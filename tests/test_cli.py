@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -249,6 +251,9 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         ["diagnose", "condition", "--omega", "0.6", "--class-m", "geometric:2",
          "--class-n", "geometric:1"],
         ["bruno", "--omega", "1/0"],
+        # fewer than three nonzero degrees of h: no growth fit
+        ["diagnose", "family", "--omega", "0.6", "--degree", "2"],
+        ["diagnose", "family", "--k", "3", "--omega", "0.6", "--degree", "6"],
     ]
     for variant, spectrum in (("tilde", {"rotation": [0.3, 0.3]}), ("tilde", {"lambda": [[]]}),
                               ("frac", {"rotation": ["x"]}), ("hat", [GOLDEN])):
@@ -264,6 +269,19 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("usage error: "), (argv, err)
         assert "Traceback" not in err, argv
+
+
+def test_diagnose_does_not_load_openssl():
+    # hashlib loads libcrypto, several MB resident; only run reports hash
+    script = (
+        "import sys\n"
+        "import treelin.cli as cli\n"
+        f"assert cli.main(['diagnose', 'family', '--omega', '{GOLDEN!r}', '--degree', '12']) == 0\n"
+        "print('_hashlib' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_domain_error_exit_2(tmp_path):

@@ -32,7 +32,7 @@ from treelin import (
     tree_value,
     verify_conjugacy,
 )
-from treelin import cli, divisors, trees
+from treelin import cli, divisors, series, trees
 from treelin.diagnostics import germ_family_radius
 from treelin.divisors import DEFAULT_TOL, apply_inverse_D, omega_frac, omega_hat, omega_tilde
 from treelin.documents import load_json, problem_from_doc
@@ -348,7 +348,14 @@ def test_module_caches_stay_bounded(golden_spectrum_1d):
     children_lists.cache_clear()
     for m in enumerate_forest(10):  # 4,862 trees
         children_lists(m)
+    # products at every truncation of one pair table, twice over
+    for T in list(range(13)) * 2:
+        s = ScalarSeries.one(2, T)
+        s.multiply(s)
     assert len(_TREE_PLANS) <= _TREE_PLAN_LIMIT
+    assert len(series._PAIR_TABLES) <= series._CACHE_DIMENSIONS
+    for table in series._PAIR_TABLES.values():
+        assert len(table._runs) <= table.D + 1
     caches = (trees._forest, trees.children_lists, trees._labeled_forest_cached,
               divisors._omega_tilde_impl, divisors.omega_frac, divisors.omega_hat,
               divisors.divisor_table)

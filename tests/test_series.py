@@ -17,7 +17,10 @@ from treelin import (
     weighted_norm,
 )
 from treelin.series import (
+    _BLOCK,
     SeriesFamily,
+    _basis,
+    _PairTable,
     abs_degree,
     degree,
     dominates,
@@ -241,7 +244,7 @@ def test_product_low_degrees_ignore_high_terms(rng, n, D, d):
     assert low.tobytes() == f.truncate(d).multiply(g.truncate(d)).vector.tobytes()
 
 
-@pytest.mark.parametrize("n,D", [(1, 40), (2, 12), (3, 8)])
+@pytest.mark.parametrize("n,D", [(1, 40), (2, 12), (3, 8), (2, 30), (3, 20)])
 def test_product_slice_is_the_degree_slice_of_multiply(rng, n, D):
     # full density, so every pair of the table carries a nonzero term
     f = random_scalar_series(rng, n, D)
@@ -250,6 +253,64 @@ def test_product_slice_is_the_degree_slice_of_multiply(rng, n, D):
     for d in range(1, D + 1):
         got = product_slice(f.vector, g.vector, n, D, d)
         assert got.tobytes() == full[slot_count(n, d - 1):slot_count(n, d)].tobytes(), d
+
+
+def _one_pass_table(n, D):
+    """(left, right, out2, cut) of the pair table as one sort of the whole table leaves it."""
+    exps = np.array(_basis(n, D).indices[: slot_count(n, D)], dtype=np.intp)
+    upto = np.array([slot_count(n, d) for d in range(D + 1)], dtype=np.intp)
+    counts = upto[D - exps.sum(axis=1)]
+    left = np.repeat(np.arange(len(exps), dtype=np.intp), counts)
+    right = np.arange(len(left), dtype=np.intp)
+    right -= np.repeat(np.cumsum(counts) - counts, counts)
+    key = exps @ (D + 1) ** np.arange(n - 1, -1, -1, dtype=np.intp)
+    by_key = np.argsort(key)
+    out = by_key[np.searchsorted(key[by_key], key[left] + key[right])]
+    order = np.argsort(out, kind="stable")
+    out = out[order]
+    out2 = np.repeat(2 * out, 2)
+    out2[1::2] += 1
+    return left[order], right[order], out2, np.searchsorted(out, upto)
+
+
+# one run; several runs; several runs whose top degree blocks each exceed _BLOCK
+TABLE_SIZES = [(2, 10), (2, 30), (3, 30)]
+
+
+@pytest.mark.parametrize("n,D", TABLE_SIZES)
+def test_pair_table_runs_are_the_one_pass_table(n, D):
+    table = _PairTable(n, D)
+    left, right, out2, cut = _one_pass_table(n, D)
+    for got, want in ((table.left, left), (table.right, right), (table.out2, out2),
+                      (table.cut, cut)):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    runs = table.runs(D)
+    assert (len(runs) == 1) == (cut[D] <= _BLOCK)
+    assert runs[0][0] == runs[0][2] == 0
+    assert (runs[-1][1], runs[-1][3]) == (cut[D], slot_count(n, D))
+    degree_starts = [slot_count(n, d - 1) for d in range(D + 2)]
+    for (lo, hi, base, top), nxt in zip(runs, runs[1:] + [None]):
+        if nxt is not None:
+            assert (hi, top) == (nxt[0], nxt[2])
+        # whole degree blocks, holding every pair of their output slots
+        assert base in degree_starts and top in degree_starts
+        assert (out2[2 * lo] // 2, out2[2 * hi - 1] // 2) == (base, top - 1)
+        # within _BLOCK unless the run is one degree block
+        assert hi - lo <= _BLOCK or degree_starts.index(top) - degree_starts.index(base) == 1
+    if (n, D) == (3, 30):
+        assert runs[-1][1] - runs[-1][0] > _BLOCK
+
+
+@pytest.mark.parametrize("n,D", TABLE_SIZES)
+def test_multiply_is_one_pass_over_the_table(rng, n, D):
+    f = random_scalar_series(rng, n, D)
+    g = random_scalar_series(rng, n, D)
+    left, right, out2, _ = _one_pass_table(n, D)
+    terms = f.vector[left]
+    terms *= g.vector[right]
+    want = np.bincount(out2, weights=terms.view(np.float64), minlength=2 * slot_count(n, D))
+    assert f.multiply(g).vector.tobytes() == want.tobytes()
 
 
 def test_multiply_commutative_and_associative(rng):
