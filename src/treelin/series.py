@@ -273,7 +273,7 @@ def product_slice(a, b, n: int, D: int, d: int):
 
 
 def _product_run(a, b, table: _PairTable, lo: int, hi: int, base: int, top: int):
-    """Output slots ``base:top`` of a * b, from the pairs ``lo:hi`` of ``table``, which are all of theirs."""
+    """Output slots ``base:top`` of a * b from the table's pairs ``lo:hi``, which are all of theirs."""
     terms = a[table.left[lo:hi]]
     terms *= b[table.right[lo:hi]]
     acc = np.bincount(table.out2[2 * lo: 2 * hi], weights=terms.view(np.float64),
