@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -31,6 +32,7 @@ from .series import (
     graded_key,
     iter_indices,
     signed_degree,
+    slot_count,
 )
 
 DEFAULT_TOL = 1e-12
@@ -177,19 +179,33 @@ def is_resonant_field(spectrum: FieldSpectrum, max_degree: int, tol: float = DEF
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=16)
+# per spectrum, (D, divisors, moduli) at the largest D built so far, for the
+# _DIVISOR_TABLE_LIMIT most recently used spectra
+_DIVISOR_TABLES: OrderedDict = OrderedDict()
+_DIVISOR_TABLE_LIMIT = 16
+
+
 def divisor_table(spectrum, D: int):
     """Divisors and their moduli as two ``(n, slots)`` arrays over the graded-lex slots of degree <= D.
 
-    Row j, slot alpha holds ``spectrum.divisor(alpha, j)``; built on first
-    use and kept for the 16 most recent (spectrum, D) pairs.
+    Row j, slot alpha holds ``spectrum.divisor(alpha, j)``.  The slots of
+    degree <= d come first, so the table of truncation d is a prefix of any
+    larger one: each spectrum keeps the largest table built so far, for the
+    16 most recently used spectra, and a smaller D reads its prefix.
     """
-    indices = graded_indices(spectrum.n, D)
-    table = np.array(
-        [[spectrum.divisor(alpha, j) for alpha in indices] for j in range(spectrum.n)],
-        dtype=complex,
-    )
-    return table, np.abs(table)
+    entry = _DIVISOR_TABLES.pop(spectrum, None)
+    if entry is None or entry[0] < D:
+        indices = graded_indices(spectrum.n, D)
+        table = np.array(
+            [[spectrum.divisor(alpha, j) for alpha in indices] for j in range(spectrum.n)],
+            dtype=complex,
+        )
+        entry = (D, table, np.abs(table))
+    _DIVISOR_TABLES[spectrum] = entry
+    if len(_DIVISOR_TABLES) > _DIVISOR_TABLE_LIMIT:
+        _DIVISOR_TABLES.popitem(last=False)
+    M = slot_count(spectrum.n, D)
+    return entry[1][:, :M], entry[2][:, :M]
 
 
 def apply_inverse_D(spectrum, g: VectorSeries, tol: float = DEFAULT_TOL,

@@ -24,6 +24,7 @@ from itertools import product
 
 import numpy as np
 
+from . import trees
 from .divisors import (
     DEFAULT_TOL,
     FieldSpectrum,
@@ -31,6 +32,7 @@ from .divisors import (
     apply_forward_D,
     apply_inverse_D,
     divide_slots,
+    divisor_table,
     settle_small_divisors,
 )
 from .errors import (
@@ -49,11 +51,11 @@ from .series import (
     index_sub,
     multi_factorial,
     product_slice,
+    reserve_tables,
     shift_expand,
     slot_count,
     unit_index,
 )
-from .trees import LinePolynomials, standard_decomposition
 
 # ---------------------------------------------------------------------------
 # problems and solutions
@@ -270,7 +272,7 @@ def _tree_plan(spectrum, D: int, variables: tuple, tol: float) -> TreePlan:
     if plan is not None:
         _TREE_PLANS.move_to_end(key)
         return plan
-    lines = LinePolynomials(spectrum, variables, D, tol)
+    lines = trees.LinePolynomials(spectrum, variables, D, tol)
     M = slot_count(n, D)
     slot_of = {alpha: s for s, alpha in enumerate(graded_indices(n, D))}
     keys: list = []
@@ -347,37 +349,51 @@ def solve_tree_field(field_: VectorField, D: int, on_small_divisor: str = "raise
 # ---------------------------------------------------------------------------
 
 
-def fixed_point_inversion(op, family: SeriesFamily, u, w: VectorSeries, D: int,
-                          max_iter: int | None = None) -> VectorSeries:
-    """Iterate H <- op(w + u * family(H)) to degree-D stability.
+# Largest change of a settled degree, relative to the largest coefficient of
+# the previous iterate, that fixed_point_inversion still counts as no change.
+SETTLED_RTOL = 1e-12
 
-    The family must be the expansion of the right-hand side about zero.  A
-    non-expanding op gains at least one unit of valuation per step, so the
-    iteration stabilizes within D iterations; failure to gain raises
-    :class:`NoContraction`, and an iterate with a non-finite coefficient
-    raises :class:`CoefficientOverflow`.
+
+def fixed_point_inversion(op, family: SeriesFamily, u, w: VectorSeries, D: int) -> VectorSeries:
+    """Solve H = op(w + u * family(H)) through degree D, one degree per step.
+
+    The family must be the expansion of the right-hand side about zero, with
+    coefficients of valuation >= 1 at every |beta| >= 1, and op additive and
+    valuation-non-decreasing.  Then degree T of op(w + u * family(H)) depends
+    only on the degrees < T of H.  So step T = 1, ..., D truncates the family
+    and the iterate to T and applies op once, which settles degree T (step 1
+    settles degrees 0 and 1).  Each step must leave the degrees below T as
+    the step before left them, to within ``SETTLED_RTOL`` times that
+    iterate's largest coefficient; a larger move means the map does not
+    contract and raises :class:`NoContraction`.  An iterate with a
+    non-finite coefficient raises :class:`CoefficientOverflow`.  The
+    kernel's products do not read degrees above those they return, so every
+    degree is bitwise what iterating the whole family at truncation D until
+    an iterate repeats gives.
     """
     if family.inner_trunc != D:
         raise TruncationMismatch("family truncation must match the target degree")
-    w = w.truncate(D) if w.trunc != D else w
-    H = op(w)
-    last_gain = -1
-    limit = max_iter if max_iter is not None else D + 3
-    for _ in range(limit):
-        Hn = _check_finite(op(w + family.evaluate(H).scale(u)))
-        diff = Hn - H
-        if diff.is_zero():
-            return Hn
-        gain = diff.valuation()
-        if gain > D:
-            return Hn
-        if gain <= last_gain:
-            raise NoContraction(
-                f"no valuation gain: stuck at {gain} (was {last_gain})"
-            )
-        last_gain = gain
+    n = family.n
+    reserve_tables(n, D)
+    H = VectorSeries.zero(n, 0)
+    for T in range(min(D, 1), D + 1):
+        rhs = w.truncate(T) + family.truncate(T).evaluate(H.truncate(T)).scale(u)
+        Hn = _check_finite(op(rhs))
+        if T > 1:
+            _check_settled(H, Hn)
         H = Hn
-    raise NoContraction(f"did not stabilize within {limit} iterations")
+    return H
+
+
+def _check_settled(H: VectorSeries, Hn: VectorSeries):
+    """:class:`NoContraction` unless ``Hn`` keeps the degrees <= H.trunc of ``H``."""
+    old = H.to_array()
+    moved = np.abs(Hn.to_array()[:, : old.shape[1]] - old).max(axis=0)
+    bad = np.flatnonzero(moved > SETTLED_RTOL * np.abs(old).max())
+    if len(bad):
+        d = degree(graded_indices(H.n, H.trunc)[bad[0]])
+        raise NoContraction(f"degree {d} moved by {moved[bad[0]]:.3g} after it settled "
+                            f"(step {Hn.trunc})")
 
 
 def tree_value(theta, op, family: SeriesFamily, u, w: VectorSeries | None = None) -> VectorSeries:
@@ -390,7 +406,7 @@ def tree_value(theta, op, family: SeriesFamily, u, w: VectorSeries | None = None
     child values, divided by t!.
     """
     n, D = family.n, family.inner_trunc
-    t, subs = standard_decomposition(tuple(theta))
+    t, subs = trees.standard_decomposition(tuple(theta))
     if t == 0:
         return op(family.coeff((0,) * n).scale(u))
     vals = [tree_value(s, op, family, u, w) for s in subs]
@@ -422,6 +438,7 @@ def _solve_fixedpoint(spectrum, f: VectorSeries, D: int, on_small_divisor, tol):
     if on_small_divisor != "raise":
         raise ValueError("the fixed-point solver has no clip mode")
     op = InverseDivisorOperator(spectrum, tol)
+    divisor_table(spectrum, D)  # every step divides by a prefix of this table
     return fixed_point_inversion(op, shift_expand(f), 1.0, VectorSeries.zero(f.n, D), D), ()
 
 

@@ -252,6 +252,18 @@ def _pair_table(n: int, D: int) -> _PairTable:
     return _cached(_PAIR_TABLES, _PairTable, n, D)
 
 
+def reserve_tables(n: int, D: int) -> None:
+    """Build the basis and the pair table of truncation D now.
+
+    Each cache keeps only its largest truncation per n, so work at growing
+    truncations up to D would otherwise build both again at every step; after
+    this call every truncation <= D reads a prefix of these.
+    """
+    _basis(n, D)
+    if n >= 2:
+        _pair_table(n, D)
+
+
 def graded_indices(n: int, D: int) -> list:
     """The indices of degree <= D in slot order (graded lexicographic)."""
     return _basis(n, D).indices[: slot_count(n, D)]
@@ -757,6 +769,16 @@ class SeriesFamily:
             self.n, self.inner_trunc, self.outer_trunc,
             {b: g.scale(c) for b, g in self.coeffs.items()},
         )
+
+    def truncate(self, trunc: int) -> "SeriesFamily":
+        """The family truncated at degree ``trunc`` in z and at order ``trunc`` in v.
+
+        For an argument x of valuation >= 1, x^beta vanishes at truncation
+        ``trunc`` once |beta| > ``trunc``, so :meth:`evaluate` at x truncated
+        to ``trunc`` loses no term.
+        """
+        return SeriesFamily(self.n, trunc, min(self.outer_trunc, trunc),
+                            {b: g.truncate(trunc) for b, g in self.coeffs.items()})
 
     def weighted_norm(self, r: float) -> float:
         """Ultrametric weighted norm: sup_beta 2^(-v(g_beta)) r^|beta|."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from treelin import (
@@ -149,6 +150,23 @@ def test_forward_operator_matches_composition_definition(rng):
         [g.components[j].scale(spec.lam[j]) for j in range(n)]
     )
     assert_series_close(apply_forward_D(spec, g), composed, rel=1e-12)
+
+
+def test_divisor_table_of_a_smaller_truncation_is_a_prefix():
+    # after a larger table is built, a smaller truncation reads its prefix,
+    # bitwise the table built on its own
+    from treelin import divisors
+    from treelin.series import graded_indices
+
+    for spec in (GermSpectrum.from_rotation((GOLDEN, SILVER)), FieldSpectrum((-1.0, GOLDEN))):
+        divisors._DIVISOR_TABLES.clear()
+        divisors.divisor_table(spec, 9)
+        for D in (0, 3, 9):
+            table, modulus = divisors.divisor_table(spec, D)
+            fresh = np.array([[spec.divisor(a, j) for a in graded_indices(2, D)] for j in range(2)])
+            assert table.tobytes() == fresh.tobytes()
+            assert modulus.tobytes() == np.abs(fresh).tobytes()
+        assert divisors._DIVISOR_TABLES[spec][0] == 9
 
 
 # ---------------------------------------------------------------------------

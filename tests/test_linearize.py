@@ -39,7 +39,9 @@ from treelin.documents import load_json, problem_from_doc
 from treelin.linearize import (
     _TREE_PLAN_LIMIT,
     _TREE_PLANS,
+    SETTLED_RTOL,
     InverseDivisorOperator,
+    OperatorHandle,
     solve,
     tree_plan,
 )
@@ -356,9 +358,12 @@ def test_module_caches_stay_bounded(golden_spectrum_1d):
     assert len(series._PAIR_TABLES) <= series._CACHE_DIMENSIONS
     for table in series._PAIR_TABLES.values():
         assert len(table._runs) <= table.D + 1
+    # more spectra than the divisor cache keeps
+    for k in range(divisors._DIVISOR_TABLE_LIMIT + 4):
+        divisors.divisor_table(GermSpectrum.from_rotation((GOLDEN / (k + 2),)), 5)
+    assert len(divisors._DIVISOR_TABLES) == divisors._DIVISOR_TABLE_LIMIT
     caches = (trees._forest, trees.children_lists, trees._labeled_forest_cached,
-              divisors._omega_tilde_impl, divisors.omega_frac, divisors.omega_hat,
-              divisors.divisor_table)
+              divisors._omega_tilde_impl, divisors.omega_frac, divisors.omega_hat)
     for cache in caches:
         info = cache.cache_info()
         assert info.maxsize is not None, cache.__name__
@@ -440,6 +445,79 @@ def test_fixed_point_no_contraction():
     w = VectorSeries.from_coeffs(n, D, {(1,): (1.0,)})
     with pytest.raises(NoContraction):
         fixed_point_inversion(IdentityOperator(), family, 1.0, w, D)
+
+
+def full_truncation_fixed_point(op, family, u, w, D):
+    """The fixed point iterated with the whole family at truncation D until an iterate repeats.
+
+    This is how :func:`fixed_point_inversion` ran before its truncation grew
+    with the step; the exact stop test is right for an oracle whose kernel
+    keeps low degrees bitwise independent of high ones.
+    """
+    H = op(w)
+    for _ in range(D + 3):
+        Hn = op(w + family.evaluate(H).scale(u))
+        if (Hn - H).is_zero():
+            return Hn
+        H = Hn
+    raise AssertionError("the full-truncation iteration did not stabilize")
+
+
+@pytest.mark.parametrize("kind", ["germ", "field"])
+@pytest.mark.parametrize("n,D", [(1, 14), (2, 10), (3, 7)])
+def test_growing_truncation_is_bitwise_the_full_iteration(tmp_path, kind, n, D):
+    for seed in (1, 2):
+        problem = fixture_problem(tmp_path, kind, n, D, seed)
+        op = InverseDivisorOperator(problem.spectrum)
+        family = shift_expand(problem.f.truncate(D))
+        w = VectorSeries.zero(n, D)
+        want = full_truncation_fixed_point(op, family, 1.0, w, D)
+        got = fixed_point_inversion(op, family, 1.0, w, D)
+        assert got.to_array().tobytes() == want.to_array().tobytes(), seed
+        assert solve(problem, D, "fixedpoint").h.to_array().tobytes() == want.to_array().tobytes()
+
+
+def test_growing_truncation_is_bitwise_the_full_iteration_kepler():
+    D = 12
+    family = kepler_family(D)
+    w = VectorSeries.zero(2, D)
+    want = full_truncation_fixed_point(IdentityOperator(), family, 1.0, w, D)
+    got = fixed_point_inversion(IdentityOperator(), family, 1.0, w, D)
+    assert got.to_array().tobytes() == want.to_array().tobytes()
+
+
+@pytest.mark.parametrize("kind", ["germ", "field"])
+@pytest.mark.parametrize("n,D", [(3, 20), (2, 40)])
+def test_fixed_point_matches_recursive_at_ceiling_sizes(tmp_path, kind, n, D):
+    problem = fixture_problem(tmp_path, kind, n, D, 1)
+    fix = solve(problem, D, "fixedpoint").h
+    rec = solve(problem, D, "recursive").h
+    assert (fix - rec).max_abs() <= 1e-10 * max(1.0, rec.max_abs())
+
+
+class _DriftingOperator(OperatorHandle):
+    """The identity plus ``drift`` times the step number at the coefficient of z."""
+
+    def __init__(self, drift):
+        self.drift = drift
+        self.steps = 0
+
+    def __call__(self, g):
+        self.steps += 1
+        return g + VectorSeries.from_coeffs(1, g.trunc, {(1,): (self.drift * self.steps,)})
+
+
+def test_fixed_point_settled_degree_tolerance():
+    # degree 1 settles at the first step; the operator moves it by `drift`
+    # at every later step, against a largest coefficient of about 1
+    n, D = 1, 6
+    c = VectorSeries.from_coeffs(n, D, {(1,): (1.0,), (3,): (0.25,)})
+    family = SeriesFamily(n, D, D, {(0,): c})
+    w = VectorSeries.zero(n, D)
+    H = fixed_point_inversion(_DriftingOperator(0.5 * SETTLED_RTOL), family, 1.0, w, D)
+    assert abs(H.coefficient((1,))[0] - 1.0) <= D * SETTLED_RTOL
+    with pytest.raises(NoContraction, match="degree 1 moved"):
+        fixed_point_inversion(_DriftingOperator(2.0 * SETTLED_RTOL), family, 1.0, w, D)
 
 
 def test_fixed_point_valuation_ladder(rng, golden_spectrum_1d):
