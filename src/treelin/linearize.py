@@ -358,8 +358,9 @@ def fixed_point_inversion(op, family: SeriesFamily, u, w: VectorSeries, D: int) 
     """Solve H = op(w + u * family(H)) through degree D, one degree per step.
 
     The family must be the expansion of the right-hand side about zero, with
-    coefficients of valuation >= 1 at every |beta| >= 1, and op additive and
-    valuation-non-decreasing.  Then degree T of op(w + u * family(H)) depends
+    coefficients of valuation >= 1 at |beta| = 1 (as the shift family of a
+    map of valuation >= 2 has), and op additive and valuation-non-decreasing.
+    Then, for H of valuation >= 1, degree T of op(w + u * family(H)) depends
     only on the degrees < T of H.  So step T = 1, ..., D truncates the family
     and the iterate to T and applies op once, which settles degree T (step 1
     settles degrees 0 and 1).  Each step must leave the degrees below T as

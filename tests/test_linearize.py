@@ -450,9 +450,8 @@ def test_fixed_point_no_contraction():
 def full_truncation_fixed_point(op, family, u, w, D):
     """The fixed point iterated with the whole family at truncation D until an iterate repeats.
 
-    This is how :func:`fixed_point_inversion` ran before its truncation grew
-    with the step; the exact stop test is right for an oracle whose kernel
-    keeps low degrees bitwise independent of high ones.
+    The exact stop test suits an oracle, because the kernel keeps low
+    degrees bitwise independent of high ones.
     """
     H = op(w)
     for _ in range(D + 3):
