@@ -54,8 +54,7 @@ _EXPORTS = {
         "Germ", "IdentityOperator", "InverseDivisorOperator", "Linearization",
         "VectorField", "classical_lagrange_1d", "fixed_point_inversion", "solve",
         "solve_fixedpoint_field", "solve_fixedpoint_germ", "solve_recursive_field",
-        "solve_recursive_germ", "solve_tree_field", "solve_tree_germ", "tree_value",
-        "verify_conjugacy",
+        "solve_recursive_germ", "solve_tree_field", "solve_tree_germ", "verify_conjugacy",
     ),
     "series": (
         "ScalarSeries", "SeriesFamily", "VectorSeries", "abs_degree", "degree",
@@ -64,7 +63,7 @@ _EXPORTS = {
     "trees": (
         "LabeledTree", "ScaleSequence", "count_scale", "counting_bound",
         "enumerate_forest", "enumerate_labeled", "iter_forest_chunks", "recompose",
-        "scale_of_line", "standard_decomposition",
+        "scale_of_line", "standard_decomposition", "tree_value",
     ),
 }
 

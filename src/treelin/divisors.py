@@ -18,7 +18,6 @@ import cmath
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -448,6 +447,8 @@ def continued_fraction(omega, K: int, eps: float = 1e-12) -> ContinuedFraction:
     the remainder underflows, the input is rational to working precision and
     :class:`RationalDetected` is raised carrying the partial expansion.
     """
+    from fractions import Fraction  # loads decimal too; only this function needs it
+
     if K < 1:
         raise ValueError("need at least one quotient")
     exact = isinstance(omega, Fraction)

@@ -10,17 +10,36 @@ from __future__ import annotations
 
 import json
 
+try:  # CPython's own SHA-256; hashlib would load OpenSSL's libcrypto, several MB resident
+    from _sha2 import sha256 as _sha256  # 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
 from .divisors import FieldSpectrum, GermSpectrum
 from .errors import UsageError
 from .linearize import Germ, VectorField
 from .series import ScalarSeries, VectorSeries
 
 
+def _is_number(value, kinds=(int, float)) -> bool:
+    """Whether ``value`` is a JSON number of ``kinds``; true, false and strings are not."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _integer(value, what: str) -> int:
+    if not _is_number(value, int):
+        raise UsageError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _cplx(value) -> complex:
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(value)
     if (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(x, (int, float)) for x in value)):
+            and all(_is_number(x) for x in value)):
         return complex(value[0], value[1])
     raise UsageError(f"expected a number or [re, im] pair, got {value!r}")
 
@@ -50,8 +69,8 @@ def series_to_doc(series) -> dict:
 
 def series_from_doc(doc: dict):
     try:
-        n = int(doc["n"])
-        D = int(doc["D"])
+        n = _integer(doc["n"], "n")
+        D = _integer(doc["D"], "D")
         kind = doc.get("kind", "vector")
         if n < 1 or D < 0:
             raise UsageError(f"a series needs n >= 1 and D >= 0, got n={n}, D={D}")
@@ -73,7 +92,7 @@ def series_from_doc(doc: dict):
 
 
 def _alpha(term: dict, n: int, D: int):
-    alpha = tuple(int(a) for a in term.get("alpha", ()))
+    alpha = tuple(_integer(a, "an exponent") for a in term.get("alpha", ()))
     if len(alpha) != n or any(a < 0 for a in alpha):
         raise UsageError(f"bad index {alpha} for n={n}")
     if sum(alpha) > D:
@@ -116,7 +135,7 @@ def problem_from_doc(doc: dict):
     if kind not in ("germ", "field"):
         raise UsageError(f"unknown problem kind {kind!r}")
     try:
-        n = int(doc["n"])
+        n = _integer(doc["n"], "n")
         spectrum_doc = doc["spectrum"]
         series_doc = doc["series"]
     except (KeyError, TypeError, ValueError) as exc:
@@ -129,7 +148,10 @@ def problem_from_doc(doc: dict):
     try:
         if kind == "germ":
             if "rotation" in spectrum_doc:
-                rot = [float(w) for w in spectrum_doc["rotation"]]
+                rot = spectrum_doc["rotation"]
+                if not all(_is_number(w) for w in rot):
+                    raise UsageError(f"rotation numbers must be real numbers, got {rot!r}")
+                rot = [float(w) for w in rot]
                 if len(rot) != n:
                     raise UsageError("rotation vector length mismatch")
                 spec = GermSpectrum.from_rotation(rot)
@@ -159,11 +181,8 @@ def canonical_bytes(doc: dict) -> bytes:
 
 
 def digest(doc: dict) -> str:
-    # imported here: hashlib loads OpenSSL's libcrypto, several MB resident,
-    # and only commands that write a run report hash anything
-    import hashlib
-
-    return hashlib.sha256(canonical_bytes(doc)).hexdigest()
+    """The SHA-256 of the canonical bytes, in hex."""
+    return _sha256(canonical_bytes(doc)).hexdigest()
 
 
 def load_json(path: str) -> dict:

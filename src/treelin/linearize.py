@@ -1,26 +1,27 @@
 """Solvers for the linearization problems and the generic inversion fixed point.
 
-Three routes to the same tangent-to-identity change of variables h:
+Three routes to the same tangent-to-identity change of variables h, all
+behind :func:`solve`:
 
 * order-by-order recursion on the conjugacy equation (divide each new degree
   slice by its divisors),
 * the explicit sum over labeled rooted trees, compiled into one polynomial
-  per coefficient in the nonzero coefficients of f, built over subtrees,
+  per coefficient in the nonzero coefficients of f, built over subtrees;
+  this route lives in :mod:`treelin.trees` (``TreePlan``, ``tree_plan``),
+  which :func:`solve` reaches only when the tree method is chosen, so a
+  recursive or fixed-point process never runs that module,
 * the generic non-expanding fixed-point iteration driven by the shift
   family of f.
 
 All three agree coefficient-wise on their shared validity range; the tests
 and the acceptance suite make that executable.  Summation order inside the
 tree sum is normative (see :class:`trees.LinePolynomials` and
-:class:`TreePlan`), so totals are reproducible bit for bit.
+:class:`trees.TreePlan`), so totals are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
-import math
-from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from .divisors import (
     apply_inverse_D,
     divide_slots,
     divisor_table,
-    settle_small_divisors,
 )
 from .errors import (
     CoefficientOverflow,
@@ -49,7 +49,6 @@ from .series import (
     graded_indices,
     graded_key,
     index_sub,
-    multi_factorial,
     product_slice,
     reserve_tables,
     shift_expand,
@@ -92,18 +91,27 @@ class VectorField:
 
 @dataclass(frozen=True)
 class Linearization:
-    """A solution h (H = z + h) with provenance and residual metadata."""
+    """A solution h (H = z + h) with provenance and residual metadata.
+
+    The residual fields are the :class:`ConjugacyReport` of h, so
+    ``max_rel`` is that report's relative defect.
+    """
 
     h: VectorSeries
     method: str
     degree: int
     residual_znorm: float
     residual_max: float
+    residual_scale: float
     clipped: tuple = ()
 
     @property
     def conforming(self) -> bool:
         return not self.clipped
+
+    @property
+    def max_rel(self) -> float:
+        return self.residual_max / self.residual_scale
 
 
 @dataclass(frozen=True)
@@ -217,119 +225,8 @@ def solve_recursive_field(field_: VectorField, D: int, on_small_divisor: str = "
 
 
 # ---------------------------------------------------------------------------
-# tree-sum solver
+# tree-sum solver (the route itself is trees._solve_tree)
 # ---------------------------------------------------------------------------
-
-# compiled plans (see TreePlan) of the _TREE_PLAN_LIMIT most recently used
-# (spectrum, n, D, variables, tol)
-_TREE_PLANS: OrderedDict = OrderedDict()
-_TREE_PLAN_LIMIT = 16
-
-
-@dataclass(frozen=True)
-class TreePlan:
-    """The tree sum of h as arrays over the nonzero coefficients of f.
-
-    The variables are those coefficients f_{L,a}, in graded-lex order of L,
-    then by axis (:func:`_tree_variables`).  Let v be their values followed
-    by a 1.  Row r adds ``const[r] * prod(v[rows[r]])`` to the flat slot
-    ``slots[r]`` (axis * slot_count + slot) of h.  Index rows list a
-    monomial's variables in ascending order, padded with the 1; the rows of
-    a slot run in lexicographic order of their index rows.  ``clipped``
-    holds the (alpha, j, modulus) records of the lines whose divisor is
-    below the tolerance.  ``summands[d - 2]`` and ``monomials[d - 2]``
-    count the labelings summed and the rows of the coefficients of
-    degree d.
-    """
-
-    const: np.ndarray
-    rows: np.ndarray
-    slots: np.ndarray
-    clipped: tuple
-    summands: tuple
-    monomials: tuple
-
-
-def _tree_variables(f: VectorSeries):
-    """The nonzero coefficients of f as TreePlan variables, and their values."""
-    F = f.to_array()
-    slots, axes = np.nonzero(F.T)
-    indices = graded_indices(f.n, f.trunc)
-    variables = tuple((indices[s], a) for s, a in zip(slots.tolist(), axes.tolist()))
-    return variables, F.T[slots, axes]
-
-
-def tree_plan(problem, D: int, tol: float = DEFAULT_TOL) -> TreePlan:
-    """The (cached) tree plan :func:`solve` uses for ``problem`` at degree D."""
-    variables, _ = _tree_variables(problem.f.truncate(D))
-    return _tree_plan(problem.spectrum, D, variables, tol)
-
-
-def _tree_plan(spectrum, D: int, variables: tuple, tol: float) -> TreePlan:
-    n = spectrum.n
-    key = (spectrum.key(), n, D, variables, tol)
-    plan = _TREE_PLANS.get(key)
-    if plan is not None:
-        _TREE_PLANS.move_to_end(key)
-        return plan
-    lines = trees.LinePolynomials(spectrum, variables, D, tol)
-    M = slot_count(n, D)
-    slot_of = {alpha: s for s, alpha in enumerate(graded_indices(n, D))}
-    keys: list = []
-    const: list = []
-    slots: list = []
-    summands = [0] * (D - 1)
-    monomials = [0] * (D - 1)
-    for (nu, a), poly in lines.poly.items():
-        keys.extend(poly)
-        const.extend(poly.values())
-        slots.extend([a * M + slot_of[nu]] * len(poly))
-        summands[degree(nu) - 2] += lines.count[(nu, a)]
-        monomials[degree(nu) - 2] += len(poly)
-    rows = _index_rows(keys, len(variables))
-    slots = np.array(slots, dtype=np.intp)
-    order = np.lexsort(tuple(rows[:, c] for c in reversed(range(rows.shape[1]))) + (slots,))
-    plan = TreePlan(np.array(const, dtype=complex)[order], rows[order],
-                    slots[order], tuple(lines.clipped), tuple(summands), tuple(monomials))
-    _TREE_PLANS[key] = plan
-    if len(_TREE_PLANS) > _TREE_PLAN_LIMIT:
-        _TREE_PLANS.popitem(last=False)
-    return plan
-
-
-def _index_rows(keys: list, V: int) -> np.ndarray:
-    """Monomial keys (one exponent byte per variable) as rows of variable indices padded with V."""
-    exps = np.frombuffer(b"".join(k.to_bytes(V, "little") for k in keys),
-                         dtype=np.uint8).reshape(len(keys), V)
-    row, var = np.nonzero(exps)
-    reps = exps[row, var]
-    row, var = np.repeat(row, reps), np.repeat(var, reps)  # one entry per factor
-    lengths = np.bincount(row, minlength=len(keys))
-    rows = np.full((len(keys), int(lengths.max(initial=0))), V, dtype=np.int32)
-    rows[row, np.arange(len(row)) - (np.cumsum(lengths) - lengths)[row]] = var
-    return rows
-
-
-def _solve_tree(spectrum, f: VectorSeries, D: int, on_small_divisor, tol):
-    """Explicit tree-sum solution (the same trees for germs and fields).
-
-    Each coefficient is the sum over labeled rooted trees of the divisor and
-    coefficient product, weighted per node by binom(label, entering axes)
-    times beta!/m! (the multinomial share of the ordered child slots).  The
-    sum is compiled once per set of nonzero coefficients of f into a
-    :class:`TreePlan`, and evaluated with one gather, one product per row
-    and one sum per slot.
-    """
-    n = f.n
-    variables, values = _tree_variables(f)
-    plan = _tree_plan(spectrum, D, variables, tol)
-    clipped: list = []
-    settle_small_divisors(plan.clipped, on_small_divisor, clipped)
-    terms = plan.const * np.append(values, 1.0)[plan.rows].prod(axis=1)
-    h = np.zeros(n * slot_count(n, D), dtype=complex)
-    h.real = np.bincount(plan.slots, terms.real, h.size)
-    h.imag = np.bincount(plan.slots, terms.imag, h.size)
-    return VectorSeries.from_array(n, D, h.reshape(n, -1)), tuple(clipped)
 
 
 def solve_tree_germ(germ: Germ, D: int, on_small_divisor: str = "raise",
@@ -345,7 +242,7 @@ def solve_tree_field(field_: VectorField, D: int, on_small_divisor: str = "raise
 
 
 # ---------------------------------------------------------------------------
-# generic fixed point and per-tree values
+# generic fixed point
 # ---------------------------------------------------------------------------
 
 
@@ -397,44 +294,6 @@ def _check_settled(H: VectorSeries, Hn: VectorSeries):
                             f"(step {Hn.trunc})")
 
 
-def tree_value(theta, op, family: SeriesFamily, u, w: VectorSeries | None = None) -> VectorSeries:
-    """Value of one rooted tree in the inversion expansion.
-
-    ``family`` must be the expansion of the right-hand side about op(w)
-    (about zero for the linearization problems, where w = 0); ``w`` itself
-    is not consulted.  End nodes contribute op(g_0 * u); an internal node of
-    degree t contributes the t-th differential of the family applied to the
-    child values, divided by t!.
-    """
-    n, D = family.n, family.inner_trunc
-    t, subs = trees.standard_decomposition(tuple(theta))
-    if t == 0:
-        return op(family.coeff((0,) * n).scale(u))
-    vals = [tree_value(s, op, family, u, w) for s in subs]
-    acc = VectorSeries.zero(n, D)
-    inv_t_fact = 1.0 / math.factorial(t)
-    for axes in product(range(n), repeat=t):
-        gamma = [0] * n
-        for ax in axes:
-            gamma[ax] += 1
-        gamma = tuple(gamma)
-        g = family.coeff(gamma)
-        if g.is_zero():
-            continue
-        term = g
-        dead = False
-        for i, ax in enumerate(axes):
-            comp = vals[i].component(ax)
-            if comp.is_zero():
-                dead = True
-                break
-            term = term.mul_scalar_series(comp)
-        if dead:
-            continue
-        acc = acc + term.scale(u * multi_factorial(gamma) * inv_t_fact)
-    return op(acc)
-
-
 def _solve_fixedpoint(spectrum, f: VectorSeries, D: int, on_small_divisor, tol):
     if on_small_divisor != "raise":
         raise ValueError("the fixed-point solver has no clip mode")
@@ -455,9 +314,9 @@ def solve_fixedpoint_field(field_: VectorField, D: int, tol: float = DEFAULT_TOL
 # the solver entry point
 # ---------------------------------------------------------------------------
 
+# the tree route is trees._solve_tree, looked up by solve() at call time
 _METHODS = {
     "recursive": _solve_recursive,
-    "tree": _solve_tree,
     "fixedpoint": _solve_fixedpoint,
 }
 
@@ -473,14 +332,16 @@ def solve(problem, D: int, method: str = "recursive", on_small_divisor: str = "r
     is set to zero and recorded in ``clipped``.  A non-finite coefficient
     of h raises :class:`CoefficientOverflow` naming its degree.
     """
-    try:
+    if method == "tree":
+        route = trees._solve_tree
+    elif method in _METHODS:
         route = _METHODS[method]
-    except KeyError:
-        raise ValueError(f"unknown method {method!r}") from None
+    else:
+        raise ValueError(f"unknown method {method!r}")
     with np.errstate(over="ignore", invalid="ignore"):
         h, clipped = route(problem.spectrum, problem.f.truncate(D), D, on_small_divisor, tol)
     rep = verify_conjugacy(problem, _check_finite(h))
-    return Linearization(h, method, D, rep.znorm, rep.max_abs, clipped)
+    return Linearization(h, method, D, rep.znorm, rep.max_abs, rep.scale, clipped)
 
 
 def _check_finite(h: VectorSeries) -> VectorSeries:

@@ -1,4 +1,4 @@
-"""Rooted trees, labeled rooted trees, scale sequences and counting bounds.
+"""Rooted trees, labeled rooted trees, the tree-sum solver, scale sequences and counting bounds.
 
 A rooted tree of order N is encoded by its m-vector ``(m_1, ..., m_N)``
 listing the number of children of each node in preorder; valid vectors
@@ -11,11 +11,17 @@ to each node's exit line a coordinate axis (the root's exit line is the root
 line).  The momentum of a line is the sum of (label - entering-axes) over
 the subtree below it; momenta grow strictly along root-ward paths and the
 total momentum of an order-N tree has signed degree >= N + 1.
+
+The tree-sum route of :func:`linearize.solve` lives here: the sum over
+labeled trees compiled into a :class:`TreePlan` per set of nonzero
+coefficients of f, and evaluated at their values.  Keeping it here means
+a recursive or fixed-point process never runs this module.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import groupby, product
@@ -25,6 +31,8 @@ import numpy as np
 from . import divisors
 from .errors import UsageError
 from .series import (
+    SeriesFamily,
+    VectorSeries,
     degree,
     dominates,
     graded_indices,
@@ -457,6 +465,165 @@ def enumerate_labeled(N: int, alpha, j: int, support, n: int | None = None):
         tuple(a) for a in support if degree(a) >= 2
     )
     return list(_labeled_forest_cached(N, alpha, j, support_key, n))
+
+
+# ---------------------------------------------------------------------------
+# the tree-sum solver
+# ---------------------------------------------------------------------------
+
+# compiled plans (see TreePlan) of the _TREE_PLAN_LIMIT most recently used
+# (spectrum, n, D, variables, tol)
+_TREE_PLANS: OrderedDict = OrderedDict()
+_TREE_PLAN_LIMIT = 16
+
+
+@dataclass(frozen=True)
+class TreePlan:
+    """The tree sum of h as arrays over the nonzero coefficients of f.
+
+    The variables are those coefficients f_{L,a}, in graded-lex order of L,
+    then by axis (:func:`_tree_variables`).  Let v be their values followed
+    by a 1.  Row r adds ``const[r] * prod(v[rows[r]])`` to the flat slot
+    ``slots[r]`` (axis * slot_count + slot) of h.  Index rows list a
+    monomial's variables in ascending order, padded with the 1; the rows of
+    a slot run in lexicographic order of their index rows.  ``clipped``
+    holds the (alpha, j, modulus) records of the lines whose divisor is
+    below the tolerance.  ``summands[d - 2]`` and ``monomials[d - 2]``
+    count the labelings summed and the rows of the coefficients of
+    degree d.
+    """
+
+    const: np.ndarray
+    rows: np.ndarray
+    slots: np.ndarray
+    clipped: tuple
+    summands: tuple
+    monomials: tuple
+
+
+def _tree_variables(f: VectorSeries):
+    """The nonzero coefficients of f as TreePlan variables, and their values."""
+    F = f.to_array()
+    slots, axes = np.nonzero(F.T)
+    indices = graded_indices(f.n, f.trunc)
+    variables = tuple((indices[s], a) for s, a in zip(slots.tolist(), axes.tolist()))
+    return variables, F.T[slots, axes]
+
+
+def tree_plan(problem, D: int, tol: float = divisors.DEFAULT_TOL) -> TreePlan:
+    """The (cached) tree plan :func:`linearize.solve` uses for ``problem`` at degree D."""
+    variables, _ = _tree_variables(problem.f.truncate(D))
+    return _tree_plan(problem.spectrum, D, variables, tol)
+
+
+def _tree_plan(spectrum, D: int, variables: tuple, tol: float) -> TreePlan:
+    n = spectrum.n
+    key = (spectrum.key(), n, D, variables, tol)
+    plan = _TREE_PLANS.get(key)
+    if plan is not None:
+        _TREE_PLANS.move_to_end(key)
+        return plan
+    lines = LinePolynomials(spectrum, variables, D, tol)
+    M = slot_count(n, D)
+    slot_of = {alpha: s for s, alpha in enumerate(graded_indices(n, D))}
+    keys: list = []
+    const: list = []
+    slots: list = []
+    summands = [0] * (D - 1)
+    monomials = [0] * (D - 1)
+    for (nu, a), poly in lines.poly.items():
+        keys.extend(poly)
+        const.extend(poly.values())
+        slots.extend([a * M + slot_of[nu]] * len(poly))
+        summands[degree(nu) - 2] += lines.count[(nu, a)]
+        monomials[degree(nu) - 2] += len(poly)
+    rows = _index_rows(keys, len(variables))
+    slots = np.array(slots, dtype=np.intp)
+    order = np.lexsort(tuple(rows[:, c] for c in reversed(range(rows.shape[1]))) + (slots,))
+    plan = TreePlan(np.array(const, dtype=complex)[order], rows[order],
+                    slots[order], tuple(lines.clipped), tuple(summands), tuple(monomials))
+    _TREE_PLANS[key] = plan
+    if len(_TREE_PLANS) > _TREE_PLAN_LIMIT:
+        _TREE_PLANS.popitem(last=False)
+    return plan
+
+
+def _index_rows(keys: list, V: int) -> np.ndarray:
+    """Monomial keys (one exponent byte per variable) as rows of variable indices padded with V."""
+    exps = np.frombuffer(b"".join(k.to_bytes(V, "little") for k in keys),
+                         dtype=np.uint8).reshape(len(keys), V)
+    row, var = np.nonzero(exps)
+    reps = exps[row, var]
+    row, var = np.repeat(row, reps), np.repeat(var, reps)  # one entry per factor
+    lengths = np.bincount(row, minlength=len(keys))
+    rows = np.full((len(keys), int(lengths.max(initial=0))), V, dtype=np.int32)
+    rows[row, np.arange(len(row)) - (np.cumsum(lengths) - lengths)[row]] = var
+    return rows
+
+
+def _solve_tree(spectrum, f: VectorSeries, D: int, on_small_divisor, tol):
+    """Explicit tree-sum solution (the same trees for germs and fields).
+
+    Each coefficient is the sum over labeled rooted trees of the divisor and
+    coefficient product, weighted per node by binom(label, entering axes)
+    times beta!/m! (the multinomial share of the ordered child slots).  The
+    sum is compiled once per set of nonzero coefficients of f into a
+    :class:`TreePlan`, and evaluated with one gather, one product per row
+    and one sum per slot.
+    """
+    n = f.n
+    variables, values = _tree_variables(f)
+    plan = _tree_plan(spectrum, D, variables, tol)
+    clipped: list = []
+    divisors.settle_small_divisors(plan.clipped, on_small_divisor, clipped)
+    terms = plan.const * np.append(values, 1.0)[plan.rows].prod(axis=1)
+    h = np.zeros(n * slot_count(n, D), dtype=complex)
+    h.real = np.bincount(plan.slots, terms.real, h.size)
+    h.imag = np.bincount(plan.slots, terms.imag, h.size)
+    return VectorSeries.from_array(n, D, h.reshape(n, -1)), tuple(clipped)
+
+
+# ---------------------------------------------------------------------------
+# tree values of the inversion expansion
+# ---------------------------------------------------------------------------
+
+
+def tree_value(theta, op, family: SeriesFamily, u, w: VectorSeries | None = None) -> VectorSeries:
+    """Value of one rooted tree in the inversion expansion.
+
+    ``family`` must be the expansion of the right-hand side about op(w)
+    (about zero for the linearization problems, where w = 0); ``w`` itself
+    is not consulted.  End nodes contribute op(g_0 * u); an internal node of
+    degree t contributes the t-th differential of the family applied to the
+    child values, divided by t!.
+    """
+    n, D = family.n, family.inner_trunc
+    t, subs = standard_decomposition(tuple(theta))
+    if t == 0:
+        return op(family.coeff((0,) * n).scale(u))
+    vals = [tree_value(s, op, family, u, w) for s in subs]
+    acc = VectorSeries.zero(n, D)
+    inv_t_fact = 1.0 / math.factorial(t)
+    for axes in product(range(n), repeat=t):
+        gamma = [0] * n
+        for ax in axes:
+            gamma[ax] += 1
+        gamma = tuple(gamma)
+        g = family.coeff(gamma)
+        if g.is_zero():
+            continue
+        term = g
+        dead = False
+        for i, ax in enumerate(axes):
+            comp = vals[i].component(ax)
+            if comp.is_zero():
+                dead = True
+                break
+            term = term.mul_scalar_series(comp)
+        if dead:
+            continue
+        acc = acc + term.scale(u * multi_factorial(gamma) * inv_t_fact)
+    return op(acc)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from treelin import Germ, GermSpectrum, VectorSeries
+from treelin import Germ, GermSpectrum, VectorSeries, linearize
 from treelin.cli import main
 from treelin.documents import (
     canonical_bytes,
@@ -73,6 +73,23 @@ MALFORMED_PROBLEMS = {
     "term without value": _problem_doc(terms=[{"alpha": [2]}]),
     "spectrum not a mapping": {**_problem_doc(), "spectrum": 3},
 }
+# numbers of the wrong JSON type, which int() and complex() would coerce
+_SERIES = _problem_doc()["series"]
+MALFORMED_PROBLEMS.update({
+    "fractional exponents": _problem_doc(
+        n=2, terms=[{"alpha": [1.9, 1.2], "value": [[0.5, 0.0]] * 2}]),
+    "exponent as a string": _problem_doc(terms=[{"alpha": ["2"], "value": [[0.5, 0.0]]}]),
+    "exponent true": _problem_doc(n=2, terms=[{"alpha": [True, True], "value": [[0.5, 0.0]] * 2}]),
+    "coefficient true": _problem_doc(terms=[{"alpha": [2], "value": [True]}]),
+    "coefficient pair with true": _problem_doc(terms=[{"alpha": [2], "value": [[True, 0.0]]}]),
+    "n as a string": {**_problem_doc(), "n": "1"},
+    "n fractional": {**_problem_doc(), "n": 1.5},
+    "series n as a string": {**_problem_doc(), "series": {**_SERIES, "n": "1"}},
+    "series D fractional": {**_problem_doc(), "series": {**_SERIES, "D": 4.5}},
+    "series D true": {**_problem_doc(), "series": {**_SERIES, "D": True, "terms": []}},
+    "rotation as a string": {**_problem_doc(), "spectrum": {"rotation": ["0.618"]}},
+    "rotation true": {**_problem_doc(), "spectrum": {"rotation": [True]}},
+})
 
 
 def test_malformed_documents_rejected():
@@ -188,6 +205,31 @@ def test_linearize_all_methods_and_verify(tmp_path, capsys):
     # verify the emitted solution against the problem document
     code = main(["verify", "--input", str(problem), "--solution", str(out)])
     assert code == 0
+
+
+def test_linearize_verify_checks_the_solution_once(tmp_path, monkeypatch):
+    problem = _write_problem(tmp_path, seed=1, n=2, degree_f=3, trunc=6)
+    germ = problem_from_doc(json.loads(problem.read_text()))
+    check = linearize.verify_conjugacy
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(linearize, "verify_conjugacy", counted)
+    for method in ("recursive", "tree", "fixedpoint"):
+        plain, verified = tmp_path / f"{method}.json", tmp_path / f"{method}_verified.json"
+        argv = ["linearize", "germ", "--input", str(problem), "--degree", "6", "--method", method]
+        assert main(argv + ["--output", str(plain)]) == 0
+        calls.clear()
+        assert main(argv + ["--verify", "--output", str(verified)]) == 0
+        assert len(calls) == 1, method
+        # the same bytes as the plain report plus a separate check's figures
+        rep = check(germ, linearize.solve(germ, 6, method))
+        expected = {**json.loads(plain.read_text()), "verified": {
+            "max_abs": rep.max_abs, "znorm": rep.znorm, "max_rel": rep.max_rel}}
+        assert verified.read_bytes() == canonical_bytes(expected), method
 
 
 def test_verify_rejects_wrong_solution(tmp_path, capsys):

@@ -1,7 +1,13 @@
-"""The import contract: `treelin.trees` and `treelin.diagnostics` are registered at import and run on first use."""
+"""The import contract: `treelin.trees` and `treelin.diagnostics` are registered at import and run on first use.
+
+A dense `linearize` process (recursive or fixed point) runs neither of them
+and loads neither OpenSSL (`_hashlib`) nor `fractions`.
+"""
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -9,10 +15,12 @@ import types
 from pathlib import Path
 
 import treelin
-from treelin import linearize
+from treelin import cli, documents, linearize
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFERRED = ("treelin.trees", "treelin.diagnostics")
+# stdlib modules that a dense linearize process has no use for
+HEAVY = ("_hashlib", "fractions", "decimal")
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
@@ -22,8 +30,11 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
                           env={**os.environ, "PYTHONPATH": path})
 
 
-def executed_after(commands: list) -> dict:
-    """Which deferred modules have run after ``treelin.cli.main`` ran each command."""
+def executed_after(commands: list, heavy: bool = False) -> dict:
+    """Which deferred modules have run after ``treelin.cli.main`` ran each command.
+
+    With ``heavy``, also which of ``HEAVY`` are loaded.
+    """
     script = (
         "import sys, types\n"
         "import treelin.cli as cli\n"
@@ -31,6 +42,8 @@ def executed_after(commands: list) -> dict:
         "    assert cli.main(argv) == 0, argv\n"
         f"for name in {DEFERRED!r}:\n"
         "    print(name, type(sys.modules[name]) is types.ModuleType)\n"
+        f"for name in {HEAVY if heavy else ()!r}:\n"
+        "    print(name, name in sys.modules)\n"
     )
     proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
@@ -60,14 +73,17 @@ def test_cli_import_registers_every_traced_module():
     assert proc.stdout.splitlines() == ["missing []"]
 
 
-def test_dense_linearize_runs_neither_trees_nor_diagnostics(tmp_path):
+def test_dense_linearize_loads_only_what_it_runs(tmp_path):
+    # the report is written, so its input digest is computed; the fixture
+    # is made here, since numpy.random loads hashlib
     for kind in ("germ", "field"):
         path, make = fixture_args(tmp_path, kind, 2, 8)
+        assert cli.main(make) == 0
         for method in ("recursive", "fixedpoint"):
             solve = ["linearize", kind, "--input", path, "--degree", "8", "--method", method,
                      "--verify", "--output", str(tmp_path / "h.json")]
-            ran = executed_after([make, solve])
-            assert ran == {"treelin.trees": False, "treelin.diagnostics": False}, (kind, method)
+            loaded = executed_after([solve], heavy=True)
+            assert not any(loaded.values()), (kind, method, loaded)
 
 
 def test_tree_method_and_diagnose_run_what_they_use(tmp_path):
@@ -78,6 +94,23 @@ def test_tree_method_and_diagnose_run_what_they_use(tmp_path):
     family = ["diagnose", "family", "--omega", "0.6180339887498949", "--degree", "12",
               "--output", str(tmp_path / "family.txt")]
     assert executed_after([family]) == {"treelin.trees": False, "treelin.diagnostics": True}
+    bruno = ["bruno", "--omega", "0.6180339887498949", "--terms", "8",
+             "--output", str(tmp_path / "bruno.csv")]
+    assert executed_after([bruno]) == {"treelin.trees": False, "treelin.diagnostics": False}
+    assert (tmp_path / "bruno.csv").read_text().splitlines()[0] == "k,a_k,q_k,term,partial_sum"
+
+
+def test_digest_is_the_sha256_of_the_canonical_bytes(tmp_path):
+    # documents hashes with CPython's built-in SHA-256 (_sha2 from 3.12 on,
+    # _sha256 before), which must agree with hashlib's
+    path, make = fixture_args(tmp_path, "field", 2, 5)
+    report = tmp_path / "h.json"
+    run = ["linearize", "field", "--input", path, "--degree", "5", "--output", str(report)]
+    assert executed_after([make, run]) == {"treelin.trees": False, "treelin.diagnostics": False}
+    problem, solution = (json.loads(p.read_text()) for p in (Path(path), report))
+    assert solution["input_digest"] == hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    for doc in (problem, solution):
+        assert documents.digest(doc) == hashlib.sha256(documents.canonical_bytes(doc)).hexdigest()
 
 
 def test_linearize_binds_the_registered_trees():

@@ -37,15 +37,12 @@ from treelin.diagnostics import germ_family_radius
 from treelin.divisors import DEFAULT_TOL, apply_inverse_D, omega_frac, omega_hat, omega_tilde
 from treelin.documents import load_json, problem_from_doc
 from treelin.linearize import (
-    _TREE_PLAN_LIMIT,
-    _TREE_PLANS,
     SETTLED_RTOL,
     InverseDivisorOperator,
     OperatorHandle,
     solve,
-    tree_plan,
 )
-from treelin.trees import children_lists
+from treelin.trees import _TREE_PLAN_LIMIT, _TREE_PLANS, children_lists, tree_plan
 from treelin.series import (
     ScalarSeries,
     SeriesFamily,
