@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -443,15 +444,14 @@ class ContinuedFraction:
 def continued_fraction(omega, K: int, eps: float = 1e-12) -> ContinuedFraction:
     """K partial quotients of the fractional part of omega via the Gauss map.
 
-    Accepts floats or :class:`fractions.Fraction` (exact arithmetic).  When
-    the remainder underflows, the input is rational to working precision and
+    Accepts floats, or rationals such as :class:`fractions.Fraction` with
+    exact arithmetic.  When the remainder underflows (is zero for a
+    rational), the input is rational to working precision and
     :class:`RationalDetected` is raised carrying the partial expansion.
     """
-    from fractions import Fraction  # loads decimal too; only this function needs it
-
     if K < 1:
         raise ValueError("need at least one quotient")
-    exact = isinstance(omega, Fraction)
+    exact = isinstance(omega, numbers.Rational)
     x = omega - math.floor(omega)
     quotients = []
     for _ in range(K):

@@ -105,8 +105,9 @@ def test_digest_is_the_sha256_of_the_canonical_bytes(tmp_path):
     # _sha256 before), which must agree with hashlib's
     path, make = fixture_args(tmp_path, "field", 2, 5)
     report = tmp_path / "h.json"
-    run = ["linearize", "field", "--input", path, "--degree", "5", "--output", str(report)]
-    assert executed_after([make, run]) == {"treelin.trees": False, "treelin.diagnostics": False}
+    assert cli.main(make) == 0
+    assert cli.main(["linearize", "field", "--input", path, "--degree", "5",
+                     "--output", str(report)]) == 0
     problem, solution = (json.loads(p.read_text()) for p in (Path(path), report))
     assert solution["input_digest"] == hashlib.sha256(Path(path).read_bytes()).hexdigest()
     for doc in (problem, solution):
