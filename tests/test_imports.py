@@ -73,9 +73,9 @@ def test_cli_import_registers_every_traced_module():
     assert proc.stdout.splitlines() == ["missing []"]
 
 
-def test_dense_linearize_loads_only_what_it_runs(tmp_path):
-    # the report is written, so its input digest is computed; the fixture
-    # is made here, since numpy.random loads hashlib
+def test_dense_linearize_runs_neither_trees_nor_diagnostics(tmp_path):
+    # nor loads any of HEAVY: the report is written, so its input digest is
+    # computed; the fixture is made here, since numpy.random loads hashlib
     for kind in ("germ", "field"):
         path, make = fixture_args(tmp_path, kind, 2, 8)
         assert cli.main(make) == 0
