@@ -225,7 +225,7 @@ def solve_recursive_field(field_: VectorField, D: int, on_small_divisor: str = "
 
 
 # ---------------------------------------------------------------------------
-# tree-sum solver (the route itself is trees._solve_tree)
+# tree-sum solver
 # ---------------------------------------------------------------------------
 
 
