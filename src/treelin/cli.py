@@ -230,29 +230,16 @@ def _cmd_omega(args) -> int:
     rows = ["p,value"]
     try:
         if args.variant == "tilde":
-            if "rotation" in doc:
-                spec = divisors.GermSpectrum.from_rotation(doc["rotation"])
-            elif "lambda" in doc:
-                spec = divisors.GermSpectrum(
-                    tuple(complex(x[0], x[1]) for x in doc["lambda"])
-                )
-            else:
-                raise UsageError("tilde variant needs a germ spectrum (rotation or lambda)")
+            spec = documents.spectrum_from_doc(doc, "germ")
             for p in range(2, args.p_max + 1):
                 rows.append(f"{p},{divisors.omega_tilde(spec, p, args.mode)!r}")
         elif args.variant == "frac":
-            omega = tuple(float(w) for w in doc.get("rotation", doc.get("omega", ())))
-            if not omega:
-                raise UsageError("frac variant needs a real vector (rotation or omega)")
+            omega = documents.real_numbers(doc.get("rotation", doc.get("omega")),
+                                           "the frac variant's rotation or omega")
             for p in range(1, args.p_max + 1):
                 rows.append(f"{p},{divisors.omega_frac(omega, p)!r}")
         elif args.variant == "hat":
-            raw = doc.get("omega")
-            if raw is None:
-                raise UsageError("hat variant needs an omega vector")
-            omega = tuple(
-                complex(x[0], x[1]) if isinstance(x, list) else complex(x) for x in raw
-            )
+            omega = documents.spectrum_from_doc(doc, "field").omega
             for p in range(2, args.p_max + 1):
                 rows.append(f"{p},{divisors.omega_hat(omega, p)!r}")
         else:

@@ -130,6 +130,35 @@ def problem_to_doc(problem, options: dict | None = None) -> dict:
     return doc
 
 
+def real_numbers(values, what: str) -> tuple:
+    """A nonempty JSON list of real numbers as floats; anything else is a usage error."""
+    if not isinstance(values, list) or not values or not all(_is_number(w) for w in values):
+        raise UsageError(f"{what} must be a nonempty list of real numbers, got {values!r}")
+    return tuple(float(w) for w in values)
+
+
+def spectrum_from_doc(doc, kind: str, n: int | None = None):
+    """The spectrum of a ``kind`` ("germ" or "field") problem, from its JSON object.
+
+    A germ's is ``rotation`` (real numbers) or ``lambda``, a field's is
+    ``omega`` (numbers or ``[re, im]`` pairs).  Another type, a missing key,
+    no entries, a length other than ``n`` (when given) or eigenvalues the
+    spectrum refuses are usage errors.
+    """
+    try:
+        if kind == "field":
+            spec = FieldSpectrum(tuple(_cplx(x) for x in doc["omega"]))
+        elif "rotation" in doc:
+            spec = GermSpectrum.from_rotation(real_numbers(doc["rotation"], "rotation numbers"))
+        else:
+            spec = GermSpectrum(tuple(_cplx(x) for x in doc["lambda"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"malformed {kind} spectrum {doc!r}: {exc!r}") from exc
+    if not spec.n or n not in (None, spec.n):
+        raise UsageError(f"the {kind} spectrum has {spec.n} entries, expected {n or 'at least 1'}")
+    return spec
+
+
 def problem_from_doc(doc: dict):
     kind = doc.get("kind") if isinstance(doc, dict) else None
     if kind not in ("germ", "field"):
@@ -143,31 +172,10 @@ def problem_from_doc(doc: dict):
     f = series_from_doc(series_doc)
     if not isinstance(f, VectorSeries) or f.n != n:
         raise UsageError("problem series must be an n-component vector series")
-    # the spectra and problems check their own invariants (nonzero, distinct
-    # eigenvalues, valuation >= 2) and raise ValueError
-    try:
-        if kind == "germ":
-            if "rotation" in spectrum_doc:
-                rot = spectrum_doc["rotation"]
-                if not all(_is_number(w) for w in rot):
-                    raise UsageError(f"rotation numbers must be real numbers, got {rot!r}")
-                rot = [float(w) for w in rot]
-                if len(rot) != n:
-                    raise UsageError("rotation vector length mismatch")
-                spec = GermSpectrum.from_rotation(rot)
-            elif "lambda" in spectrum_doc:
-                lam = [_cplx(x) for x in spectrum_doc["lambda"]]
-                if len(lam) != n:
-                    raise UsageError("eigenvalue count mismatch")
-                spec = GermSpectrum(tuple(lam))
-            else:
-                raise UsageError("germ spectrum needs 'rotation' or 'lambda'")
-            return Germ(spec, f)
-        omega = spectrum_doc.get("omega")
-        if omega is None or len(omega) != n:
-            raise UsageError("field spectrum needs an 'omega' list of length n")
-        return VectorField(FieldSpectrum(tuple(_cplx(x) for x in omega)), f)
-    except (AttributeError, TypeError, ValueError) as exc:
+    spec = spectrum_from_doc(spectrum_doc, kind, n)
+    try:  # the problem checks that f has valuation >= 2
+        return (Germ if kind == "germ" else VectorField)(spec, f)
+    except ValueError as exc:
         raise UsageError(f"malformed problem document: {exc}") from exc
 
 

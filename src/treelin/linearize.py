@@ -37,23 +37,21 @@ from .divisors import (
 )
 from .errors import (
     CoefficientOverflow,
+    CompositionError,
     NoContraction,
     TruncationMismatch,
 )
 from .series import (
+    PowerTable,
     ScalarSeries,
     SeriesFamily,
     VectorSeries,
     degree,
     formal_derivative,
     graded_indices,
-    graded_key,
-    index_sub,
     product_slice,
-    reserve_tables,
     shift_expand,
     slot_count,
-    unit_index,
 )
 
 # ---------------------------------------------------------------------------
@@ -170,11 +168,11 @@ def _solve_recursive(spectrum, f: VectorSeries, D: int, on_small_divisor, tol):
     The degree-d part of the equation is D h_d = [f(z + h)]_d.  Because f
     and h have valuation >= 2, the degree-d slots of (z + h)^alpha for
     |alpha| >= 2 depend only on h below degree d, which is final by then.
-    So one dense vector per power of the support of f (and its parent
-    chain, alpha - e_i for the first nonzero axis i) is filled one degree
-    slice at a time, and the sum over alpha runs in graded-lex order, as in
-    :meth:`VectorSeries.compose`.  :func:`solve` silences numpy's overflow
-    warnings, so the check of each finished slice is what reports one.
+    So a :class:`series.PowerTable` over the support of f fills one degree
+    slice of every power before that slice of h is solved, and the sum over
+    alpha runs in graded-lex order, as in :meth:`VectorSeries.compose`.
+    :func:`solve` silences numpy's overflow warnings, so the check of each
+    finished slice is what reports one.
     """
     n = f.n
     indices = graded_indices(n, D)
@@ -182,29 +180,16 @@ def _solve_recursive(spectrum, f: VectorSeries, D: int, on_small_divisor, tol):
     terms = [(indices[s], F[:, s]) for s in np.flatnonzero(F.any(axis=0)).tolist()]
     H = VectorSeries.identity(n, D).to_array().copy()  # written below, so not the storage
     h = np.zeros_like(H)
-    parent: dict = {}
-    for alpha, _ in terms:
-        while sum(alpha) >= 2 and alpha not in parent:
-            i = next(k for k, a in enumerate(alpha) if a > 0)
-            parent[alpha] = (index_sub(alpha, unit_index(n, i)), i)
-            alpha = parent[alpha][0]
-    powers = {unit_index(n, i): H[i] for i in range(n)}
-    chain = sorted(parent, key=graded_key)
-    for alpha in chain:
-        powers[alpha] = np.zeros(H.shape[1], dtype=complex)
+    table = PowerTable(H, [alpha for alpha, _ in terms], D)
     clipped: list = []
     for d in range(2, D + 1):
         lo, hi = slot_count(n, d - 1), slot_count(n, d)
-        for alpha in chain:
-            if sum(alpha) > d:
-                break
-            up, i = parent[alpha]
-            powers[alpha][lo:hi] = product_slice(powers[up], H[i], n, D, d)
+        table.fill(d)
         rhs = np.zeros((n, hi - lo), dtype=complex)
         for alpha, coef in terms:
             if sum(alpha) > d:
                 break
-            rhs += np.multiply.outer(coef, powers[alpha][lo:hi])
+            rhs += np.multiply.outer(coef, table.power[alpha][lo:hi])
         h_d = divide_slots(spectrum, rhs, D, lo, tol, on_small_divisor, clipped)
         if not np.isfinite(h_d).all():
             raise CoefficientOverflow(d)
@@ -252,34 +237,55 @@ SETTLED_RTOL = 1e-12
 
 
 def fixed_point_inversion(op, family: SeriesFamily, u, w: VectorSeries, D: int) -> VectorSeries:
-    """Solve H = op(w + u * family(H)) through degree D, one degree per step.
+    """Solve H = op(w + u * family(H)) through degree D, one new degree per step.
 
     The family must be the expansion of the right-hand side about zero, with
     coefficients of valuation >= 1 at |beta| = 1 (as the shift family of a
     map of valuation >= 2 has), and op additive and valuation-non-decreasing.
     Then, for H of valuation >= 1, degree T of op(w + u * family(H)) depends
-    only on the degrees < T of H.  So step T = 1, ..., D truncates the family
-    and the iterate to T and applies op once, which settles degree T (step 1
-    settles degrees 0 and 1).  Each step must leave the degrees below T as
-    the step before left them, to within ``SETTLED_RTOL`` times that
-    iterate's largest coefficient; a larger move means the map does not
-    contract and raises :class:`NoContraction`.  An iterate with a
-    non-finite coefficient raises :class:`CoefficientOverflow`.  The
-    kernel's products do not read degrees above those they return, so every
-    degree is bitwise what iterating the whole family at truncation D until
-    an iterate repeats gives.
+    only on the degrees < T of H.  So step T = 1, ..., D adds only degree T
+    of the right-hand side, from a :class:`series.PowerTable` of the iterate
+    filled at T, and applies op once to the right-hand side truncated at T,
+    which settles degree T (step 1 settles degrees 0 and 1).  A coefficient
+    of valuation 0 at |beta| = 1 raises :class:`NoContraction` up front, and
+    an iterate with a constant term raises :class:`CompositionError` at the
+    next step.  Each step must leave the degrees below T as the step before
+    left them, to within ``SETTLED_RTOL`` times that iterate's largest
+    coefficient; a larger move means op does not contract and raises
+    :class:`NoContraction`.  An iterate with a non-finite coefficient raises
+    :class:`CoefficientOverflow`.  The kernel's products do not read degrees
+    above those they return, so every degree is bitwise what iterating the
+    whole family at truncation D until an iterate repeats gives.
     """
     if family.inner_trunc != D:
         raise TruncationMismatch("family truncation must match the target degree")
     n = family.n
-    reserve_tables(n, D)
-    H = VectorSeries.zero(n, 0)
-    for T in range(min(D, 1), D + 1):
-        rhs = w.truncate(T) + family.truncate(T).evaluate(H.truncate(T)).scale(u)
-        Hn = _check_finite(op(rhs))
+    items = [(beta, sum(beta), g.to_array()) for beta, g in family.items()]
+    for beta, size, g in items:
+        if size == 1 and g[:, 0].any():
+            raise NoContraction(f"the family's coefficient at beta = {beta} has valuation 0")
+    X = np.zeros((n, slot_count(n, D)), dtype=complex)  # the iterate, settled degrees only
+    table = PowerTable(X, [beta for beta, _, _ in items], D)
+    w = w.truncate(D).to_array()
+    rhs = np.zeros_like(X)
+    for T in range(D + 1):
+        if X[:, 0].any():
+            raise CompositionError(f"the iterate of step {T - 1} has a constant term")
+        lo, hi = slot_count(n, T - 1), slot_count(n, T)
+        table.fill(T)
+        acc = np.zeros((n, hi - lo), dtype=complex)
+        for beta, size, g in items:
+            if size > T:
+                break
+            acc += [product_slice(row, table.power[beta], n, D, T) for row in g]
+        rhs[:, lo:hi] = w[:, lo:hi] + acc * complex(u)
+        if T == 0 and D > 0:
+            continue  # step 1 settles degrees 0 and 1
+        Hn = _check_finite(op(VectorSeries.from_array(n, T, rhs[:, :hi].copy())))
         if T > 1:
             _check_settled(H, Hn)
         H = Hn
+        X[:, :hi] = H.to_array()
     return H
 
 

@@ -30,6 +30,11 @@ Conventions used throughout the package:
   operands hold above degree d.  :func:`product_slice` computes the
   degree-d slots alone, as the run of that one block, so they are
   bitwise those of the full product.
+* Every power x^alpha of a vector argument comes from one
+  :class:`PowerTable`, which fills the powers one degree slice at a time
+  with :func:`product_slice`: the recursive solver and the fixed point in
+  step with the unknown they solve for, :meth:`VectorSeries.compose` and
+  :meth:`SeriesFamily.evaluate` at every degree.
 * The z-adic valuation of a series is the least total degree of a stored
   nonzero coefficient (``math.inf`` for the zero series); the matching
   ultrametric norm is ``2**-valuation``.
@@ -252,34 +257,27 @@ def _pair_table(n: int, D: int) -> _PairTable:
     return _cached(_PAIR_TABLES, _PairTable, n, D)
 
 
-def reserve_tables(n: int, D: int) -> None:
-    """Build the basis and the pair table of truncation D now.
-
-    Each cache keeps only its largest truncation per n, so work at growing
-    truncations up to D would otherwise build both again at every step; after
-    this call every truncation <= D reads a prefix of these.
-    """
-    _basis(n, D)
-    if n >= 2:
-        _pair_table(n, D)
-
-
 def graded_indices(n: int, D: int) -> list:
     """The indices of degree <= D in slot order (graded lexicographic)."""
     return _basis(n, D).indices[: slot_count(n, D)]
 
 
 def product_slice(a, b, n: int, D: int, d: int):
-    """The degree-d slots of the truncation-D product of two slot vectors, 1 <= d <= D.
+    """The degree-d slots of the truncation-D product of two slot vectors, 0 <= d <= D.
 
     Bitwise the slots ``slot_count(n, d - 1):slot_count(n, d)`` of
     :meth:`ScalarSeries.multiply`.  For n = 1 it is the one dot product
     ``numpy.convolve`` takes for slot d; for n >= 2 it is the degree-d block
     of the pair table, one run summed as every run of a full product is.
+    Slot 0 is one pair, and numpy can round a one-element product apart from
+    the same product in a longer array, so d = 0 runs with degree 1 as well.
     """
     if n == 1:
         return np.convolve(a[: d + 1], b[: d + 1], mode="valid")
     table = _pair_table(n, D)
+    if d == 0:
+        top = min(D, 1)
+        return _product_run(a, b, table, 0, table.cut[top], 0, slot_count(n, top))[:1]
     return _product_run(a, b, table, table.cut[d - 1], table.cut[d],
                         slot_count(n, d - 1), slot_count(n, d))
 
@@ -291,6 +289,46 @@ def _product_run(a, b, table: _PairTable, lo: int, hi: int, base: int, top: int)
     acc = np.bincount(table.out2[2 * lo: 2 * hi], weights=terms.view(np.float64),
                       minlength=2 * top)
     return acc.view(np.complex128)[base:]
+
+
+class PowerTable:
+    """The powers x^alpha of an ``(n, M)`` slot array x, filled one degree slice at a time.
+
+    It holds the given indices and their parent chains: the parent of alpha
+    is alpha - e_i for the first nonzero axis i, and x^alpha is the parent's
+    power times x_i.  Degree 0 is one and degree 1 the rows of x themselves,
+    so x must have no constant term.  :meth:`fill` (d) writes the degree-d
+    slots of every power of degree 2..d with :func:`product_slice`, parents
+    first.  It reads x only below degree d, so x may be filled in step with
+    the table; filled at d = 2..D in turn, every power is bitwise the chain
+    of full :meth:`ScalarSeries.multiply` products.
+    """
+
+    def __init__(self, x, alphas, D: int):
+        self.x, self.n, self.D = x, len(x), D
+        parent: dict = {}
+        for alpha in alphas:
+            while sum(alpha) >= 2 and alpha not in parent:
+                i = next(k for k, a in enumerate(alpha) if a > 0)
+                parent[alpha] = (index_sub(alpha, unit_index(self.n, i)), i)
+                alpha = parent[alpha][0]
+        self._chain = [(alpha, *parent[alpha]) for alpha in sorted(parent, key=graded_key)]
+        self.power = {alpha: np.zeros(x.shape[1], dtype=complex) for alpha in parent}
+        self.power[(0,) * self.n] = np.eye(1, x.shape[1], dtype=complex)[0]
+        self.power.update((unit_index(self.n, i), x[i]) for i in range(self.n))
+
+    def fill(self, d: int) -> None:
+        lo, hi = slot_count(self.n, d - 1), slot_count(self.n, d)
+        for alpha, up, i in self._chain:
+            if sum(alpha) > d:
+                break
+            self.power[alpha][lo:hi] = product_slice(self.power[up], self.x[i], self.n, self.D, d)
+
+    def fill_all(self) -> "PowerTable":
+        """Fill every degree 2..D; returns the table."""
+        for d in range(2, self.D + 1):
+            self.fill(d)
+        return self
 
 
 def _slot(basis: _Basis, alpha, n: int, trunc: int):
@@ -629,9 +667,9 @@ class VectorSeries(_DenseSeries):
         terms = [(alpha, vec) for alpha, vec in self.coeff_items()
                  if sum(alpha) == 0 or inner_val * sum(alpha) <= D]
         acc = np.zeros((n, slot_count(n, D)), dtype=complex)
-        powers = _powers(inner.components, [alpha for alpha, _ in terms])
-        for (_, vec), p in zip(terms, powers):
-            acc += np.multiply.outer(vec, p.vector)
+        powers = PowerTable(inner._v, [alpha for alpha, _ in terms], D).fill_all().power
+        for alpha, vec in terms:
+            acc += np.multiply.outer(vec, powers[alpha])
         return VectorSeries.from_array(n, D, acc)
 
     def compose_diagonal(self, lam) -> "VectorSeries":
@@ -643,37 +681,6 @@ class VectorSeries(_DenseSeries):
         exps = np.array(graded_indices(self.n, self.trunc), dtype=np.intp)
         lam_alpha = np.prod(np.array(lam, dtype=complex) ** exps, axis=1)
         return self._wrap(self._v * lam_alpha)
-
-
-def _powers(variables, alphas):
-    """The monomials prod_i variables[i] ** alpha_i for graded-lex sorted ``alphas``, in order.
-
-    Each power is its parent's, alpha - e_i for the first nonzero axis i,
-    times variables[i].  Powers are built one degree at a time and only the
-    previous degree is kept, so a long support costs two levels of memory.
-    """
-    n, D = variables[0].n, variables[0].trunc
-    zero = (0,) * n
-    parent = {}
-    for alpha in alphas:
-        while alpha != zero and alpha not in parent:
-            i = next(k for k, a in enumerate(alpha) if a > 0)
-            parent[alpha] = (index_sub(alpha, unit_index(n, i)), i)
-            alpha = parent[alpha][0]
-    by_degree: dict = {}
-    for alpha in parent:
-        by_degree.setdefault(sum(alpha), []).append(alpha)
-    level = {zero: ScalarSeries.one(n, D)}
-    k = 0
-    for d in range(max(by_degree, default=0) + 1):
-        if d:
-            level = {
-                alpha: level[parent[alpha][0]].multiply(variables[parent[alpha][1]])
-                for alpha in by_degree[d]
-            }
-        while k < len(alphas) and sum(alphas[k]) == d:
-            yield level[alphas[k]]
-            k += 1
 
 
 # ---------------------------------------------------------------------------
@@ -770,16 +777,6 @@ class SeriesFamily:
             {b: g.scale(c) for b, g in self.coeffs.items()},
         )
 
-    def truncate(self, trunc: int) -> "SeriesFamily":
-        """The family truncated at degree ``trunc`` in z and at order ``trunc`` in v.
-
-        For an argument x of valuation >= 1, x^beta vanishes at truncation
-        ``trunc`` once |beta| > ``trunc``, so :meth:`evaluate` at x truncated
-        to ``trunc`` loses no term.
-        """
-        return SeriesFamily(self.n, trunc, min(self.outer_trunc, trunc),
-                            {b: g.truncate(trunc) for b, g in self.coeffs.items()})
-
     def weighted_norm(self, r: float) -> float:
         """Ultrametric weighted norm: sup_beta 2^(-v(g_beta)) r^|beta|."""
         if r <= 0:
@@ -802,10 +799,11 @@ class SeriesFamily:
         if not x.is_zero() and x.valuation() < 1:
             raise CompositionError("family evaluation needs an argument of valuation >= 1")
         items = self.items()
+        powers = PowerTable(x.to_array(), [beta for beta, _ in items], x.trunc).fill_all().power
         acc = VectorSeries.zero(self.n, self.inner_trunc)
-        for (_, g), p in zip(items, _powers(x.components, [beta for beta, _ in items])):
-            if not p.is_zero():
-                acc = acc + g.mul_scalar_series(p)
+        for beta, g in items:
+            if powers[beta].any():
+                acc = acc + g.mul_scalar_series(ScalarSeries.from_vector(self.n, x.trunc, powers[beta]))
         return acc
 
     def compose(self, inner: "SeriesFamily") -> "SeriesFamily":

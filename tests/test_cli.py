@@ -297,8 +297,14 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         ["diagnose", "family", "--omega", "0.6", "--degree", "2"],
         ["diagnose", "family", "--k", "3", "--omega", "0.6", "--degree", "6"],
     ]
-    for variant, spectrum in (("tilde", {"rotation": [0.3, 0.3]}), ("tilde", {"lambda": [[]]}),
-                              ("frac", {"rotation": ["x"]}), ("hat", [GOLDEN])):
+    omega_spectra = [("tilde", {"rotation": [0.3, 0.3]}), ("tilde", {"lambda": [[]]}),
+                     ("frac", {"rotation": ["x"]}), ("hat", [GOLDEN])]
+    # numbers of the wrong JSON type, which float() and complex() would coerce
+    for variant, key in (("tilde", "rotation"), ("frac", "rotation"), ("frac", "omega"),
+                         ("hat", "omega")):
+        omega_spectra += [(variant, {key: ["0.3"]}), (variant, {key: [True]})]
+    omega_spectra += [("tilde", {"lambda": [["0.6", 0.8]]}), ("tilde", {"lambda": [[True, 0.0]]})]
+    for variant, spectrum in omega_spectra:
         path = tmp_path / f"spectrum_{len(bad_args)}.json"
         path.write_text(json.dumps(spectrum))
         bad_args.append(["omega", "--spectrum", str(path), "--p-max", "3", "--variant", variant])

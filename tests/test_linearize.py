@@ -10,6 +10,7 @@ import pytest
 
 from treelin import (
     CoefficientOverflow,
+    CompositionError,
     DivisorBelowTolerance,
     FieldSpectrum,
     Germ,
@@ -444,6 +445,42 @@ def test_fixed_point_no_contraction():
         fixed_point_inversion(IdentityOperator(), family, 1.0, w, D)
 
 
+class _CountingOperator(OperatorHandle):
+    """The identity, counting its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, g):
+        self.calls += 1
+        return g
+
+
+def test_fixed_point_refuses_a_non_contracting_family_up_front():
+    # only the coefficient at beta = (0, 1) has valuation 0
+    n, D = 2, 6
+    family = SeriesFamily(n, D, D, {
+        (0, 0): VectorSeries.from_coeffs(n, D, {(2, 0): (1.0, 0.5)}),
+        (1, 0): VectorSeries.from_coeffs(n, D, {(1, 0): (0.25, 0.0)}),
+        (0, 1): VectorSeries.from_coeffs(n, D, {(0, 0): (0.0, 1.0), (0, 1): (1.0, 0.0)}),
+        (0, 2): VectorSeries.from_coeffs(n, D, {(0, 0): (1.0, 1.0)}),
+    })
+    op = _CountingOperator()
+    with pytest.raises(NoContraction, match=r"\(0, 1\)"):
+        fixed_point_inversion(op, family, 1.0, VectorSeries.zero(n, D), D)
+    assert op.calls == 0
+
+
+def test_fixed_point_iterate_with_a_constant_term_is_a_composition_error():
+    n, D = 1, 5
+    family = SeriesFamily(n, D, D, {(2,): VectorSeries.from_coeffs(n, D, {(0,): (1.0,)})})
+    w = VectorSeries.from_coeffs(n, D, {(0,): (0.5,), (1,): (1.0,)})
+    op = _CountingOperator()
+    with pytest.raises(CompositionError):
+        fixed_point_inversion(op, family, 1.0, w, D)
+    assert op.calls == 1  # step 1 settles the constant; step 2 refuses it
+
+
 def full_truncation_fixed_point(op, family, u, w, D):
     """The fixed point iterated with the whole family at truncation D until an iterate repeats.
 
@@ -483,7 +520,7 @@ def test_growing_truncation_is_bitwise_the_full_iteration_kepler():
 
 
 @pytest.mark.parametrize("kind", ["germ", "field"])
-@pytest.mark.parametrize("n,D", [(3, 20), (2, 40)])
+@pytest.mark.parametrize("n,D", [(3, 20), (2, 40), (2, 80)])
 def test_fixed_point_matches_recursive_at_ceiling_sizes(tmp_path, kind, n, D):
     problem = fixture_problem(tmp_path, kind, n, D, 1)
     fix = solve(problem, D, "fixedpoint").h

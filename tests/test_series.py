@@ -18,6 +18,7 @@ from treelin import (
 )
 from treelin.series import (
     _BLOCK,
+    PowerTable,
     SeriesFamily,
     _basis,
     _PairTable,
@@ -244,7 +245,7 @@ def test_product_low_degrees_ignore_high_terms(rng, n, D, d):
     assert low.tobytes() == f.truncate(d).multiply(g.truncate(d)).vector.tobytes()
 
 
-@pytest.mark.parametrize("n,D", [(1, 40), (2, 12), (3, 8), (2, 30), (3, 20)])
+@pytest.mark.parametrize("n,D", [(1, 40), (2, 12), (3, 8), (2, 30), (3, 20), (2, 80)])
 def test_product_slice_is_the_degree_slice_of_multiply(rng, n, D):
     # full density, so every pair of the table carries a nonzero term
     f = random_scalar_series(rng, n, D)
@@ -253,6 +254,63 @@ def test_product_slice_is_the_degree_slice_of_multiply(rng, n, D):
     for d in range(1, D + 1):
         got = product_slice(f.vector, g.vector, n, D, d)
         assert got.tobytes() == full[slot_count(n, d - 1):slot_count(n, d)].tobytes(), d
+
+
+# supports whose parent chains (alpha - e_i, i the first nonzero axis) share prefixes
+POWER_SUPPORTS = [
+    (1, 16, [(0,), (1,), (2,), (5,), (3,), (7,)]),
+    (2, 12, [(0, 0), (2, 1), (3, 0), (1, 2), (0, 3), (1, 0), (2, 3), (0, 5)]),
+    (3, 8, [(0, 0, 0), (1, 1, 1), (2, 1, 0), (0, 2, 2), (1, 0, 3), (3, 0, 0), (0, 1, 0),
+            (1, 2, 2), (0, 0, 4)]),
+]
+
+
+def _power_chain(x, alpha, n, D):
+    """x^alpha as the chain of full multiply products along first-nonzero-axis parents."""
+    if sum(alpha) == 0:
+        return ScalarSeries.one(n, D)
+    i = next(k for k, a in enumerate(alpha) if a > 0)
+    parent = tuple(a - (k == i) for k, a in enumerate(alpha))
+    return _power_chain(x, parent, n, D).multiply(x.component(i))
+
+
+def _power_argument(rng, n, D):
+    """A dense vector series of valuation 1, as the solvers' arguments have."""
+    return VectorSeries([random_scalar_series(rng, n, D, min_degree=1) for _ in range(n)])
+
+
+@pytest.mark.parametrize("n,D,alphas", POWER_SUPPORTS)
+def test_power_table_is_the_chain_of_full_products(rng, n, D, alphas):
+    x = _power_argument(rng, n, D)
+    table = PowerTable(x.to_array(), alphas, D).fill_all()
+    for alpha in alphas:
+        want = _power_chain(x, alpha, n, D).vector
+        assert table.power[alpha].tobytes() == want.tobytes(), alpha
+
+
+@pytest.mark.parametrize("n,D,alphas", POWER_SUPPORTS)
+def test_power_table_fill_reads_no_degree_d_slot_of_x(rng, n, D, alphas):
+    x = _power_argument(rng, n, D).to_array().copy()
+    table = PowerTable(x, alphas, D)
+    for d in range(2, D + 1):
+        table.fill(d)
+        lo, hi = slot_count(n, d - 1), slot_count(n, d)
+        filled = {a: p[: hi].copy() for a, p in table.power.items() if sum(a) >= 2}
+        x[:, lo:hi] = 1e3 * (rng.standard_normal((n, hi - lo)) + 1j)
+        table.fill(d)
+        for alpha, before in filled.items():
+            assert table.power[alpha][: hi].tobytes() == before.tobytes(), (alpha, d)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_product_slice_at_degree_zero_is_the_constant_slot(rng, n):
+    # the fixed point's first step needs slot 0; for n >= 2 it is one pair
+    # of the table, and numpy can round a one-element product differently
+    for D in (0, 1, 6):
+        for _ in range(20):
+            f, g = random_scalar_series(rng, n, D), random_scalar_series(rng, n, D)
+            got = product_slice(f.vector, g.vector, n, D, 0)
+            assert got.tobytes() == f.multiply(g).vector[:1].tobytes(), D
 
 
 def _one_pass_table(n, D):
