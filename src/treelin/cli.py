@@ -9,6 +9,7 @@ such as timings go to stderr.  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -65,6 +66,17 @@ def _at_least(least: int):
             raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
         return value
     return integer
+
+
+def _finite(text: str) -> float:
+    """An argparse type: a finite real number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def _thread_count() -> int:
@@ -192,8 +204,8 @@ def _cmd_bruno(args) -> int:
     from fractions import Fraction  # loads decimal too; only this command parses p/q
 
     try:
-        omega = Fraction(args.omega) if "/" in args.omega else float(args.omega)
-    except (ValueError, ZeroDivisionError):
+        omega = Fraction(args.omega) if "/" in args.omega else _finite(args.omega)
+    except (argparse.ArgumentTypeError, ValueError, ZeroDivisionError):
         raise UsageError(f"--omega needs a real number or a fraction p/q, got {args.omega!r}") from None
     flagged = None
     try:
@@ -244,7 +256,7 @@ def _cmd_omega(args) -> int:
                 rows.append(f"{p},{divisors.omega_hat(omega, p)!r}")
         else:
             raise UsageError(f"unknown variant {args.variant!r}")
-    except (IndexError, TypeError, ValueError) as exc:
+    except (IndexError, OverflowError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed spectrum document: {exc}") from exc
     _emit("\n".join(rows) + "\n", args.output)
     return 0
@@ -288,6 +300,8 @@ def _require_fit(radius: float, source: str) -> None:
 
 
 def _cmd_diagnose(args) -> int:
+    if args.input is None and args.what in ("growth", "class", "domain"):
+        raise UsageError(f"{args.what} diagnostics need --input")
     rows: list[str] = []
     if args.what == "growth":
         h = _load_h(args.input)
@@ -463,7 +477,7 @@ def build_parser() -> _Parser:
     p.add_argument("--class-m", default="geometric:1",
                    help="gevrey:s | geometric:C | table:file")
     p.add_argument("--class-n")
-    p.add_argument("--omega", type=float)
+    p.add_argument("--omega", type=_finite)
     p.add_argument("--dmax", type=_at_least(2), default=200)
     p.add_argument("--k", type=_at_least(1), default=1)
     p.add_argument("--degree", type=_at_least(0), default=40)
@@ -508,5 +522,20 @@ def main(argv=None) -> int:
         return 2
 
 
+def run(argv=None) -> int:
+    """The process entry point: ``main``, in a process that ends when it returns.
+
+    Every object still tracked is frozen on the way out, so the interpreter's
+    shutdown skips its final full collections over numpy's and treelin's
+    objects (14-20 ms a process on a 2 vCPU Xeon).  Standard streams are still flushed and
+    atexit handlers still run.  Callers that go on living, tests included,
+    call ``main``, which leaves the collector as it is.
+    """
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

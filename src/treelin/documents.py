@@ -8,6 +8,7 @@ reruns are well defined.
 
 from __future__ import annotations
 
+import cmath
 import json
 
 try:  # CPython's own SHA-256; hashlib would load OpenSSL's libcrypto, several MB resident
@@ -130,11 +131,22 @@ def problem_to_doc(problem, options: dict | None = None) -> dict:
     return doc
 
 
+def _finite(values, what: str, number) -> tuple:
+    """``values`` converted by ``number``; an infinite or NaN result is a usage error.
+
+    An integer beyond the float range raises OverflowError.
+    """
+    numbers = tuple(number(x) for x in values)
+    if not all(map(cmath.isfinite, numbers)):
+        raise UsageError(f"{what} must be finite, got {values!r}")
+    return numbers
+
+
 def real_numbers(values, what: str) -> tuple:
-    """A nonempty JSON list of real numbers as floats; anything else is a usage error."""
+    """A nonempty JSON list of finite real numbers as floats; anything else is a usage error."""
     if not isinstance(values, list) or not values or not all(_is_number(w) for w in values):
         raise UsageError(f"{what} must be a nonempty list of real numbers, got {values!r}")
-    return tuple(float(w) for w in values)
+    return _finite(values, what, float)
 
 
 def spectrum_from_doc(doc, kind: str, n: int | None = None):
@@ -142,17 +154,17 @@ def spectrum_from_doc(doc, kind: str, n: int | None = None):
 
     A germ's is ``rotation`` (real numbers) or ``lambda``, a field's is
     ``omega`` (numbers or ``[re, im]`` pairs).  Another type, a missing key,
-    no entries, a length other than ``n`` (when given) or eigenvalues the
-    spectrum refuses are usage errors.
+    no entries, an infinite or NaN entry, a length other than ``n`` (when
+    given) or eigenvalues the spectrum refuses are usage errors.
     """
     try:
         if kind == "field":
-            spec = FieldSpectrum(tuple(_cplx(x) for x in doc["omega"]))
+            spec = FieldSpectrum(_finite(doc["omega"], "field eigenvalues", _cplx))
         elif "rotation" in doc:
             spec = GermSpectrum.from_rotation(real_numbers(doc["rotation"], "rotation numbers"))
         else:
-            spec = GermSpectrum(tuple(_cplx(x) for x in doc["lambda"]))
-    except (KeyError, TypeError, ValueError) as exc:
+            spec = GermSpectrum(_finite(doc["lambda"], "germ eigenvalues", _cplx))
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed {kind} spectrum {doc!r}: {exc!r}") from exc
     if not spec.n or n not in (None, spec.n):
         raise UsageError(f"the {kind} spectrum has {spec.n} entries, expected {n or 'at least 1'}")

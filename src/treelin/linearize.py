@@ -303,6 +303,7 @@ def _check_settled(H: VectorSeries, Hn: VectorSeries):
 def _solve_fixedpoint(spectrum, f: VectorSeries, D: int, on_small_divisor, tol):
     if on_small_divisor != "raise":
         raise ValueError("the fixed-point solver has no clip mode")
+    _check_finite(f)  # the products would turn it into NaN (inf * 0) below its degree
     op = InverseDivisorOperator(spectrum, tol)
     divisor_table(spectrum, D)  # every step divides by a prefix of this table
     return fixed_point_inversion(op, shift_expand(f), 1.0, VectorSeries.zero(f.n, D), D), ()

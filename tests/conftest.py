@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,14 @@ from treelin.series import iter_indices
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SILVER = math.sqrt(2.0) - 1.0
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_python(*args: str, text: bool = True) -> subprocess.CompletedProcess:
+    """A fresh interpreter with the checkout's sources first on the path."""
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=text, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def random_complex(rng, max_mod=1.0, min_mod=0.05):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -21,7 +22,9 @@ from treelin.documents import (
 )
 from treelin.series import ScalarSeries
 
-from conftest import GOLDEN, random_vector_series
+from conftest import GOLDEN, ROOT, random_vector_series, run_python
+
+INF, NAN = float("inf"), float("nan")
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +92,15 @@ MALFORMED_PROBLEMS.update({
     "series D true": {**_problem_doc(), "series": {**_SERIES, "D": True, "terms": []}},
     "rotation as a string": {**_problem_doc(), "spectrum": {"rotation": ["0.618"]}},
     "rotation true": {**_problem_doc(), "spectrum": {"rotation": [True]}},
+})
+# spectra with an infinite or NaN entry (JSON Infinity and NaN parse as floats)
+MALFORMED_PROBLEMS.update({
+    "rotation infinite": {**_problem_doc(), "spectrum": {"rotation": [INF]}},
+    "rotation NaN": {**_problem_doc(), "spectrum": {"rotation": [NAN]}},
+    "rotation beyond the float range": {**_problem_doc(), "spectrum": {"rotation": [10**400]}},
+    "eigenvalue infinite": _problem_doc(lam=[[-INF, 0.0]]),
+    "eigenvalue NaN": _problem_doc(lam=[NAN]),
+    "field eigenvalue NaN": {**_problem_doc(), "kind": "field", "spectrum": {"omega": [[0.0, NAN]]}},
 })
 
 
@@ -296,6 +308,10 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         # fewer than three nonzero degrees of h: no growth fit
         ["diagnose", "family", "--omega", "0.6", "--degree", "2"],
         ["diagnose", "family", "--k", "3", "--omega", "0.6", "--degree", "6"],
+        ["diagnose", "family", "--omega", "inf"],
+        ["diagnose", "condition", "--omega", "nan"],
+        ["bruno", "--omega", "-inf"],
+        ["bruno", "--omega", "nan"],
     ]
     omega_spectra = [("tilde", {"rotation": [0.3, 0.3]}), ("tilde", {"lambda": [[]]}),
                      ("frac", {"rotation": ["x"]}), ("hat", [GOLDEN])]
@@ -304,6 +320,11 @@ def test_usage_errors_exit_1(tmp_path, capsys):
                          ("hat", "omega")):
         omega_spectra += [(variant, {key: ["0.3"]}), (variant, {key: [True]})]
     omega_spectra += [("tilde", {"lambda": [["0.6", 0.8]]}), ("tilde", {"lambda": [[True, 0.0]]})]
+    for variant, key in (("tilde", "rotation"), ("frac", "rotation"), ("frac", "omega"),
+                         ("hat", "omega")):
+        omega_spectra += [(variant, {key: [INF]}), (variant, {key: [GOLDEN, NAN]})]
+    omega_spectra += [("tilde", {"lambda": [[0.6, INF]]}), ("hat", {"omega": [[NAN, 1.0]]}),
+                      ("frac", {"rotation": [10**400]})]
     for variant, spectrum in omega_spectra:
         path = tmp_path / f"spectrum_{len(bad_args)}.json"
         path.write_text(json.dumps(spectrum))
@@ -319,6 +340,13 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         assert "Traceback" not in err, argv
 
 
+@pytest.mark.parametrize("what", ["growth", "class", "domain"])
+def test_diagnose_without_input_is_a_usage_error(what, capsys):
+    assert main(["diagnose", what, "--degree", "12"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {what} diagnostics need --input"), err
+
+
 def test_diagnose_does_not_load_openssl():
     # hashlib loads libcrypto, several MB resident; only run reports hash
     script = (
@@ -332,18 +360,20 @@ def test_diagnose_does_not_load_openssl():
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+# resonant eigenvalues: solving must fail with a structured domain error
+RESONANT_PROBLEM = {
+    "kind": "germ", "n": 2, "D": 4,
+    "spectrum": {"lambda": [[4.0, 0.0], [2.0, 0.0]]},
+    "series": {
+        "n": 2, "D": 4, "kind": "vector",
+        "terms": [{"alpha": [0, 2], "value": [[1.0, 0.0], [0.0, 0.0]]}],
+    },
+}
+
+
 def test_domain_error_exit_2(tmp_path):
-    # resonant eigenvalues: solving must fail with a structured domain error
-    doc = {
-        "kind": "germ", "n": 2, "D": 4,
-        "spectrum": {"lambda": [[4.0, 0.0], [2.0, 0.0]]},
-        "series": {
-            "n": 2, "D": 4, "kind": "vector",
-            "terms": [{"alpha": [0, 2], "value": [[1.0, 0.0], [0.0, 0.0]]}],
-        },
-    }
     path = tmp_path / "resonant.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(RESONANT_PROBLEM))
     assert main(["linearize", "germ", "--input", str(path),
                  "--degree", "4"]) == 2
     # clip mode turns it into a non-conforming success
@@ -353,6 +383,19 @@ def test_domain_error_exit_2(tmp_path):
     report = json.loads(out.read_text())
     assert report["conforming"] is False
     assert report["clipped"]
+
+
+@pytest.mark.parametrize("value", [[INF, 0.0], [0.5, NAN]])
+def test_non_finite_coefficient_exits_2(tmp_path, capsys, value):
+    # a spectrum entry is checked as it is read; a coefficient is the solvers' to refuse
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(_problem_doc(terms=[{"alpha": [2], "value": [value]}])))
+    for method in ("recursive", "tree", "fixedpoint"):
+        assert main(["linearize", "germ", "--input", str(path), "--degree", "4",
+                     "--method", method]) == 2, method
+        err = capsys.readouterr().err
+        assert err.startswith("domain error (CoefficientOverflow): "), (method, err)
+        assert "degree 2" in err, (method, err)
 
 
 def test_diagnose_growth_csv(tmp_path, capsys):
@@ -431,3 +474,61 @@ def test_bruno_fraction_syntax(capsys):
     assert main(["bruno", "--omega", "1/3", "--terms", "8"]) == 2  # rational
     out = capsys.readouterr().out
     assert "flag=rational" in out
+
+
+# ---------------------------------------------------------------------------
+# the process entry point
+# ---------------------------------------------------------------------------
+
+
+def test_process_report_is_mains(tmp_path, capsys):
+    # `python -m treelin.cli` ends through cli.run, which freezes the collector
+    # for the interpreter's shutdown; the report on stdout is main's, byte for byte
+    problem = _write_problem(tmp_path, n=2, degree_f=3, trunc=6)
+    argv = ["linearize", "germ", "--input", str(problem), "--degree", "6", "--verify"]
+    assert main(argv) == 0
+    report = capsys.readouterr().out.encode()
+    proc = run_python("-m", "treelin.cli", *argv, text=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == report
+    assert report.startswith(b"{") and report.endswith(b"}\n")
+
+
+def test_process_exit_codes_are_mains(tmp_path, capsys):
+    resonant = tmp_path / "resonant.json"
+    resonant.write_text(json.dumps(RESONANT_PROBLEM))
+    cases = [
+        (["linearize", "germ", "--input", str(tmp_path / "missing.json"), "--degree", "4"],
+         1, "usage error: "),
+        (["linearize", "germ", "--input", str(resonant), "--degree", "4"], 2, "domain error "),
+    ]
+    for argv, code, err in cases:
+        assert main(argv) == code
+        assert capsys.readouterr().err.startswith(err)
+        proc = run_python("-m", "treelin.cli", *argv)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.startswith(err), proc.stderr
+
+
+def test_only_the_process_entry_point_freezes_the_collector(tmp_path, capsys):
+    frozen = gc.get_freeze_count()
+    problem = _write_problem(tmp_path, n=2, degree_f=3, trunc=6)
+    for method in ("recursive", "tree", "fixedpoint"):
+        assert main(["linearize", "germ", "--input", str(problem), "--degree", "6",
+                     "--method", method, "--output", str(tmp_path / "h.json")]) == 0
+    assert main(["bruno", "--omega", "1/0"]) == 1
+    assert gc.get_freeze_count() == frozen
+    # the module's __main__ ends through run, which freezes on every exit path
+    script = (
+        "import gc, runpy, sys\n"
+        "sys.argv = ['treelin', 'bruno', '--omega', '1/0']\n"
+        "try:\n"
+        "    runpy.run_module('treelin.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, gc.get_freeze_count() > 0)\n"
+    )
+    proc = run_python("-W", "error", "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "True"]
+    scripts = (ROOT / "pyproject.toml").read_text().split("[project.scripts]")[1]
+    assert scripts.split("[")[0].strip() == 'treelin = "treelin.cli:run"'

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import subprocess
 import sys
 import types
 from pathlib import Path
@@ -17,17 +15,11 @@ from pathlib import Path
 import treelin
 from treelin import cli, documents, linearize
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import GOLDEN, ROOT, run_python
+
 DEFERRED = ("treelin.trees", "treelin.diagnostics")
 # stdlib modules that a dense linearize process has no use for
 HEAVY = ("_hashlib", "fractions", "decimal")
-
-
-def run_python(*args: str) -> subprocess.CompletedProcess:
-    """A fresh interpreter with the checkout's sources first on the path."""
-    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": path})
 
 
 def executed_after(commands: list, heavy: bool = False) -> dict:
@@ -120,10 +112,25 @@ def test_linearize_binds_the_registered_trees():
     assert treelin.diagnostics is sys.modules["treelin.diagnostics"]
 
 
-def test_cli_module_runs_without_warnings():
+def test_cli_module_runs_without_warnings(tmp_path):
+    # each command a fresh process, ended by cli.run as the console script ends
     proc = run_python("-W", "error", "-m", "treelin.cli", "--help")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: treelin")
+    path, make = fixture_args(tmp_path, "germ", 2, 6)
+    commands = [make]
+    for method in ("recursive", "tree", "fixedpoint", "all"):
+        commands.append(["linearize", "germ", "--input", path, "--degree", "6", "--method", method,
+                         "--verify", "--output", str(tmp_path / f"{method}.json")])
+    commands += [
+        ["diagnose", "family", "--omega", repr(GOLDEN), "--degree", "12",
+         "--output", str(tmp_path / "family.csv")],
+        ["bruno", "--omega", repr(GOLDEN), "--terms", "8", "--output", str(tmp_path / "bruno.csv")],
+    ]
+    for argv in commands:
+        proc = run_python("-W", "error", "-m", "treelin.cli", *argv)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert "Warning" not in proc.stderr, (argv, proc.stderr)
 
 
 def test_deferred_module_reports_its_missing_dependency():
