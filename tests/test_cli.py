@@ -315,15 +315,14 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     ]
     omega_spectra = [("tilde", {"rotation": [0.3, 0.3]}), ("tilde", {"lambda": [[]]}),
                      ("frac", {"rotation": ["x"]}), ("hat", [GOLDEN])]
-    # numbers of the wrong JSON type, which float() and complex() would coerce
+    # numbers of the wrong JSON type, which float() and complex() would coerce,
+    # and numbers that are not finite
     for variant, key in (("tilde", "rotation"), ("frac", "rotation"), ("frac", "omega"),
                          ("hat", "omega")):
-        omega_spectra += [(variant, {key: ["0.3"]}), (variant, {key: [True]})]
-    omega_spectra += [("tilde", {"lambda": [["0.6", 0.8]]}), ("tilde", {"lambda": [[True, 0.0]]})]
-    for variant, key in (("tilde", "rotation"), ("frac", "rotation"), ("frac", "omega"),
-                         ("hat", "omega")):
-        omega_spectra += [(variant, {key: [INF]}), (variant, {key: [GOLDEN, NAN]})]
-    omega_spectra += [("tilde", {"lambda": [[0.6, INF]]}), ("hat", {"omega": [[NAN, 1.0]]}),
+        omega_spectra += [(variant, {key: ["0.3"]}), (variant, {key: [True]}),
+                          (variant, {key: [INF]}), (variant, {key: [GOLDEN, NAN]})]
+    omega_spectra += [("tilde", {"lambda": [["0.6", 0.8]]}), ("tilde", {"lambda": [[True, 0.0]]}),
+                      ("tilde", {"lambda": [[0.6, INF]]}), ("hat", {"omega": [[NAN, 1.0]]}),
                       ("frac", {"rotation": [10**400]})]
     for variant, spectrum in omega_spectra:
         path = tmp_path / f"spectrum_{len(bad_args)}.json"
