@@ -51,10 +51,8 @@ _EXPORTS = {
         "ResonantSpectrum", "TreelinError", "TruncationMismatch", "UsageError",
     ),
     "linearize": (
-        "Germ", "IdentityOperator", "InverseDivisorOperator", "Linearization",
-        "VectorField", "classical_lagrange_1d", "fixed_point_inversion", "solve",
-        "solve_fixedpoint_field", "solve_fixedpoint_germ", "solve_recursive_field",
-        "solve_recursive_germ", "solve_tree_field", "solve_tree_germ", "verify_conjugacy",
+        "Germ", "Linearization", "VectorField", "classical_lagrange_1d",
+        "fixed_point_inversion", "solve", "verify_conjugacy",
     ),
     "series": (
         "ScalarSeries", "SeriesFamily", "VectorSeries", "abs_degree", "degree",

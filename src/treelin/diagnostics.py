@@ -19,10 +19,11 @@ import numpy as np
 from .divisors import (
     GermSpectrum,
     bruno_proxy,
+    bruno_sum,
     omega_frac,
 )
 from .errors import FamilyViolation, HypothesisViolated
-from .linearize import Germ, VectorField, solve_recursive_field, solve_recursive_germ
+from .linearize import Germ, VectorField, solve
 from .series import VectorSeries, degree
 
 # ---------------------------------------------------------------------------
@@ -166,19 +167,16 @@ def condition_sequence(omega_of_p, P, class_m: ClassSpec, class_n: ClassSpec,
 
     Boundedness of this sequence over 2..dmax is the finite-range surrogate
     for the limsup smallness condition; the verdict against ``bound`` is
-    reported alongside the raw values.
+    reported alongside the raw values.  The partial sums are
+    :func:`divisors.bruno_sum`'s, so an Omega value at or below its
+    tolerance (a rational rotation, say) raises :class:`ResonantSpectrum`.
     """
     if dmax < 2:
         raise ValueError("dmax must be >= 2")
     for d in (dmax, max(2, dmax // 2)):
         if class_n.log_M(d) < class_m.log_M(d) - 1e-9:
             raise ValueError("the target sequence must eventually dominate the source")
-    kmax = P.kappa(dmax)
-    partial = []
-    total = 0.0
-    for m in range(kmax + 1):
-        total += math.log(1.0 / omega_of_p(P[m + 1])) / P[m]
-        partial.append(total)
+    partial = bruno_sum(omega_of_p, P, P.kappa(dmax))
     values = []
     for d in range(2, dmax + 1):
         kappa = P.kappa(d)
@@ -298,7 +296,7 @@ def germ_family_radius(k: int, omega: float, D: int = 40,
     spectrum = GermSpectrum.from_rotation((omega,))
     lam = spectrum.lam[0]
     f = VectorSeries.from_coeffs(1, D, {(k + 1,): (-lam / k,)})
-    lin = solve_recursive_germ(Germ(spectrum, f), D)
+    lin = solve(Germ(spectrum, f), D)
     rep = growth_report(lin.h)
     kw = (k * omega) % 1.0
     bruno = bruno_proxy(kw, bruno_terms)
@@ -351,7 +349,7 @@ def vf_domain_estimate(field_: VectorField, D: int = 20, majorant_r: float = 0.5
     if field_.f.is_zero():
         return DomainReport(omega, D, math.inf, math.inf, math.inf, bruno,
                             math.inf, 0.0, majorant_r, ((0, 0.0),), False)
-    lin = solve_recursive_field(field_, D)
+    lin = solve(field_, D)
     rep = growth_report(lin.h)
     rho = rep.radius
     d_est = math.sqrt(2.0) * rho
@@ -372,6 +370,8 @@ def proof_bound_constant(h: VectorSeries, class_m: ClassSpec, omega_of_p, P) -> 
 
     The fitted constant makes the bound shape hold for every stored
     coefficient; it is a per-run report, not an asserted universal value.
+    The partial sums are :func:`divisors.bruno_sum`'s, as in
+    :func:`condition_sequence`.
     """
     best = 0.0
     partial_cache: dict = {}
@@ -382,10 +382,7 @@ def proof_bound_constant(h: VectorSeries, class_m: ClassSpec, omega_of_p, P) -> 
                 continue
             kappa = P.kappa(d)
             if kappa not in partial_cache:
-                total = 0.0
-                for m in range(kappa + 1):
-                    total += math.log(1.0 / omega_of_p(P[m + 1])) / P[m]
-                partial_cache[kappa] = total
+                partial_cache[kappa] = bruno_sum(omega_of_p, P, kappa)[-1]
             lhs = math.log(abs(c)) - class_m.log_M(d) - 2.0 * d * partial_cache[kappa]
             best = max(best, math.exp(lhs / d))
     return best

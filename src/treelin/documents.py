@@ -85,7 +85,7 @@ def series_from_doc(doc: dict):
             if not isinstance(value, list) or len(value) != n:
                 raise UsageError(f"vector term at {alpha} needs {n} components")
             coeffs[alpha] = tuple(_cplx(v) for v in value)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed series document: {exc}") from exc
     if kind == "scalar":
         return ScalarSeries(n, D, coeffs)
@@ -221,7 +221,7 @@ def run_report(problem_doc: dict, method: str, lin, extras: dict | None = None) 
         "input_digest": digest(problem_doc),
         "method": method,
         "degree": lin.degree,
-        "residual": {"znorm": lin.residual_znorm, "max_abs": lin.residual_max},
+        "residual": {"znorm": lin.residual.znorm, "max_abs": lin.residual.max_abs},
         "conforming": lin.conforming,
         "clipped": [
             {"alpha": list(a), "axis": j, "modulus": m} for a, j, m in lin.clipped

@@ -1,7 +1,9 @@
 """Solvers for the linearization problems and the generic inversion fixed point.
 
-Three routes to the same tangent-to-identity change of variables h, all
-behind :func:`solve`:
+:func:`solve` is the one solver entry point.  It takes a :class:`Germ` or a
+:class:`VectorField`, which share one functional equation and differ only
+in the divisors of their spectrum, and reaches h (H = z + h) by one of three
+routes:
 
 * order-by-order recursion on the conjugacy equation (divide each new degree
   slice by its divisors),
@@ -11,7 +13,9 @@ behind :func:`solve`:
   which :func:`solve` reaches only when the tree method is chosen, so a
   recursive or fixed-point process never runs that module,
 * the generic non-expanding fixed-point iteration driven by the shift
-  family of f.
+  family of f, :func:`fixed_point_inversion`, whose operator is any
+  callable from vector series to vector series (here division by the
+  divisors).
 
 All three agree coefficient-wise on their shared validity range; the tests
 and the acceptance suite make that executable.  Summation order inside the
@@ -59,6 +63,14 @@ from .series import (
 # ---------------------------------------------------------------------------
 
 
+def _check_problem(problem):
+    """Refuse a problem whose spectrum and f differ in dimension, or whose f has valuation < 2."""
+    if problem.spectrum.n != problem.f.n:
+        raise ValueError("spectrum and series dimension disagree")
+    if not problem.f.is_zero() and problem.f.valuation() < 2:
+        raise ValueError("the nonlinear part must have valuation >= 2")
+
+
 @dataclass(frozen=True)
 class Germ:
     """A diffeomorphism germ z -> A z + f(z) with diagonal linear part."""
@@ -66,11 +78,7 @@ class Germ:
     spectrum: GermSpectrum
     f: VectorSeries
 
-    def __post_init__(self):
-        if self.spectrum.n != self.f.n:
-            raise ValueError("spectrum and series dimension disagree")
-        if not self.f.is_zero() and self.f.valuation() < 2:
-            raise ValueError("the nonlinear part must have valuation >= 2")
+    __post_init__ = _check_problem
 
 
 @dataclass(frozen=True)
@@ -80,36 +88,7 @@ class VectorField:
     spectrum: FieldSpectrum
     f: VectorSeries
 
-    def __post_init__(self):
-        if self.spectrum.n != self.f.n:
-            raise ValueError("spectrum and series dimension disagree")
-        if not self.f.is_zero() and self.f.valuation() < 2:
-            raise ValueError("the nonlinear part must have valuation >= 2")
-
-
-@dataclass(frozen=True)
-class Linearization:
-    """A solution h (H = z + h) with provenance and residual metadata.
-
-    The residual fields are the :class:`ConjugacyReport` of h, so
-    ``max_rel`` is that report's relative defect.
-    """
-
-    h: VectorSeries
-    method: str
-    degree: int
-    residual_znorm: float
-    residual_max: float
-    residual_scale: float
-    clipped: tuple = ()
-
-    @property
-    def conforming(self) -> bool:
-        return not self.clipped
-
-    @property
-    def max_rel(self) -> float:
-        return self.residual_max / self.residual_scale
+    __post_init__ = _check_problem
 
 
 @dataclass(frozen=True)
@@ -124,37 +103,19 @@ class ConjugacyReport:
         return self.max_abs / self.scale
 
 
-# ---------------------------------------------------------------------------
-# operator handles
-# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class Linearization:
+    """A solution h (H = z + h) with provenance and its :class:`ConjugacyReport`."""
 
+    h: VectorSeries
+    method: str
+    degree: int
+    residual: ConjugacyReport
+    clipped: tuple = ()
 
-class OperatorHandle:
-    """An additive, valuation-non-decreasing map on vector series."""
-
-    name = "operator"
-
-    def __call__(self, g: VectorSeries) -> VectorSeries:
-        raise NotImplementedError
-
-
-class IdentityOperator(OperatorHandle):
-    name = "identity"
-
-    def __call__(self, g: VectorSeries) -> VectorSeries:
-        return g
-
-
-class InverseDivisorOperator(OperatorHandle):
-    """Division by the divisors of a spectrum, defined on valuation >= 2."""
-
-    def __init__(self, spectrum, tol: float = DEFAULT_TOL):
-        self.spectrum = spectrum
-        self.tol = tol
-        self.name = f"inverse-divisor[{spectrum.key()[0]}]"
-
-    def __call__(self, g: VectorSeries) -> VectorSeries:
-        return apply_inverse_D(self.spectrum, g, self.tol)
+    @property
+    def conforming(self) -> bool:
+        return not self.clipped
 
 
 # ---------------------------------------------------------------------------
@@ -195,35 +156,6 @@ def _solve_recursive(spectrum, f: VectorSeries, D: int, on_small_divisor, tol):
             raise CoefficientOverflow(d)
         h[:, lo:hi] = H[:, lo:hi] = h_d
     return VectorSeries.from_array(n, D, h), tuple(clipped)
-
-
-def solve_recursive_germ(germ: Germ, D: int, on_small_divisor: str = "raise",
-                         tol: float = DEFAULT_TOL) -> Linearization:
-    """Degree-by-degree solution of the conjugacy equation for a germ."""
-    return solve(germ, D, "recursive", on_small_divisor, tol)
-
-
-def solve_recursive_field(field_: VectorField, D: int, on_small_divisor: str = "raise",
-                          tol: float = DEFAULT_TOL) -> Linearization:
-    """Degree-by-degree solution of the straightening equation for a field."""
-    return solve(field_, D, "recursive", on_small_divisor, tol)
-
-
-# ---------------------------------------------------------------------------
-# tree-sum solver
-# ---------------------------------------------------------------------------
-
-
-def solve_tree_germ(germ: Germ, D: int, on_small_divisor: str = "raise",
-                    tol: float = DEFAULT_TOL) -> Linearization:
-    """Explicit tree-sum solution for a germ."""
-    return solve(germ, D, "tree", on_small_divisor, tol)
-
-
-def solve_tree_field(field_: VectorField, D: int, on_small_divisor: str = "raise",
-                     tol: float = DEFAULT_TOL) -> Linearization:
-    """Explicit tree-sum solution for a vector field (same trees, field divisors)."""
-    return solve(field_, D, "tree", on_small_divisor, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -304,17 +236,13 @@ def _solve_fixedpoint(spectrum, f: VectorSeries, D: int, on_small_divisor, tol):
     if on_small_divisor != "raise":
         raise ValueError("the fixed-point solver has no clip mode")
     _check_finite(f)  # the products would turn it into NaN (inf * 0) below its degree
-    op = InverseDivisorOperator(spectrum, tol)
     divisor_table(spectrum, D)  # every step divides by a prefix of this table
+
+    def op(g: VectorSeries) -> VectorSeries:
+        # looked up per call, so a rebinding of linearize.apply_inverse_D sees every division
+        return apply_inverse_D(spectrum, g, tol)
+
     return fixed_point_inversion(op, shift_expand(f), 1.0, VectorSeries.zero(f.n, D), D), ()
-
-
-def solve_fixedpoint_germ(germ: Germ, D: int, tol: float = DEFAULT_TOL) -> Linearization:
-    return solve(germ, D, "fixedpoint", tol=tol)
-
-
-def solve_fixedpoint_field(field_: VectorField, D: int, tol: float = DEFAULT_TOL) -> Linearization:
-    return solve(field_, D, "fixedpoint", tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +275,7 @@ def solve(problem, D: int, method: str = "recursive", on_small_divisor: str = "r
         raise ValueError(f"unknown method {method!r}")
     with np.errstate(over="ignore", invalid="ignore"):
         h, clipped = route(problem.spectrum, problem.f.truncate(D), D, on_small_divisor, tol)
-    rep = verify_conjugacy(problem, _check_finite(h))
-    return Linearization(h, method, D, rep.znorm, rep.max_abs, rep.scale, clipped)
+    return Linearization(h, method, D, verify_conjugacy(problem, _check_finite(h)), clipped)
 
 
 def _check_finite(h: VectorSeries) -> VectorSeries:

@@ -16,6 +16,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -26,9 +27,9 @@ from treelin import (
     FieldSpectrum,
     Germ,
     GermSpectrum,
-    IdentityOperator,
     VectorField,
     VectorSeries,
+    apply_inverse_D,
     bruno_series_1d,
     classical_lagrange_1d,
     condition_sequence,
@@ -42,16 +43,12 @@ from treelin import (
     omega_frac,
     omega_hat,
     shift_expand,
-    solve_recursive_field,
-    solve_recursive_germ,
-    solve_tree_field,
-    solve_tree_germ,
+    solve,
     tree_value,
     validate_class,
     vf_domain_estimate,
 )
 from treelin.diagnostics import germ_omega_of_p
-from treelin.linearize import InverseDivisorOperator
 from treelin.series import (
     ScalarSeries,
     SeriesFamily,
@@ -99,15 +96,15 @@ def test_criterion_01_oracle_equivalence_germ():
     for _ in range(50):
         f = random_vector_series(rng, 1, 8, min_degree=2, max_degree=4)
         germ = Germ(spec1, f)
-        rec = solve_recursive_germ(germ, 8)
-        tree = solve_tree_germ(germ, 8)
+        rec = solve(germ, 8, "recursive")
+        tree = solve(germ, 8, "tree")
         worst = max(worst, coeffwise_close(rec.h, tree.h, 1e-9))
     spec2 = GermSpectrum.from_rotation((GOLDEN, SILVER))
     for _ in range(50):
         f = random_vector_series(rng, 2, 5, min_degree=2, max_degree=4)
         germ = Germ(spec2, f)
-        rec = solve_recursive_germ(germ, 5)
-        tree = solve_tree_germ(germ, 5)
+        rec = solve(germ, 5, "recursive")
+        tree = solve(germ, 5, "tree")
         worst = max(worst, coeffwise_close(rec.h, tree.h, 1e-9))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and elapsed <= 60.0
@@ -128,15 +125,15 @@ def test_criterion_02_oracle_equivalence_field():
     for _ in range(50):
         f = random_vector_series(rng, 1, 8, min_degree=2, max_degree=4)
         vf = VectorField(FieldSpectrum((1.0,)), f)
-        rec = solve_recursive_field(vf, 8)
-        tree = solve_tree_field(vf, 8)
+        rec = solve(vf, 8, "recursive")
+        tree = solve(vf, 8, "tree")
         worst = max(worst, coeffwise_close(rec.h, tree.h, 1e-9))
     spec = FieldSpectrum((-1.0, GOLDEN))
     for _ in range(50):
         f = random_vector_series(rng, 2, 5, min_degree=2, max_degree=4)
         vf = VectorField(spec, f)
-        rec = solve_recursive_field(vf, 5)
-        tree = solve_tree_field(vf, 5)
+        rec = solve(vf, 5, "recursive")
+        tree = solve(vf, 5, "tree")
         worst = max(worst, coeffwise_close(rec.h, tree.h, 1e-9))
     report(2, worst <= 1e-9,
            f"50+50 fields incl. spectrum (-1, golden), worst deviation {worst:.2e}")
@@ -156,7 +153,7 @@ def _tree_orders_for(G: ScalarSeries, n_orders: int):
     for N in range(1, n_orders + 1):
         total = VectorSeries.zero(1, G.trunc)
         for theta in enumerate_forest(N):
-            total = total + tree_value(theta, IdentityOperator(), fam, 1.0)
+            total = total + tree_value(theta, lambda g: g, fam, 1.0)
         out.append(total.components[0])
     return out
 
@@ -218,7 +215,7 @@ def _sympy_kepler(e_order: int, m_order: int) -> dict:
 def test_criterion_04_kepler():
     D = 10
     H = fixed_point_inversion(
-        IdentityOperator(), _kepler_family(D), 1.0, VectorSeries.zero(2, D), D
+        lambda g: g, _kepler_family(D), 1.0, VectorSeries.zero(2, D), D
     )
     oracle = _sympy_kepler(6, D - 1)
     worst = 0.0
@@ -388,7 +385,7 @@ def test_criterion_09_per_tree_identity():
     spec = GermSpectrum.from_rotation((GOLDEN,))
     f = random_vector_series(rng, 1, D, min_degree=2, max_degree=3)
     germ = Germ(spec, f)
-    op = InverseDivisorOperator(spec)
+    op = partial(apply_inverse_D, spec)
     fam = shift_expand(f)
     support = frozenset(f.support())
     worst = 0.0
@@ -452,8 +449,6 @@ def test_criterion_10_ultrametric_suite():
             violations += 1
 
     # valuation preservation under the inverse divisor operator: 1000
-    from treelin import apply_inverse_D
-
     for _ in range(1000):
         g = random_vector_series(rng, 2, 6, min_degree=2, density=0.5)
         if apply_inverse_D(spec, g).valuation() != g.valuation():

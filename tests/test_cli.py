@@ -92,6 +92,7 @@ MALFORMED_PROBLEMS.update({
     "series D true": {**_problem_doc(), "series": {**_SERIES, "D": True, "terms": []}},
     "rotation as a string": {**_problem_doc(), "spectrum": {"rotation": ["0.618"]}},
     "rotation true": {**_problem_doc(), "spectrum": {"rotation": [True]}},
+    "coefficient beyond the float range": _problem_doc(terms=[{"alpha": [2], "value": [10**400]}]),
 })
 # spectra with an infinite or NaN entry (JSON Infinity and NaN parse as floats)
 MALFORMED_PROBLEMS.update({
@@ -370,7 +371,7 @@ RESONANT_PROBLEM = {
 }
 
 
-def test_domain_error_exit_2(tmp_path):
+def test_domain_error_exit_2(tmp_path, capsys):
     path = tmp_path / "resonant.json"
     path.write_text(json.dumps(RESONANT_PROBLEM))
     assert main(["linearize", "germ", "--input", str(path),
@@ -382,6 +383,33 @@ def test_domain_error_exit_2(tmp_path):
     report = json.loads(out.read_text())
     assert report["conforming"] is False
     assert report["clipped"]
+    # a rational rotation within reach of the scales: Omega(8) = 0 for omega = 3/5
+    capsys.readouterr()
+    assert main(["diagnose", "condition", "--omega", "0.6", "--dmax", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("domain error (ResonantSpectrum): "), err
+
+
+def test_clip_mode_belongs_to_recursive_and_tree(tmp_path, capsys):
+    path = tmp_path / "resonant.json"
+    path.write_text(json.dumps(RESONANT_PROBLEM))
+    argv = ["linearize", "germ", "--input", str(path), "--degree", "4", "--clip"]
+    assert main(argv + ["--method", "fixedpoint"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --clip: the fixedpoint method has no clip mode"), err
+    # --method all --clip: recursive and tree clip, then the fixed point raises
+    assert main(argv + ["--method", "all"]) == 2
+    notes = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in notes[:2]] == ["recursive", "tree"]
+    assert notes[2].startswith("domain error (DivisorBelowTolerance): "), notes
+    # away from resonance every method runs and the report conforms
+    problem = _write_problem(tmp_path, seed=3)
+    out = tmp_path / "all.json"
+    assert main(["linearize", "germ", "--input", str(problem), "--degree", "6",
+                 "--method", "all", "--clip", "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["conforming"] is True
+    assert sorted(report["methods"]) == ["fixedpoint", "recursive", "tree"]
 
 
 @pytest.mark.parametrize("value", [[INF, 0.0], [0.5, NAN]])

@@ -13,6 +13,7 @@ from treelin import (
     FieldSpectrum,
     Germ,
     GermSpectrum,
+    ResonantSpectrum,
     VectorField,
     VectorSeries,
     class_membership,
@@ -20,7 +21,7 @@ from treelin import (
     germ_family_radius,
     growth_report,
     majorant_partial_sums,
-    solve_recursive_germ,
+    solve,
     validate_class,
     vf_domain_estimate,
 )
@@ -93,7 +94,7 @@ def test_class_membership_rejects_zero_series():
 def test_solved_germ_sits_in_analytic_class(rng):
     spec = GermSpectrum.from_rotation((GOLDEN,))
     f = random_vector_series(rng, 1, 20, min_degree=2, max_degree=4)
-    lin = solve_recursive_germ(Germ(spec, f), 20)
+    lin = solve(Germ(spec, f), 20, "recursive")
     fit = class_membership(lin.h, ClassSpec.geometric(1.0))
     assert fit.accepted and math.isfinite(fit.B)
     # the envelope with the fitted constants covers every stored coefficient
@@ -148,6 +149,35 @@ def test_condition_sequence_bounded_verdict():
     assert rep.bounded is True
 
 
+def test_condition_partial_sums_are_the_bruno_loop():
+    # the partial sums in summation order, as the loop below adds them
+    P = ScaleSequence.pow2()
+    omega_of_p = germ_omega_of_p(GOLDEN)
+    cls = ClassSpec.gevrey(1.0)
+    rep = condition_sequence(omega_of_p, P, cls, cls, 100)
+    total, want = 0.0, []
+    for m in range(P.kappa(100) + 1):
+        total += math.log(1.0 / omega_of_p(P[m + 1])) / P[m]
+        want.append(total)
+    assert rep.bruno_partials == tuple(want)
+
+
+def test_bruno_partial_sums_refuse_a_rational_rotation():
+    # omega = 3/5: Omega(p) = 0 once p >= 5, which p_2 = 8 reaches at d >= 4
+    P = ScaleSequence.pow2()
+    cls = ClassSpec.gevrey(1.0)
+    with pytest.raises(ResonantSpectrum, match="p_2 = 8"):
+        condition_sequence(germ_omega_of_p(0.6), P, cls, cls, 5)
+    h = VectorSeries.from_coeffs(1, 6, {(2,): (1.0,), (5,): (0.5,)})
+    with pytest.raises(ResonantSpectrum, match="p_2 = 8"):
+        proof_bound_constant(h, cls, germ_omega_of_p(0.6), P)
+    # and a positive Omega at or below the tolerance 1e-12, not only zero
+    with pytest.raises(ResonantSpectrum):
+        condition_sequence(lambda p: 1e-13, P, cls, cls, 5)
+    with pytest.raises(ResonantSpectrum):
+        proof_bound_constant(h, cls, lambda p: 1e-13, P)
+
+
 # ---------------------------------------------------------------------------
 # growth reports
 # ---------------------------------------------------------------------------
@@ -170,8 +200,8 @@ def test_growth_report_scale_covariance(rng):
         1, 24,
         {a: (vec[0] * c ** (sum(a) - 1),) for a, vec in f.coeff_items()},
     )
-    r1 = growth_report(solve_recursive_germ(Germ(spec, f), 24).h)
-    r2 = growth_report(solve_recursive_germ(Germ(spec, scaled), 24).h)
+    r1 = growth_report(solve(Germ(spec, f), 24, "recursive").h)
+    r2 = growth_report(solve(Germ(spec, scaled), 24, "recursive").h)
     assert r2.radius == pytest.approx(r1.radius / c, rel=1e-6)
 
 
@@ -194,7 +224,7 @@ def test_growth_report_spread_matches_the_polyfit_jackknife(k):
         for omega in (GOLDEN, SILVER, 0.7548776662466927):
             spectrum = GermSpectrum.from_rotation((omega,))
             f = VectorSeries.from_coeffs(1, D, {(k + 1,): (-spectrum.lam[0] / k,)})
-            h = solve_recursive_germ(Germ(spectrum, f), D).h
+            h = solve(Germ(spectrum, f), D, "recursive").h
             want = polyfit_jackknife_spread(h)
             assert growth_report(h).jackknife_spread == pytest.approx(want, rel=1e-12)
 
@@ -236,7 +266,7 @@ def test_germ_family_rational_rotation_rejected():
 def test_proof_bound_constant_is_finite(rng):
     spec = GermSpectrum.from_rotation((GOLDEN,))
     f = random_vector_series(rng, 1, 16, min_degree=2, max_degree=3)
-    lin = solve_recursive_germ(Germ(spec, f), 16)
+    lin = solve(Germ(spec, f), 16, "recursive")
     P = ScaleSequence.pow2()
     c_hat = proof_bound_constant(lin.h, ClassSpec.geometric(1.0),
                                  germ_omega_of_p(GOLDEN), P)

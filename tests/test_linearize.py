@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from treelin import (
     FieldSpectrum,
     Germ,
     GermSpectrum,
-    IdentityOperator,
     NoContraction,
     UsageError,
     VectorField,
@@ -25,24 +25,15 @@ from treelin import (
     enumerate_labeled,
     fixed_point_inversion,
     shift_expand,
-    solve_fixedpoint_germ,
-    solve_recursive_field,
-    solve_recursive_germ,
-    solve_tree_field,
-    solve_tree_germ,
+    solve,
     tree_value,
     verify_conjugacy,
 )
-from treelin import cli, divisors, series, trees
+from treelin import cli, divisors, linearize, series, trees
 from treelin.diagnostics import germ_family_radius
 from treelin.divisors import DEFAULT_TOL, apply_inverse_D, omega_frac, omega_hat, omega_tilde
 from treelin.documents import load_json, problem_from_doc
-from treelin.linearize import (
-    SETTLED_RTOL,
-    InverseDivisorOperator,
-    OperatorHandle,
-    solve,
-)
+from treelin.linearize import SETTLED_RTOL
 from treelin.trees import _TREE_PLAN_LIMIT, _TREE_PLANS, children_lists, tree_plan
 from treelin.series import (
     ScalarSeries,
@@ -76,9 +67,9 @@ def quadratic_germ(spectrum, k=1, D=8):
 
 def test_recursive_first_coefficient(golden_spectrum_1d):
     lam = golden_spectrum_1d.lam[0]
-    lin = solve_recursive_germ(quadratic_germ(golden_spectrum_1d), 8)
+    lin = solve(quadratic_germ(golden_spectrum_1d), 8, "recursive")
     assert abs(lin.h.coefficient((2,))[0] - 1.0 / (1.0 - lam)) < 1e-12
-    assert lin.residual_max < 1e-10
+    assert lin.residual.max_abs < 1e-10
     assert lin.h.valuation() >= 2
 
 
@@ -86,22 +77,22 @@ def test_single_monomial_first_order(golden_spectrum_1d):
     # one monomial: the matching coefficient of h is f_alpha / divisor
     spec = golden_spectrum_1d
     f = VectorSeries.from_coeffs(1, 6, {(3,): (0.25 + 0.1j,)})
-    lin = solve_recursive_germ(Germ(spec, f), 6)
+    lin = solve(Germ(spec, f), 6, "recursive")
     expected = (0.25 + 0.1j) / spec.divisor((3,), 0)
     assert abs(lin.h.coefficient((3,))[0] - expected) < 1e-13
 
 
 def test_zero_germ_solves_to_zero(golden_spectrum_1d):
-    lin = solve_recursive_germ(Germ(golden_spectrum_1d, VectorSeries.zero(1, 6)), 6)
+    lin = solve(Germ(golden_spectrum_1d, VectorSeries.zero(1, 6)), 6, "recursive")
     assert lin.h.is_zero()
-    assert lin.residual_max == 0.0
+    assert lin.residual.max_abs == 0.0
 
 
 def test_field_divisor_example():
     # one variable, omega = 1, f = z^2: divisor 2w - w = 1, h_2 = f_2
     spec = FieldSpectrum((1.0,))
     f = VectorSeries.from_coeffs(1, 6, {(2,): (0.7 - 0.2j,)})
-    lin = solve_recursive_field(VectorField(spec, f), 6)
+    lin = solve(VectorField(spec, f), 6, "recursive")
     assert abs(lin.h.coefficient((2,))[0] - (0.7 - 0.2j)) < 1e-14
 
 
@@ -109,13 +100,13 @@ def test_resonant_germ_raises():
     spec = GermSpectrum((4.0, 2.0))
     f = random_vector_series(np.random.default_rng(0), 2, 4)
     with pytest.raises(DivisorBelowTolerance):
-        solve_recursive_germ(Germ(spec, f), 4)
+        solve(Germ(spec, f), 4, "recursive")
 
 
 def test_clip_mode_records_and_continues():
     spec = GermSpectrum((4.0, 2.0))
     f = random_vector_series(np.random.default_rng(0), 2, 4)
-    lin = solve_recursive_germ(Germ(spec, f), 4, on_small_divisor="clip")
+    lin = solve(Germ(spec, f), 4, "recursive", on_small_divisor="clip")
     assert not lin.conforming
     assert any(alpha == (0, 2) and j == 0 for alpha, j, _ in lin.clipped)
 
@@ -124,7 +115,7 @@ def test_clip_mode_records_every_resonance_in_graded_lex_order():
     # lambda = (4, 2, 8): lambda_2^2 = lambda_1, lambda_1 lambda_2 = lambda_2^3 = lambda_3
     spec = GermSpectrum((4.0, 2.0, 8.0))
     f = random_vector_series(np.random.default_rng(1), 3, 6)
-    lin = solve_recursive_germ(Germ(spec, f), 6, on_small_divisor="clip")
+    lin = solve(Germ(spec, f), 6, "recursive", on_small_divisor="clip")
     assert lin.clipped == (((0, 2, 0), 0, 0.0), ((1, 1, 0), 2, 0.0), ((0, 3, 0), 2, 0.0))
     assert lin.h.coefficient((0, 2, 0))[0] == 0
     assert lin.h.coefficient((0, 2, 0))[1] != 0
@@ -229,11 +220,11 @@ def test_hand_checked_tree_coefficient(golden_spectrum_1d):
     lam = spec.lam[0]
     c = 0.3 - 0.8j
     f = VectorSeries.from_coeffs(1, 4, {(2,): (c,)})
-    lin = solve_tree_germ(Germ(spec, f), 4)
+    lin = solve(Germ(spec, f), 4, "tree")
     expected = 2.0 * c * c / ((lam ** 3 - lam) * (lam ** 2 - lam))
     assert abs(lin.h.coefficient((3,))[0] - expected) < 1e-13
     # cross-check against the recursion
-    rec = solve_recursive_germ(Germ(spec, f), 4)
+    rec = solve(Germ(spec, f), 4, "recursive")
     assert abs(rec.h.coefficient((3,))[0] - expected) < 1e-13
 
 
@@ -246,12 +237,12 @@ def test_three_solvers_agree_germ(rng, n, D):
     for _ in range(5):
         f = random_vector_series(rng, n, D, min_degree=2, max_degree=4)
         germ = Germ(spec, f)
-        rec = solve_recursive_germ(germ, D)
-        tree = solve_tree_germ(germ, D)
-        fix = solve_fixedpoint_germ(germ, D)
+        rec = solve(germ, D, "recursive")
+        tree = solve(germ, D, "tree")
+        fix = solve(germ, D, "fixedpoint")
         assert_series_close(rec.h, tree.h, rel=1e-9)
         assert_series_close(rec.h, fix.h, rel=1e-9)
-        assert rec.residual_max < 1e-9 * max(1.0, rec.h.max_abs())
+        assert rec.residual.max_abs < 1e-9 * max(1.0, rec.h.max_abs())
 
 
 @pytest.mark.parametrize("n,D", [(1, 8), (2, 5)])
@@ -260,10 +251,10 @@ def test_three_solvers_agree_field(rng, n, D):
     for _ in range(5):
         f = random_vector_series(rng, n, D, min_degree=2, max_degree=4)
         vf = VectorField(spec, f)
-        rec = solve_recursive_field(vf, D)
-        tree = solve_tree_field(vf, D)
+        rec = solve(vf, D, "recursive")
+        tree = solve(vf, D, "tree")
         assert_series_close(rec.h, tree.h, rel=1e-9)
-        assert rec.residual_max < 1e-9 * max(1.0, rec.h.max_abs())
+        assert rec.residual.max_abs < 1e-9 * max(1.0, rec.h.max_abs())
 
 
 @pytest.mark.parametrize("kind", ["germ", "field"])
@@ -337,7 +328,7 @@ def test_module_caches_stay_bounded(golden_spectrum_1d):
     ]
     for sup in supports:
         f = VectorSeries.from_coeffs(1, D, {a: (0.25,) for a in sup})
-        solve_tree_germ(Germ(golden_spectrum_1d, f), D)
+        solve(Germ(golden_spectrum_1d, f), D, "tree")
         for alpha in iter_indices(1, D, 2):
             for N in range(1, sum(alpha)):
                 enumerate_labeled(N, alpha, 0, sup)
@@ -377,13 +368,13 @@ def test_germ_field_structural_parity(rng):
     # choose spectra so the divisors coincide numerically: lambda = 2 gives
     # lambda^a - lambda = 2^a - 2, matched by a field with the same values
     f = random_vector_series(rng, 1, 5, min_degree=2, max_degree=3)
-    gl = solve_tree_germ(Germ(GermSpectrum((2.0,)), f), 5)
+    gl = solve(Germ(GermSpectrum((2.0,)), f), 5, "tree")
 
     class FakeField(FieldSpectrum):
         def divisor(self, nu, j):
             return 2.0 ** nu[0] - 2.0
 
-    fl = solve_tree_field(VectorField(FakeField((2.0,)), f), 5)
+    fl = solve(VectorField(FakeField((2.0,)), f), 5, "tree")
     assert_series_close(gl.h, fl.h, rel=1e-12)
 
 
@@ -397,6 +388,20 @@ def test_solve_dispatcher(rng):
         solve(germ, 5, "newton")
 
 
+def test_fixed_point_divides_through_the_module_function(monkeypatch, golden_spectrum_1d):
+    # the operator looks linearize.apply_inverse_D up at each call, so a
+    # rebinding of that name (as a tracer does) sees every division
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1].trunc)
+        return apply_inverse_D(*args)
+
+    monkeypatch.setattr(linearize, "apply_inverse_D", counted)
+    solve(quadratic_germ(golden_spectrum_1d, D=6), 6, "fixedpoint")
+    assert calls == [1, 2, 3, 4, 5, 6]
+
+
 # ---------------------------------------------------------------------------
 # fixed-point inversion
 # ---------------------------------------------------------------------------
@@ -408,17 +413,17 @@ def test_fixed_point_constant_family():
     c = VectorSeries.from_coeffs(n, D, {(2,): (1.5,)})
     family = SeriesFamily(n, D, D, {(0,): c})
     w = VectorSeries.from_coeffs(n, D, {(3,): (0.5,)})
-    H = fixed_point_inversion(IdentityOperator(), family, 2.0, w, D)
+    H = fixed_point_inversion(lambda g: g, family, 2.0, w, D)
     assert_series_close(H, w + c.scale(2.0), rel=1e-14)
 
 
 def test_fixed_point_matches_recursive(rng, golden_spectrum_1d):
     f = random_vector_series(rng, 1, 7, min_degree=2, max_degree=4)
     germ = Germ(golden_spectrum_1d, f)
-    op = InverseDivisorOperator(golden_spectrum_1d)
+    op = partial(apply_inverse_D, golden_spectrum_1d)
     H = fixed_point_inversion(op, shift_expand(f.truncate(7)), 1.0,
                               VectorSeries.zero(1, 7), 7)
-    assert_series_close(H, solve_recursive_germ(germ, 7).h, rel=1e-10)
+    assert_series_close(H, solve(germ, 7, "recursive").h, rel=1e-10)
 
 
 @pytest.mark.parametrize("kind", ["germ", "field"])
@@ -442,10 +447,10 @@ def test_fixed_point_no_contraction():
     })
     w = VectorSeries.from_coeffs(n, D, {(1,): (1.0,)})
     with pytest.raises(NoContraction):
-        fixed_point_inversion(IdentityOperator(), family, 1.0, w, D)
+        fixed_point_inversion(lambda g: g, family, 1.0, w, D)
 
 
-class _CountingOperator(OperatorHandle):
+class _CountingOperator:
     """The identity, counting its calls."""
 
     def __init__(self):
@@ -501,7 +506,7 @@ def full_truncation_fixed_point(op, family, u, w, D):
 def test_growing_truncation_is_bitwise_the_full_iteration(tmp_path, kind, n, D):
     for seed in (1, 2):
         problem = fixture_problem(tmp_path, kind, n, D, seed)
-        op = InverseDivisorOperator(problem.spectrum)
+        op = partial(apply_inverse_D, problem.spectrum)
         family = shift_expand(problem.f.truncate(D))
         w = VectorSeries.zero(n, D)
         want = full_truncation_fixed_point(op, family, 1.0, w, D)
@@ -514,8 +519,8 @@ def test_growing_truncation_is_bitwise_the_full_iteration_kepler():
     D = 12
     family = kepler_family(D)
     w = VectorSeries.zero(2, D)
-    want = full_truncation_fixed_point(IdentityOperator(), family, 1.0, w, D)
-    got = fixed_point_inversion(IdentityOperator(), family, 1.0, w, D)
+    want = full_truncation_fixed_point(lambda g: g, family, 1.0, w, D)
+    got = fixed_point_inversion(lambda g: g, family, 1.0, w, D)
     assert got.to_array().tobytes() == want.to_array().tobytes()
 
 
@@ -528,7 +533,7 @@ def test_fixed_point_matches_recursive_at_ceiling_sizes(tmp_path, kind, n, D):
     assert (fix - rec).max_abs() <= 1e-10 * max(1.0, rec.max_abs())
 
 
-class _DriftingOperator(OperatorHandle):
+class _DriftingOperator:
     """The identity plus ``drift`` times the step number at the coefficient of z."""
 
     def __init__(self, drift):
@@ -557,7 +562,7 @@ def test_fixed_point_valuation_ladder(rng, golden_spectrum_1d):
     # partial tree sums match the fixed point through degree N + 1 (to
     # roundoff); the remainder is carried by trees of higher order
     f = random_vector_series(rng, 1, 6, min_degree=2, max_degree=3)
-    op = InverseDivisorOperator(golden_spectrum_1d)
+    op = partial(apply_inverse_D, golden_spectrum_1d)
     fam = shift_expand(f.truncate(6))
     H = fixed_point_inversion(op, fam, 1.0, VectorSeries.zero(1, 6), 6)
     acc = VectorSeries.zero(1, 6)
@@ -612,7 +617,7 @@ def test_per_tree_label_identity(rng, n):
             else GermSpectrum.from_rotation((GOLDEN, SILVER)))
     f = random_vector_series(rng, n, D, min_degree=2, max_degree=3)
     germ = Germ(spec, f)
-    op = InverseDivisorOperator(spec)
+    op = partial(apply_inverse_D, spec)
     fam = shift_expand(f)
     for N in range(1, 5):
         for theta in enumerate_forest(N):
@@ -673,11 +678,10 @@ def test_classical_matches_tree_sums_polynomial():
     fam = SeriesFamily(1, D, D, {
         (t,): VectorSeries([formal_derivative(G, (t,))]) for t in range(D + 1)
     })
-    op = IdentityOperator()
     for N in range(1, 7):
         total = VectorSeries.zero(1, D)
         for theta in enumerate_forest(N):
-            total = total + tree_value(theta, op, fam, 1.0)
+            total = total + tree_value(theta, lambda g: g, fam, 1.0)
         got = total.components[0]
         want = table.orders[N - 1]
         for m in range(compare_through + 1):
@@ -703,7 +707,7 @@ def test_classical_matches_tree_sums_sine():
     for N in range(1, 7):
         total = VectorSeries.zero(1, D)
         for theta in enumerate_forest(N):
-            total = total + tree_value(theta, IdentityOperator(), fam, 1.0)
+            total = total + tree_value(theta, lambda g: g, fam, 1.0)
         got = total.components[0]
         want = table.orders[N - 1]
         for m in range(compare_through + 1):
@@ -790,7 +794,7 @@ def test_kepler_reversion_matches_fixed_point():
     D = 10
     fam = kepler_family(D)
     H = fixed_point_inversion(
-        IdentityOperator(), fam, 1.0, VectorSeries.zero(2, D), D
+        lambda g: g, fam, 1.0, VectorSeries.zero(2, D), D
     )
     oracle = sympy_kepler_coefficients(6, D - 1)
     for (m, k), c in oracle.items():
@@ -809,7 +813,7 @@ def test_kepler_e2_row_is_sin_cos():
     D = 12
     fam = kepler_family(D)
     H = fixed_point_inversion(
-        IdentityOperator(), fam, 1.0, VectorSeries.zero(2, D), D
+        lambda g: g, fam, 1.0, VectorSeries.zero(2, D), D
     )
     for m in range(0, D - 2):
         expected = 0.0
@@ -849,7 +853,7 @@ def test_verify_zero_candidate_reports_f_norm(rng, golden_spectrum_1d):
 def test_verify_detects_single_perturbation(rng, golden_spectrum_1d):
     f = random_vector_series(rng, 1, 6, min_degree=2, max_degree=4)
     germ = Germ(golden_spectrum_1d, f)
-    lin = solve_recursive_germ(germ, 6)
+    lin = solve(germ, 6, "recursive")
     assert verify_conjugacy(germ, lin).max_abs < 1e-12
     bumped = lin.h + VectorSeries.from_coeffs(1, 6, {(4,): (1e-3,)})
     rep = verify_conjugacy(germ, bumped)
@@ -862,5 +866,5 @@ def test_verify_field_defect(rng):
     spec = FieldSpectrum((-1.0, GOLDEN))
     f = random_vector_series(rng, 2, 5, min_degree=2, max_degree=3)
     vf = VectorField(spec, f)
-    lin = solve_recursive_field(vf, 5)
+    lin = solve(vf, 5, "recursive")
     assert verify_conjugacy(vf, lin).max_abs < 1e-12
