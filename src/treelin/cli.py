@@ -60,6 +60,16 @@ def _finite(text: str) -> float:
     return value
 
 
+def _finite_where(valid, what: str):
+    """An argparse type: a finite real number that is ``what``, as ``valid`` tests."""
+    def number(text: str) -> float:
+        value = _finite(text)
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    return number
+
+
 def _thread_count() -> int:
     raw = os.environ.get("TREELIN_THREADS", "1")
     try:
@@ -336,8 +346,8 @@ def _cmd_diagnose(args) -> int:
         problem = documents.problem_from_doc(doc)
         if not isinstance(problem, linearize.VectorField):
             raise UsageError("domain diagnostics need a field problem document")
-        rep = diagnostics.vf_domain_estimate(problem, args.degree,
-                                             args.majorant_r or 0.5)
+        # the parser refuses a radius that is not positive, so only None falls back
+        rep = diagnostics.vf_domain_estimate(problem, args.degree, args.majorant_r or 0.5)
         _require_fit(rep.rho, f"--degree {args.degree}")
         rows.append("omega,degree,rho,d_estimate,log_d,bruno_value,gap,divergence_flag")
         rows.append(
@@ -464,7 +474,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dmax", type=_at_least(2), default=200)
     p.add_argument("--k", type=_at_least(1), default=1)
     p.add_argument("--degree", type=_at_least(0), default=40)
-    p.add_argument("--majorant-r", type=float)
+    p.add_argument("--majorant-r", type=_finite_where(lambda r: r > 0, "positive"))
     p.add_argument("--emit-csv", metavar="PATH")
     p.add_argument("--output", metavar="PATH")
     p.set_defaults(fn=_cmd_diagnose)
@@ -472,7 +482,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="check a solution document against its problem")
     p.add_argument("--input", required=True)
     p.add_argument("--solution", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_finite_where(lambda t: t >= 0, ">= 0"), default=1e-9)
     p.add_argument("--output", metavar="PATH")
     p.set_defaults(fn=_cmd_verify)
 
@@ -481,7 +491,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=1, choices=(1, 2, 3))
     p.add_argument("--degree-f", type=int, default=4)
     p.add_argument("--trunc", type=_at_least(0), default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(fn=_cmd_fixture)
 

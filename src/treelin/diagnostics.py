@@ -40,21 +40,21 @@ class ClassSpec:
 
     @classmethod
     def gevrey(cls, s: float):
-        if s < 0:
-            raise ValueError("Gevrey exponent must be >= 0")
+        if not 0 <= s < math.inf:
+            raise ValueError(f"Gevrey exponent must be finite and >= 0, got {s!r}")
         return cls("gevrey", (float(s),))
 
     @classmethod
     def geometric(cls, c: float):
-        if c <= 0:
-            raise ValueError("geometric ratio must be positive")
+        if not 0 < c < math.inf:
+            raise ValueError(f"geometric ratio must be finite and positive, got {c!r}")
         return cls("geometric", (float(c),))
 
     @classmethod
     def from_table(cls, values):
         values = tuple(float(v) for v in values)
-        if not values or any(v <= 0 for v in values):
-            raise ValueError("table entries must be positive")
+        if not values or not all(0 < v < math.inf for v in values):
+            raise ValueError("table entries must be finite and positive")
         return cls("table", values)
 
     def log_M(self, k: int) -> float:

@@ -209,7 +209,7 @@ def fixed_point_inversion(op, family: SeriesFamily, u, w: VectorSeries, D: int) 
         for beta, size, g in items:
             if size > T:
                 break
-            acc += [product_slice(row, table.power[beta], n, D, T) for row in g]
+            acc += [product_slice(row, table.power[beta], n, T) for row in g]
         rhs[:, lo:hi] = w[:, lo:hi] + acc * complex(u)
         if T == 0 and D > 0:
             continue  # step 1 settles degrees 0 and 1

@@ -18,18 +18,16 @@ Conventions used throughout the package:
   array whose rows are its components.  Queries (``items``, ``support``,
   ``len``, ``valuation``) report nonzero slots only.
 * The Cauchy product has a normative summation order that depends on
-  neither the values nor the support of its operands.  For n = 1 it is the
-  order of ``numpy.convolve``; for n >= 2 each output slot sums the
-  products a_i * b_j over its slot pairs (i, j) in ascending i, with
-  ``numpy.bincount`` over a precomputed pair table.  The table is built
-  and read in runs of whole output-degree blocks, each of at most
-  ``_BLOCK`` pairs unless one block alone is longer.  Every slot's pairs
-  lie in one run, so the sum runs per run in the same order as one pass
-  over the whole table would.  Zero terms are never skipped, so the
-  degree <= d part of a product is bitwise the same whatever the
-  operands hold above degree d.  :func:`product_slice` computes the
-  degree-d slots alone, as the run of that one block, so they are
-  bitwise those of the full product.
+  neither the values nor the support of its operands.  :func:`product_slice`
+  computes one output degree d: for n = 1 by ``numpy.convolve``, for n >= 2
+  by ``numpy.bincount`` over block d of a pair table, which sums each slot's
+  products a_i * b_j in ascending i.  :meth:`ScalarSeries.multiply` is the
+  concatenation of the slices (for n = 1 one ``numpy.convolve``, whose slot
+  d is the slice).  Zero terms are never skipped, so the degree <= d part of
+  a product is bitwise the same whatever the operands hold above degree d.
+  Slot 0 is a one-pair block, which numpy may round apart from the same
+  product in a longer array: with two nonzero constant terms it may differ
+  in its last bit from a whole-table sum.  No solver forms such a product.
 * Every power x^alpha of a vector argument comes from one
   :class:`PowerTable`, which fills the powers one degree slice at a time
   with :func:`product_slice`: the recursive solver and the fixed point in
@@ -136,113 +134,77 @@ class _Basis:
         self.D = D
         self.indices = list(iter_indices(n, D))
         self.slot = {a: i for i, a in enumerate(self.indices)}
-        self.degrees = np.array([sum(a) for a in self.indices], dtype=np.intp)
-
-
-# Longest run of the pair table, in pairs.  The table is built, and every
-# product reads it, in runs of whole output-degree blocks of at most this many
-# pairs (a block longer than that is a run alone), so the temporaries of a
-# large table are one run long, not one table long.
-_BLOCK = 1 << 14
 
 
 class _PairTable:
-    """Slot pairs (i, j) with deg i + deg j <= D, sorted by the slot of i + j.
+    """Per output degree d, the slot pairs (i, j) with deg i + deg j = d.
 
-    Within one output slot the pairs are in ascending i.  Because graded-lex
-    order puts degrees <= d first, the table of a truncation d <= D is the
-    prefix ``[:cut[d]]`` of this one.  It is built run by run (:meth:`runs`):
-    each run is sorted on its own and written in place, so the table comes
-    out as one sort of the whole would leave it.
+    Block d is ``(left, right, out2)``: the slots i and j of each pair, sorted
+    by output slot and within one by ascending i, and the output index of
+    their real and imaginary parts, interleaved, counted from the first slot
+    of degree d.  A block depends on n and d alone, so the table grows a block
+    at a time and keeps what it has; ``terms`` fits the largest block's terms.
     """
 
-    def __init__(self, n: int, D: int):
-        self.D = D
-        self._runs: dict = {}
-        exps = np.array(_basis(n, D).indices[: slot_count(n, D)], dtype=np.intp)
-        degrees = exps.sum(axis=1)
-        per_degree = np.bincount(degrees)
-        # the slots of degree < d, and the pairs of output degree <= d
-        self._below = np.concatenate(([0], np.cumsum(per_degree)))
-        self.cut = np.cumsum(np.convolve(per_degree, per_degree)[: D + 1])
-        size = int(self.cut[D])
-        self.left = np.empty(size, dtype=np.intp)
-        self.right = np.empty(size, dtype=np.intp)
-        # output index of each real and imaginary part, interleaved
-        self.out2 = np.empty(2 * size, dtype=np.intp)
-        # The slot of an index g of degree d is slot_count(n, d) - 1 less the
-        # indices of degree d after it; those first above g at axis p - 1
-        # number C(r_p + n - p - 1, n - p), with the tail sum r_p = g_p + ...
-        # + g_(n-1).  Tail sums add over a pair, so each term is a lookup.
-        tails = np.cumsum(exps[:, ::-1], axis=1)[:, ::-1].T.copy()
-        weight = np.array([[math.comb(t + n, n) - 1 for t in range(D + 1)]] + [
-            [-math.comb(t + n - p - 1, n - p) for t in range(D + 1)] for p in range(1, n)
-        ], dtype=np.intp)
-        for lo, hi, base, top in self.runs(D):
-            # slot i of degree k pairs with the slots of degree first - k ..
-            # last - k, one contiguous range; the pairs are listed by i, then
-            # j, so a stable sort by output slot keeps each slot's in ascending i
-            first, last = degrees[base], degrees[top - 1]
-            k = degrees[:top]
-            start = self._below[np.maximum(first - k, 0)]
-            counts = self._below[last + 1 - k] - start
-            left = np.repeat(np.arange(top, dtype=np.intp), counts)
-            right = np.arange(hi - lo, dtype=np.intp)
-            right -= np.repeat(np.cumsum(counts) - counts - start, counts)
-            out = np.zeros(hi - lo, dtype=np.intp)
-            for tail, w in zip(tails, weight):
-                r = tail[left]
-                r += tail[right]
-                out += np.take(w, r, out=r)
-            # a stable sort on the narrowest type that holds the run's slots
-            # (numpy radix-sorts up to 16 bits) gives the same order, faster
-            out -= base
-            order = np.argsort(out.astype(np.min_scalar_type(top - base - 1)), kind="stable")
-            out += base
-            np.take(left, order, out=self.left[lo:hi])
-            del left
-            np.take(right, order, out=self.right[lo:hi])
-            del right
-            out = out[order]
-            out *= 2
-            self.out2[2 * lo: 2 * hi: 2] = out
-            out += 1
-            self.out2[2 * lo + 1: 2 * hi: 2] = out
+    def __init__(self, n: int):
+        self.n = n
+        self.blocks: list = []
+        # tail sums r_p = g_p + ... + g_(n-1), p = 1 .. n-1, of every slot so far
+        self._tails = np.empty((n - 1, 0), dtype=np.int32)
 
-    def runs(self, T: int):
-        """Runs of the truncation-T table: (first pair, end pair, first slot, end slot).
-
-        Whole output-degree blocks are grouped from degree 0 up while a run
-        stays within ``_BLOCK`` pairs; a longer block is a run alone.  Every
-        output slot's pairs lie in one run, so a product summed run by run
-        adds the same terms in the same order as one pass over the table.
-        """
-        runs = self._runs.get(T)
-        if runs is None:
-            pairs = [0] + self.cut[: T + 1].tolist()  # pairs of output degree < d
-            slots = self._below.tolist()
-            bounds, first = [], 0
-            for d in range(1, T + 1):
-                if pairs[d + 1] - pairs[first] > _BLOCK:
-                    bounds.append((first, d))
-                    first = d
-            bounds.append((first, T + 1))
-            runs = self._runs[T] = [(pairs[a], pairs[b], slots[a], slots[b]) for a, b in bounds]
-        return runs
+    def block(self, top: int):
+        """Block ``top``, built after the blocks below it that the table lacks."""
+        n = self.n
+        for d in range(len(self.blocks), top + 1):
+            g = np.array(list(_indices_of_degree(n, d)), dtype=np.int32)
+            self._tails = np.hstack((self._tails, np.cumsum(g[:, :0:-1], 1, np.int32)[:, ::-1].T))
+            count = [math.comb(k + n - 1, n - 1) for k in range(d + 1)]  # slots of degree k
+            size = sum(a * b for a, b in zip(count, reversed(count)))
+            # the block and its term buffer are allocated before the
+            # temporaries, so they can take the memory the previous block's
+            # temporaries left free
+            pairs = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp)
+            self.terms = np.empty(size, dtype=complex)
+            # slot i of degree k pairs with the slots of degree d - k, one
+            # contiguous range; the pairs are listed by i, then j, so a stable
+            # sort by output slot keeps each slot's in ascending i
+            per_slot = np.repeat(count[::-1], count)
+            start = np.repeat(np.cumsum([0] + count)[d::-1], count)  # first slot of degree d - k
+            left = np.repeat(np.arange(sum(count), dtype=np.intp), per_slot)
+            right = np.arange(size) - np.repeat(np.cumsum(per_slot) - per_slot - start, per_slot)
+            # The slot of an index g of degree d is its block's last, less the
+            # indices of degree d after it; those first above g at axis p - 1
+            # number C(r_p + n - p - 1, n - p).  Tail sums add over a pair, so
+            # each term is a lookup.  Every partial difference lies in 0 ..
+            # last, so it is computed in the narrowest type that holds the
+            # block's slots, and a stable sort on it (numpy radix-sorts up to
+            # 16 bits) gives the same order, faster.
+            out = np.full(size, count[d] - 1, dtype=np.min_scalar_type(count[d] - 1))
+            for p, tail in enumerate(self._tails, start=1):
+                w = np.array([math.comb(t + n - p - 1, n - p) for t in range(d + 1)], out.dtype)
+                out -= w[tail[left] + tail[right]]
+            # take needs no buffer for its output in clip mode, and every
+            # index is in range
+            order = np.argsort(out, kind="stable")
+            np.take(left, order, out=pairs[0], mode="clip")
+            np.take(right, order, out=pairs[1], mode="clip")
+            del left, right, order
+            # sorted, output slot s holds the next bincount(out)[s] pairs
+            out2 = np.arange(2 * count[d], dtype=np.intp).reshape(-1, 2)
+            self.blocks.append((*pairs, np.repeat(out2, np.bincount(out), axis=0).ravel()))
+        return self.blocks[top]
 
 
-# Each cache holds, per number of variables, the entry for the largest
-# truncation built so far; it serves every smaller truncation as a prefix.
+# Each cache holds, per number of variables, one entry; a basis is rebuilt
+# for a larger truncation and serves every smaller one as a prefix, and a
+# pair table grows.
 _CACHE_DIMENSIONS = 8
 _BASES: dict = {}
 _PAIR_TABLES: dict = {}
 
 
-def _cached(cache: dict, build, n: int, D: int):
-    entry = cache.pop(n, None)
-    if entry is None or entry.D < D:
-        entry = None  # release a smaller entry before building its successor
-        entry = build(n, D)
+def _recent(cache: dict, n: int, entry):
+    """Store ``entry`` as the newest of ``cache``, dropping the oldest past the bound."""
     cache[n] = entry
     if len(cache) > _CACHE_DIMENSIONS:
         del cache[next(iter(cache))]
@@ -250,11 +212,15 @@ def _cached(cache: dict, build, n: int, D: int):
 
 
 def _basis(n: int, D: int) -> _Basis:
-    return _cached(_BASES, _Basis, n, D)
+    entry = _BASES.pop(n, None)
+    if entry is None or entry.D < D:
+        entry = None  # release a smaller entry before building its successor
+        entry = _Basis(n, D)
+    return _recent(_BASES, n, entry)
 
 
-def _pair_table(n: int, D: int) -> _PairTable:
-    return _cached(_PAIR_TABLES, _PairTable, n, D)
+def _pair_table(n: int) -> _PairTable:
+    return _recent(_PAIR_TABLES, n, _PAIR_TABLES.pop(n, None) or _PairTable(n))
 
 
 def graded_indices(n: int, D: int) -> list:
@@ -262,33 +228,24 @@ def graded_indices(n: int, D: int) -> list:
     return _basis(n, D).indices[: slot_count(n, D)]
 
 
-def product_slice(a, b, n: int, D: int, d: int):
-    """The degree-d slots of the truncation-D product of two slot vectors, 0 <= d <= D.
+def product_slice(a, b, n: int, d: int):
+    """The degree-d slots of the product of two slot vectors holding degrees <= d at least.
 
-    Bitwise the slots ``slot_count(n, d - 1):slot_count(n, d)`` of
-    :meth:`ScalarSeries.multiply`.  For n = 1 it is the one dot product
-    ``numpy.convolve`` takes for slot d; for n >= 2 it is the degree-d block
-    of the pair table, one run summed as every run of a full product is.
-    Slot 0 is one pair, and numpy can round a one-element product apart from
-    the same product in a longer array, so d = 0 runs with degree 1 as well.
+    For n = 1 it is the one dot product ``numpy.convolve`` takes for slot d;
+    for n >= 2 each slot sums its pairs of the table's block d in order.  The
+    terms go to the table's buffer, so two products of one n never run at once.
     """
     if n == 1:
         return np.convolve(a[: d + 1], b[: d + 1], mode="valid")
-    table = _pair_table(n, D)
-    if d == 0:
-        top = min(D, 1)
-        return _product_run(a, b, table, 0, table.cut[top], 0, slot_count(n, top))[:1]
-    return _product_run(a, b, table, table.cut[d - 1], table.cut[d],
-                        slot_count(n, d - 1), slot_count(n, d))
-
-
-def _product_run(a, b, table: _PairTable, lo: int, hi: int, base: int, top: int):
-    """Output slots ``base:top`` of a * b from the table's pairs ``lo:hi``, which are all of theirs."""
-    terms = a[table.left[lo:hi]]
-    terms *= b[table.right[lo:hi]]
-    acc = np.bincount(table.out2[2 * lo: 2 * hi], weights=terms.view(np.float64),
-                      minlength=2 * top)
-    return acc.view(np.complex128)[base:]
+    if len(a) < slot_count(n, d):
+        raise IndexError(f"a degree-{d} slice reads {slot_count(n, d)} slots, got {len(a)}")
+    table = _pair_table(n)
+    left, right, out2 = table.block(d)
+    # a fresh terms array per product page-faults whenever the C allocator has
+    # returned the last one to the system
+    terms = np.take(a, left, out=table.terms[: len(left)], mode="clip")
+    terms *= b[right]
+    return np.bincount(out2, weights=terms.view(np.float64)).view(np.complex128)
 
 
 class PowerTable:
@@ -322,7 +279,7 @@ class PowerTable:
         for alpha, up, i in self._chain:
             if sum(alpha) > d:
                 break
-            self.power[alpha][lo:hi] = product_slice(self.power[up], self.x[i], self.n, self.D, d)
+            self.power[alpha][lo:hi] = product_slice(self.power[up], self.x[i], self.n, d)
 
     def fill_all(self) -> "PowerTable":
         """Fill every degree 2..D; returns the table."""
@@ -388,7 +345,7 @@ class _DenseSeries:
         nz = np.flatnonzero(self._used())
         if not len(nz):
             return math.inf
-        return int(_basis(self.n, self.trunc).degrees[nz[0]])
+        return sum(_basis(self.n, self.trunc).indices[nz[0]])
 
     def znorm(self) -> float:
         v = self.valuation()
@@ -530,14 +487,8 @@ class ScalarSeries(_DenseSeries):
         a, b = self._v, other._v
         if self.n == 1:
             return self._wrap(np.convolve(a, b)[: len(a)])
-        table = _pair_table(self.n, self.trunc)
-        runs = table.runs(self.trunc)
-        if len(runs) == 1:
-            return self._wrap(_product_run(a, b, table, *runs[0]))
-        out = np.empty_like(a)
-        for lo, hi, base, top in runs:
-            out[base:top] = _product_run(a, b, table, lo, hi, base, top)
-        return self._wrap(out)
+        return self._wrap(np.concatenate([product_slice(a, b, self.n, d)
+                                          for d in range(self.trunc + 1)]))
 
     def __repr__(self):
         terms = ", ".join(f"{a}:{c:.4g}" for a, c in self.items()[:6])

@@ -291,8 +291,12 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert main(["bruno"]) == 1
     assert main(["linearize", "germ", "--input", "missing.json",
                  "--degree", "4"]) == 1
-    capsys.readouterr()
     problem = _write_problem(tmp_path)
+    field = _write_problem(tmp_path, n=2, kind="field")
+    solution = tmp_path / "h.json"
+    assert main(["linearize", "germ", "--input", str(problem), "--degree", "8",
+                 "--output", str(solution)]) == 0
+    capsys.readouterr()
     bad_args = [
         ["fixture", "germ", "--n", "0"],
         ["fixture", "germ", "--n", "4"],
@@ -313,6 +317,15 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         ["diagnose", "condition", "--omega", "nan"],
         ["bruno", "--omega", "-inf"],
         ["bruno", "--omega", "nan"],
+        # a radius and a tolerance are finite, a radius positive, a seed >= 0
+        ["diagnose", "growth", "--input", str(solution), "--majorant-r", "-1"],
+        ["diagnose", "domain", "--input", str(field), "--majorant-r", "0"],
+        ["diagnose", "domain", "--input", str(field), "--majorant-r", "nan"],
+        ["verify", "--input", str(problem), "--solution", str(solution), "--tol", "nan"],
+        ["verify", "--input", str(problem), "--solution", str(solution), "--tol", "-1"],
+        ["fixture", "germ", "--seed", "-1"],
+        ["diagnose", "class", "--input", str(solution), "--class-m", "gevrey:nan"],
+        ["diagnose", "condition", "--omega", "0.6", "--class-m", "geometric:inf"],
     ]
     omega_spectra = [("tilde", {"rotation": [0.3, 0.3]}), ("tilde", {"lambda": [[]]}),
                      ("frac", {"rotation": ["x"]}), ("hat", [GOLDEN])]

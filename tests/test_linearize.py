@@ -346,7 +346,9 @@ def test_module_caches_stay_bounded(golden_spectrum_1d):
     assert len(_TREE_PLANS) <= _TREE_PLAN_LIMIT
     assert len(series._PAIR_TABLES) <= series._CACHE_DIMENSIONS
     for table in series._PAIR_TABLES.values():
-        assert len(table._runs) <= table.D + 1
+        # one block per output degree: the C(2n + D, 2n) pairs of degree <= D
+        pairs = sum(len(block[0]) for block in table.blocks)
+        assert pairs == math.comb(2 * table.n + len(table.blocks) - 1, 2 * table.n)
     # more spectra than the divisor cache keeps
     for k in range(divisors._DIVISOR_TABLE_LIMIT + 4):
         divisors.divisor_table(GermSpectrum.from_rotation((GOLDEN / (k + 2),)), 5)

@@ -17,10 +17,10 @@ from treelin import (
     weighted_norm,
 )
 from treelin.series import (
-    _BLOCK,
     PowerTable,
     SeriesFamily,
     _basis,
+    _pair_table,
     _PairTable,
     abs_degree,
     degree,
@@ -252,7 +252,7 @@ def test_product_slice_is_the_degree_slice_of_multiply(rng, n, D):
     g = random_scalar_series(rng, n, D)
     full = f.multiply(g).vector
     for d in range(1, D + 1):
-        got = product_slice(f.vector, g.vector, n, D, d)
+        got = product_slice(f.vector, g.vector, n, d)
         assert got.tobytes() == full[slot_count(n, d - 1):slot_count(n, d)].tobytes(), d
 
 
@@ -304,20 +304,20 @@ def test_power_table_fill_reads_no_degree_d_slot_of_x(rng, n, D, alphas):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_product_slice_at_degree_zero_is_the_constant_slot(rng, n):
-    # the fixed point's first step needs slot 0; for n >= 2 it is one pair
-    # of the table, and numpy can round a one-element product differently
+    # the fixed point's first step needs slot 0, a one-pair block for n >= 2
     for D in (0, 1, 6):
         for _ in range(20):
             f, g = random_scalar_series(rng, n, D), random_scalar_series(rng, n, D)
-            got = product_slice(f.vector, g.vector, n, D, 0)
+            got = product_slice(f.vector, g.vector, n, 0)
             assert got.tobytes() == f.multiply(g).vector[:1].tobytes(), D
 
 
-def _one_pass_table(n, D):
-    """(left, right, out2, cut) of the pair table as one sort of the whole table leaves it."""
+@pytest.mark.parametrize("n,D", [(2, 10), (2, 30), (3, 30)])
+def test_pair_table_blocks_are_the_one_pass_table(rng, n, D):
+    # the table as one stable sort of all pairs of degree <= D by output slot leaves it
     exps = np.array(_basis(n, D).indices[: slot_count(n, D)], dtype=np.intp)
-    upto = np.array([slot_count(n, d) for d in range(D + 1)], dtype=np.intp)
-    counts = upto[D - exps.sum(axis=1)]
+    upto = np.array([0] + [slot_count(n, d) for d in range(D + 1)], dtype=np.intp)
+    counts = upto[D + 1 - exps.sum(axis=1)]
     left = np.repeat(np.arange(len(exps), dtype=np.intp), counts)
     right = np.arange(len(left), dtype=np.intp)
     right -= np.repeat(np.cumsum(counts) - counts, counts)
@@ -325,50 +325,46 @@ def _one_pass_table(n, D):
     by_key = np.argsort(key)
     out = by_key[np.searchsorted(key[by_key], key[left] + key[right])]
     order = np.argsort(out, kind="stable")
-    out = out[order]
+    left, right, out = left[order], right[order], out[order]
     out2 = np.repeat(2 * out, 2)
     out2[1::2] += 1
-    return left[order], right[order], out2, np.searchsorted(out, upto)
-
-
-# one run; several runs; several runs whose top degree blocks each exceed _BLOCK
-TABLE_SIZES = [(2, 10), (2, 30), (3, 30)]
-
-
-@pytest.mark.parametrize("n,D", TABLE_SIZES)
-def test_pair_table_runs_are_the_one_pass_table(n, D):
-    table = _PairTable(n, D)
-    left, right, out2, cut = _one_pass_table(n, D)
-    for got, want in ((table.left, left), (table.right, right), (table.out2, out2),
-                      (table.cut, cut)):
-        assert got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
-    runs = table.runs(D)
-    assert (len(runs) == 1) == (cut[D] <= _BLOCK)
-    assert runs[0][0] == runs[0][2] == 0
-    assert (runs[-1][1], runs[-1][3]) == (cut[D], slot_count(n, D))
-    degree_starts = [slot_count(n, d - 1) for d in range(D + 2)]
-    for (lo, hi, base, top), nxt in zip(runs, runs[1:] + [None]):
-        if nxt is not None:
-            assert (hi, top) == (nxt[0], nxt[2])
-        # whole degree blocks, holding every pair of their output slots
-        assert base in degree_starts and top in degree_starts
-        assert (out2[2 * lo] // 2, out2[2 * hi - 1] // 2) == (base, top - 1)
-        # within _BLOCK unless the run is one degree block
-        assert hi - lo <= _BLOCK or degree_starts.index(top) - degree_starts.index(base) == 1
-    if (n, D) == (3, 30):
-        assert runs[-1][1] - runs[-1][0] > _BLOCK
-
-
-@pytest.mark.parametrize("n,D", TABLE_SIZES)
-def test_multiply_is_one_pass_over_the_table(rng, n, D):
-    f = random_scalar_series(rng, n, D)
+    cut = np.searchsorted(out, upto)
+    table = _PairTable(n)
+    for d in range(D + 1):
+        lo, hi = cut[d], cut[d + 1]
+        want = (left[lo:hi], right[lo:hi], out2[2 * lo: 2 * hi] - 2 * upto[d])
+        for got, wanted in zip(table.block(d), want):
+            assert got.dtype == wanted.dtype
+            assert got.tobytes() == wanted.tobytes(), d
+    # a product over the blocks is one bincount pass over the whole table,
+    # here with a zero constant term, as every product the solvers take has
+    f = random_scalar_series(rng, n, D, min_degree=1)
     g = random_scalar_series(rng, n, D)
-    left, right, out2, _ = _one_pass_table(n, D)
     terms = f.vector[left]
     terms *= g.vector[right]
     want = np.bincount(out2, weights=terms.view(np.float64), minlength=2 * slot_count(n, D))
     assert f.multiply(g).vector.tobytes() == want.tobytes()
+
+
+def test_product_slice_refuses_an_operand_without_degree_d(rng):
+    f = random_scalar_series(rng, 2, 6)
+    with pytest.raises(IndexError):
+        product_slice(f.vector[: slot_count(2, 5)], f.vector, 2, 6)
+    with pytest.raises(IndexError):
+        product_slice(f.vector, f.vector[: slot_count(2, 5)], 2, 6)
+
+
+def test_a_larger_truncation_keeps_the_pair_table_blocks(rng):
+    n = 2
+    f = random_scalar_series(rng, n, 6)
+    f.multiply(f)
+    table = _pair_table(n)
+    kept = table.blocks[:7]
+    g = random_scalar_series(rng, n, 12)
+    g.multiply(g)
+    assert _pair_table(n) is table
+    assert len(table.blocks) >= 13
+    assert all(block is old for block, old in zip(table.blocks, kept))
 
 
 def test_multiply_commutative_and_associative(rng):
