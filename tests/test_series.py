@@ -312,9 +312,9 @@ def test_product_slice_at_degree_zero_is_the_constant_slot(rng, n):
             assert got.tobytes() == f.multiply(g).vector[:1].tobytes(), D
 
 
-@pytest.mark.parametrize("n,D", [(2, 10), (2, 30), (3, 30)])
-def test_pair_table_blocks_are_the_one_pass_table(rng, n, D):
-    # the table as one stable sort of all pairs of degree <= D by output slot leaves it
+def _one_pass_table(n, D):
+    """(left, right, out2, upto) of the pair table as one stable sort of all pairs
+    of degree <= D by output slot leaves it; upto[d] is the first slot of degree d."""
     exps = np.array(_basis(n, D).indices[: slot_count(n, D)], dtype=np.intp)
     upto = np.array([0] + [slot_count(n, d) for d in range(D + 1)], dtype=np.intp)
     counts = upto[D + 1 - exps.sum(axis=1)]
@@ -325,10 +325,20 @@ def test_pair_table_blocks_are_the_one_pass_table(rng, n, D):
     by_key = np.argsort(key)
     out = by_key[np.searchsorted(key[by_key], key[left] + key[right])]
     order = np.argsort(out, kind="stable")
-    left, right, out = left[order], right[order], out[order]
+    out = out[order]
     out2 = np.repeat(2 * out, 2)
     out2[1::2] += 1
-    cut = np.searchsorted(out, upto)
+    return left[order], right[order], out2, upto
+
+
+TABLE_SIZES = [(2, 10), (2, 30), (3, 30)]
+
+
+@pytest.mark.parametrize("n,D", TABLE_SIZES)
+def test_pair_table_runs_are_the_one_pass_table(n, D):
+    # each output-degree block is the run of the one-pass table with outputs of that degree
+    left, right, out2, upto = _one_pass_table(n, D)
+    cut = np.searchsorted(out2[::2] // 2, upto)
     table = _PairTable(n)
     for d in range(D + 1):
         lo, hi = cut[d], cut[d + 1]
@@ -336,10 +346,16 @@ def test_pair_table_blocks_are_the_one_pass_table(rng, n, D):
         for got, wanted in zip(table.block(d), want):
             assert got.dtype == wanted.dtype
             assert got.tobytes() == wanted.tobytes(), d
-    # a product over the blocks is one bincount pass over the whole table,
-    # here with a zero constant term, as every product the solvers take has
+
+
+@pytest.mark.parametrize("n,D", TABLE_SIZES)
+def test_multiply_is_one_pass_over_the_table(rng, n, D):
+    # a product over the blocks is one bincount pass over the whole table, here
+    # with a zero constant term, as every product the solvers take has: slot 0 is
+    # a one-pair block, and numpy can round a one-element product differently
     f = random_scalar_series(rng, n, D, min_degree=1)
     g = random_scalar_series(rng, n, D)
+    left, right, out2, _ = _one_pass_table(n, D)
     terms = f.vector[left]
     terms *= g.vector[right]
     want = np.bincount(out2, weights=terms.view(np.float64), minlength=2 * slot_count(n, D))
