@@ -29,8 +29,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(text: str, path: str | None):
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -489,7 +492,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("fixture", help="generate a reproducible random problem document")
     p.add_argument("kind", choices=["germ", "field"])
     p.add_argument("--n", type=int, default=1, choices=(1, 2, 3))
-    p.add_argument("--degree-f", type=int, default=4)
+    p.add_argument("--degree-f", type=_at_least(2), default=4)
     p.add_argument("--trunc", type=_at_least(0), default=8)
     p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--out", metavar="PATH")

@@ -11,8 +11,6 @@ never an assertion.
 from __future__ import annotations
 
 import math
-import statistics
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +22,7 @@ from .divisors import (
 )
 from .errors import FamilyViolation, HypothesisViolated
 from .linearize import Germ, VectorField, solve
+from .records import Record
 from .series import VectorSeries, degree
 
 # ---------------------------------------------------------------------------
@@ -31,12 +30,10 @@ from .series import VectorSeries, degree
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassSpec:
+class ClassSpec(Record):
     """A weight sequence (M_k), stored through log M_k for overflow safety."""
 
-    kind: str
-    param: tuple
+    __slots__ = ("kind", "param")
 
     @classmethod
     def gevrey(cls, s: float):
@@ -76,12 +73,8 @@ class ClassSpec:
         return f"table[{len(self.param)}]"
 
 
-@dataclass(frozen=True)
-class ClassReport:
-    ok: bool
-    smallest_c1: float
-    inf_root: float
-    failures: tuple
+class ClassReport(Record):
+    __slots__ = ("ok", "smallest_c1", "inf_root", "failures")
 
 
 def validate_class(spec: ClassSpec, K: int, root_floor: float = 0.1,
@@ -117,14 +110,8 @@ def validate_class(spec: ClassSpec, K: int, root_floor: float = 0.1,
     return ClassReport(not failures, smallest_c1, inf_root, tuple(failures))
 
 
-@dataclass(frozen=True)
-class MembershipFit:
-    accepted: bool
-    A: float
-    B: float
-    max_violation: float
-    points: int
-    reason: str = ""
+class MembershipFit(Record, defaults={"reason": ""}):
+    __slots__ = ("accepted", "A", "B", "max_violation", "points", "reason")
 
 
 def class_membership(h: VectorSeries, spec: ClassSpec) -> MembershipFit:
@@ -152,13 +139,14 @@ def class_membership(h: VectorSeries, spec: ClassSpec) -> MembershipFit:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    values: tuple             # (degree, value) pairs
-    max_value: float
-    bruno_partials: tuple     # partial sums entering the bracket
-    bounded_by: float | None  # the bound used for the verdict, if any
-    bounded: bool | None
+class ConditionReport(Record):
+    __slots__ = (
+        "values",          # (degree, value) pairs
+        "max_value",
+        "bruno_partials",  # partial sums entering the bracket
+        "bounded_by",      # the bound used for the verdict, if any
+        "bounded",         # the verdict, None without a bound
+    )
 
 
 def condition_sequence(omega_of_p, P, class_m: ClassSpec, class_n: ClassSpec,
@@ -196,14 +184,15 @@ def condition_sequence(omega_of_p, P, class_m: ClassSpec, class_n: ClassSpec,
 MIN_FIT_DEGREES = 3
 
 
-@dataclass(frozen=True)
-class GrowthReport:
-    per_degree: tuple          # (degree, max modulus) pairs
-    fit_degrees: tuple
-    slope: float               # fitted d(log max)/d(degree)
-    radius: float              # exp(-slope)
-    jackknife_spread: float    # relative spread of leave-one-out radii
-    divergent: bool
+class GrowthReport(Record):
+    __slots__ = (
+        "per_degree",        # (degree, max modulus) pairs
+        "fit_degrees",
+        "slope",             # fitted d(log max)/d(degree)
+        "radius",            # exp(-slope)
+        "jackknife_spread",  # relative spread of leave-one-out radii
+        "divergent",
+    )
 
 
 def growth_report(h: VectorSeries, window: float = 0.5) -> GrowthReport:
@@ -227,11 +216,18 @@ def growth_report(h: VectorSeries, window: float = 0.5) -> GrowthReport:
     ys = np.array([math.log(m) for _, m in fit])
     slope = float(np.polyfit(ds, ys, 1)[0])
     radii = np.exp(-_leave_one_out_slopes(ds, ys)).tolist()
-    spread = (max(radii) - min(radii)) / max(statistics.median(radii), 1e-300)
+    spread = (max(radii) - min(radii)) / max(_median(radii), 1e-300)
     return GrowthReport(
         tuple(per_degree), tuple(int(d) for d in ds), slope,
         math.exp(-slope), float(spread), False,
     )
+
+
+def _median(values):
+    """The median of a nonempty list, as ``statistics.median`` gives it."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
 
 
 def _leave_one_out_slopes(x, y):
@@ -269,18 +265,14 @@ def majorant_partial_sums(h: VectorSeries, r: float):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RadiusReport:
-    k: int
-    omega: float
-    degree: int
-    radius: float
-    log_radius: float
-    jackknife_spread: float
-    bruno_value: float         # truncated Bruno series of k*omega
-    reference_log_radius: float  # -B(k omega)/k + log(k)/k
-    empirical_gap: float       # log_radius - reference
-    bruno_terms: int
+class RadiusReport(Record):
+    __slots__ = (
+        "k", "omega", "degree", "radius", "log_radius", "jackknife_spread",
+        "bruno_value",           # truncated Bruno series of k*omega
+        "reference_log_radius",  # -B(k omega)/k + log(k)/k
+        "empirical_gap",         # log_radius - reference
+        "bruno_terms",
+    )
 
 
 def germ_family_radius(k: int, omega: float, D: int = 40,
@@ -308,19 +300,17 @@ def germ_family_radius(k: int, omega: float, D: int = 40,
     )
 
 
-@dataclass(frozen=True)
-class DomainReport:
-    omega: float
-    degree: int
-    rho: float                # polydisk radius estimate (inf for h = 0)
-    d_estimate: float         # sqrt(2) * rho
-    log_d: float
-    bruno_value: float
-    gap: float                # log_d + B(omega)
-    jackknife_spread: float
-    majorant_r: float
-    majorant_sums: tuple      # (degree, partial sum) pairs
-    divergence_flag: bool
+class DomainReport(Record):
+    __slots__ = (
+        "omega", "degree",
+        "rho",               # polydisk radius estimate (inf for h = 0)
+        "d_estimate",        # sqrt(2) * rho
+        "log_d", "bruno_value",
+        "gap",               # log_d + B(omega)
+        "jackknife_spread", "majorant_r",
+        "majorant_sums",     # (degree, partial sum) pairs
+        "divergence_flag",
+    )
 
 
 def vf_domain_estimate(field_: VectorField, D: int = 20, majorant_r: float = 0.5,

@@ -18,13 +18,13 @@ import cmath
 import math
 import numbers
 from collections import OrderedDict
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
 from .errors import DivisorBelowTolerance, RationalDetected, ResonantSpectrum
+from .records import Record
 from .series import (
     VectorSeries,
     abs_degree,
@@ -49,8 +49,7 @@ def frac_distance(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GermSpectrum:
+class GermSpectrum(Record, defaults={"rotation": None}):
     """Pairwise-distinct nonzero eigenvalues of a diagonal germ.
 
     When every eigenvalue has modulus one a rotation vector may be supplied
@@ -60,8 +59,7 @@ class GermSpectrum:
     x = nu.omega - omega_j reduced mod 1.
     """
 
-    lam: tuple
-    rotation: tuple | None = None
+    __slots__ = ("lam", "rotation")
 
     def __post_init__(self):
         lam = tuple(complex(x) for x in self.lam)
@@ -119,11 +117,10 @@ class GermSpectrum:
         return abs(self.divisor(nu, j))
 
 
-@dataclass(frozen=True)
-class FieldSpectrum:
+class FieldSpectrum(Record):
     """Eigenvalues of the diagonal linear part of a vector field."""
 
-    omega: tuple
+    __slots__ = ("omega",)
 
     def __post_init__(self):
         omega = tuple(complex(x) for x in self.omega)
@@ -411,13 +408,10 @@ def bruno_sum(omega_of_p, P, K: int, tol: float = DEFAULT_TOL):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+class ContinuedFraction(Record):
     """Partial quotients a_1, a_2, ... and convergent denominators q_0 = 1, q_1, ..."""
 
-    quotients: tuple
-    p: tuple
-    q: tuple
+    __slots__ = ("quotients", "p", "q")
 
     @classmethod
     def from_quotients(cls, quotients):

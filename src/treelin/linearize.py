@@ -25,15 +25,11 @@ tree sum is normative (see :class:`trees.LinePolynomials` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import trees
 from .divisors import (
     DEFAULT_TOL,
-    FieldSpectrum,
-    GermSpectrum,
     apply_forward_D,
     apply_inverse_D,
     divide_slots,
@@ -45,6 +41,7 @@ from .errors import (
     NoContraction,
     TruncationMismatch,
 )
+from .records import Record
 from .series import (
     PowerTable,
     ScalarSeries,
@@ -71,47 +68,40 @@ def _check_problem(problem):
         raise ValueError("the nonlinear part must have valuation >= 2")
 
 
-@dataclass(frozen=True)
-class Germ:
-    """A diffeomorphism germ z -> A z + f(z) with diagonal linear part."""
+class Germ(Record):
+    """A diffeomorphism germ z -> A z + f(z) with diagonal linear part.
 
-    spectrum: GermSpectrum
-    f: VectorSeries
+    ``spectrum`` is a :class:`GermSpectrum` and ``f`` a :class:`VectorSeries`.
+    """
 
-    __post_init__ = _check_problem
-
-
-@dataclass(frozen=True)
-class VectorField:
-    """A vector field dz/dt = A z + f(z) with diagonal linear part."""
-
-    spectrum: FieldSpectrum
-    f: VectorSeries
+    __slots__ = ("spectrum", "f")
 
     __post_init__ = _check_problem
 
 
-@dataclass(frozen=True)
-class ConjugacyReport:
-    znorm: float
-    max_abs: float
-    scale: float
-    degree: int
+class VectorField(Record):
+    """A vector field dz/dt = A z + f(z) with diagonal linear part.
+
+    ``spectrum`` is a :class:`FieldSpectrum` and ``f`` a :class:`VectorSeries`.
+    """
+
+    __slots__ = ("spectrum", "f")
+
+    __post_init__ = _check_problem
+
+
+class ConjugacyReport(Record):
+    __slots__ = ("znorm", "max_abs", "scale", "degree")
 
     @property
     def max_rel(self) -> float:
         return self.max_abs / self.scale
 
 
-@dataclass(frozen=True)
-class Linearization:
+class Linearization(Record, defaults={"clipped": ()}):
     """A solution h (H = z + h) with provenance and its :class:`ConjugacyReport`."""
 
-    h: VectorSeries
-    method: str
-    degree: int
-    residual: ConjugacyReport
-    clipped: tuple = ()
+    __slots__ = ("h", "method", "degree", "residual", "clipped")
 
     @property
     def conforming(self) -> bool:
@@ -291,16 +281,14 @@ def _check_finite(h: VectorSeries) -> VectorSeries:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InversionTable:
+class InversionTable(Record):
     """Per-order coefficients of the one-dimensional inversion series.
 
     ``orders[N-1]`` is the coefficient of u^N as a series in w; the solution
     of h = u G(h) + w is H(u, w) = w + sum_N u^N orders[N-1](w).
     """
 
-    G: ScalarSeries
-    orders: tuple
+    __slots__ = ("G", "orders")
 
     def evaluate(self, u: complex, w: complex) -> complex:
         out = complex(w)

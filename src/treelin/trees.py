@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import groupby, product
 
@@ -30,6 +29,7 @@ import numpy as np
 
 from . import divisors
 from .errors import UsageError
+from .records import Record
 from .series import (
     SeriesFamily,
     VectorSeries,
@@ -163,23 +163,17 @@ def catalan(k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LabeledTree:
+class LabeledTree(Record, compare=("m", "node_labels", "line_axes")):
     """A rooted tree with node labels and per-line axis labels.
 
     ``node_labels[v]`` is the multi-index attached to node v (degree >= 2);
     ``line_axes[v]`` is the 0-based axis of the line exiting node v, the
     root line axis for v = 0.  Momenta, per-node entering-label sums and the
-    combinatorial weights used by the inversion formula are precomputed.
+    combinatorial weights used by the inversion formula are precomputed;
+    equality and hashing see only the tree and its labels.
     """
 
-    m: tuple
-    node_labels: tuple
-    line_axes: tuple
-    betas: tuple = field(compare=False)
-    momenta: tuple = field(compare=False)
-    weight: float = field(compare=False)
-    binom_product: float = field(compare=False)
+    __slots__ = ("m", "node_labels", "line_axes", "betas", "momenta", "weight", "binom_product")
 
     @property
     def order(self) -> int:
@@ -228,15 +222,8 @@ def _build_labeled(m, children, node_labels, line_axes, n):
     for v in range(len(m)):
         weight *= multi_factorial(betas[v]) / math.factorial(m[v])
         binom *= multi_binom(node_labels[v], betas[v])
-    return LabeledTree(
-        m=tuple(m),
-        node_labels=tuple(node_labels),
-        line_axes=tuple(line_axes),
-        betas=tuple(betas),
-        momenta=tuple(momenta),
-        weight=weight,
-        binom_product=binom,
-    )
+    return LabeledTree(tuple(m), tuple(node_labels), tuple(line_axes), tuple(betas),
+                       tuple(momenta), weight, binom)
 
 
 def _label_tuples(count: int, budget: int, support_sorted):
@@ -477,8 +464,7 @@ _TREE_PLANS: OrderedDict = OrderedDict()
 _TREE_PLAN_LIMIT = 16
 
 
-@dataclass(frozen=True)
-class TreePlan:
+class TreePlan(Record):
     """The tree sum of h as arrays over the nonzero coefficients of f.
 
     The variables are those coefficients f_{L,a}, in graded-lex order of L,
@@ -493,12 +479,7 @@ class TreePlan:
     degree d.
     """
 
-    const: np.ndarray
-    rows: np.ndarray
-    slots: np.ndarray
-    clipped: tuple
-    summands: tuple
-    monomials: tuple
+    __slots__ = ("const", "rows", "slots", "clipped", "summands", "monomials")
 
 
 def _tree_variables(f: VectorSeries):

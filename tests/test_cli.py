@@ -297,6 +297,9 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert main(["linearize", "germ", "--input", str(problem), "--degree", "8",
                  "--output", str(solution)]) == 0
     capsys.readouterr()
+    missing = tmp_path / "missing"
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"note": "\xe9"}')
     bad_args = [
         ["fixture", "germ", "--n", "0"],
         ["fixture", "germ", "--n", "4"],
@@ -326,6 +329,13 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         ["fixture", "germ", "--seed", "-1"],
         ["diagnose", "class", "--input", str(solution), "--class-m", "gevrey:nan"],
         ["diagnose", "condition", "--omega", "0.6", "--class-m", "geometric:inf"],
+        # f has degree >= 2
+        ["fixture", "germ", "--degree-f", "-2"],
+        ["fixture", "germ", "--degree-f", "1"],
+        # files that cannot be read
+        ["linearize", "germ", "--input", str(tmp_path), "--degree", "4"],
+        ["linearize", "germ", "--input", str(not_utf8), "--degree", "4"],
+        ["fixture", "germ", "--out", str(missing / "germ.json")],
     ]
     omega_spectra = [("tilde", {"rotation": [0.3, 0.3]}), ("tilde", {"lambda": [[]]}),
                      ("frac", {"rotation": ["x"]}), ("hat", [GOLDEN])]
@@ -351,6 +361,22 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("usage error: "), (argv, err)
         assert "Traceback" not in err, argv
+    # outputs in a directory that does not exist; a solve writes its timing
+    # note to stderr before its output fails
+    unwritable = [
+        ["linearize", "germ", "--input", str(problem), "--degree", "4",
+         "--output", str(missing / "h.json")],
+        ["linearize", "germ", "--input", str(problem), "--degree", "4",
+         "--emit-csv", str(missing / "h.csv")],
+        ["diagnose", "family", "--omega", repr(GOLDEN), "--degree", "12",
+         "--emit-csv", str(missing / "family.csv")],
+    ]
+    for argv in unwritable:
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert f"usage error: cannot write {missing}" in err, (argv, err)
+        assert "Traceback" not in err, argv
+    assert not missing.exists()
 
 
 @pytest.mark.parametrize("what", ["growth", "class", "domain"])

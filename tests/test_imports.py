@@ -1,7 +1,8 @@
 """The import contract: `treelin.trees` and `treelin.diagnostics` are registered at import and run on first use.
 
-A dense `linearize` process (recursive or fixed point) runs neither of them
-and loads neither OpenSSL (`_hashlib`) nor `fractions`.
+A dense `linearize` process (recursive or fixed point) runs neither of them.
+No `linearize` or `diagnose family|domain` process loads OpenSSL
+(`_hashlib`), `fractions`, `decimal`, `dataclasses` or `statistics`.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from treelin import cli, documents, linearize
 from conftest import GOLDEN, ROOT, run_python
 
 DEFERRED = ("treelin.trees", "treelin.diagnostics")
-# stdlib modules that a dense linearize process has no use for
-HEAVY = ("_hashlib", "fractions", "decimal")
+# stdlib modules that a solve or a growth diagnostic has no use for;
+# dataclasses builds its methods by exec when a class is defined
+HEAVY = ("_hashlib", "fractions", "decimal", "dataclasses", "statistics")
 
 
 def executed_after(commands: list, heavy: bool = False) -> dict:
@@ -92,6 +94,22 @@ def test_tree_method_and_diagnose_run_what_they_use(tmp_path):
     assert (tmp_path / "bruno.csv").read_text().splitlines()[0] == "k,a_k,q_k,term,partial_sum"
 
 
+def test_tree_and_diagnose_processes_load_nothing_heavy(tmp_path):
+    germ, make_germ = fixture_args(tmp_path, "germ", 1, 6)
+    field, make_field = fixture_args(tmp_path, "field", 2, 12)
+    assert cli.main(make_germ) == 0 and cli.main(make_field) == 0
+    out = str(tmp_path / "out")
+    commands = [
+        ["linearize", "germ", "--input", germ, "--degree", "6", "--method", "tree", "--verify",
+         "--emit-csv", out + ".csv", "--output", out + ".json"],
+        ["diagnose", "family", "--omega", repr(GOLDEN), "--degree", "12", "--emit-csv", out],
+        ["diagnose", "domain", "--input", field, "--degree", "12", "--output", out],
+    ]
+    for argv in commands:
+        loaded = executed_after([argv], heavy=True)
+        assert not any(loaded[name] for name in HEAVY), (argv, loaded)
+
+
 def test_digest_is_the_sha256_of_the_canonical_bytes(tmp_path):
     # documents hashes with CPython's built-in SHA-256 (_sha2 from 3.12 on,
     # _sha256 before), which must agree with hashlib's
@@ -134,11 +152,13 @@ def test_cli_module_runs_without_warnings(tmp_path):
 
 
 def test_deferred_module_reports_its_missing_dependency():
-    # the error of a deferred module's own import surfaces unchanged
+    # the error of a deferred module's own import surfaces unchanged; numpy
+    # goes missing after `import treelin` has loaded it, before
+    # treelin.diagnostics runs and imports it
     script = (
         "import sys\n"
-        "sys.modules['statistics'] = None\n"
         "import treelin\n"
+        "sys.modules['numpy'] = None\n"
         "try:\n"
         "    treelin.growth_report\n"
         "except ModuleNotFoundError as exc:\n"
@@ -146,7 +166,7 @@ def test_deferred_module_reports_its_missing_dependency():
     )
     proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ModuleNotFoundError", "statistics"]
+    assert proc.stdout.split() == ["ModuleNotFoundError", "numpy"]
 
 
 def test_every_public_name_resolves():
