@@ -38,6 +38,19 @@ def _emit(text: str, path: str | None):
         sys.stdout.write(text)
 
 
+def _check_destinations(args):
+    """Refuse, before any work, an output path that cannot be written."""
+    for name in ("output", "emit_csv", "out"):
+        path = getattr(args, name, None)
+        if not path:
+            continue
+        folder = os.path.dirname(path) or os.curdir
+        if not os.path.isdir(folder):
+            raise UsageError(f"cannot write {path}: no directory {folder}")
+        if os.path.isdir(path) or not os.access(path if os.path.exists(path) else folder, os.W_OK):
+            raise UsageError(f"cannot write {path}: not a writable file")
+
+
 def _note(message: str):
     print(message, file=sys.stderr)
 
@@ -232,6 +245,10 @@ def _cmd_bruno(args) -> int:
 
 
 def _cmd_omega(args) -> int:
+    first = 1 if args.variant == "frac" else 2  # the first p the variant defines
+    if args.p_max < first:
+        raise UsageError(f"--p-max must be >= {first} for the {args.variant} variant, "
+                         f"got {args.p_max}")
     doc = documents.load_json(args.spectrum)
     if not isinstance(doc, dict):
         raise UsageError("a spectrum document is a JSON object")
@@ -239,19 +256,17 @@ def _cmd_omega(args) -> int:
     try:
         if args.variant == "tilde":
             spec = documents.spectrum_from_doc(doc, "germ")
-            for p in range(2, args.p_max + 1):
+            for p in range(first, args.p_max + 1):
                 rows.append(f"{p},{divisors.omega_tilde(spec, p, args.mode)!r}")
         elif args.variant == "frac":
             omega = documents.real_numbers(doc.get("rotation", doc.get("omega")),
                                            "the frac variant's rotation or omega")
-            for p in range(1, args.p_max + 1):
+            for p in range(first, args.p_max + 1):
                 rows.append(f"{p},{divisors.omega_frac(omega, p)!r}")
-        elif args.variant == "hat":
-            omega = documents.spectrum_from_doc(doc, "field").omega
-            for p in range(2, args.p_max + 1):
-                rows.append(f"{p},{divisors.omega_hat(omega, p)!r}")
         else:
-            raise UsageError(f"unknown variant {args.variant!r}")
+            omega = documents.spectrum_from_doc(doc, "field").omega
+            for p in range(first, args.p_max + 1):
+                rows.append(f"{p},{divisors.omega_hat(omega, p)!r}")
     except (IndexError, OverflowError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed spectrum document: {exc}") from exc
     _emit("\n".join(rows) + "\n", args.output)
@@ -505,6 +520,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_destinations(args)
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from collections import OrderedDict
 from functools import lru_cache
 from itertools import product
 
@@ -27,6 +26,7 @@ from .errors import DivisorBelowTolerance, RationalDetected, ResonantSpectrum
 from .records import Record
 from .series import (
     VectorSeries,
+    _recent,
     abs_degree,
     graded_indices,
     graded_key,
@@ -177,9 +177,8 @@ def is_resonant_field(spectrum: FieldSpectrum, max_degree: int, tol: float = DEF
 
 
 # per spectrum, (D, divisors, moduli) at the largest D built so far, for the
-# _DIVISOR_TABLE_LIMIT most recently used spectra
-_DIVISOR_TABLES: OrderedDict = OrderedDict()
-_DIVISOR_TABLE_LIMIT = 16
+# most recently used spectra (see series._recent)
+_DIVISOR_TABLES: dict = {}
 
 
 def divisor_table(spectrum, D: int):
@@ -198,9 +197,7 @@ def divisor_table(spectrum, D: int):
             dtype=complex,
         )
         entry = (D, table, np.abs(table))
-    _DIVISOR_TABLES[spectrum] = entry
-    if len(_DIVISOR_TABLES) > _DIVISOR_TABLE_LIMIT:
-        _DIVISOR_TABLES.popitem(last=False)
+    _recent(_DIVISOR_TABLES, spectrum, entry)
     M = slot_count(spectrum.n, D)
     return entry[1][:, :M], entry[2][:, :M]
 
@@ -283,6 +280,7 @@ def _signed_boxes(n: int, bound: int):
             yield nu
 
 
+@lru_cache(maxsize=256)
 def omega_tilde(spectrum: GermSpectrum, p: int, mode: str = "realizable") -> float:
     """min over j and momenta with abs-degree < p of |lambda^nu - lambda_j|.
 
@@ -295,12 +293,6 @@ def omega_tilde(spectrum: GermSpectrum, p: int, mode: str = "realizable") -> flo
         raise ValueError("p must be >= 2")
     if mode not in ("realizable", "full"):
         raise ValueError(f"unknown mode {mode!r}")
-    return _omega_tilde_impl(spectrum.lam, spectrum.rotation, p, mode)
-
-
-@lru_cache(maxsize=256)
-def _omega_tilde_impl(lam, rotation, p, mode):
-    spectrum = GermSpectrum(lam, rotation)
     best = math.inf
     for nu in _signed_boxes(spectrum.n, p - 1):
         if mode == "realizable" and signed_degree(nu) < 2:

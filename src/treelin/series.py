@@ -20,11 +20,14 @@ Conventions used throughout the package:
 * The Cauchy product has a normative summation order that depends on
   neither the values nor the support of its operands.  :func:`product_slice`
   computes one output degree d: for n = 1 by ``numpy.convolve``, for n >= 2
-  by ``numpy.bincount`` over block d of a pair table, which sums each slot's
-  products a_i * b_j in ascending i.  :meth:`ScalarSeries.multiply` is the
-  concatenation of the slices (for n = 1 one ``numpy.convolve``, whose slot
-  d is the slice).  Zero terms are never skipped, so the degree <= d part of
-  a product is bitwise the same whatever the operands hold above degree d.
+  by ``numpy.bincount`` over block d of a pair table.  The block lists its
+  pairs (i, j) by ascending i, then j; an output slot pairs each i with at
+  most one j, and ``bincount`` adds a slot's terms in array order, so each
+  slot sums its products a_i * b_j in ascending i.
+  :meth:`ScalarSeries.multiply` is the concatenation of the slices (for
+  n = 1 one ``numpy.convolve``, whose slot d is the slice).  Zero terms are
+  never skipped, so the degree <= d part of a product is bitwise the same
+  whatever the operands hold above degree d.
   Slot 0 is a one-pair block, which numpy may round apart from the same
   product in a longer array: with two nonzero constant terms it may differ
   in its last bit from a whole-table sum.  No solver forms such a product.
@@ -139,11 +142,13 @@ class _Basis:
 class _PairTable:
     """Per output degree d, the slot pairs (i, j) with deg i + deg j = d.
 
-    Block d is ``(left, right, out2)``: the slots i and j of each pair, sorted
-    by output slot and within one by ascending i, and the output index of
+    Block d is ``(left, right, out2)``: the slots i and j of each pair, in the
+    order they are generated (ascending i, then j), and the output index of
     their real and imaginary parts, interleaved, counted from the first slot
-    of degree d.  A block depends on n and d alone, so the table grows a block
-    at a time and keeps what it has; ``terms`` fits the largest block's terms.
+    of degree d.  An output slot meets each i at most once, so its pairs come
+    in ascending i.  A block depends on n and d alone, so the table grows a
+    block at a time and keeps what it has; ``terms`` fits the largest block's
+    terms.
     """
 
     def __init__(self, n: int):
@@ -163,50 +168,45 @@ class _PairTable:
             # the block and its term buffer are allocated before the
             # temporaries, so they can take the memory the previous block's
             # temporaries left free
-            pairs = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp)
+            left, right = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp)
+            out2 = np.empty((size, 2), dtype=np.intp)
             self.terms = np.empty(size, dtype=complex)
             # slot i of degree k pairs with the slots of degree d - k, one
-            # contiguous range; the pairs are listed by i, then j, so a stable
-            # sort by output slot keeps each slot's in ascending i
+            # contiguous range
             per_slot = np.repeat(count[::-1], count)
             start = np.repeat(np.cumsum([0] + count)[d::-1], count)  # first slot of degree d - k
-            left = np.repeat(np.arange(sum(count), dtype=np.intp), per_slot)
-            right = np.arange(size) - np.repeat(np.cumsum(per_slot) - per_slot - start, per_slot)
+            left[:] = np.repeat(np.arange(sum(count), dtype=np.intp), per_slot)
+            right[:] = np.arange(size) - np.repeat(np.cumsum(per_slot) - per_slot - start, per_slot)
             # The slot of an index g of degree d is its block's last, less the
             # indices of degree d after it; those first above g at axis p - 1
             # number C(r_p + n - p - 1, n - p).  Tail sums add over a pair, so
             # each term is a lookup.  Every partial difference lies in 0 ..
             # last, so it is computed in the narrowest type that holds the
-            # block's slots, and a stable sort on it (numpy radix-sorts up to
-            # 16 bits) gives the same order, faster.
+            # block's slots.
             out = np.full(size, count[d] - 1, dtype=np.min_scalar_type(count[d] - 1))
             for p, tail in enumerate(self._tails, start=1):
                 w = np.array([math.comb(t + n - p - 1, n - p) for t in range(d + 1)], out.dtype)
                 out -= w[tail[left] + tail[right]]
-            # take needs no buffer for its output in clip mode, and every
-            # index is in range
-            order = np.argsort(out, kind="stable")
-            np.take(left, order, out=pairs[0], mode="clip")
-            np.take(right, order, out=pairs[1], mode="clip")
-            del left, right, order
-            # sorted, output slot s holds the next bincount(out)[s] pairs
-            out2 = np.arange(2 * count[d], dtype=np.intp).reshape(-1, 2)
-            self.blocks.append((*pairs, np.repeat(out2, np.bincount(out), axis=0).ravel()))
+            np.multiply(out, 2, out=out2[:, 0], dtype=np.intp)
+            np.add(out2[:, 0], 1, out=out2[:, 1])
+            self.blocks.append((left, right, out2.ravel()))
         return self.blocks[top]
 
 
-# Each cache holds, per number of variables, one entry; a basis is rebuilt
-# for a larger truncation and serves every smaller one as a prefix, and a
-# pair table grows.
-_CACHE_DIMENSIONS = 8
+# The derived tables of the package (bases and pair tables here, divisor
+# tables and tree plans) are cached in plain dicts in insertion order, oldest
+# first.  A caller pops its key, builds or grows the entry, and stores it back
+# with _recent.  A basis is rebuilt for a larger truncation and serves every
+# smaller one as a prefix, and a pair table grows.
+_CACHE_LIMIT = 16
 _BASES: dict = {}
 _PAIR_TABLES: dict = {}
 
 
-def _recent(cache: dict, n: int, entry):
-    """Store ``entry`` as the newest of ``cache``, dropping the oldest past the bound."""
-    cache[n] = entry
-    if len(cache) > _CACHE_DIMENSIONS:
+def _recent(cache: dict, key, entry):
+    """Store ``entry`` as the newest of ``cache``, dropping the oldest past ``_CACHE_LIMIT``."""
+    cache[key] = entry
+    if len(cache) > _CACHE_LIMIT:
         del cache[next(iter(cache))]
     return entry
 
@@ -228,6 +228,9 @@ def graded_indices(n: int, D: int) -> list:
     return _basis(n, D).indices[: slot_count(n, D)]
 
 
+_GATHER = 1 << 16  # pairs whose b_j product_slice gathers at once
+
+
 def product_slice(a, b, n: int, d: int):
     """The degree-d slots of the product of two slot vectors holding degrees <= d at least.
 
@@ -244,7 +247,9 @@ def product_slice(a, b, n: int, d: int):
     # a fresh terms array per product page-faults whenever the C allocator has
     # returned the last one to the system
     terms = np.take(a, left, out=table.terms[: len(left)], mode="clip")
-    terms *= b[right]
+    # gathered whole, b[right] would take fresh pages as large as the buffer
+    for lo in range(0, len(left), _GATHER):
+        terms[lo:lo + _GATHER] *= b[right[lo:lo + _GATHER]]
     return np.bincount(out2, weights=terms.view(np.float64)).view(np.complex128)
 
 

@@ -21,7 +21,6 @@ a recursive or fixed-point process never runs this module.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from functools import lru_cache
 from itertools import groupby, product
 
@@ -33,6 +32,7 @@ from .records import Record
 from .series import (
     SeriesFamily,
     VectorSeries,
+    _recent,
     degree,
     dominates,
     graded_indices,
@@ -458,10 +458,9 @@ def enumerate_labeled(N: int, alpha, j: int, support, n: int | None = None):
 # the tree-sum solver
 # ---------------------------------------------------------------------------
 
-# compiled plans (see TreePlan) of the _TREE_PLAN_LIMIT most recently used
-# (spectrum, n, D, variables, tol)
-_TREE_PLANS: OrderedDict = OrderedDict()
-_TREE_PLAN_LIMIT = 16
+# compiled plans (see TreePlan) of the most recently used
+# (spectrum, n, D, variables, tol) (see series._recent)
+_TREE_PLANS: dict = {}
 
 
 class TreePlan(Record):
@@ -500,10 +499,9 @@ def tree_plan(problem, D: int, tol: float = divisors.DEFAULT_TOL) -> TreePlan:
 def _tree_plan(spectrum, D: int, variables: tuple, tol: float) -> TreePlan:
     n = spectrum.n
     key = (spectrum.key(), n, D, variables, tol)
-    plan = _TREE_PLANS.get(key)
+    plan = _TREE_PLANS.pop(key, None)
     if plan is not None:
-        _TREE_PLANS.move_to_end(key)
-        return plan
+        return _recent(_TREE_PLANS, key, plan)
     lines = LinePolynomials(spectrum, variables, D, tol)
     M = slot_count(n, D)
     slot_of = {alpha: s for s, alpha in enumerate(graded_indices(n, D))}
@@ -523,10 +521,7 @@ def _tree_plan(spectrum, D: int, variables: tuple, tol: float) -> TreePlan:
     order = np.lexsort(tuple(rows[:, c] for c in reversed(range(rows.shape[1]))) + (slots,))
     plan = TreePlan(np.array(const, dtype=complex)[order], rows[order],
                     slots[order], tuple(lines.clipped), tuple(summands), tuple(monomials))
-    _TREE_PLANS[key] = plan
-    if len(_TREE_PLANS) > _TREE_PLAN_LIMIT:
-        _TREE_PLANS.popitem(last=False)
-    return plan
+    return _recent(_TREE_PLANS, key, plan)
 
 
 def _index_rows(keys: list, V: int) -> np.ndarray:
@@ -675,40 +670,21 @@ class ScaleSequence:
         return f"ScaleSequence([{head}{', ...' if self.generator == 'pow2' else ''}])"
 
 
-def _scale_value(nubar, omega, variant: str) -> float:
-    dot = sum(x * w for x, w in zip(nubar, omega))
-    if variant == "germ":
-        return divisors.frac_distance(dot.real if isinstance(dot, complex) else dot)
-    if variant == "field":
-        return abs(dot)
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def _threshold(p: int, omega, variant: str) -> float:
-    if variant == "germ":
-        return 0.5 * divisors.omega_frac(tuple(omega), p)
-    return 0.5 * divisors.omega_hat(tuple(omega), p)
-
-
 def scale_of_line(nubar, omega, P: ScaleSequence, variant: str = "germ",
                   max_scale: int = 64):
-    """The scale k with threshold(p_(k+1)) <= value < threshold(p_k), or None.
+    """The scale k at which the line's nubar stops being small, or None.
 
-    Lines whose reduced momentum vanishes carry no scale and are excluded
-    from the per-scale counts.
+    It is the first k with ``divisors.phi_counting`` 0 at scale k + 1.  A
+    line that is not small at scale 0, or whose reduced momentum vanishes,
+    carries no scale and is excluded from the per-scale counts.
     """
     nubar = tuple(nubar)
-    if all(x == 0 for x in nubar):
-        return None
-    x = _scale_value(nubar, omega, variant)
-    if x >= _threshold(P[0], omega, variant):
+    if not any(nubar) or not divisors.phi_counting(nubar, 0, omega, P, variant):
         return None
     for k in range(max_scale):
-        if x >= _threshold(P[k + 1], omega, variant):
+        if not divisors.phi_counting(nubar, k + 1, omega, P, variant):
             return k
-    raise RuntimeError(
-        f"no scale below {max_scale}; value {x:.3e} looks resonant"
-    )
+    raise RuntimeError(f"no scale below {max_scale}; nubar {nubar} looks resonant")
 
 
 def count_scale(theta: LabeledTree, k: int, omega, P: ScaleSequence,

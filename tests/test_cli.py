@@ -336,7 +336,17 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         ["linearize", "germ", "--input", str(tmp_path), "--degree", "4"],
         ["linearize", "germ", "--input", str(not_utf8), "--degree", "4"],
         ["fixture", "germ", "--out", str(missing / "germ.json")],
+        # an output that is a directory
+        ["linearize", "germ", "--input", str(problem), "--degree", "4", "--output", str(tmp_path)],
     ]
+    # --p-max below the first row of its variant
+    rotation = tmp_path / "rotation.json"
+    rotation.write_text(json.dumps({"rotation": [GOLDEN], "omega": [-1.0, GOLDEN]}))
+    for variant, least in (("frac", 1), ("tilde", 2), ("hat", 2)):
+        argv = ["omega", "--spectrum", str(rotation), "--variant", variant, "--p-max"]
+        assert main(argv + [str(least)]) == 0, variant
+        bad_args += [argv + [str(least - 1)], argv + ["-1"]]
+    capsys.readouterr()
     omega_spectra = [("tilde", {"rotation": [0.3, 0.3]}), ("tilde", {"lambda": [[]]}),
                      ("frac", {"rotation": ["x"]}), ("hat", [GOLDEN])]
     # numbers of the wrong JSON type, which float() and complex() would coerce,
@@ -361,22 +371,26 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("usage error: "), (argv, err)
         assert "Traceback" not in err, argv
-    # outputs in a directory that does not exist; a solve writes its timing
-    # note to stderr before its output fails
+    # outputs in a directory that does not exist are refused before any work:
+    # no solve writes its timing note to stderr, and no other output is left
+    written = tmp_path / "written.json"
     unwritable = [
         ["linearize", "germ", "--input", str(problem), "--degree", "4",
          "--output", str(missing / "h.json")],
         ["linearize", "germ", "--input", str(problem), "--degree", "4",
          "--emit-csv", str(missing / "h.csv")],
+        ["linearize", "germ", "--input", str(problem), "--degree", "4",
+         "--output", str(written), "--emit-csv", str(missing / "h.csv")],
         ["diagnose", "family", "--omega", repr(GOLDEN), "--degree", "12",
          "--emit-csv", str(missing / "family.csv")],
     ]
     for argv in unwritable:
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
-        assert f"usage error: cannot write {missing}" in err, (argv, err)
+        assert err.startswith(f"usage error: cannot write {missing}"), (argv, err)
         assert "Traceback" not in err, argv
     assert not missing.exists()
+    assert not written.exists()
 
 
 @pytest.mark.parametrize("what", ["growth", "class", "domain"])

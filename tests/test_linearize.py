@@ -34,7 +34,7 @@ from treelin.diagnostics import germ_family_radius
 from treelin.divisors import DEFAULT_TOL, apply_inverse_D, omega_frac, omega_hat, omega_tilde
 from treelin.documents import load_json, problem_from_doc
 from treelin.linearize import SETTLED_RTOL
-from treelin.trees import _TREE_PLAN_LIMIT, _TREE_PLANS, children_lists, tree_plan
+from treelin.trees import _TREE_PLANS, children_lists, tree_plan
 from treelin.series import (
     ScalarSeries,
     SeriesFamily,
@@ -324,7 +324,7 @@ def test_module_caches_stay_bounded(golden_spectrum_1d):
     D = 7
     supports = [
         frozenset([(2,)] + [(d,) for d in range(3, D + 1) if mask >> (d - 3) & 1])
-        for mask in range(_TREE_PLAN_LIMIT + 4)
+        for mask in range(series._CACHE_LIMIT + 4)
     ]
     for sup in supports:
         f = VectorSeries.from_coeffs(1, D, {a: (0.25,) for a in sup})
@@ -339,29 +339,33 @@ def test_module_caches_stay_bounded(golden_spectrum_1d):
     children_lists.cache_clear()
     for m in enumerate_forest(10):  # 4,862 trees
         children_lists(m)
-    # products at every truncation of one pair table, twice over
+    # products at every truncation of one pair table, twice over, and in more
+    # dimensions than the basis and pair-table caches keep
     for T in list(range(13)) * 2:
         s = ScalarSeries.one(2, T)
         s.multiply(s)
-    assert len(_TREE_PLANS) <= _TREE_PLAN_LIMIT
-    assert len(series._PAIR_TABLES) <= series._CACHE_DIMENSIONS
+    for n in range(2, series._CACHE_LIMIT + 6):
+        s = ScalarSeries.one(n, 1)
+        s.multiply(s)
     for table in series._PAIR_TABLES.values():
         # one block per output degree: the C(2n + D, 2n) pairs of degree <= D
         pairs = sum(len(block[0]) for block in table.blocks)
         assert pairs == math.comb(2 * table.n + len(table.blocks) - 1, 2 * table.n)
     # more spectra than the divisor cache keeps
-    for k in range(divisors._DIVISOR_TABLE_LIMIT + 4):
+    for k in range(series._CACHE_LIMIT + 4):
         divisors.divisor_table(GermSpectrum.from_rotation((GOLDEN / (k + 2),)), 5)
-    assert len(divisors._DIVISOR_TABLES) == divisors._DIVISOR_TABLE_LIMIT
+    # one bound for every dict cache, each driven past it above
+    for cache in (series._BASES, series._PAIR_TABLES, divisors._DIVISOR_TABLES, _TREE_PLANS):
+        assert len(cache) == series._CACHE_LIMIT
     caches = (trees._forest, trees.children_lists, trees._labeled_forest_cached,
-              divisors._omega_tilde_impl, divisors.omega_frac, divisors.omega_hat)
+              divisors.omega_tilde, divisors.omega_frac, divisors.omega_hat)
     for cache in caches:
         info = cache.cache_info()
         assert info.maxsize is not None, cache.__name__
         assert info.currsize <= info.maxsize, cache.__name__
     # every cache the solve and the loops above drive past its limit is full
     for cache in (trees.children_lists, trees._labeled_forest_cached,
-                  divisors._omega_tilde_impl, divisors.omega_frac, divisors.omega_hat):
+                  divisors.omega_tilde, divisors.omega_frac, divisors.omega_hat):
         info = cache.cache_info()
         assert info.currsize == info.maxsize, cache.__name__
 

@@ -312,9 +312,9 @@ def test_product_slice_at_degree_zero_is_the_constant_slot(rng, n):
             assert got.tobytes() == f.multiply(g).vector[:1].tobytes(), D
 
 
-def _one_pass_table(n, D):
-    """(left, right, out2, upto) of the pair table as one stable sort of all pairs
-    of degree <= D by output slot leaves it; upto[d] is the first slot of degree d."""
+def _one_pass_pairs(n, D):
+    """(left, right, out, upto) of all pairs of degree <= D in one pass, listed
+    by left slot, then right slot; upto[d] is the first slot of degree d."""
     exps = np.array(_basis(n, D).indices[: slot_count(n, D)], dtype=np.intp)
     upto = np.array([0] + [slot_count(n, d) for d in range(D + 1)], dtype=np.intp)
     counts = upto[D + 1 - exps.sum(axis=1)]
@@ -324,11 +324,22 @@ def _one_pass_table(n, D):
     key = exps @ (D + 1) ** np.arange(n - 1, -1, -1, dtype=np.intp)
     by_key = np.argsort(key)
     out = by_key[np.searchsorted(key[by_key], key[left] + key[right])]
-    order = np.argsort(out, kind="stable")
-    out = out[order]
+    return left, right, out, upto
+
+
+def _interleaved(out):
+    """The real and imaginary output indices of each pair, interleaved."""
     out2 = np.repeat(2 * out, 2)
     out2[1::2] += 1
-    return left[order], right[order], out2, upto
+    return out2
+
+
+def _one_pass_table(n, D):
+    """(left, right, out2, upto) of the pair table as one stable sort of all pairs
+    of degree <= D by output slot leaves it; upto[d] is the first slot of degree d."""
+    left, right, out, upto = _one_pass_pairs(n, D)
+    order = np.argsort(out, kind="stable")
+    return left[order], right[order], _interleaved(out[order]), upto
 
 
 TABLE_SIZES = [(2, 10), (2, 30), (3, 30)]
@@ -336,13 +347,13 @@ TABLE_SIZES = [(2, 10), (2, 30), (3, 30)]
 
 @pytest.mark.parametrize("n,D", TABLE_SIZES)
 def test_pair_table_runs_are_the_one_pass_table(n, D):
-    # each output-degree block is the run of the one-pass table with outputs of that degree
-    left, right, out2, upto = _one_pass_table(n, D)
-    cut = np.searchsorted(out2[::2] // 2, upto)
+    # each output-degree block is the one-pass listing's pairs with outputs of
+    # that degree, in listing order
+    left, right, out, upto = _one_pass_pairs(n, D)
     table = _PairTable(n)
     for d in range(D + 1):
-        lo, hi = cut[d], cut[d + 1]
-        want = (left[lo:hi], right[lo:hi], out2[2 * lo: 2 * hi] - 2 * upto[d])
+        of_d = (upto[d] <= out) & (out < upto[d + 1])
+        want = (left[of_d], right[of_d], _interleaved(out[of_d] - upto[d]))
         for got, wanted in zip(table.block(d), want):
             assert got.dtype == wanted.dtype
             assert got.tobytes() == wanted.tobytes(), d
