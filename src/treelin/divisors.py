@@ -187,7 +187,8 @@ def divisor_table(spectrum, D: int):
     Row j, slot alpha holds ``spectrum.divisor(alpha, j)``.  The slots of
     degree <= d come first, so the table of truncation d is a prefix of any
     larger one: each spectrum keeps the largest table built so far, for the
-    16 most recently used spectra, and a smaller D reads its prefix.
+    most recently used spectra (see ``series._recent``), and a smaller D reads
+    its prefix.
     """
     entry = _DIVISOR_TABLES.pop(spectrum, None)
     if entry is None or entry[0] < D:

@@ -339,18 +339,19 @@ def test_module_caches_stay_bounded(golden_spectrum_1d):
     children_lists.cache_clear()
     for m in enumerate_forest(10):  # 4,862 trees
         children_lists(m)
-    # products at every truncation of one pair table, twice over, and in more
-    # dimensions than the basis and pair-table caches keep
+    # products at every truncation of one pair table, twice over
     for T in list(range(13)) * 2:
         s = ScalarSeries.one(2, T)
         s.multiply(s)
-    for n in range(2, series._CACHE_LIMIT + 6):
-        s = ScalarSeries.one(n, 1)
-        s.multiply(s)
+    assert len(series._PAIR_TABLES[2].blocks) >= 13  # grown, and checked below
     for table in series._PAIR_TABLES.values():
         # one block per output degree: the C(2n + D, 2n) pairs of degree <= D
         pairs = sum(len(block[0]) for block in table.blocks)
         assert pairs == math.comb(2 * table.n + len(table.blocks) - 1, 2 * table.n)
+    # products in more dimensions than the basis and pair-table caches keep
+    for n in range(2, series._CACHE_LIMIT + 6):
+        s = ScalarSeries.one(n, 1)
+        s.multiply(s)
     # more spectra than the divisor cache keeps
     for k in range(series._CACHE_LIMIT + 4):
         divisors.divisor_table(GermSpectrum.from_rotation((GOLDEN / (k + 2),)), 5)
