@@ -160,20 +160,20 @@ def _cmd_linearize(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _support_from_file(path: str):
+def _support_from_file(path: str, n: int):
     doc = documents.load_json(path)
     if isinstance(doc, list):
-        return frozenset(tuple(int(x) for x in a) for a in doc)
+        return frozenset(documents.index(a, n) for a in doc)
     if isinstance(doc, dict) and "terms" in doc:
         series = documents.series_from_doc(doc)
+        if series.n != n:
+            raise UsageError(f"the support series has n={series.n}, --alpha has {n} axes")
         sup = series.support() if isinstance(series, VectorSeries) else series.support
         return frozenset(a for a in sup if degree(a) >= 2)
     raise UsageError("support file must be a JSON list of indices or a series document")
 
 
 def _cmd_trees(args) -> int:
-    if args.action != "enum":
-        raise UsageError(f"unknown trees action {args.action!r}")
     if not args.labeled:
         lines = []
         for chunk in trees.iter_forest_chunks(args.order, args.chunk_size):
@@ -189,7 +189,7 @@ def _cmd_trees(args) -> int:
     if args.axis > len(alpha):
         raise UsageError(f"--axis {args.axis} exceeds the {len(alpha)} axes of --alpha")
     support = (
-        _support_from_file(args.support)
+        _support_from_file(args.support, len(alpha))
         if args.support
         else frozenset(a for a in iter_indices(len(alpha), sum(alpha), 2))
     )
@@ -311,6 +311,8 @@ def _require_fit(radius: float, source: str) -> None:
 
 
 def _cmd_diagnose(args) -> int:
+    if args.emit_csv and args.output:
+        raise UsageError("diagnose writes one table: give --emit-csv or --output, not both")
     if args.input is None and args.what in ("growth", "class", "domain"):
         raise UsageError(f"{args.what} diagnostics need --input")
     rows: list[str] = []
@@ -359,7 +361,7 @@ def _cmd_diagnose(args) -> int:
             f"{rep.jackknife_spread!r},{rep.bruno_value!r},"
             f"{rep.reference_log_radius!r},{rep.empirical_gap!r}"
         )
-    elif args.what == "domain":
+    else:  # domain
         doc = documents.load_json(args.input)
         problem = documents.problem_from_doc(doc)
         if not isinstance(problem, linearize.VectorField):
@@ -372,8 +374,6 @@ def _cmd_diagnose(args) -> int:
             f"{rep.omega!r},{rep.degree},{rep.rho!r},{rep.d_estimate!r},"
             f"{rep.log_d!r},{rep.bruno_value!r},{rep.gap!r},{rep.divergence_flag}"
         )
-    else:
-        raise UsageError(f"unknown diagnostics kind {args.what!r}")
     _emit("\n".join(rows) + "\n", args.emit_csv or args.output)
     return 0
 

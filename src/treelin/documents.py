@@ -3,13 +3,17 @@
 Everything is JSON with a canonical form: terms sorted graded
 lexicographically, complex numbers as [re, im] pairs, keys sorted.  The
 canonical bytes of a document are stable, so digests and byte-identical
-reruns are well defined.
+reruns are well defined.  :func:`canonical_bytes` writes them itself, and
+writes a series in a document straight from its coefficient array.
 """
 
 from __future__ import annotations
 
 import cmath
 import json
+from json.encoder import encode_basestring_ascii as _string
+
+import numpy as np
 
 try:  # CPython's own SHA-256; hashlib would load OpenSSL's libcrypto, several MB resident
     from _sha2 import sha256 as _sha256  # 3.12 and later
@@ -22,7 +26,7 @@ except ImportError:
 from .divisors import FieldSpectrum, GermSpectrum
 from .errors import UsageError
 from .linearize import Germ, VectorField
-from .series import ScalarSeries, VectorSeries
+from .series import ScalarSeries, VectorSeries, graded_indices
 
 
 def _is_number(value, kinds=(int, float)) -> bool:
@@ -92,10 +96,18 @@ def series_from_doc(doc: dict):
     return VectorSeries.from_coeffs(n, D, coeffs)
 
 
-def _alpha(term: dict, n: int, D: int):
-    alpha = tuple(_integer(a, "an exponent") for a in term.get("alpha", ()))
+def index(value, n: int) -> tuple:
+    """A JSON list of ``n`` non-negative integers as an index; anything else is a usage error."""
+    if not isinstance(value, list):
+        raise UsageError(f"an index is a list of {n} integers, got {value!r}")
+    alpha = tuple(_integer(a, "an exponent") for a in value)
     if len(alpha) != n or any(a < 0 for a in alpha):
         raise UsageError(f"bad index {alpha} for n={n}")
+    return alpha
+
+
+def _alpha(term: dict, n: int, D: int):
+    alpha = index(term.get("alpha", []), n)
     if sum(alpha) > D:
         raise UsageError(f"term degree {sum(alpha)} exceeds D={D}")
     return alpha
@@ -107,6 +119,7 @@ def _alpha(term: dict, n: int, D: int):
 
 
 def problem_to_doc(problem, options: dict | None = None) -> dict:
+    """The problem's document, holding ``f`` itself; :func:`canonical_bytes` writes it."""
     if isinstance(problem, Germ):
         spec = problem.spectrum
         if spec.rotation is not None:
@@ -124,7 +137,7 @@ def problem_to_doc(problem, options: dict | None = None) -> dict:
         "n": problem.f.n,
         "D": problem.f.trunc,
         "spectrum": spectrum,
-        "series": series_to_doc(problem.f),
+        "series": problem.f,
     }
     if options:
         doc["options"] = options
@@ -196,8 +209,85 @@ def problem_from_doc(doc: dict):
 # ---------------------------------------------------------------------------
 
 
-def canonical_bytes(doc: dict) -> bytes:
-    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+_INDENT = "  "
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def canonical_bytes(doc) -> bytes:
+    """The canonical form of ``doc``: ``json.dumps(doc, sort_keys=True, indent=2)`` and a newline.
+
+    Keys sorted, two-space indent, one element per line, ASCII escapes,
+    floats as Python's shortest ``repr`` and non-finite ones as ``NaN``,
+    ``Infinity`` and ``-Infinity``.  A :class:`ScalarSeries` or
+    :class:`VectorSeries` is written as its :func:`series_to_doc` document.
+    Keys must be strings.
+    """
+    return (_text(doc, 0) + "\n").encode("ascii")
+
+
+def _text(value, level: int) -> str:
+    """``value`` in canonical form, its opening line at indentation ``level``."""
+    # scalars in json.encoder's order, so subclasses of int and float
+    # (numpy.float64 among them) are written as their base type
+    if isinstance(value, str):
+        return _string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float(value)
+    if isinstance(value, (list, tuple)):
+        return _listing("[]", [_text(v, level + 1) for v in value], level)
+    if isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError(f"keys must be str, got {list(value)!r}")
+        return _listing("{}", [f"{_string(key)}: {_text(value[key], level + 1)}"
+                               for key in sorted(value)], level)
+    if isinstance(value, (ScalarSeries, VectorSeries)):
+        return _series_text(value, level)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _float(x: float) -> str:
+    text = float.__repr__(x)
+    return _NON_FINITE.get(text, text)
+
+
+def _listing(brackets: str, entries: list, level: int) -> str:
+    """A list or object (``brackets`` "[]" or "{}") of written ``entries``, opened at ``level``."""
+    if not entries:
+        return brackets
+    inner = "\n" + _INDENT * (level + 1)
+    return f"{brackets[0]}{inner}{(',' + inner).join(entries)}\n{_INDENT * level}{brackets[1]}"
+
+
+def _series_text(series, level: int) -> str:
+    """``_text(series_to_doc(series), level)``, written from the coefficient array.
+
+    Each nonzero slot fills one term template with its index and the real
+    and imaginary parts of its coefficients, component by component.
+    """
+    n, scalar = series.n, isinstance(series, ScalarSeries)
+    rows = series.vector[np.newaxis] if scalar else series.to_array()
+    used = np.flatnonzero(rows.any(axis=0))
+    floats = np.ascontiguousarray(rows[:, used].T).view(float)  # re, im of each component
+    parts = list(map(float.__repr__ if np.isfinite(floats).all() else _float,
+                     floats.ravel().tolist()))
+    pair = _listing("[]", ["%s", "%s"], level + 4 - scalar)
+    value = pair if scalar else _listing("[]", [pair] * n, level + 3)
+    template = _listing("{}", ['"alpha": ' + _listing("[]", ["%d"] * n, level + 3),
+                               '"value": ' + value], level + 2)
+    indices = graded_indices(n, series.trunc)
+    width = 2 * len(rows)
+    terms = [template % (*indices[i], *parts[t:t + width])
+             for t, i in zip(range(0, len(parts), width), used.tolist())]
+    return _listing("{}", [f'"D": {series.trunc}', f'"kind": "{"scalar" if scalar else "vector"}"',
+                           f'"n": {n}', '"terms": ' + _listing("[]", terms, level + 1)], level)
 
 
 def digest(doc: dict) -> str:
@@ -216,7 +306,7 @@ def load_json(path: str) -> dict:
 
 
 def run_report(problem_doc: dict, method: str, lin, extras: dict | None = None) -> dict:
-    """Canonical run report: input digest, solver metadata, residuals, solution."""
+    """Canonical run report: input digest, solver metadata, residuals, solution ``h`` itself."""
     report = {
         "input_digest": digest(problem_doc),
         "method": method,
@@ -226,7 +316,7 @@ def run_report(problem_doc: dict, method: str, lin, extras: dict | None = None) 
         "clipped": [
             {"alpha": list(a), "axis": j, "modulus": m} for a, j, m in lin.clipped
         ],
-        "h": series_to_doc(lin.h),
+        "h": lin.h,
     }
     if extras:
         report.update(extras)

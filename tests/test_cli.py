@@ -50,8 +50,8 @@ def test_scalar_series_document_round_trip():
 def test_problem_document_round_trip(rng):
     f = random_vector_series(rng, 2, 5, min_degree=2, density=0.7)
     germ = Germ(GermSpectrum.from_rotation((GOLDEN, 0.31)), f)
-    doc = problem_to_doc(germ)
-    back = problem_from_doc(doc)
+    doc = problem_to_doc(germ)  # holds f itself, written by canonical_bytes
+    back = problem_from_doc(json.loads(canonical_bytes(doc)))
     assert back.f == germ.f
     assert back.spectrum.rotation == germ.spectrum.rotation
     assert digest(problem_to_doc(back)) == digest(doc)
@@ -366,6 +366,19 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         path = tmp_path / f"{name.replace(' ', '_')}.json"
         path.write_text(json.dumps(doc))
         bad_args.append(["linearize", "germ", "--input", str(path), "--degree", "4"])
+    # support indices are lists of len(alpha) integers >= 0, not coerced;
+    # a support series has len(alpha) variables
+    one_variable = series_to_doc(VectorSeries.from_coeffs(1, 4, {(2,): (0.5,)}))
+    for support in ([["a", 1]], [3], [[True, 2.7]], [[2.0, 1]], [[2]], [[2, 1, 0]], [[-1, 3]],
+                    one_variable):
+        path = tmp_path / f"support_{len(bad_args)}.json"
+        path.write_text(json.dumps(support))
+        bad_args.append(["trees", "enum", "--order", "2", "--labeled", "--alpha", "2,1",
+                         "--support", str(path)])
+    # diagnose writes one table, to --emit-csv or --output
+    both = [tmp_path / "family.csv", tmp_path / "family.out"]
+    bad_args.append(["diagnose", "family", "--omega", repr(GOLDEN), "--degree", "12",
+                     "--emit-csv", str(both[0]), "--output", str(both[1])])
     for argv in bad_args:
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
@@ -391,6 +404,7 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         assert "Traceback" not in err, argv
     assert not missing.exists()
     assert not written.exists()
+    assert not any(path.exists() for path in both)
 
 
 @pytest.mark.parametrize("what", ["growth", "class", "domain"])
