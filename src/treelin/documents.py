@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 from json.encoder import encode_basestring_ascii as _string
 
 import numpy as np
@@ -275,9 +276,11 @@ def _series_text(series, level: int) -> str:
     n, scalar = series.n, isinstance(series, ScalarSeries)
     rows = series.vector[np.newaxis] if scalar else series.to_array()
     used = np.flatnonzero(rows.any(axis=0))
-    floats = np.ascontiguousarray(rows[:, used].T).view(float)  # re, im of each component
-    parts = list(map(float.__repr__ if np.isfinite(floats).all() else _float,
-                     floats.ravel().tolist()))
+    # re, im of each component, slot by slot
+    floats = np.ascontiguousarray(rows[:, used].T).view(float).ravel().tolist()
+    # A NaN or an infinity makes the sum non-finite.  The first numpy.isfinite
+    # call of a process would map 64 KB more.
+    parts = list(map(float.__repr__ if math.isfinite(sum(floats)) else _float, floats))
     pair = _listing("[]", ["%s", "%s"], level + 4 - scalar)
     value = pair if scalar else _listing("[]", [pair] * n, level + 3)
     template = _listing("{}", ['"alpha": ' + _listing("[]", ["%d"] * n, level + 3),
