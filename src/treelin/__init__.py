@@ -60,7 +60,7 @@ _EXPORTS = {
     ),
     "trees": (
         "LabeledTree", "ScaleSequence", "count_scale", "counting_bound",
-        "enumerate_forest", "enumerate_labeled", "iter_forest_chunks", "recompose",
+        "enumerate_forest", "enumerate_labeled", "recompose",
         "scale_of_line", "standard_decomposition", "tree_value",
     ),
 }

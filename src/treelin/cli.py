@@ -175,9 +175,7 @@ def _support_from_file(path: str, n: int):
 
 def _cmd_trees(args) -> int:
     if not args.labeled:
-        lines = []
-        for chunk in trees.iter_forest_chunks(args.order, args.chunk_size):
-            lines.extend(",".join(str(x) for x in m) for m in chunk)
+        lines = [",".join(str(x) for x in m) for m in trees.enumerate_forest(args.order)]
         _emit("\n".join(lines) + "\n", args.output)
         return 0
     if args.alpha is None:
@@ -186,6 +184,8 @@ def _cmd_trees(args) -> int:
         alpha = tuple(int(x) for x in args.alpha.split(","))
     except ValueError:
         raise UsageError(f"--alpha needs comma-separated integers, got {args.alpha!r}") from None
+    if min(alpha) < 0:
+        raise UsageError(f"--alpha needs integers >= 0, got {args.alpha!r}")
     if args.axis > len(alpha):
         raise UsageError(f"--axis {args.axis} exceeds the {len(alpha)} axes of --alpha")
     support = (
@@ -286,8 +286,8 @@ def _class_spec(text: str) -> diagnostics.ClassSpec:
         if kind == "geometric":
             return diagnostics.ClassSpec.geometric(float(param))
         if kind == "table":
-            doc = documents.load_json(param)
-            return diagnostics.ClassSpec.from_table(doc)
+            values = documents.real_numbers(documents.load_json(param), "a class table")
+            return diagnostics.ClassSpec.from_table(values)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad class spec {text!r}: {exc}") from exc
     raise UsageError(f"unknown class spec {text!r} (use gevrey:s, geometric:C, table:file)")
@@ -331,7 +331,10 @@ def _cmd_diagnose(args) -> int:
     elif args.what == "class":
         h = _load_h(args.input)
         spec = _class_spec(args.class_m)
-        fit = diagnostics.class_membership(h, spec)
+        try:
+            fit = diagnostics.class_membership(h, spec)
+        except ValueError as exc:  # a table shorter than h's top nonzero degree
+            raise UsageError(f"--class-m {args.class_m}: {exc}") from exc
         rows.append("accepted,A,B,max_violation,points")
         rows.append(f"{fit.accepted},{fit.A!r},{fit.B!r},{fit.max_violation!r},{fit.points}")
     elif args.what == "condition":
@@ -464,7 +467,6 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", help="total momentum, comma separated")
     p.add_argument("--axis", type=_at_least(1), default=1, help="root line axis (1-based)")
     p.add_argument("--support", help="series document or JSON index list")
-    p.add_argument("--chunk-size", type=_at_least(1), default=64)
     p.add_argument("--output", metavar="PATH")
     p.set_defaults(fn=_cmd_trees)
 

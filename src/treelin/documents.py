@@ -74,14 +74,20 @@ def series_to_doc(series) -> dict:
 
 
 def series_from_doc(doc: dict):
+    """The series of a series document; ``kind`` "scalar" or "vector" (the default), ``terms`` a list."""
     try:
         n = _integer(doc["n"], "n")
         D = _integer(doc["D"], "D")
         kind = doc.get("kind", "vector")
+        if kind not in ("scalar", "vector"):
+            raise UsageError(f"a series kind is \"scalar\" or \"vector\", got {kind!r}")
         if n < 1 or D < 0:
             raise UsageError(f"a series needs n >= 1 and D >= 0, got n={n}, D={D}")
+        terms = doc.get("terms")
+        if not isinstance(terms, list):
+            raise UsageError(f"a series document needs a list of terms, got {terms!r}")
         coeffs = {}
-        for t in doc.get("terms", []):
+        for t in terms:
             alpha = _alpha(t, n, D)
             value = t["value"]
             if kind == "scalar":

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import groupby, product
+from itertools import product
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .series import (
     VectorSeries,
     _recent,
     degree,
-    dominates,
     graded_indices,
     graded_key,
     index_add,
@@ -90,15 +89,6 @@ def _compositions(total: int, parts: int):
 def enumerate_forest(N: int):
     """All rooted trees of order N as m-vectors, lexicographically sorted."""
     return list(_forest(N))
-
-
-def iter_forest_chunks(N: int, chunk_size: int):
-    """Deterministic chunked iteration over the forest, preserving global order."""
-    if chunk_size < 1:
-        raise ValueError("chunk size must be positive")
-    forest = _forest(N)
-    for i in range(0, len(forest), chunk_size):
-        yield forest[i : i + chunk_size]
 
 
 def _chunk_len(m, start: int) -> int:
@@ -280,14 +270,21 @@ class LinePolynomials:
 
         S(nu, a) = (1 / div(nu, a)) * sum_L f_{L,a} R(nu, L),
 
-    with R(nu, L) = 1 for nu == L, and otherwise the sum of
-    beta!/t! * binom(L, beta) * prod_i S(mu_i, a_i) over the root choices
-    of :meth:`_roots` (child count t, ordered child axes, ordered splits
-    into child momenta mu_i).  Expanding every product gives back
-    the sum over the contributing labelings, summand by summand, with the
-    labelings' weights, binomials and line divisors; grouping it by subtree
-    is the distributive law, so no labeling is ever enumerated.  Then
-    h_{alpha,j} = S(alpha, j) evaluated at f.
+    where R(nu, L) = [z^nu] (z + h)^L with h_i = sum_mu S(mu, i) z^mu.  So
+    R(nu, L) = 1 for nu == L, and otherwise
+
+        R(nu, L) = sum over 0 < beta <= L of binom(L, beta) P(beta, nu - L + beta),
+
+    with P(beta, m) = [z^m] h^beta, the power chain of h: P(e_i, m) is the
+    line (m, i) itself, and P(beta, m) = sum_mu P(beta - e_i, m - mu) S(mu, i)
+    over the lines (mu, i) with subtrees, i the first nonzero axis of beta
+    (the parent rule of :class:`series.PowerTable`).  Expanding every
+    product gives back the sum over the contributing labelings, summand by
+    summand, with their weights, binomials and line divisors: a node of
+    label L whose t children enter along axes counted by beta has t!/beta!
+    orderings of the children, each weighted beta!/t!.  Grouping the sum by
+    subtree is the distributive law, so no labeling is ever enumerated.
+    Then h_{alpha,j} = S(alpha, j) evaluated at f.
 
     Divisors come from :func:`divisors.divisor_table` by graded-lex slot.
     A line whose polynomial is nonempty and whose divisor modulus is below
@@ -298,10 +295,11 @@ class LinePolynomials:
     ``poly[(nu, a)]`` maps a monomial to its constant.  A monomial is an
     int holding one byte per variable, the variable's exponent, so the
     product of monomials is the sum of their keys.  ``count[(nu, a)]`` is
-    the number of labelings summed, the same recursion with every constant
-    1.  Each sum is accumulated in the order the loops visit its terms:
-    lines by slot, labels L ascending, root choices in :meth:`_roots`
-    order, splits in :meth:`_split` order, and products child by child.
+    the number of labelings summed: the same chain with every constant 1
+    and t!/beta! in place of binom(L, beta).  Each sum is accumulated in
+    the order the loops visit its terms: lines by slot, labels L ascending,
+    beta in graded-lex order, chain terms by slot of mu, and in a product
+    of two polynomials the chain parent's keys in the outer loop.
     """
 
     EXPONENT_BITS = 8
@@ -311,12 +309,21 @@ class LinePolynomials:
             raise UsageError(f"the tree method reaches degree {1 << self.EXPONENT_BITS} at most")
         n = self.n = spectrum.n
         self.support = sorted({L for L, _ in variables}, key=graded_key)
-        self._splits: dict = {}  # (rest, t) -> ordered splits into t child momenta
         self.key = {v: 1 << (self.EXPONENT_BITS * i) for i, v in enumerate(variables)}
         self.poly: dict = {}
         self.count: dict = {}
         self.clipped: list = []
-        self._live: set = set()
+        self._betas: dict = {}  # L -> (beta, binom(L, beta), t!/beta!) for 0 < beta <= L
+        self._parent: dict = {}  # beta -> (beta - e_i, i), i its first nonzero axis
+        for L in self.support:
+            betas = sorted(filter(any, product(*[range(l + 1) for l in L])), key=graded_key)
+            self._betas[L] = [(b, multi_binom(L, b), math.factorial(degree(b)) // multi_factorial(b))
+                              for b in betas]
+            for b in betas:
+                i = next(k for k, e in enumerate(b) if e)
+                self._parent[b] = (index_sub(b, unit_index(n, i)), i)
+        self._memo = {up: {} for up, _ in self._parent.values() if degree(up) >= 2}
+        self._live = [[] for _ in range(n)]  # per axis, the momenta of lines with subtrees
         table, _ = divisors.divisor_table(spectrum, D)
         indices = graded_indices(n, D)
         for d in range(2, D + 1):
@@ -333,70 +340,21 @@ class LinePolynomials:
                     dv = complex(table[a, lo + i])
                     self.poly[(nu, a)] = {k: c / dv for k, c in polys[a].items()}
                     self.count[(nu, a)] = counts[a]
-                    self._live.add(nu)
-
-    def _roots(self, nu):
-        """(L, axes, beta, splits) per root with at least one split, by ascending L.
-
-        The ways to hang a contributing subtree below a line of momentum
-        ``nu``: a root label L with t >= 0 ordered children entering along
-        axes a_1..a_t, whose axis counts beta satisfy beta <= L, and child
-        momenta that are nonnegative, of degree >= 2, carry subtrees and sum
-        to nu - L + beta.  Because beta <= L at every node these are exactly
-        the labelings whose every binom(label, beta) is nonzero, and no
-        momentum ever leaves the nonnegative indices.  The leaf L == nu has
-        no axes and the one empty split.
-        """
-        n = self.n
-        for L in self.support:
-            d = index_sub(nu, L)
-            if not any(d):
-                yield L, (), (0,) * n, ((),)
-                continue
-            # t children need beta <= L and t momenta of degree >= 2 in |d| + t
-            for t in range(1, min(degree(d), degree(L)) + 1):
-                for axes in product(range(n), repeat=t):
-                    beta = [0] * n
-                    for a in axes:
-                        beta[a] += 1
-                    beta = tuple(beta)
-                    rest = index_add(d, beta)
-                    if any(r < 0 for r in rest) or not dominates(L, beta):
-                        continue
-                    splits = self._split(rest, t)
-                    if splits:
-                        yield L, axes, beta, splits
-
-    def _split(self, rest, t: int) -> tuple:
-        """Ordered t-tuples of child momenta summing to ``rest``, each with subtrees."""
-        key = (rest, t)
-        out = self._splits.get(key)
-        if out is None:
-            if t == 1:
-                out = ((rest,),) if degree(rest) >= 2 and rest in self._live else ()
-            else:
-                out = []
-                for first in product(*[range(r + 1) for r in rest]):
-                    if degree(first) < 2 or degree(rest) - degree(first) < 2 * (t - 1):
-                        continue
-                    if first not in self._live:
-                        continue
-                    for tail in self._split(index_sub(rest, first), t - 1):
-                        out.append((first,) + tail)
-                out = tuple(out)
-            self._splits[key] = out
-        return out
+                    self._live[a].append(nu)
+        del self._memo
 
     def _line(self, nu):
         """Per axis a, sum_L f_{L,a} R(nu, L) (undivided) and its labeling count."""
         n = self.n
         polys = [{} for _ in range(n)]
         counts = [0] * n
-        for L, choices in groupby(self._roots(nu), key=lambda choice: choice[0]):
-            R, rc = self._root_sum(L, choices)
+        for L in self.support:
+            R, rc = self._expansion(nu, L)
+            if not R:
+                continue
             for a in range(n):
                 kv = self.key.get((L, a))
-                if kv is None or not R:
+                if kv is None:
                     continue
                 P = polys[a]
                 for k, c in R.items():
@@ -404,32 +362,53 @@ class LinePolynomials:
                 counts[a] += rc
         return polys, counts
 
-    def _root_sum(self, L, choices):
-        """R(nu, L) from the root choices of one label L, and its labeling count."""
-        poly, count = self.poly, self.count
+    def _expansion(self, nu, L):
+        """R(nu, L) = [z^nu] (z + h)^L and its labeling count."""
+        if nu == L:
+            return {0: 1.0}, 1
+        d = index_sub(nu, L)
         R: dict = {}
         rc = 0
-        for _, axes, beta, splits in choices:
-            if not axes:  # the leaf L == nu, the only choice of its label
-                return {0: 1.0}, 1
-            w = multi_factorial(beta) / math.factorial(len(axes)) * multi_binom(L, beta)
-            for split in splits:
-                factors = [poly.get(line) for line in zip(split, axes)]
-                if not all(factors):
-                    continue
-                term = {k: w * c for k, c in factors[0].items()}
-                cnt = count[(split[0], axes[0])]
-                for line, F in zip(zip(split[1:], axes[1:]), factors[1:]):
-                    nxt: dict = {}
-                    for k1, c1 in term.items():
-                        for k2, c2 in F.items():
-                            nxt[k1 + k2] = nxt.get(k1 + k2, 0) + c1 * c2
-                    term = nxt
-                    cnt *= count[line]
-                for k, c in term.items():
-                    R[k] = R.get(k, 0) + c
-                rc += cnt
+        for beta, binom, orders in self._betas[L]:
+            if degree(beta) > degree(d):  # |beta| lines of degree >= 2 exceed |m| = |d| + |beta|
+                break
+            m = index_add(d, beta)
+            if min(m) < 0:
+                continue
+            P, pc = self._power(beta, m)
+            for k, c in P.items():
+                R[k] = R.get(k, 0) + binom * c
+            rc += orders * pc
         return R, rc
+
+    def _power(self, beta, m):
+        """P(beta, m) = [z^m] h^beta, and its labeling count for one order of the axes."""
+        up, i = self._parent[beta]
+        if not any(up):
+            return self.poly.get((m, i), {}), self.count.get((m, i), 0)
+        memo = self._memo.get(beta)
+        if memo is not None and m in memo:
+            return memo[m]
+        P: dict = {}
+        pc = 0
+        top = degree(m) - 2 * degree(up)
+        for mu in self._live[i]:
+            if degree(mu) > top:
+                break
+            rest = index_sub(m, mu)
+            if min(rest) < 0:
+                continue
+            Q, qc = self._power(up, rest)
+            if not Q:
+                continue
+            S = self.poly[(mu, i)]
+            for k1, c1 in Q.items():
+                for k2, c2 in S.items():
+                    P[k1 + k2] = P.get(k1 + k2, 0) + c1 * c2
+            pc += qc * self.count[(mu, i)]
+        if memo is not None:
+            memo[m] = P, pc
+        return P, pc
 
 
 def enumerate_labeled(N: int, alpha, j: int, support, n: int | None = None):

@@ -93,6 +93,10 @@ MALFORMED_PROBLEMS.update({
     "rotation as a string": {**_problem_doc(), "spectrum": {"rotation": ["0.618"]}},
     "rotation true": {**_problem_doc(), "spectrum": {"rotation": [True]}},
     "coefficient beyond the float range": _problem_doc(terms=[{"alpha": [2], "value": [10**400]}]),
+    # a series is a scalar or vector series with a list of terms
+    "series kind banana": {**_problem_doc(), "series": {**_SERIES, "kind": "banana"}},
+    "series without terms": {**_problem_doc(), "series": {"n": 1, "D": 4, "kind": "vector"}},
+    "series terms an object": {**_problem_doc(), "series": {**_SERIES, "terms": {}}},
 })
 # spectra with an infinite or NaN entry (JSON Infinity and NaN parse as floats)
 MALFORMED_PROBLEMS.update({
@@ -274,16 +278,21 @@ def test_linearize_deterministic_across_runs_and_threads(tmp_path):
 
 def test_tree_note_reports_the_plan_counts(tmp_path, capsys):
     # the counts belong to the method: every contributing labeling of the
-    # n=2 degree-3 fixture up to degree 6 is one summand, 1,868 monomials
-    problem = _write_problem(tmp_path, seed=1, n=2, degree_f=3, trunc=6)
-    out = tmp_path / "tree.json"
-    capsys.readouterr()
-    assert main(["linearize", "germ", "--input", str(problem), "--degree", "6",
-                 "--method", "tree", "--output", str(out)]) == 0
-    note = capsys.readouterr().err
-    assert ("degrees 2..6: summands [6, 32, 236, 2048, 19288], "
-            "monomials [6, 30, 122, 426, 1284]") in note
-    assert "summands" not in out.read_text()
+    # degree-3 fixtures up to degree 6 is one summand.  At n=3, degree 6 has
+    # nodes with three children, each counted in its t!/beta! orderings.
+    cases = [
+        (2, "summands [6, 32, 236, 2048, 19288], monomials [6, 30, 122, 426, 1284]"),
+        (3, "summands [18, 192, 3024, 54324, 1060236], "
+            "monomials [18, 183, 1722, 13908, 95574]"),
+    ]
+    for n, counts in cases:
+        problem = _write_problem(tmp_path, seed=1, n=n, degree_f=3, trunc=6)
+        out = tmp_path / "tree.json"
+        capsys.readouterr()
+        assert main(["linearize", "germ", "--input", str(problem), "--degree", "6",
+                     "--method", "tree", "--output", str(out)]) == 0
+        assert f"degrees 2..6: {counts}" in capsys.readouterr().err
+        assert "summands" not in out.read_text()
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):
@@ -328,6 +337,10 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         ["verify", "--input", str(problem), "--solution", str(solution), "--tol", "-1"],
         ["fixture", "germ", "--seed", "-1"],
         ["diagnose", "class", "--input", str(solution), "--class-m", "gevrey:nan"],
+        # a problem document is not a series: it has no terms and kind "germ"
+        ["verify", "--input", str(problem), "--solution", str(problem)],
+        ["diagnose", "class", "--input", str(problem)],
+        ["trees", "enum", "--order", "2", "--labeled", "--alpha", "2,-1"],
         ["diagnose", "condition", "--omega", "0.6", "--class-m", "geometric:inf"],
         # f has degree >= 2
         ["fixture", "germ", "--degree-f", "-2"],
@@ -375,6 +388,13 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         path.write_text(json.dumps(support))
         bad_args.append(["trees", "enum", "--order", "2", "--labeled", "--alpha", "2,1",
                          "--support", str(path)])
+    # class tables are lists of positive numbers, not coerced, and cover the
+    # nonzero degrees of h (here 2..8)
+    for table in (["2", True, 3], {"1": 2}, [2, 1, 3, None], [1.5] * 7):
+        path = tmp_path / f"table_{len(bad_args)}.json"
+        path.write_text(json.dumps(table))
+        bad_args.append(["diagnose", "class", "--input", str(solution),
+                         "--class-m", f"table:{path}"])
     # diagnose writes one table, to --emit-csv or --output
     both = [tmp_path / "family.csv", tmp_path / "family.out"]
     bad_args.append(["diagnose", "family", "--omega", repr(GOLDEN), "--degree", "12",
@@ -556,6 +576,12 @@ def test_diagnose_class_and_condition(tmp_path, capsys):
                  "--class-m", "geometric:1"]) == 0
     rows = capsys.readouterr().out.strip().splitlines()
     assert rows[0].startswith("accepted,")
+    # M_k = 1 up to h's top degree is the table of geometric:1
+    table = tmp_path / "ones.json"
+    table.write_text(json.dumps([1] * 8))
+    assert main(["diagnose", "class", "--input", str(solution),
+                 "--class-m", f"table:{table}"]) == 0
+    assert capsys.readouterr().out.strip().splitlines() == rows
 
     assert main(["diagnose", "condition", "--omega", f"{GOLDEN:.10f}",
                  "--class-m", "gevrey:1", "--dmax", "50"]) == 0

@@ -16,7 +16,6 @@ from treelin import (
     counting_bound,
     enumerate_forest,
     enumerate_labeled,
-    iter_forest_chunks,
     recompose,
     scale_of_line,
     standard_decomposition,
@@ -53,14 +52,6 @@ def test_forest_matches_brute_force_and_catalan(N):
     assert forest == brute_force_forest(N)
     assert len(forest) == catalan(N - 1)
     assert all(is_valid_m(m) for m in forest)
-
-
-def test_forest_chunks_preserve_order():
-    full = enumerate_forest(6)
-    for size in (1, 3, 7, 100):
-        chunks = list(iter_forest_chunks(6, size))
-        assert [m for c in chunks for m in c] == full
-        assert all(len(c) <= size for c in chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +167,7 @@ def thinned_support(n, max_degree, seed):
     (1, 9, ("full", 1, 2)),
     (2, 5, ("full", 4, 5)),
     (3, 4, ("full", 6)),
+    (3, 5, (7,)),
 ])
 @pytest.mark.parametrize("kind", ["germ", "field"])
 def test_line_polynomials_are_the_labeling_sums(kind, n, alpha_max, supports):
