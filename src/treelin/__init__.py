@@ -23,45 +23,54 @@ def _register_deferred(name: str):
     return module
 
 
-# Only the tree method, the tree counts and the growth diagnostics need these
-# two, so `treelin linearize --method recursive|fixedpoint` never runs them.
-# They are bound here, before any other submodule is imported, so that
-# `from . import trees` finds the deferred module instead of loading it.
+# Each command runs only the modules it uses (README, "Module map"): these
+# are registered here, before any other submodule is imported, so that
+# `from . import trees` anywhere finds the deferred module instead of
+# loading it.  Their code runs on the first attribute access.
 trees = _register_deferred("trees")
+treesum = _register_deferred("treesum")
+families = _register_deferred("families")
+bruno = _register_deferred("bruno")
 diagnostics = _register_deferred("diagnostics")
+documents = _register_deferred("documents")
+commands = _register_deferred("commands")
 
 from . import divisors, errors, linearize, series  # noqa: E402
 
 # the public names, by the submodule that defines them
 _EXPORTS = {
+    "bruno": (
+        "ContinuedFraction", "bruno_proxy", "bruno_series_1d", "bruno_sum",
+        "continued_fraction", "frac_distance", "omega_frac", "omega_hat", "omega_tilde",
+        "phi_counting",
+    ),
     "diagnostics": (
         "ClassSpec", "class_membership", "condition_sequence", "germ_family_radius",
         "growth_report", "majorant_partial_sums", "validate_class",
         "vf_domain_estimate",
     ),
     "divisors": (
-        "ContinuedFraction", "FieldSpectrum", "GermSpectrum", "apply_forward_D",
-        "apply_inverse_D", "bruno_proxy", "bruno_series_1d", "bruno_sum",
-        "continued_fraction", "frac_distance", "is_resonant_field", "is_resonant_germ",
-        "omega_frac", "omega_hat", "omega_tilde", "phi_counting",
+        "FieldSpectrum", "GermSpectrum", "apply_forward_D", "apply_inverse_D",
     ),
     "errors": (
         "CoefficientOverflow", "CompositionError", "DivisorBelowTolerance",
         "FamilyViolation", "HypothesisViolated", "NoContraction", "RationalDetected",
         "ResonantSpectrum", "TreelinError", "TruncationMismatch", "UsageError",
     ),
+    "families": (
+        "SeriesFamily", "formal_derivative", "shift_expand", "weighted_norm",
+    ),
     "linearize": (
         "Germ", "Linearization", "VectorField", "classical_lagrange_1d",
         "fixed_point_inversion", "solve", "verify_conjugacy",
     ),
     "series": (
-        "ScalarSeries", "SeriesFamily", "VectorSeries", "abs_degree", "degree",
-        "formal_derivative", "shift_expand", "signed_degree", "weighted_norm",
+        "ScalarSeries", "VectorSeries", "abs_degree", "degree", "signed_degree",
     ),
     "trees": (
         "LabeledTree", "ScaleSequence", "count_scale", "counting_bound",
-        "enumerate_forest", "enumerate_labeled", "recompose",
-        "scale_of_line", "standard_decomposition", "tree_value",
+        "enumerate_forest", "enumerate_labeled", "scale_of_line",
+        "standard_decomposition", "tree_value",
     ),
 }
 

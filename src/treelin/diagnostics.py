@@ -14,12 +14,8 @@ import math
 
 import numpy as np
 
-from .divisors import (
-    GermSpectrum,
-    bruno_proxy,
-    bruno_sum,
-    omega_frac,
-)
+from .bruno import bruno_proxy, bruno_sum, omega_frac
+from .divisors import GermSpectrum
 from .errors import FamilyViolation, HypothesisViolated
 from .linearize import Germ, VectorField, solve
 from .records import Record
@@ -156,7 +152,7 @@ def condition_sequence(omega_of_p, P, class_m: ClassSpec, class_n: ClassSpec,
     Boundedness of this sequence over 2..dmax is the finite-range surrogate
     for the limsup smallness condition; the verdict against ``bound`` is
     reported alongside the raw values.  The partial sums are
-    :func:`divisors.bruno_sum`'s, so an Omega value at or below its
+    :func:`bruno.bruno_sum`'s, so an Omega value at or below its
     tolerance (a rational rotation, say) raises :class:`ResonantSpectrum`.
     """
     if dmax < 2:
@@ -353,29 +349,6 @@ def vf_domain_estimate(field_: VectorField, D: int = 20, majorant_r: float = 0.5
         math.log(d_est) + bruno, rep.jackknife_spread,
         majorant_r, tuple(sums), flag,
     )
-
-
-def proof_bound_constant(h: VectorSeries, class_m: ClassSpec, omega_of_p, P) -> float:
-    """Smallest C with log|h_alpha| <= d log C + log M_d + 2 d sum_{m<=kappa(d)} ... for all alpha.
-
-    The fitted constant makes the bound shape hold for every stored
-    coefficient; it is a per-run report, not an asserted universal value.
-    The partial sums are :func:`divisors.bruno_sum`'s, as in
-    :func:`condition_sequence`.
-    """
-    best = 0.0
-    partial_cache: dict = {}
-    for comp in h.components:
-        for alpha, c in comp.items():
-            d = degree(alpha)
-            if d < 2 or c == 0:
-                continue
-            kappa = P.kappa(d)
-            if kappa not in partial_cache:
-                partial_cache[kappa] = bruno_sum(omega_of_p, P, kappa)[-1]
-            lhs = math.log(abs(c)) - class_m.log_M(d) - 2.0 * d * partial_cache[kappa]
-            best = max(best, math.exp(lhs / d))
-    return best
 
 
 def germ_omega_of_p(omega: float):

@@ -9,25 +9,27 @@ routes:
   slice by its divisors),
 * the explicit sum over labeled rooted trees, compiled into one polynomial
   per coefficient in the nonzero coefficients of f, built over subtrees;
-  this route lives in :mod:`treelin.trees` (``TreePlan``, ``tree_plan``),
-  which :func:`solve` reaches only when the tree method is chosen, so a
-  recursive or fixed-point process never runs that module,
+  this route lives in :mod:`treelin.treesum` (``TreePlan``, ``tree_plan``),
 * the generic non-expanding fixed-point iteration driven by the shift
   family of f, :func:`fixed_point_inversion`, whose operator is any
   callable from vector series to vector series (here division by the
-  divisors).
+  divisors); the family comes from :mod:`treelin.families`.
+
+:func:`solve` looks the tree route and the shift family up when it runs
+them, so a recursive process runs neither module, a fixed-point process
+only ``families`` and a tree process only ``treesum``.
 
 All three agree coefficient-wise on their shared validity range; the tests
 and the acceptance suite make that executable.  Summation order inside the
-tree sum is normative (see :class:`trees.LinePolynomials` and
-:class:`trees.TreePlan`), so totals are reproducible bit for bit.
+tree sum is normative (see :class:`treesum.LinePolynomials` and
+:class:`treesum.TreePlan`), so totals are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import trees
+from . import families, treesum
 from .divisors import (
     DEFAULT_TOL,
     apply_forward_D,
@@ -45,13 +47,10 @@ from .records import Record
 from .series import (
     PowerTable,
     ScalarSeries,
-    SeriesFamily,
     VectorSeries,
     degree,
-    formal_derivative,
     graded_indices,
     product_slice,
-    shift_expand,
     slot_count,
 )
 
@@ -158,7 +157,7 @@ def _solve_recursive(spectrum, f: VectorSeries, D: int, on_small_divisor, tol):
 SETTLED_RTOL = 1e-12
 
 
-def fixed_point_inversion(op, family: SeriesFamily, u, w: VectorSeries, D: int) -> VectorSeries:
+def fixed_point_inversion(op, family: families.SeriesFamily, u, w: VectorSeries, D: int) -> VectorSeries:
     """Solve H = op(w + u * family(H)) through degree D, one new degree per step.
 
     The family must be the expansion of the right-hand side about zero, with
@@ -232,14 +231,14 @@ def _solve_fixedpoint(spectrum, f: VectorSeries, D: int, on_small_divisor, tol):
         # looked up per call, so a rebinding of linearize.apply_inverse_D sees every division
         return apply_inverse_D(spectrum, g, tol)
 
-    return fixed_point_inversion(op, shift_expand(f), 1.0, VectorSeries.zero(f.n, D), D), ()
+    return fixed_point_inversion(op, families.shift_expand(f), 1.0, VectorSeries.zero(f.n, D), D), ()
 
 
 # ---------------------------------------------------------------------------
 # the solver entry point
 # ---------------------------------------------------------------------------
 
-# the tree route is trees._solve_tree, looked up by solve() at call time
+# the tree route is treesum._solve_tree, looked up by solve() at call time
 _METHODS = {
     "recursive": _solve_recursive,
     "fixedpoint": _solve_fixedpoint,
@@ -258,7 +257,7 @@ def solve(problem, D: int, method: str = "recursive", on_small_divisor: str = "r
     of h raises :class:`CoefficientOverflow` naming its degree.
     """
     if method == "tree":
-        route = trees._solve_tree
+        route = treesum._solve_tree
     elif method in _METHODS:
         route = _METHODS[method]
     else:
@@ -313,7 +312,7 @@ def classical_lagrange_1d(G: ScalarSeries, orders: int) -> InversionTable:
     power = ScalarSeries.one(G.n, G.trunc)
     for N in range(1, orders + 1):
         power = power.multiply(G)
-        out.append(formal_derivative(power, (N - 1,)).scale(1.0 / N))
+        out.append(families.formal_derivative(power, (N - 1,)).scale(1.0 / N))
     return InversionTable(G, tuple(out))
 
 

@@ -1,4 +1,4 @@
-"""Rooted trees, labeled rooted trees, the tree-sum solver, scale sequences and counting bounds.
+"""Rooted trees, labeled rooted trees, tree values, scale sequences and counting bounds.
 
 A rooted tree of order N is encoded by its m-vector ``(m_1, ..., m_N)``
 listing the number of children of each node in preorder; valid vectors
@@ -12,10 +12,9 @@ line).  The momentum of a line is the sum of (label - entering-axes) over
 the subtree below it; momenta grow strictly along root-ward paths and the
 total momentum of an order-N tree has signed degree >= N + 1.
 
-The tree-sum route of :func:`linearize.solve` lives here: the sum over
-labeled trees compiled into a :class:`TreePlan` per set of nonzero
-coefficients of f, and evaluated at their values.  Keeping it here means
-a recursive or fixed-point process never runs this module.
+This module holds the paper's combinatorics, which no solve runs: the tree
+sum that :func:`linearize.solve` evaluates is built over subtrees, without
+listing labelings, in :mod:`treelin.treesum`.
 """
 
 from __future__ import annotations
@@ -24,24 +23,17 @@ import math
 from functools import lru_cache
 from itertools import product
 
-import numpy as np
-
-from . import divisors
-from .errors import UsageError
+from . import bruno, families
 from .records import Record
 from .series import (
-    SeriesFamily,
     VectorSeries,
-    _recent,
     degree,
-    graded_indices,
     graded_key,
     index_add,
     index_sub,
     multi_binom,
     multi_factorial,
     signed_degree,
-    slot_count,
     unit_index,
 )
 
@@ -116,16 +108,6 @@ def standard_decomposition(m):
     return t, subs
 
 
-def recompose(t: int, subtrees) -> tuple:
-    """Inverse of :func:`standard_decomposition`."""
-    if t != len(subtrees):
-        raise ValueError("root degree must match the number of subtrees")
-    m = (t,)
-    for s in subtrees:
-        m = m + tuple(s)
-    return m
-
-
 @lru_cache(maxsize=4096)
 def children_lists(m) -> tuple:
     """Per-node tuples of child indices (preorder indexing)."""
@@ -142,10 +124,6 @@ def children_lists(m) -> tuple:
 
     build(0)
     return tuple(tuple(k) for k in kids)
-
-
-def catalan(k: int) -> int:
-    return math.comb(2 * k, k) // (k + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -261,156 +239,6 @@ def _labeled_forest_cached(N, alpha, j, support_key, n):
     return tuple(out)
 
 
-class LinePolynomials:
-    """The tree sum of every line (nu, a) as a polynomial in f's nonzero coefficients.
-
-    The variables are the coefficients f_{L,a} named in ``variables``
-    (pairs (L, a), variable v is the v-th).  The polynomial of a line is
-    built bottom-up over subtrees, by degree of nu:
-
-        S(nu, a) = (1 / div(nu, a)) * sum_L f_{L,a} R(nu, L),
-
-    where R(nu, L) = [z^nu] (z + h)^L with h_i = sum_mu S(mu, i) z^mu.  So
-    R(nu, L) = 1 for nu == L, and otherwise
-
-        R(nu, L) = sum over 0 < beta <= L of binom(L, beta) P(beta, nu - L + beta),
-
-    with P(beta, m) = [z^m] h^beta, the power chain of h: P(e_i, m) is the
-    line (m, i) itself, and P(beta, m) = sum_mu P(beta - e_i, m - mu) S(mu, i)
-    over the lines (mu, i) with subtrees, i the first nonzero axis of beta
-    (the parent rule of :class:`series.PowerTable`).  Expanding every
-    product gives back the sum over the contributing labelings, summand by
-    summand, with their weights, binomials and line divisors: a node of
-    label L whose t children enter along axes counted by beta has t!/beta!
-    orderings of the children, each weighted beta!/t!.  Grouping the sum by
-    subtree is the distributive law, so no labeling is ever enumerated.
-    Then h_{alpha,j} = S(alpha, j) evaluated at f.
-
-    Divisors come from :func:`divisors.divisor_table` by graded-lex slot.
-    A line whose polynomial is nonempty and whose divisor modulus is below
-    ``tol`` is resolved by :func:`divisors.small_divisors`: its polynomial
-    becomes zero and its (nu, a, modulus) record joins ``clipped``, in
-    graded-lex order.
-
-    ``poly[(nu, a)]`` maps a monomial to its constant.  A monomial is an
-    int holding one byte per variable, the variable's exponent, so the
-    product of monomials is the sum of their keys.  ``count[(nu, a)]`` is
-    the number of labelings summed: the same chain with every constant 1
-    and t!/beta! in place of binom(L, beta).  Each sum is accumulated in
-    the order the loops visit its terms: lines by slot, labels L ascending,
-    beta in graded-lex order, chain terms by slot of mu, and in a product
-    of two polynomials the chain parent's keys in the outer loop.
-    """
-
-    EXPONENT_BITS = 8
-
-    def __init__(self, spectrum, variables, D: int, tol: float):
-        if D > 1 << self.EXPONENT_BITS:  # a line of degree D has at most D - 1 nodes
-            raise UsageError(f"the tree method reaches degree {1 << self.EXPONENT_BITS} at most")
-        n = self.n = spectrum.n
-        self.support = sorted({L for L, _ in variables}, key=graded_key)
-        self.key = {v: 1 << (self.EXPONENT_BITS * i) for i, v in enumerate(variables)}
-        self.poly: dict = {}
-        self.count: dict = {}
-        self.clipped: list = []
-        self._betas: dict = {}  # L -> (beta, binom(L, beta), t!/beta!) for 0 < beta <= L
-        self._parent: dict = {}  # beta -> (beta - e_i, i), i its first nonzero axis
-        for L in self.support:
-            betas = sorted(filter(any, product(*[range(l + 1) for l in L])), key=graded_key)
-            self._betas[L] = [(b, multi_binom(L, b), math.factorial(degree(b)) // multi_factorial(b))
-                              for b in betas]
-            for b in betas:
-                i = next(k for k, e in enumerate(b) if e)
-                self._parent[b] = (index_sub(b, unit_index(n, i)), i)
-        self._memo = {up: {} for up, _ in self._parent.values() if degree(up) >= 2}
-        self._live = [[] for _ in range(n)]  # per axis, the momenta of lines with subtrees
-        table, _ = divisors.divisor_table(spectrum, D)
-        indices = graded_indices(n, D)
-        for d in range(2, D + 1):
-            lo, hi = slot_count(n, d - 1), slot_count(n, d)
-            lines = [self._line(indices[s]) for s in range(lo, hi)]
-            nonzero = np.array([[bool(polys[a]) for polys, _ in lines] for a in range(n)])
-            small, bad = divisors.small_divisors(spectrum, nonzero, D, lo, tol)
-            self.clipped.extend(bad)
-            for i, (polys, counts) in enumerate(lines):
-                nu = indices[lo + i]
-                for a in range(n):
-                    if not nonzero[a, i] or small[a, i]:
-                        continue
-                    dv = complex(table[a, lo + i])
-                    self.poly[(nu, a)] = {k: c / dv for k, c in polys[a].items()}
-                    self.count[(nu, a)] = counts[a]
-                    self._live[a].append(nu)
-        del self._memo
-
-    def _line(self, nu):
-        """Per axis a, sum_L f_{L,a} R(nu, L) (undivided) and its labeling count."""
-        n = self.n
-        polys = [{} for _ in range(n)]
-        counts = [0] * n
-        for L in self.support:
-            R, rc = self._expansion(nu, L)
-            if not R:
-                continue
-            for a in range(n):
-                kv = self.key.get((L, a))
-                if kv is None:
-                    continue
-                P = polys[a]
-                for k, c in R.items():
-                    P[k + kv] = P.get(k + kv, 0) + c
-                counts[a] += rc
-        return polys, counts
-
-    def _expansion(self, nu, L):
-        """R(nu, L) = [z^nu] (z + h)^L and its labeling count."""
-        if nu == L:
-            return {0: 1.0}, 1
-        d = index_sub(nu, L)
-        R: dict = {}
-        rc = 0
-        for beta, binom, orders in self._betas[L]:
-            if degree(beta) > degree(d):  # |beta| lines of degree >= 2 exceed |m| = |d| + |beta|
-                break
-            m = index_add(d, beta)
-            if min(m) < 0:
-                continue
-            P, pc = self._power(beta, m)
-            for k, c in P.items():
-                R[k] = R.get(k, 0) + binom * c
-            rc += orders * pc
-        return R, rc
-
-    def _power(self, beta, m):
-        """P(beta, m) = [z^m] h^beta, and its labeling count for one order of the axes."""
-        up, i = self._parent[beta]
-        if not any(up):
-            return self.poly.get((m, i), {}), self.count.get((m, i), 0)
-        memo = self._memo.get(beta)
-        if memo is not None and m in memo:
-            return memo[m]
-        P: dict = {}
-        pc = 0
-        top = degree(m) - 2 * degree(up)
-        for mu in self._live[i]:
-            if degree(mu) > top:
-                break
-            rest = index_sub(m, mu)
-            if min(rest) < 0:
-                continue
-            Q, qc = self._power(up, rest)
-            if not Q:
-                continue
-            S = self.poly[(mu, i)]
-            for k1, c1 in Q.items():
-                for k2, c2 in S.items():
-                    P[k1 + k2] = P.get(k1 + k2, 0) + c1 * c2
-            pc += qc * self.count[(mu, i)]
-        if memo is not None:
-            memo[m] = P, pc
-        return P, pc
-
-
 def enumerate_labeled(N: int, alpha, j: int, support, n: int | None = None):
     """Labeled trees of order N with total momentum ``alpha`` and root axis ``j``.
 
@@ -434,116 +262,11 @@ def enumerate_labeled(N: int, alpha, j: int, support, n: int | None = None):
 
 
 # ---------------------------------------------------------------------------
-# the tree-sum solver
-# ---------------------------------------------------------------------------
-
-# compiled plans (see TreePlan) of the most recently used
-# (spectrum, n, D, variables, tol) (see series._recent)
-_TREE_PLANS: dict = {}
-
-
-class TreePlan(Record):
-    """The tree sum of h as arrays over the nonzero coefficients of f.
-
-    The variables are those coefficients f_{L,a}, in graded-lex order of L,
-    then by axis (:func:`_tree_variables`).  Let v be their values followed
-    by a 1.  Row r adds ``const[r] * prod(v[rows[r]])`` to the flat slot
-    ``slots[r]`` (axis * slot_count + slot) of h.  Index rows list a
-    monomial's variables in ascending order, padded with the 1; the rows of
-    a slot run in lexicographic order of their index rows.  ``clipped``
-    holds the (alpha, j, modulus) records of the lines whose divisor is
-    below the tolerance.  ``summands[d - 2]`` and ``monomials[d - 2]``
-    count the labelings summed and the rows of the coefficients of
-    degree d.
-    """
-
-    __slots__ = ("const", "rows", "slots", "clipped", "summands", "monomials")
-
-
-def _tree_variables(f: VectorSeries):
-    """The nonzero coefficients of f as TreePlan variables, and their values."""
-    F = f.to_array()
-    slots, axes = np.nonzero(F.T)
-    indices = graded_indices(f.n, f.trunc)
-    variables = tuple((indices[s], a) for s, a in zip(slots.tolist(), axes.tolist()))
-    return variables, F.T[slots, axes]
-
-
-def tree_plan(problem, D: int, tol: float = divisors.DEFAULT_TOL) -> TreePlan:
-    """The (cached) tree plan :func:`linearize.solve` uses for ``problem`` at degree D."""
-    variables, _ = _tree_variables(problem.f.truncate(D))
-    return _tree_plan(problem.spectrum, D, variables, tol)
-
-
-def _tree_plan(spectrum, D: int, variables: tuple, tol: float) -> TreePlan:
-    n = spectrum.n
-    key = (spectrum.key(), n, D, variables, tol)
-    plan = _TREE_PLANS.pop(key, None)
-    if plan is not None:
-        return _recent(_TREE_PLANS, key, plan)
-    lines = LinePolynomials(spectrum, variables, D, tol)
-    M = slot_count(n, D)
-    slot_of = {alpha: s for s, alpha in enumerate(graded_indices(n, D))}
-    keys: list = []
-    const: list = []
-    slots: list = []
-    summands = [0] * (D - 1)
-    monomials = [0] * (D - 1)
-    for (nu, a), poly in lines.poly.items():
-        keys.extend(poly)
-        const.extend(poly.values())
-        slots.extend([a * M + slot_of[nu]] * len(poly))
-        summands[degree(nu) - 2] += lines.count[(nu, a)]
-        monomials[degree(nu) - 2] += len(poly)
-    rows = _index_rows(keys, len(variables))
-    slots = np.array(slots, dtype=np.intp)
-    order = np.lexsort(tuple(rows[:, c] for c in reversed(range(rows.shape[1]))) + (slots,))
-    plan = TreePlan(np.array(const, dtype=complex)[order], rows[order],
-                    slots[order], tuple(lines.clipped), tuple(summands), tuple(monomials))
-    return _recent(_TREE_PLANS, key, plan)
-
-
-def _index_rows(keys: list, V: int) -> np.ndarray:
-    """Monomial keys (one exponent byte per variable) as rows of variable indices padded with V."""
-    exps = np.frombuffer(b"".join(k.to_bytes(V, "little") for k in keys),
-                         dtype=np.uint8).reshape(len(keys), V)
-    row, var = np.nonzero(exps)
-    reps = exps[row, var]
-    row, var = np.repeat(row, reps), np.repeat(var, reps)  # one entry per factor
-    lengths = np.bincount(row, minlength=len(keys))
-    rows = np.full((len(keys), int(lengths.max(initial=0))), V, dtype=np.int32)
-    rows[row, np.arange(len(row)) - (np.cumsum(lengths) - lengths)[row]] = var
-    return rows
-
-
-def _solve_tree(spectrum, f: VectorSeries, D: int, on_small_divisor, tol):
-    """Explicit tree-sum solution (the same trees for germs and fields).
-
-    Each coefficient is the sum over labeled rooted trees of the divisor and
-    coefficient product, weighted per node by binom(label, entering axes)
-    times beta!/m! (the multinomial share of the ordered child slots).  The
-    sum is compiled once per set of nonzero coefficients of f into a
-    :class:`TreePlan`, and evaluated with one gather, one product per row
-    and one sum per slot.
-    """
-    n = f.n
-    variables, values = _tree_variables(f)
-    plan = _tree_plan(spectrum, D, variables, tol)
-    clipped: list = []
-    divisors.settle_small_divisors(plan.clipped, on_small_divisor, clipped)
-    terms = plan.const * np.append(values, 1.0)[plan.rows].prod(axis=1)
-    h = np.zeros(n * slot_count(n, D), dtype=complex)
-    h.real = np.bincount(plan.slots, terms.real, h.size)
-    h.imag = np.bincount(plan.slots, terms.imag, h.size)
-    return VectorSeries.from_array(n, D, h.reshape(n, -1)), tuple(clipped)
-
-
-# ---------------------------------------------------------------------------
 # tree values of the inversion expansion
 # ---------------------------------------------------------------------------
 
 
-def tree_value(theta, op, family: SeriesFamily, u, w: VectorSeries | None = None) -> VectorSeries:
+def tree_value(theta, op, family: families.SeriesFamily, u, w: VectorSeries | None = None) -> VectorSeries:
     """Value of one rooted tree in the inversion expansion.
 
     ``family`` must be the expansion of the right-hand side about op(w)
@@ -653,15 +376,15 @@ def scale_of_line(nubar, omega, P: ScaleSequence, variant: str = "germ",
                   max_scale: int = 64):
     """The scale k at which the line's nubar stops being small, or None.
 
-    It is the first k with ``divisors.phi_counting`` 0 at scale k + 1.  A
+    It is the first k with ``bruno.phi_counting`` 0 at scale k + 1.  A
     line that is not small at scale 0, or whose reduced momentum vanishes,
     carries no scale and is excluded from the per-scale counts.
     """
     nubar = tuple(nubar)
-    if not any(nubar) or not divisors.phi_counting(nubar, 0, omega, P, variant):
+    if not any(nubar) or not bruno.phi_counting(nubar, 0, omega, P, variant):
         return None
     for k in range(max_scale):
-        if not divisors.phi_counting(nubar, k + 1, omega, P, variant):
+        if not bruno.phi_counting(nubar, k + 1, omega, P, variant):
             return k
     raise RuntimeError(f"no scale below {max_scale}; nubar {nubar} looks resonant")
 

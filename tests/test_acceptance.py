@@ -49,12 +49,8 @@ from treelin import (
     vf_domain_estimate,
 )
 from treelin.diagnostics import germ_omega_of_p
-from treelin.series import (
-    ScalarSeries,
-    SeriesFamily,
-    formal_derivative,
-    iter_indices,
-)
+from treelin.families import SeriesFamily, formal_derivative
+from treelin.series import ScalarSeries, iter_indices
 from treelin.trees import ScaleSequence
 
 from conftest import (

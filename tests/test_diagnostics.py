@@ -25,7 +25,7 @@ from treelin import (
     validate_class,
     vf_domain_estimate,
 )
-from treelin.diagnostics import germ_omega_of_p, proof_bound_constant
+from treelin.diagnostics import germ_omega_of_p
 from treelin.trees import ScaleSequence
 from treelin.series import iter_indices
 
@@ -168,14 +168,9 @@ def test_bruno_partial_sums_refuse_a_rational_rotation():
     cls = ClassSpec.gevrey(1.0)
     with pytest.raises(ResonantSpectrum, match="p_2 = 8"):
         condition_sequence(germ_omega_of_p(0.6), P, cls, cls, 5)
-    h = VectorSeries.from_coeffs(1, 6, {(2,): (1.0,), (5,): (0.5,)})
-    with pytest.raises(ResonantSpectrum, match="p_2 = 8"):
-        proof_bound_constant(h, cls, germ_omega_of_p(0.6), P)
     # and a positive Omega at or below the tolerance 1e-12, not only zero
     with pytest.raises(ResonantSpectrum):
         condition_sequence(lambda p: 1e-13, P, cls, cls, 5)
-    with pytest.raises(ResonantSpectrum):
-        proof_bound_constant(h, cls, lambda p: 1e-13, P)
 
 
 # ---------------------------------------------------------------------------
@@ -261,28 +256,6 @@ def test_germ_family_rational_rotation_rejected():
 
     with pytest.raises(DivisorBelowTolerance):
         germ_family_radius(1, 0.5, D=12)
-
-
-def test_proof_bound_constant_is_finite(rng):
-    spec = GermSpectrum.from_rotation((GOLDEN,))
-    f = random_vector_series(rng, 1, 16, min_degree=2, max_degree=3)
-    lin = solve(Germ(spec, f), 16, "recursive")
-    P = ScaleSequence.pow2()
-    c_hat = proof_bound_constant(lin.h, ClassSpec.geometric(1.0),
-                                 germ_omega_of_p(GOLDEN), P)
-    assert math.isfinite(c_hat) and c_hat > 0
-    # by construction the bound shape holds for every coefficient at C = c_hat
-    for comp in lin.h.components:
-        for alpha, c in comp.items():
-            d = sum(alpha)
-            if d < 2:
-                continue
-            kappa = P.kappa(d)
-            budget = 0.0
-            for m in range(kappa + 1):
-                budget += math.log(1.0 / germ_omega_of_p(GOLDEN)(P[m + 1])) / P[m]
-            rhs = d * math.log(c_hat) + ClassSpec.geometric(1.0).log_M(d) + 2 * d * budget
-            assert math.log(abs(c)) <= rhs + 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,6 @@ from treelin import (
     bruno_sum,
     continued_fraction,
     frac_distance,
-    is_resonant_field,
-    is_resonant_germ,
     omega_frac,
     omega_hat,
     omega_tilde,
@@ -63,27 +61,6 @@ def test_rotation_divisor_is_stable_near_resonance():
     modulus = spec.divisor_modulus(nu, j)
     assert 1e-11 < modulus < 1e-10
     assert abs(abs(spec.divisor(nu, j)) - modulus) <= 1e-12 * modulus
-
-
-def test_resonance_witness_examples():
-    # lambda = (4, 2): lambda_2^2 = lambda_1
-    spec = GermSpectrum((4.0, 2.0))
-    assert is_resonant_germ(spec, 4) == ((0, 2), 0)
-    # lambda = 2 in one variable: no resonance at any degree
-    assert is_resonant_germ(GermSpectrum((2.0,)), 12) is None
-    # root of unity: lambda = e^(2 pi i 3/7) has lambda^8 = lambda
-    spec = GermSpectrum.from_rotation((3.0 / 7.0,))
-    assert is_resonant_germ(spec, 10) == ((8,), 0)
-
-
-def test_field_resonance():
-    # omega = (1, 2): alpha = (2, 0) gives 2*1 - 2 = 0 at axis 1
-    spec = FieldSpectrum((1.0, 2.0))
-    witness = is_resonant_field(spec, 4)
-    assert witness is not None
-    alpha, j = witness
-    assert abs(spec.divisor(alpha, j)) < 1e-12
-    assert is_resonant_field(FieldSpectrum((-1.0, GOLDEN)), 8) is None
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
-"""The import contract: `treelin.trees` and `treelin.diagnostics` are registered at import and run on first use.
+"""The import contract: each command runs only the treelin modules it uses.
 
-A dense `linearize` process (recursive or fixed point) runs neither of them.
-No `linearize` or `diagnose family|domain` process loads OpenSSL
-(`_hashlib`), `fractions`, `decimal`, `dataclasses` or `statistics`.
+`import treelin` registers the modules of ``DEFERRED`` and runs their code
+on first use; every process runs the modules of ``EAGER``.  A dense
+`linearize` process (recursive or fixed point) runs neither `trees` nor
+`diagnostics`.  No `linearize` or `diagnose family|domain` process loads
+OpenSSL (`_hashlib`), `fractions`, `decimal`, `dataclasses` or
+`statistics`.
 """
 
 from __future__ import annotations
@@ -14,34 +17,45 @@ import types
 from pathlib import Path
 
 import treelin
-from treelin import cli, documents, linearize
+from treelin import cli, divisors, documents, linearize, series
 
 from conftest import GOLDEN, ROOT, run_python
 
-DEFERRED = ("treelin.trees", "treelin.diagnostics")
+DEFERRED = ("treelin.trees", "treelin.treesum", "treelin.families", "treelin.bruno",
+            "treelin.diagnostics", "treelin.documents", "treelin.commands")
+EAGER = ("treelin", "treelin.cli", "treelin.divisors", "treelin.errors", "treelin.linearize",
+         "treelin.output", "treelin.records", "treelin.series")
 # stdlib modules that a solve or a growth diagnostic has no use for;
 # dataclasses builds its methods by exec when a class is defined
 HEAVY = ("_hashlib", "fractions", "decimal", "dataclasses", "statistics")
 
 
-def executed_after(commands: list, heavy: bool = False) -> dict:
-    """Which deferred modules have run after ``treelin.cli.main`` ran each command.
+def executed_after(commands: list, heavy: bool = False) -> set:
+    """The deferred modules that have run after ``treelin.cli.main`` ran each command, by short name.
 
-    With ``heavy``, also which of ``HEAVY`` are loaded.
+    With ``heavy``, also those of ``HEAVY`` that are loaded.  Every treelin
+    module in ``sys.modules`` must be one of ``EAGER`` or ``DEFERRED``, and
+    every one of ``EAGER`` must have run.
     """
     script = (
         "import sys, types\n"
         "import treelin.cli as cli\n"
         f"for argv in {commands!r}:\n"
         "    assert cli.main(argv) == 0, argv\n"
-        f"for name in {DEFERRED!r}:\n"
-        "    print(name, type(sys.modules[name]) is types.ModuleType)\n"
+        "for name, module in sorted(sys.modules.items()):\n"
+        "    if name.split('.')[0] == 'treelin':\n"
+        "        print(name, type(module) is types.ModuleType)\n"
         f"for name in {HEAVY if heavy else ()!r}:\n"
         "    print(name, name in sys.modules)\n"
     )
     proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
-    return {name: ran == "True" for name, ran in (line.split() for line in proc.stdout.splitlines())}
+    state = dict(line.split() for line in proc.stdout.splitlines())
+    modules = {name for name in state if name.split(".")[0] == "treelin"}
+    assert modules == set(EAGER) | set(DEFERRED), modules
+    assert all(state[name] == "True" for name in EAGER), state
+    return {name.rpartition(".")[2] for name, ran in state.items()
+            if ran == "True" and name not in EAGER}
 
 
 def fixture_args(tmp_path, kind: str, n: int, D: int) -> tuple:
@@ -50,9 +64,19 @@ def fixture_args(tmp_path, kind: str, n: int, D: int) -> tuple:
                   "--seed", "1", "--out", path]
 
 
-def test_cli_import_registers_every_traced_module():
+def test_cli_import_registers_every_traced_module(tmp_path):
     # the benchmark tracer looks its targets up in sys.modules right after
-    # `import treelin.cli`, before any command has run
+    # `import treelin.cli`, before any command has run; installed, it must
+    # reach the callers of the names that moved to treelin.bruno and
+    # treelin.families, which it still looks up in divisors and series
+    path, make = fixture_args(tmp_path, "germ", 2, 6)
+    assert cli.main(make) == 0
+    commands = [
+        ["diagnose", "family", "--omega", repr(GOLDEN), "--degree", "12",
+         "--output", str(tmp_path / "family.csv")],
+        ["linearize", "germ", "--input", path, "--degree", "6", "--method", "fixedpoint",
+         "--output", str(tmp_path / "h.json")],
+    ]
     script = (
         "import sys\n"
         "import treelin.cli\n"
@@ -60,38 +84,56 @@ def test_cli_import_registers_every_traced_module():
         "import tracer\n"
         "missing = [m for m, _, _ in tracer._SPAN_TARGETS if f'treelin.{m}' not in sys.modules]\n"
         "print('missing', missing)\n"
-        "tracer.Tracer().install()\n"
+        "tr = tracer.Tracer()\n"
+        "tr.install()\n"
+        "tr.enabled = True\n"
+        f"for argv in {commands!r}:\n"
+        "    assert treelin.cli.main(argv) == 0, argv\n"
+        "    print(' '.join(sorted(tr.stats)))\n"
+        "    tr.stats.clear()\n"
     )
     proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["missing []"]
+    found, family, fixedpoint = proc.stdout.splitlines()
+    assert found == "missing []"
+    assert "divisors.bruno_proxy" in family.split(), family
+    assert "series.shift_expand" in fixedpoint.split(), fixedpoint
 
 
 def test_dense_linearize_runs_neither_trees_nor_diagnostics(tmp_path):
-    # nor loads any of HEAVY: the report is written, so its input digest is
-    # computed; the fixture is made here, since numpy.random loads hashlib
+    # only documents, and families for the fixed point, and none of HEAVY:
+    # the report is written, so its input digest is computed; the fixture is
+    # made here, since numpy.random loads hashlib
     for kind in ("germ", "field"):
         path, make = fixture_args(tmp_path, kind, 2, 8)
         assert cli.main(make) == 0
-        for method in ("recursive", "fixedpoint"):
+        for method, runs in (("recursive", {"documents"}), ("fixedpoint", {"documents", "families"})):
             solve = ["linearize", kind, "--input", path, "--degree", "8", "--method", method,
                      "--verify", "--output", str(tmp_path / "h.json")]
-            loaded = executed_after([solve], heavy=True)
-            assert not any(loaded.values()), (kind, method, loaded)
+            assert executed_after([solve], heavy=True) == runs, (kind, method)
 
 
 def test_tree_method_and_diagnose_run_what_they_use(tmp_path):
-    path, make = fixture_args(tmp_path, "germ", 1, 6)
-    tree = ["linearize", "germ", "--input", path, "--degree", "6", "--method", "tree",
-            "--output", str(tmp_path / "h.json")]
-    assert executed_after([make, tree]) == {"treelin.trees": True, "treelin.diagnostics": False}
-    family = ["diagnose", "family", "--omega", "0.6180339887498949", "--degree", "12",
-              "--output", str(tmp_path / "family.txt")]
-    assert executed_after([family]) == {"treelin.trees": False, "treelin.diagnostics": True}
-    bruno = ["bruno", "--omega", "0.6180339887498949", "--terms", "8",
-             "--output", str(tmp_path / "bruno.csv")]
-    assert executed_after([bruno]) == {"treelin.trees": False, "treelin.diagnostics": False}
-    assert (tmp_path / "bruno.csv").read_text().splitlines()[0] == "k,a_k,q_k,term,partial_sum"
+    germ, make_germ = fixture_args(tmp_path, "germ", 1, 6)
+    field, make_field = fixture_args(tmp_path, "field", 2, 12)
+    assert cli.main(make_germ) == 0 and cli.main(make_field) == 0
+    out, table = str(tmp_path / "out"), tmp_path / "bruno.csv"
+    runs = [
+        (["linearize", "germ", "--input", germ, "--degree", "6", "--method", "tree",
+          "--output", out], {"documents", "treesum"}),
+        (["diagnose", "family", "--omega", repr(GOLDEN), "--degree", "12", "--output", out],
+         {"commands", "diagnostics", "bruno"}),
+        (["diagnose", "domain", "--input", field, "--degree", "12", "--output", out],
+         {"commands", "diagnostics", "bruno", "documents"}),
+        (["diagnose", "condition", "--omega", repr(GOLDEN), "--dmax", "10", "--output", out],
+         {"commands", "diagnostics", "bruno", "trees"}),
+        (["bruno", "--omega", repr(GOLDEN), "--terms", "8", "--output", str(table)],
+         {"commands", "bruno"}),
+        (["trees", "enum", "--order", "4", "--output", out], {"commands", "trees"}),
+    ]
+    for argv, modules in runs:
+        assert executed_after([argv]) == modules, argv
+    assert table.read_text().splitlines()[0] == "k,a_k,q_k,term,partial_sum"
 
 
 def test_tree_and_diagnose_processes_load_nothing_heavy(tmp_path):
@@ -106,8 +148,28 @@ def test_tree_and_diagnose_processes_load_nothing_heavy(tmp_path):
         ["diagnose", "domain", "--input", field, "--degree", "12", "--output", out],
     ]
     for argv in commands:
-        loaded = executed_after([argv], heavy=True)
-        assert not any(loaded[name] for name in HEAVY), (argv, loaded)
+        assert not executed_after([argv], heavy=True) & set(HEAVY), argv
+
+
+def test_cli_run_as_a_module_is_not_imported_again(tmp_path):
+    # `python -m treelin.cli` runs cli.py as __main__: a module that imported
+    # treelin.cli would compile and run it a second time
+    path, make = fixture_args(tmp_path, "germ", 1, 6)
+    assert cli.main(make) == 0
+    for argv in (["diagnose", "family", "--omega", repr(GOLDEN), "--degree", "12"],
+                 ["linearize", "germ", "--input", path, "--degree", "6", "--method", "tree"]):
+        script = (
+            "import runpy, sys\n"
+            f"sys.argv = ['treelin', *{argv!r}]\n"
+            "try:\n"
+            "    runpy.run_module('treelin.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "print('treelin.cli' in sys.modules, file=sys.stderr)\n"
+        )
+        proc = run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "False", (argv, proc.stderr)
 
 
 def test_digest_is_the_sha256_of_the_canonical_bytes(tmp_path):
@@ -125,9 +187,26 @@ def test_digest_is_the_sha256_of_the_canonical_bytes(tmp_path):
 
 
 def test_linearize_binds_the_registered_trees():
-    assert linearize.trees is sys.modules["treelin.trees"]
-    assert treelin.trees is sys.modules["treelin.trees"]
-    assert treelin.diagnostics is sys.modules["treelin.diagnostics"]
+    # the importers hold the registered modules, not copies run again
+    assert linearize.treesum is sys.modules["treelin.treesum"]
+    assert linearize.families is sys.modules["treelin.families"]
+    assert cli.commands is sys.modules["treelin.commands"]
+    assert cli.documents is sys.modules["treelin.documents"]
+    for name in DEFERRED:
+        assert getattr(treelin, name.rpartition(".")[2]) is sys.modules[name]
+
+
+def test_only_the_traced_names_are_forwarded():
+    # the benchmark tracer still looks these up in divisors and series; any
+    # other name, __path__ included, must not load the module they moved to
+    from treelin import bruno, families
+
+    assert divisors.bruno_proxy is bruno.bruno_proxy
+    assert series.SeriesFamily is families.SeriesFamily
+    assert series.shift_expand is families.shift_expand
+    for module, name in ((divisors, "omega_frac"), (divisors, "__path__"),
+                         (series, "formal_derivative"), (series, "__path__")):
+        assert not hasattr(module, name), (module.__name__, name)
 
 
 def test_cli_module_runs_without_warnings(tmp_path):
@@ -144,6 +223,9 @@ def test_cli_module_runs_without_warnings(tmp_path):
         ["diagnose", "family", "--omega", repr(GOLDEN), "--degree", "12",
          "--output", str(tmp_path / "family.csv")],
         ["bruno", "--omega", repr(GOLDEN), "--terms", "8", "--output", str(tmp_path / "bruno.csv")],
+        ["diagnose", "condition", "--omega", repr(GOLDEN), "--dmax", "10",
+         "--output", str(tmp_path / "condition.csv")],
+        ["trees", "enum", "--order", "4", "--output", str(tmp_path / "trees.txt")],
     ]
     for argv in commands:
         proc = run_python("-W", "error", "-m", "treelin.cli", *argv)
@@ -171,9 +253,11 @@ def test_deferred_module_reports_its_missing_dependency():
 
 def test_every_public_name_resolves():
     assert len(set(treelin.__all__)) == len(treelin.__all__)
+    homes = set()
     for name in treelin.__all__:
         obj = getattr(treelin, name)
         assert obj.__module__.startswith("treelin."), name
+        homes.add(obj.__module__)
     assert set(treelin.__all__) <= set(dir(treelin))
     try:
         treelin.no_such_name
@@ -181,5 +265,7 @@ def test_every_public_name_resolves():
         assert "no_such_name" in str(exc)
     else:
         raise AssertionError("an unknown name resolved")
-    for name in DEFERRED:
+    # resolving a name ran the deferred module it lives in
+    assert {"treelin.bruno", "treelin.diagnostics", "treelin.families", "treelin.trees"} <= homes
+    for name in homes:
         assert type(sys.modules[name]) is types.ModuleType

@@ -29,18 +29,16 @@ from treelin import (
     tree_value,
     verify_conjugacy,
 )
-from treelin import cli, divisors, linearize, series, trees
+from treelin import bruno, cli, divisors, linearize, series, trees
 from treelin.diagnostics import germ_family_radius
-from treelin.divisors import DEFAULT_TOL, apply_inverse_D, omega_frac, omega_hat, omega_tilde
+from treelin.bruno import omega_frac, omega_hat, omega_tilde
+from treelin.divisors import DEFAULT_TOL, apply_inverse_D
 from treelin.documents import load_json, problem_from_doc
+from treelin.families import SeriesFamily, formal_derivative
 from treelin.linearize import SETTLED_RTOL
-from treelin.trees import _TREE_PLANS, children_lists, tree_plan
-from treelin.series import (
-    ScalarSeries,
-    SeriesFamily,
-    formal_derivative,
-    iter_indices,
-)
+from treelin.series import ScalarSeries, iter_indices, slot_count
+from treelin.trees import children_lists
+from treelin.treesum import _TREE_PLANS, tree_plan
 
 from conftest import GOLDEN, SILVER, assert_series_close, random_vector_series
 
@@ -126,13 +124,21 @@ def test_clip_mode_records_every_resonance_in_graded_lex_order():
 # ---------------------------------------------------------------------------
 
 
+def homogeneous(g: VectorSeries, d: int) -> VectorSeries:
+    """The degree-d part of g, at g's truncation."""
+    lo, hi = slot_count(g.n, d - 1), slot_count(g.n, d)
+    array = np.zeros_like(g.to_array())
+    array[:, lo:hi] = g.to_array()[:, lo:hi]
+    return VectorSeries.from_array(g.n, g.trunc, array)
+
+
 def recursive_oracle(problem, D, on_small_divisor="raise"):
     """The recursion by one full composition f(z + h) per degree."""
     n, f = problem.f.n, problem.f.truncate(D)
     h, clipped = VectorSeries.zero(n, D), []
     for d in range(2, D + 1):
         rhs = f.truncate(d).compose(VectorSeries.identity(n, d) + h.truncate(d))
-        h = h + apply_inverse_D(problem.spectrum, rhs.homogeneous(d).truncate(D),
+        h = h + apply_inverse_D(problem.spectrum, homogeneous(rhs, d).truncate(D),
                                 DEFAULT_TOL, on_small_divisor, clipped)
     return h, tuple(clipped)
 
@@ -359,14 +365,14 @@ def test_module_caches_stay_bounded(golden_spectrum_1d):
     for cache in (series._BASES, series._PAIR_TABLES, divisors._DIVISOR_TABLES, _TREE_PLANS):
         assert len(cache) == series._CACHE_LIMIT
     caches = (trees._forest, trees.children_lists, trees._labeled_forest_cached,
-              divisors.omega_tilde, divisors.omega_frac, divisors.omega_hat)
+              bruno.omega_tilde, bruno.omega_frac, bruno.omega_hat)
     for cache in caches:
         info = cache.cache_info()
         assert info.maxsize is not None, cache.__name__
         assert info.currsize <= info.maxsize, cache.__name__
     # every cache the solve and the loops above drive past its limit is full
     for cache in (trees.children_lists, trees._labeled_forest_cached,
-                  divisors.omega_tilde, divisors.omega_frac, divisors.omega_hat):
+                  bruno.omega_tilde, bruno.omega_frac, bruno.omega_hat):
         info = cache.cache_info()
         assert info.currsize == info.maxsize, cache.__name__
 

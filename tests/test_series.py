@@ -16,9 +16,9 @@ from treelin import (
     shift_expand,
     weighted_norm,
 )
+from treelin.families import SeriesFamily
 from treelin.series import (
     PowerTable,
-    SeriesFamily,
     _basis,
     _pair_table,
     _PairTable,
@@ -34,6 +34,7 @@ from treelin.series import (
 )
 
 from conftest import (
+    approx_equal,
     assert_series_close,
     random_dyadic_vector_series,
     random_scalar_series,
@@ -165,14 +166,14 @@ def test_approx_equal_scales_each_component():
     f = VectorSeries.from_coeffs(2, 3, {(2, 0): (1e6, 1.0)})
     # off by 1e-6 in the small component: within 1e-9 of the largest
     # coefficient overall, but not of that component's own
-    assert not f.approx_equal(VectorSeries.from_coeffs(2, 3, {(2, 0): (1e6, 1.0 + 1e-6)}))
-    assert f.approx_equal(VectorSeries.from_coeffs(2, 3, {(2, 0): (1e6 + 1e-4, 1.0)}))
+    assert not approx_equal(f, VectorSeries.from_coeffs(2, 3, {(2, 0): (1e6, 1.0 + 1e-6)}))
+    assert approx_equal(f, VectorSeries.from_coeffs(2, 3, {(2, 0): (1e6 + 1e-4, 1.0)}))
 
 
 def test_mismatched_series_rejected(rng):
     f = random_vector_series(rng, 2, 5)
     for other in (random_vector_series(rng, 2, 6), random_vector_series(rng, 3, 5)):
-        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a.approx_equal(b)):
+        for op in (lambda a, b: a + b, lambda a, b: a - b, approx_equal):
             with pytest.raises(TruncationMismatch):
                 op(f, other)
     for s in (random_scalar_series(rng, 2, 6), random_scalar_series(rng, 3, 5)):
