@@ -15,7 +15,7 @@ import numbers
 from functools import lru_cache
 from itertools import product
 
-from .divisors import DEFAULT_TOL
+from .divisors import RESONANCE_TOL
 from .errors import RationalDetected, ResonantSpectrum
 from .records import Record
 from .series import abs_degree, signed_degree
@@ -91,13 +91,13 @@ def _hat_indices(n: int, bound: int):
 
 
 @lru_cache(maxsize=256)
-def omega_hat(omega: tuple, p: int, tol: float = DEFAULT_TOL) -> float:
+def omega_hat(omega: tuple, p: int) -> float:
     """min of |nu.omega| over the restricted index set with abs-degree <= p.
 
     The index set allows at most one entry equal to -1 (the rest
-    non-negative) and skips exact resonances nu.omega = 0.  The bound is
-    inclusive so that the separation property below holds for every shift
-    of abs-degree <= p.
+    non-negative) and skips resonances, |nu.omega| <= ``RESONANCE_TOL``.
+    The bound is inclusive so that the separation property below holds for
+    every shift of abs-degree <= p.
     """
     if p < 2:
         raise ValueError("p must be >= 2")
@@ -105,7 +105,7 @@ def omega_hat(omega: tuple, p: int, tol: float = DEFAULT_TOL) -> float:
     best = math.inf
     for nu in _hat_indices(len(omega), p):
         v = abs(sum(x * w for x, w in zip(nu, omega)))
-        if v > tol:
+        if v > RESONANCE_TOL:
             best = min(best, v)
     return best
 
@@ -135,17 +135,17 @@ def phi_counting(nu, k: int, omega, P, variant: str = "germ") -> int:
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def bruno_sum(omega_of_p, P, K: int, tol: float = DEFAULT_TOL):
+def bruno_sum(omega_of_p, P, K: int):
     """Partial sums S_K = sum_{k<=K} log(1/Omega(p_(k+1))) / p_k.
 
     ``omega_of_p`` maps an integer p to a positive Omega value; a value at
-    or below the tolerance raises :class:`ResonantSpectrum`.
+    or below ``RESONANCE_TOL`` raises :class:`ResonantSpectrum`.
     """
     sums = []
     total = 0.0
     for k in range(K + 1):
         value = omega_of_p(P[k + 1])
-        if value <= tol:
+        if value <= RESONANCE_TOL:
             raise ResonantSpectrum(
                 f"Omega(p_{k + 1} = {P[k + 1]}) = {value:.3e} at or below tolerance"
             )
@@ -162,36 +162,32 @@ def bruno_sum(omega_of_p, P, K: int, tol: float = DEFAULT_TOL):
 class ContinuedFraction(Record):
     """Partial quotients a_1, a_2, ... and convergent denominators q_0 = 1, q_1, ..."""
 
-    __slots__ = ("quotients", "p", "q")
+    __slots__ = ("quotients", "q")
 
     @classmethod
     def from_quotients(cls, quotients):
         quotients = tuple(int(a) for a in quotients)
         if any(a < 1 for a in quotients):
             raise ValueError("partial quotients must be positive")
-        ps, qs = [0], [1]
-        prev_p, prev_q = 1, 0  # index -1
-        cur_p, cur_q = 0, 1  # index 0 (integer part normalized to 0)
+        qs = [1]
+        prev_q, cur_q = 0, 1  # indices -1 and 0
         for a in quotients:
-            cur_p, prev_p = a * cur_p + prev_p, cur_p
             cur_q, prev_q = a * cur_q + prev_q, cur_q
-            ps.append(cur_p)
             qs.append(cur_q)
-        return cls(quotients, tuple(ps), tuple(qs))
-
-    def __len__(self):
-        return len(self.quotients)
-
-    def convergents(self):
-        return list(zip(self.p, self.q))
+        return cls(quotients, tuple(qs))
 
 
-def continued_fraction(omega, K: int, eps: float = 1e-12) -> ContinuedFraction:
+# A float Gauss-map remainder below this ends continued_fraction: the input is
+# rational to working precision.
+RATIONAL_TOL = 1e-12
+
+
+def continued_fraction(omega, K: int) -> ContinuedFraction:
     """K partial quotients of the fractional part of omega via the Gauss map.
 
     Accepts floats, or rationals such as :class:`fractions.Fraction` with
-    exact arithmetic.  When the remainder underflows (is zero for a
-    rational), the input is rational to working precision and
+    exact arithmetic.  When the remainder falls below ``RATIONAL_TOL`` (is
+    zero for a rational), the input is rational to working precision and
     :class:`RationalDetected` is raised carrying the partial expansion.
     """
     if K < 1:
@@ -200,7 +196,7 @@ def continued_fraction(omega, K: int, eps: float = 1e-12) -> ContinuedFraction:
     x = omega - math.floor(omega)
     quotients = []
     for _ in range(K):
-        if (x == 0) if exact else (abs(x) < eps):
+        if (x == 0) if exact else (abs(x) < RATIONAL_TOL):
             raise RationalDetected(ContinuedFraction.from_quotients(quotients))
         inv = 1 / x if exact else 1.0 / x
         a = int(inv)

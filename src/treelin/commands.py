@@ -4,7 +4,8 @@
 ``fixture`` itself; it calls into this module only for the five commands
 here, so a ``linearize`` process never compiles them.  Each command runs
 the modules it needs on first use: ``diagnose family`` runs neither
-``documents`` nor ``trees``.
+``documents`` nor ``trees``, and ``diagnose growth`` and ``class`` do not
+run ``bruno``.
 """
 
 from __future__ import annotations

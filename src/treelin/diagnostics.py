@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .bruno import bruno_proxy, bruno_sum, omega_frac
+from . import bruno
 from .divisors import GermSpectrum
 from .errors import FamilyViolation, HypothesisViolated
 from .linearize import Germ, VectorField, solve
@@ -61,26 +61,24 @@ class ClassSpec(Record):
             raise ValueError(f"table class defined up to k = {len(self.param)}")
         return math.log(self.param[k - 1])
 
-    def label(self) -> str:
-        if self.kind == "gevrey":
-            return f"gevrey:{self.param[0]:g}"
-        if self.kind == "geometric":
-            return f"geometric:{self.param[0]:g}"
-        return f"table[{len(self.param)}]"
-
 
 class ClassReport(Record):
     __slots__ = ("ok", "smallest_c1", "inf_root", "failures")
 
 
-def validate_class(spec: ClassSpec, K: int, root_floor: float = 0.1,
-                   tol: float = 1e-9, strict: bool = False) -> ClassReport:
+# validate_class's floor of inf M_k^(1/k), and the slack of every comparison
+# of log M_k values (validate_class, condition_sequence)
+ROOT_FLOOR = 0.1
+LOG_SLACK = 1e-9
+
+
+def validate_class(spec: ClassSpec, K: int, strict: bool = False) -> ClassReport:
     """Check the four weight-sequence hypotheses up to index K.
 
-    0) inf M_k^(1/k) stays above ``root_floor`` (finite-range heuristic for
+    0) inf M_k^(1/k) stays above ``ROOT_FLOOR`` (finite-range heuristic for
        positivity of the limit; sequences like 1/k! sink below any floor),
     1) M_(k+1) <= C_1^(k+1) M_k for the smallest admissible C_1 (reported),
-    2) log-convexity, 3) M_k M_l <= M_(k+l-1).
+    2) log-convexity, 3) M_k M_l <= M_(k+l-1), both to within ``LOG_SLACK``.
 
     With ``strict`` a failure raises :class:`HypothesisViolated`.
     """
@@ -89,17 +87,17 @@ def validate_class(spec: ClassSpec, K: int, root_floor: float = 0.1,
     logs = {k: spec.log_M(k) for k in range(1, K + 1)}
     failures = []
     inf_root = min(math.exp(logs[k] / k) for k in range(1, K + 1))
-    if inf_root < root_floor:
+    if inf_root < ROOT_FLOOR:
         failures.append((0, min(range(1, K + 1), key=lambda k: logs[k] / k), None))
     smallest_c1 = max(
         math.exp((logs[k + 1] - logs[k]) / (k + 1)) for k in range(1, K)
     )
     for k in range(2, K):
-        if logs[k + 1] + logs[k - 1] < 2 * logs[k] - tol:
+        if logs[k + 1] + logs[k - 1] < 2 * logs[k] - LOG_SLACK:
             failures.append((2, k, None))
     for k in range(1, K + 1):
         for l in range(1, K + 1):
-            if k + l - 1 <= K and logs[k] + logs[l] > logs[k + l - 1] + tol:
+            if k + l - 1 <= K and logs[k] + logs[l] > logs[k + l - 1] + LOG_SLACK:
                 failures.append((3, k, l))
     if strict and failures:
         raise HypothesisViolated(*failures[0])
@@ -152,15 +150,16 @@ def condition_sequence(omega_of_p, P, class_m: ClassSpec, class_n: ClassSpec,
     Boundedness of this sequence over 2..dmax is the finite-range surrogate
     for the limsup smallness condition; the verdict against ``bound`` is
     reported alongside the raw values.  The partial sums are
-    :func:`bruno.bruno_sum`'s, so an Omega value at or below its
-    tolerance (a rational rotation, say) raises :class:`ResonantSpectrum`.
+    :func:`bruno.bruno_sum`'s, so an Omega value at or below
+    ``divisors.RESONANCE_TOL`` (a rational rotation, say) raises
+    :class:`ResonantSpectrum`.
     """
     if dmax < 2:
         raise ValueError("dmax must be >= 2")
     for d in (dmax, max(2, dmax // 2)):
-        if class_n.log_M(d) < class_m.log_M(d) - 1e-9:
+        if class_n.log_M(d) < class_m.log_M(d) - LOG_SLACK:
             raise ValueError("the target sequence must eventually dominate the source")
-    partial = bruno_sum(omega_of_p, P, P.kappa(dmax))
+    partial = bruno.bruno_sum(omega_of_p, P, P.kappa(dmax))
     values = []
     for d in range(2, dmax + 1):
         kappa = P.kappa(d)
@@ -178,6 +177,8 @@ def condition_sequence(omega_of_p, P, class_m: ClassSpec, class_n: ClassSpec,
 
 # A log-linear fit with a leave-one-out spread needs this many degrees of h.
 MIN_FIT_DEGREES = 3
+# growth_report fits the top half of the range of nonzero degrees.
+FIT_WINDOW = 0.5
 
 
 class GrowthReport(Record):
@@ -191,8 +192,8 @@ class GrowthReport(Record):
     )
 
 
-def growth_report(h: VectorSeries, window: float = 0.5) -> GrowthReport:
-    """Log-linear fit of per-degree maxima over the top ``window`` share of degrees.
+def growth_report(h: VectorSeries) -> GrowthReport:
+    """Log-linear fit of per-degree maxima over the top ``FIT_WINDOW`` share of degrees.
 
     The radius estimate is exp(-slope); low-degree transients are excluded
     by fitting only the top part of the degree range.  The jackknife spread
@@ -204,7 +205,7 @@ def growth_report(h: VectorSeries, window: float = 0.5) -> GrowthReport:
     if len(per_degree) < MIN_FIT_DEGREES:
         return GrowthReport(tuple(per_degree), (), math.nan, math.nan, math.nan, True)
     dmax = per_degree[-1][0]
-    cut = dmax - max(2, int(round(window * (dmax - per_degree[0][0]))))
+    cut = dmax - max(2, int(round(FIT_WINDOW * (dmax - per_degree[0][0]))))
     fit = [(d, m) for d, m in per_degree if d >= cut]
     if len(fit) < MIN_FIT_DEGREES:
         fit = per_degree
@@ -264,20 +265,19 @@ def majorant_partial_sums(h: VectorSeries, r: float):
 class RadiusReport(Record):
     __slots__ = (
         "k", "omega", "degree", "radius", "log_radius", "jackknife_spread",
-        "bruno_value",           # truncated Bruno series of k*omega
+        "bruno_value",           # bruno.bruno_proxy of k*omega
         "reference_log_radius",  # -B(k omega)/k + log(k)/k
         "empirical_gap",         # log_radius - reference
-        "bruno_terms",
     )
 
 
-def germ_family_radius(k: int, omega: float, D: int = 40,
-                       bruno_terms: int = 20) -> RadiusReport:
+def germ_family_radius(k: int, omega: float, D: int = 40) -> RadiusReport:
     """Radius estimate for the germ z -> lambda z (1 - z^k / k), lambda = e^(2 pi i omega).
 
     Solves to degree D, fits the coefficient growth, and reports the
     estimate next to the reference -B(k omega)/k + log(k)/k built from the
-    truncated Bruno series.  The empirical gap is an output only.
+    truncated Bruno series of :func:`bruno.bruno_proxy`.  The empirical
+    gap is an output only.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -287,12 +287,12 @@ def germ_family_radius(k: int, omega: float, D: int = 40,
     lin = solve(Germ(spectrum, f), D)
     rep = growth_report(lin.h)
     kw = (k * omega) % 1.0
-    bruno = bruno_proxy(kw, bruno_terms)
-    reference = -bruno / k + math.log(k) / k
+    bruno_value = bruno.bruno_proxy(kw)
+    reference = -bruno_value / k + math.log(k) / k
     log_radius = math.log(rep.radius)
     return RadiusReport(
         k, omega, D, rep.radius, log_radius, rep.jackknife_spread,
-        bruno, reference, log_radius - reference, bruno_terms,
+        bruno_value, reference, log_radius - reference,
     )
 
 
@@ -310,13 +310,12 @@ class DomainReport(Record):
 
 
 def vf_domain_estimate(field_: VectorField, D: int = 20, majorant_r: float = 0.5,
-                       divergence_threshold: float = 1e6,
-                       bruno_terms: int = 20) -> DomainReport:
+                       divergence_threshold: float = 1e6) -> DomainReport:
     """Polydisk-size estimate for a normalized planar field (-z1, omega z2) + f.
 
     Validates the family shape (n = 2, spectrum (-1, omega) with omega > 0,
     all |f_alpha,j| <= 1), solves to degree D, fits rho from coefficient
-    growth and reports d = sqrt(2) rho against the truncated Bruno value.
+    growth and reports d = sqrt(2) rho against :func:`bruno.bruno_proxy`.
     The absolute-value majorant partial sums at ``majorant_r`` raise the
     divergence flag once they pass ``divergence_threshold``.
     """
@@ -331,9 +330,9 @@ def vf_domain_estimate(field_: VectorField, D: int = 20, majorant_r: float = 0.5
         for j, c in enumerate(vec):
             if abs(c) > 1.0 + 1e-12:
                 raise FamilyViolation(alpha, j, abs(c))
-    bruno = bruno_proxy(omega % 1.0, bruno_terms)
+    bruno_value = bruno.bruno_proxy(omega % 1.0)
     if field_.f.is_zero():
-        return DomainReport(omega, D, math.inf, math.inf, math.inf, bruno,
+        return DomainReport(omega, D, math.inf, math.inf, math.inf, bruno_value,
                             math.inf, 0.0, majorant_r, ((0, 0.0),), False)
     lin = solve(field_, D)
     rep = growth_report(lin.h)
@@ -345,12 +344,12 @@ def vf_domain_estimate(field_: VectorField, D: int = 20, majorant_r: float = 0.5
         b >= a for a, b in zip(tail, tail[1:])
     )
     return DomainReport(
-        omega, D, rho, d_est, math.log(d_est), bruno,
-        math.log(d_est) + bruno, rep.jackknife_spread,
+        omega, D, rho, d_est, math.log(d_est), bruno_value,
+        math.log(d_est) + bruno_value, rep.jackknife_spread,
         majorant_r, tuple(sums), flag,
     )
 
 
 def germ_omega_of_p(omega: float):
     """Omega(p) for a one-dimensional rotation number, as a callable on p."""
-    return lambda p: omega_frac((omega,), p)
+    return lambda p: bruno.omega_frac((omega,), p)

@@ -5,9 +5,9 @@ divisors ``lambda^nu - lambda_j``, and eigenvalues ``omega`` of a diagonal
 vector field, with divisors ``omega . nu - omega_j``.  Momenta ``nu`` may
 have negative entries; powers of the ``lambda_i`` use inverses there.
 
-A divisor whose modulus falls below the resonance tolerance (default 1e-12)
-makes division fail loudly instead of amplifying noise.  For rotation
-spectra every divisor is evaluated in the stable form
+A divisor whose modulus falls below ``RESONANCE_TOL`` makes division fail
+loudly instead of amplifying noise.  For rotation spectra every divisor is
+evaluated in the stable form
 lambda_j * 2i sin(pi x) e^(i pi x), with x = nu.omega - omega_j reduced mod 1,
 so its modulus agrees with ``divisor_modulus`` near resonance.
 
@@ -27,7 +27,9 @@ from .errors import DivisorBelowTolerance
 from .records import Record
 from .series import VectorSeries, _recent, graded_indices, slot_count
 
-DEFAULT_TOL = 1e-12
+# A divisor modulus (or an Omega value of the Bruno sums) below this is a
+# resonance: every route raises or clips there, and so do the tree plans.
+RESONANCE_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -72,9 +74,6 @@ class GermSpectrum(Record, defaults={"rotation": None}):
     def n(self) -> int:
         return len(self.lam)
 
-    def key(self):
-        return ("germ",) + self.lam
-
     def power(self, nu) -> complex:
         if self.rotation is not None:
             return cmath.exp(2j * math.pi * sum(v * w for v, w in zip(nu, self.rotation)))
@@ -116,9 +115,6 @@ class FieldSpectrum(Record):
     def n(self) -> int:
         return len(self.omega)
 
-    def key(self):
-        return ("field",) + self.omega
-
     def divisor(self, nu, j: int) -> complex:
         return sum(v * w for v, w in zip(nu, self.omega)) - self.omega[j]
 
@@ -158,49 +154,50 @@ def divisor_table(spectrum, D: int):
     return entry[1][:, :M], entry[2][:, :M]
 
 
-def apply_inverse_D(spectrum, g: VectorSeries, tol: float = DEFAULT_TOL,
-                    on_small_divisor: str = "raise", clipped: list | None = None) -> VectorSeries:
+def apply_inverse_D(spectrum, g: VectorSeries, on_small_divisor: str = "raise",
+                    clipped: list | None = None) -> VectorSeries:
     """Per-monomial division by the divisors; preserves the valuation.
 
     Requires valuation(g) >= 2.  A nonzero coefficient whose divisor has
-    modulus below ``tol`` raises :class:`DivisorBelowTolerance` for the
-    first such (alpha, j) in graded-lex order, instead of emitting a huge
-    coefficient.  With ``on_small_divisor="clip"`` those coefficients become
-    zero instead, and each (alpha, j, modulus) is appended to ``clipped``.
+    modulus below ``RESONANCE_TOL`` raises :class:`DivisorBelowTolerance`
+    for the first such (alpha, j) in graded-lex order, instead of emitting a
+    huge coefficient.  With ``on_small_divisor="clip"`` those coefficients
+    become zero instead, and each (alpha, j, modulus) is appended to
+    ``clipped``.
     """
     if not g.is_zero() and g.valuation() < 2:
         raise ValueError("inverse divisor operator is defined on valuation >= 2")
-    out = divide_slots(spectrum, g.to_array(), g.trunc, 0, tol, on_small_divisor, clipped)
+    out = divide_slots(spectrum, g.to_array(), g.trunc, 0, on_small_divisor, clipped)
     return VectorSeries.from_array(g.n, g.trunc, out)
 
 
-def divide_slots(spectrum, values, D: int, lo: int, tol: float = DEFAULT_TOL,
-                 on_small_divisor: str = "raise", clipped: list | None = None):
+def divide_slots(spectrum, values, D: int, lo: int, on_small_divisor: str = "raise",
+                 clipped: list | None = None):
     """Divide an ``(n, width)`` array holding slots ``lo : lo + width`` of truncation D.
 
     The division behind :func:`apply_inverse_D`, with the tolerance rule of
     :func:`small_divisors` and :func:`settle_small_divisors`: a nonzero
-    value over a divisor of modulus below ``tol`` raises, or in clip mode
-    becomes zero and is recorded in ``clipped``.
+    value over a divisor of modulus below ``RESONANCE_TOL`` raises, or in
+    clip mode becomes zero and is recorded in ``clipped``.
     """
     table, _ = divisor_table(spectrum, D)
     table = table[:, lo:lo + values.shape[1]]
     nonzero = values != 0
-    small, bad = small_divisors(spectrum, nonzero, D, lo, tol)
+    small, bad = small_divisors(spectrum, nonzero, D, lo)
     settle_small_divisors(bad, on_small_divisor, clipped)
     return np.divide(values, table, out=np.zeros_like(values), where=nonzero & ~small)
 
 
-def small_divisors(spectrum, nonzero, D: int, lo: int, tol: float = DEFAULT_TOL):
+def small_divisors(spectrum, nonzero, D: int, lo: int):
     """The resonance test of the solvers, on an ``(n, width)`` block of slots ``lo : lo + width``.
 
     Returns the mask of the ``nonzero`` entries whose divisor modulus is
-    below ``tol``, and one (alpha, j, modulus) record per such entry in
-    graded-lex order (by slot, then axis).
+    below ``RESONANCE_TOL``, and one (alpha, j, modulus) record per such
+    entry in graded-lex order (by slot, then axis).
     """
     _, modulus = divisor_table(spectrum, D)
     modulus = modulus[:, lo:lo + nonzero.shape[1]]
-    small = nonzero & (modulus < tol)
+    small = nonzero & (modulus < RESONANCE_TOL)
     if not small.any():
         return small, []
     indices = graded_indices(spectrum.n, D)

@@ -30,13 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import families, treesum
-from .divisors import (
-    DEFAULT_TOL,
-    apply_forward_D,
-    apply_inverse_D,
-    divide_slots,
-    divisor_table,
-)
+from .divisors import apply_forward_D, apply_inverse_D, divide_slots, divisor_table
 from .errors import (
     CoefficientOverflow,
     CompositionError,
@@ -112,7 +106,7 @@ class Linearization(Record, defaults={"clipped": ()}):
 # ---------------------------------------------------------------------------
 
 
-def _solve_recursive(spectrum, f: VectorSeries, D: int, on_small_divisor, tol):
+def _solve_recursive(spectrum, f: VectorSeries, D: int, on_small_divisor):
     """Degree-by-degree solution, online: each power of z + h is built once.
 
     The degree-d part of the equation is D h_d = [f(z + h)]_d.  Because f
@@ -140,7 +134,7 @@ def _solve_recursive(spectrum, f: VectorSeries, D: int, on_small_divisor, tol):
             if sum(alpha) > d:
                 break
             rhs += np.multiply.outer(coef, table.power[alpha][lo:hi])
-        h_d = divide_slots(spectrum, rhs, D, lo, tol, on_small_divisor, clipped)
+        h_d = divide_slots(spectrum, rhs, D, lo, on_small_divisor, clipped)
         if not np.isfinite(h_d).all():
             raise CoefficientOverflow(d)
         h[:, lo:hi] = H[:, lo:hi] = h_d
@@ -221,7 +215,7 @@ def _check_settled(H: VectorSeries, Hn: VectorSeries):
                             f"(step {Hn.trunc})")
 
 
-def _solve_fixedpoint(spectrum, f: VectorSeries, D: int, on_small_divisor, tol):
+def _solve_fixedpoint(spectrum, f: VectorSeries, D: int, on_small_divisor):
     if on_small_divisor != "raise":
         raise ValueError("the fixed-point solver has no clip mode")
     _check_finite(f)  # the products would turn it into NaN (inf * 0) below its degree
@@ -229,7 +223,7 @@ def _solve_fixedpoint(spectrum, f: VectorSeries, D: int, on_small_divisor, tol):
 
     def op(g: VectorSeries) -> VectorSeries:
         # looked up per call, so a rebinding of linearize.apply_inverse_D sees every division
-        return apply_inverse_D(spectrum, g, tol)
+        return apply_inverse_D(spectrum, g)
 
     return fixed_point_inversion(op, families.shift_expand(f), 1.0, VectorSeries.zero(f.n, D), D), ()
 
@@ -245,16 +239,17 @@ _METHODS = {
 }
 
 
-def solve(problem, D: int, method: str = "recursive", on_small_divisor: str = "raise",
-          tol: float = DEFAULT_TOL) -> Linearization:
+def solve(problem, D: int, method: str = "recursive",
+          on_small_divisor: str = "raise") -> Linearization:
     """Linearize a germ or a vector field to degree D by one of the three methods.
 
     The kinds differ only in the spectrum, whose divisors each method
     divides by, and in the defect :func:`verify_conjugacy` measures.  A
-    divisor below ``tol`` raises :class:`DivisorBelowTolerance`, or with
-    ``on_small_divisor="clip"`` (recursive and tree only) its coefficient
-    is set to zero and recorded in ``clipped``.  A non-finite coefficient
-    of h raises :class:`CoefficientOverflow` naming its degree.
+    divisor below ``divisors.RESONANCE_TOL`` raises
+    :class:`DivisorBelowTolerance`, or with ``on_small_divisor="clip"``
+    (recursive and tree only) its coefficient is set to zero and recorded
+    in ``clipped``.  A non-finite coefficient of h raises
+    :class:`CoefficientOverflow` naming its degree.
     """
     if method == "tree":
         route = treesum._solve_tree
@@ -263,7 +258,7 @@ def solve(problem, D: int, method: str = "recursive", on_small_divisor: str = "r
     else:
         raise ValueError(f"unknown method {method!r}")
     with np.errstate(over="ignore", invalid="ignore"):
-        h, clipped = route(problem.spectrum, problem.f.truncate(D), D, on_small_divisor, tol)
+        h, clipped = route(problem.spectrum, problem.f.truncate(D), D, on_small_divisor)
     return Linearization(h, method, D, verify_conjugacy(problem, _check_finite(h)), clipped)
 
 

@@ -24,10 +24,9 @@ Conventions used throughout the package:
   pairs (i, j) by ascending i, then j; an output slot pairs each i with at
   most one j, and ``bincount`` adds a slot's terms in array order, so each
   slot sums its products a_i * b_j in ascending i.
-  :meth:`ScalarSeries.multiply` is the concatenation of the slices (for
-  n = 1 one ``numpy.convolve``, whose slot d is the slice).  Zero terms are
-  never skipped, so the degree <= d part of a product is bitwise the same
-  whatever the operands hold above degree d.
+  :meth:`ScalarSeries.multiply` is the concatenation of the slices, for
+  every n.  Zero terms are never skipped, so the degree <= d part of a
+  product is bitwise the same whatever the operands hold above degree d.
   Slot 0 is a one-pair block, which numpy may round apart from the same
   product in a longer array: with two nonzero constant terms it may differ
   in its last bit from a whole-table sum.  No solver forms such a product.
@@ -489,8 +488,6 @@ class ScalarSeries(_DenseSeries):
         """Cauchy product truncated at the shared degree, in the normative order."""
         self._check(other)
         a, b = self._v, other._v
-        if self.n == 1:
-            return self._wrap(np.convolve(a, b)[: len(a)])
         return self._wrap(np.concatenate([product_slice(a, b, self.n, d)
                                           for d in range(self.trunc + 1)]))
 

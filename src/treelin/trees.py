@@ -266,20 +266,20 @@ def enumerate_labeled(N: int, alpha, j: int, support, n: int | None = None):
 # ---------------------------------------------------------------------------
 
 
-def tree_value(theta, op, family: families.SeriesFamily, u, w: VectorSeries | None = None) -> VectorSeries:
+def tree_value(theta, op, family: families.SeriesFamily, u) -> VectorSeries:
     """Value of one rooted tree in the inversion expansion.
 
-    ``family`` must be the expansion of the right-hand side about op(w)
-    (about zero for the linearization problems, where w = 0); ``w`` itself
-    is not consulted.  End nodes contribute op(g_0 * u); an internal node of
-    degree t contributes the t-th differential of the family applied to the
-    child values, divided by t!.
+    ``family`` must be the expansion of the right-hand side of
+    H = op(w + u * family(H)) about op(w), which is zero for the
+    linearization problems (w = 0).  End nodes contribute op(g_0 * u); an
+    internal node of degree t contributes the t-th differential of the
+    family applied to the child values, divided by t!.
     """
     n, D = family.n, family.inner_trunc
     t, subs = standard_decomposition(tuple(theta))
     if t == 0:
         return op(family.coeff((0,) * n).scale(u))
-    vals = [tree_value(s, op, family, u, w) for s in subs]
+    vals = [tree_value(s, op, family, u) for s in subs]
     acc = VectorSeries.zero(n, D)
     inv_t_fact = 1.0 / math.factorial(t)
     for axes in product(range(n), repeat=t):
@@ -372,8 +372,11 @@ class ScaleSequence:
         return f"ScaleSequence([{head}{', ...' if self.generator == 'pow2' else ''}])"
 
 
-def scale_of_line(nubar, omega, P: ScaleSequence, variant: str = "germ",
-                  max_scale: int = 64):
+# scale_of_line gives up on a line still small at this many scales.
+MAX_SCALE = 64
+
+
+def scale_of_line(nubar, omega, P: ScaleSequence, variant: str = "germ"):
     """The scale k at which the line's nubar stops being small, or None.
 
     It is the first k with ``bruno.phi_counting`` 0 at scale k + 1.  A
@@ -383,10 +386,10 @@ def scale_of_line(nubar, omega, P: ScaleSequence, variant: str = "germ",
     nubar = tuple(nubar)
     if not any(nubar) or not bruno.phi_counting(nubar, 0, omega, P, variant):
         return None
-    for k in range(max_scale):
+    for k in range(MAX_SCALE):
         if not bruno.phi_counting(nubar, k + 1, omega, P, variant):
             return k
-    raise RuntimeError(f"no scale below {max_scale}; nubar {nubar} looks resonant")
+    raise RuntimeError(f"no scale below {MAX_SCALE}; nubar {nubar} looks resonant")
 
 
 def count_scale(theta: LabeledTree, k: int, omega, P: ScaleSequence,

@@ -62,9 +62,9 @@ class LinePolynomials:
 
     Divisors come from :func:`divisors.divisor_table` by graded-lex slot.
     A line whose polynomial is nonempty and whose divisor modulus is below
-    ``tol`` is resolved by :func:`divisors.small_divisors`: its polynomial
-    becomes zero and its (nu, a, modulus) record joins ``clipped``, in
-    graded-lex order.
+    ``divisors.RESONANCE_TOL`` is resolved by
+    :func:`divisors.small_divisors`: its polynomial becomes zero and its
+    (nu, a, modulus) record joins ``clipped``, in graded-lex order.
 
     ``poly[(nu, a)]`` maps a monomial to its constant.  A monomial is an
     int holding one byte per variable, the variable's exponent, so the
@@ -78,7 +78,7 @@ class LinePolynomials:
 
     EXPONENT_BITS = 8
 
-    def __init__(self, spectrum, variables, D: int, tol: float):
+    def __init__(self, spectrum, variables, D: int):
         if D > 1 << self.EXPONENT_BITS:  # a line of degree D has at most D - 1 nodes
             raise UsageError(f"the tree method reaches degree {1 << self.EXPONENT_BITS} at most")
         n = self.n = spectrum.n
@@ -104,7 +104,7 @@ class LinePolynomials:
             lo, hi = slot_count(n, d - 1), slot_count(n, d)
             lines = [self._line(indices[s]) for s in range(lo, hi)]
             nonzero = np.array([[bool(polys[a]) for polys, _ in lines] for a in range(n)])
-            small, bad = divisors.small_divisors(spectrum, nonzero, D, lo, tol)
+            small, bad = divisors.small_divisors(spectrum, nonzero, D, lo)
             self.clipped.extend(bad)
             for i, (polys, counts) in enumerate(lines):
                 nu = indices[lo + i]
@@ -185,8 +185,9 @@ class LinePolynomials:
         return P, pc
 
 
-# compiled plans (see TreePlan) of the most recently used
-# (spectrum, n, D, variables, tol) (see series._recent)
+# compiled plans (see TreePlan) of the most recently used (spectrum, D,
+# variables), keyed by the spectrum record itself, rotation included, as
+# divisors._DIVISOR_TABLES is (see series._recent)
 _TREE_PLANS: dict = {}
 
 
@@ -217,19 +218,19 @@ def _tree_variables(f: VectorSeries):
     return variables, F.T[slots, axes]
 
 
-def tree_plan(problem, D: int, tol: float = divisors.DEFAULT_TOL) -> TreePlan:
+def tree_plan(problem, D: int) -> TreePlan:
     """The (cached) tree plan :func:`linearize.solve` uses for ``problem`` at degree D."""
     variables, _ = _tree_variables(problem.f.truncate(D))
-    return _tree_plan(problem.spectrum, D, variables, tol)
+    return _tree_plan(problem.spectrum, D, variables)
 
 
-def _tree_plan(spectrum, D: int, variables: tuple, tol: float) -> TreePlan:
-    n = spectrum.n
-    key = (spectrum.key(), n, D, variables, tol)
+def _tree_plan(spectrum, D: int, variables: tuple) -> TreePlan:
+    key = (spectrum, D, variables)
     plan = _TREE_PLANS.pop(key, None)
     if plan is not None:
         return _recent(_TREE_PLANS, key, plan)
-    lines = LinePolynomials(spectrum, variables, D, tol)
+    n = spectrum.n
+    lines = LinePolynomials(spectrum, variables, D)
     M = slot_count(n, D)
     slot_of = {alpha: s for s, alpha in enumerate(graded_indices(n, D))}
     keys: list = []
@@ -264,7 +265,7 @@ def _index_rows(keys: list, V: int) -> np.ndarray:
     return rows
 
 
-def _solve_tree(spectrum, f: VectorSeries, D: int, on_small_divisor, tol):
+def _solve_tree(spectrum, f: VectorSeries, D: int, on_small_divisor):
     """Explicit tree-sum solution (the same trees for germs and fields).
 
     Each coefficient is the sum over labeled rooted trees of the divisor and
@@ -276,7 +277,7 @@ def _solve_tree(spectrum, f: VectorSeries, D: int, on_small_divisor, tol):
     """
     n = f.n
     variables, values = _tree_variables(f)
-    plan = _tree_plan(spectrum, D, variables, tol)
+    plan = _tree_plan(spectrum, D, variables)
     clipped: list = []
     divisors.settle_small_divisors(plan.clipped, on_small_divisor, clipped)
     terms = plan.const * np.append(values, 1.0)[plan.rows].prod(axis=1)

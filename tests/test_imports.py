@@ -16,6 +16,8 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import treelin
 from treelin import cli, divisors, documents, linearize, series
 
@@ -134,6 +136,17 @@ def test_tree_method_and_diagnose_run_what_they_use(tmp_path):
     for argv, modules in runs:
         assert executed_after([argv]) == modules, argv
     assert table.read_text().splitlines()[0] == "k,a_k,q_k,term,partial_sum"
+
+
+@pytest.mark.parametrize("what,extra", [("growth", ["--majorant-r", "0.5"]), ("class", [])],
+                         ids=["growth", "class"])
+def test_fits_of_a_stored_h_run_no_bruno_arithmetic(tmp_path, what, extra):
+    germ, make_germ = fixture_args(tmp_path, "germ", 1, 6)
+    h = str(tmp_path / "h.json")
+    assert cli.main(make_germ) == 0
+    assert cli.main(["linearize", "germ", "--input", germ, "--degree", "6", "--output", h]) == 0
+    argv = ["diagnose", what, "--input", h, "--output", str(tmp_path / "out")] + extra
+    assert executed_after([argv]) == {"commands", "diagnostics", "documents"}
 
 
 def test_tree_and_diagnose_processes_load_nothing_heavy(tmp_path):

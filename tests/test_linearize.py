@@ -32,7 +32,7 @@ from treelin import (
 from treelin import bruno, cli, divisors, linearize, series, trees
 from treelin.diagnostics import germ_family_radius
 from treelin.bruno import omega_frac, omega_hat, omega_tilde
-from treelin.divisors import DEFAULT_TOL, apply_inverse_D
+from treelin.divisors import apply_inverse_D
 from treelin.documents import load_json, problem_from_doc
 from treelin.families import SeriesFamily, formal_derivative
 from treelin.linearize import SETTLED_RTOL
@@ -139,7 +139,7 @@ def recursive_oracle(problem, D, on_small_divisor="raise"):
     for d in range(2, D + 1):
         rhs = f.truncate(d).compose(VectorSeries.identity(n, d) + h.truncate(d))
         h = h + apply_inverse_D(problem.spectrum, homogeneous(rhs, d).truncate(D),
-                                DEFAULT_TOL, on_small_divisor, clipped)
+                                on_small_divisor, clipped)
     return h, tuple(clipped)
 
 
@@ -323,6 +323,21 @@ def test_tree_solve_enumerates_no_labeling(tmp_path, monkeypatch):
     assert not built
     assert lin.h.max_abs() > 0
     assert sum(tree_plan(problem, 6).summands) > 0
+
+
+def test_tree_plans_are_keyed_by_the_whole_spectrum(tmp_path):
+    # a germ given by lambda has the eigenvalues of the rotation germ, but its
+    # divisors are lambda^nu - lambda_j, not the rotation's stable form, so it
+    # must not reuse the rotation germ's plan
+    rot = fixture_problem(tmp_path, "germ", 2, 6, 1)
+    assert rot.spectrum.rotation is not None
+    lam = Germ(GermSpectrum(rot.spectrum.lam), rot.f)
+    _TREE_PLANS.clear()
+    alone = solve(lam, 6, "tree").h
+    _TREE_PLANS.clear()
+    solve(rot, 6, "tree")
+    after = solve(lam, 6, "tree").h
+    assert after.to_array().tobytes() == alone.to_array().tobytes()
 
 
 def test_module_caches_stay_bounded(golden_spectrum_1d):
