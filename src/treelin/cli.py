@@ -88,27 +88,12 @@ def _finite_where(valid, what: str):
     return number
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("TREELIN_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise UsageError(f"TREELIN_THREADS must be an integer, got {raw!r}")
-    if count < 1:
-        raise UsageError("TREELIN_THREADS must be >= 1")
-    return count
-
-
 # ---------------------------------------------------------------------------
 # subcommand: linearize
 # ---------------------------------------------------------------------------
 
 
 def _cmd_linearize(args) -> int:
-    _thread_count()  # summation orders are normative; results are thread-count independent
-    if args.clip and args.method == "fixedpoint":
-        raise UsageError("--clip: the fixedpoint method has no clip mode "
-                         "(only recursive and tree clip)")
     doc = documents.load_json(args.input)
     problem = documents.problem_from_doc(doc)
     if (args.kind == "germ") != isinstance(problem, linearize.Germ):
@@ -120,9 +105,7 @@ def _cmd_linearize(args) -> int:
     results = {}
     for method in methods:
         start = time.perf_counter()
-        # with --method all --clip, the fixed point still raises
-        results[method] = linearize.solve(problem, args.degree, method,
-                                          "raise" if method == "fixedpoint" else mode)
+        results[method] = linearize.solve(problem, args.degree, method, mode)
         note = (f"{method}: {time.perf_counter() - start:.3f}s, "
                 f"residual max {results[method].residual.max_abs:.3e}")
         if method == "tree":

@@ -255,6 +255,8 @@ def cmd_diagnose(args) -> int:
 def cmd_verify(args) -> int:
     problem = documents.problem_from_doc(documents.load_json(args.input))
     h = _load_h(args.solution)
+    if h.n != problem.f.n:
+        raise UsageError(f"the solution has n = {h.n} but the problem has n = {problem.f.n}")
     rep = linearize.verify_conjugacy(problem, h)
     rows = [
         "znorm,max_abs,max_rel,degree",

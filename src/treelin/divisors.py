@@ -154,37 +154,34 @@ def divisor_table(spectrum, D: int):
     return entry[1][:, :M], entry[2][:, :M]
 
 
-def apply_inverse_D(spectrum, g: VectorSeries, on_small_divisor: str = "raise",
-                    clipped: list | None = None) -> VectorSeries:
+def apply_inverse_D(spectrum, g: VectorSeries, clipped: list | None = None) -> VectorSeries:
     """Per-monomial division by the divisors; preserves the valuation.
 
     Requires valuation(g) >= 2.  A nonzero coefficient whose divisor has
     modulus below ``RESONANCE_TOL`` raises :class:`DivisorBelowTolerance`
     for the first such (alpha, j) in graded-lex order, instead of emitting a
-    huge coefficient.  With ``on_small_divisor="clip"`` those coefficients
-    become zero instead, and each (alpha, j, modulus) is appended to
-    ``clipped``.
+    huge coefficient.  Given a list ``clipped``, those coefficients become
+    zero instead, and each (alpha, j, modulus) is appended to it.
     """
     if not g.is_zero() and g.valuation() < 2:
         raise ValueError("inverse divisor operator is defined on valuation >= 2")
-    out = divide_slots(spectrum, g.to_array(), g.trunc, 0, on_small_divisor, clipped)
+    out = divide_slots(spectrum, g.to_array(), g.trunc, 0, clipped)
     return VectorSeries.from_array(g.n, g.trunc, out)
 
 
-def divide_slots(spectrum, values, D: int, lo: int, on_small_divisor: str = "raise",
-                 clipped: list | None = None):
+def divide_slots(spectrum, values, D: int, lo: int, clipped: list | None = None):
     """Divide an ``(n, width)`` array holding slots ``lo : lo + width`` of truncation D.
 
     The division behind :func:`apply_inverse_D`, with the tolerance rule of
     :func:`small_divisors` and :func:`settle_small_divisors`: a nonzero
-    value over a divisor of modulus below ``RESONANCE_TOL`` raises, or in
-    clip mode becomes zero and is recorded in ``clipped``.
+    value over a divisor of modulus below ``RESONANCE_TOL`` raises, or,
+    given a list ``clipped``, becomes zero and is recorded there.
     """
     table, _ = divisor_table(spectrum, D)
     table = table[:, lo:lo + values.shape[1]]
     nonzero = values != 0
     small, bad = small_divisors(spectrum, nonzero, D, lo)
-    settle_small_divisors(bad, on_small_divisor, clipped)
+    settle_small_divisors(bad, clipped)
     return np.divide(values, table, out=np.zeros_like(values), where=nonzero & ~small)
 
 
@@ -206,12 +203,12 @@ def small_divisors(spectrum, nonzero, D: int, lo: int):
                    for i, j in zip(slots.tolist(), axes.tolist())]
 
 
-def settle_small_divisors(bad, on_small_divisor: str = "raise", clipped: list | None = None):
-    """Raise :class:`DivisorBelowTolerance` for the first record of ``bad``, or in clip mode record them all."""
-    if bad and on_small_divisor == "raise":
-        raise DivisorBelowTolerance(*bad[0])
+def settle_small_divisors(bad, clipped: list | None):
+    """Raise :class:`DivisorBelowTolerance` for the first record of ``bad``, or append them all to ``clipped``."""
     if clipped is not None:
         clipped.extend(bad)
+    elif bad:
+        raise DivisorBelowTolerance(*bad[0])
 
 
 def apply_forward_D(spectrum, g: VectorSeries) -> VectorSeries:

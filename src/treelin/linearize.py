@@ -91,7 +91,7 @@ class ConjugacyReport(Record):
         return self.max_abs / self.scale
 
 
-class Linearization(Record, defaults={"clipped": ()}):
+class Linearization(Record):
     """A solution h (H = z + h) with provenance and its :class:`ConjugacyReport`."""
 
     __slots__ = ("h", "method", "degree", "residual", "clipped")
@@ -106,7 +106,7 @@ class Linearization(Record, defaults={"clipped": ()}):
 # ---------------------------------------------------------------------------
 
 
-def _solve_recursive(spectrum, f: VectorSeries, D: int, on_small_divisor):
+def _solve_recursive(spectrum, f: VectorSeries, D: int, clipped: list | None) -> VectorSeries:
     """Degree-by-degree solution, online: each power of z + h is built once.
 
     The degree-d part of the equation is D h_d = [f(z + h)]_d.  Because f
@@ -125,7 +125,6 @@ def _solve_recursive(spectrum, f: VectorSeries, D: int, on_small_divisor):
     H = VectorSeries.identity(n, D).to_array().copy()  # written below, so not the storage
     h = np.zeros_like(H)
     table = PowerTable(H, [alpha for alpha, _ in terms], D)
-    clipped: list = []
     for d in range(2, D + 1):
         lo, hi = slot_count(n, d - 1), slot_count(n, d)
         table.fill(d)
@@ -134,11 +133,11 @@ def _solve_recursive(spectrum, f: VectorSeries, D: int, on_small_divisor):
             if sum(alpha) > d:
                 break
             rhs += np.multiply.outer(coef, table.power[alpha][lo:hi])
-        h_d = divide_slots(spectrum, rhs, D, lo, on_small_divisor, clipped)
+        h_d = divide_slots(spectrum, rhs, D, lo, clipped)
         if not np.isfinite(h_d).all():
             raise CoefficientOverflow(d)
         h[:, lo:hi] = H[:, lo:hi] = h_d
-    return VectorSeries.from_array(n, D, h), tuple(clipped)
+    return VectorSeries.from_array(n, D, h)
 
 
 # ---------------------------------------------------------------------------
@@ -215,24 +214,33 @@ def _check_settled(H: VectorSeries, Hn: VectorSeries):
                             f"(step {Hn.trunc})")
 
 
-def _solve_fixedpoint(spectrum, f: VectorSeries, D: int, on_small_divisor):
-    if on_small_divisor != "raise":
-        raise ValueError("the fixed-point solver has no clip mode")
+def _solve_fixedpoint(spectrum, f: VectorSeries, D: int, clipped: list | None) -> VectorSeries:
+    """h as the fixed point of f(z + h) divided by the divisors, one degree per step.
+
+    Each step divides every degree settled so far, so ``clipped`` is
+    emptied before each division and the last step's records are the whole
+    list, in graded-lex order.
+    """
     _check_finite(f)  # the products would turn it into NaN (inf * 0) below its degree
     divisor_table(spectrum, D)  # every step divides by a prefix of this table
 
     def op(g: VectorSeries) -> VectorSeries:
+        if clipped is not None:
+            clipped.clear()
         # looked up per call, so a rebinding of linearize.apply_inverse_D sees every division
-        return apply_inverse_D(spectrum, g)
+        return apply_inverse_D(spectrum, g, clipped)
 
-    return fixed_point_inversion(op, families.shift_expand(f), 1.0, VectorSeries.zero(f.n, D), D), ()
+    return fixed_point_inversion(op, families.shift_expand(f), 1.0, VectorSeries.zero(f.n, D), D)
 
 
 # ---------------------------------------------------------------------------
 # the solver entry point
 # ---------------------------------------------------------------------------
 
-# the tree route is treesum._solve_tree, looked up by solve() at call time
+# Every route is (spectrum, f, D, clipped) -> h.  ``clipped`` None raises
+# at the first small divisor; a list gets the clipped slots' records in
+# graded-lex order.  The tree route is treesum._solve_tree, looked up by
+# solve() at call time.
 _METHODS = {
     "recursive": _solve_recursive,
     "fixedpoint": _solve_fixedpoint,
@@ -245,21 +253,26 @@ def solve(problem, D: int, method: str = "recursive",
 
     The kinds differ only in the spectrum, whose divisors each method
     divides by, and in the defect :func:`verify_conjugacy` measures.  A
-    divisor below ``divisors.RESONANCE_TOL`` raises
-    :class:`DivisorBelowTolerance`, or with ``on_small_divisor="clip"``
-    (recursive and tree only) its coefficient is set to zero and recorded
-    in ``clipped``.  A non-finite coefficient of h raises
-    :class:`CoefficientOverflow` naming its degree.
+    nonzero coefficient over a divisor below ``divisors.RESONANCE_TOL``
+    raises :class:`DivisorBelowTolerance` naming the first such (alpha, j)
+    in graded-lex order, or with ``on_small_divisor="clip"`` every method
+    sets it to zero and records it in ``clipped``.  Any other
+    ``on_small_divisor`` raises :class:`ValueError`.  A non-finite
+    coefficient of h raises :class:`CoefficientOverflow` naming its degree.
     """
+    if on_small_divisor not in ("raise", "clip"):
+        raise ValueError(f"on_small_divisor must be 'raise' or 'clip', not {on_small_divisor!r}")
     if method == "tree":
         route = treesum._solve_tree
     elif method in _METHODS:
         route = _METHODS[method]
     else:
         raise ValueError(f"unknown method {method!r}")
+    clipped = [] if on_small_divisor == "clip" else None
     with np.errstate(over="ignore", invalid="ignore"):
-        h, clipped = route(problem.spectrum, problem.f.truncate(D), D, on_small_divisor)
-    return Linearization(h, method, D, verify_conjugacy(problem, _check_finite(h)), clipped)
+        h = route(problem.spectrum, problem.f.truncate(D), D, clipped)
+    return Linearization(h, method, D, verify_conjugacy(problem, _check_finite(h)),
+                         tuple(clipped or ()))
 
 
 def _check_finite(h: VectorSeries) -> VectorSeries:

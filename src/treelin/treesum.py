@@ -265,7 +265,7 @@ def _index_rows(keys: list, V: int) -> np.ndarray:
     return rows
 
 
-def _solve_tree(spectrum, f: VectorSeries, D: int, on_small_divisor):
+def _solve_tree(spectrum, f: VectorSeries, D: int, clipped: list | None) -> VectorSeries:
     """Explicit tree-sum solution (the same trees for germs and fields).
 
     Each coefficient is the sum over labeled rooted trees of the divisor and
@@ -278,10 +278,9 @@ def _solve_tree(spectrum, f: VectorSeries, D: int, on_small_divisor):
     n = f.n
     variables, values = _tree_variables(f)
     plan = _tree_plan(spectrum, D, variables)
-    clipped: list = []
-    divisors.settle_small_divisors(plan.clipped, on_small_divisor, clipped)
+    divisors.settle_small_divisors(plan.clipped, clipped)
     terms = plan.const * np.append(values, 1.0)[plan.rows].prod(axis=1)
     h = np.zeros(n * slot_count(n, D), dtype=complex)
     h.real = np.bincount(plan.slots, terms.real, h.size)
     h.imag = np.bincount(plan.slots, terms.imag, h.size)
-    return VectorSeries.from_array(n, D, h.reshape(n, -1)), tuple(clipped)
+    return VectorSeries.from_array(n, D, h.reshape(n, -1))

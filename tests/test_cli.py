@@ -258,6 +258,17 @@ def test_verify_rejects_wrong_solution(tmp_path, capsys):
     assert code == 2
 
 
+def test_verify_refuses_a_solution_in_other_variables(tmp_path, capsys):
+    problem = _write_problem(tmp_path, seed=2)
+    other = tmp_path / "other.json"
+    series = VectorSeries.from_coeffs(2, 8, {(2, 0): (0.5, 0.0)})
+    other.write_text(canonical_bytes(series_to_doc(series)).decode())
+    capsys.readouterr()
+    assert main(["verify", "--input", str(problem), "--solution", str(other)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: the solution has n = 2 but the problem has n = 1"), err
+
+
 def test_linearize_deterministic_across_runs_and_threads(tmp_path):
     problem = _write_problem(tmp_path, seed=4, n=2, degree_f=3, trunc=5)
     outputs = []
@@ -477,18 +488,20 @@ def test_domain_error_exit_2(tmp_path, capsys):
     assert err.startswith("domain error (ResonantSpectrum): "), err
 
 
-def test_clip_mode_belongs_to_recursive_and_tree(tmp_path, capsys):
+def test_every_method_clips(tmp_path):
     path = tmp_path / "resonant.json"
     path.write_text(json.dumps(RESONANT_PROBLEM))
     argv = ["linearize", "germ", "--input", str(path), "--degree", "4", "--clip"]
-    assert main(argv + ["--method", "fixedpoint"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("usage error: --clip: the fixedpoint method has no clip mode"), err
-    # --method all --clip: recursive and tree clip, then the fixed point raises
-    assert main(argv + ["--method", "all"]) == 2
-    notes = capsys.readouterr().err.splitlines()
-    assert [line.split(":")[0] for line in notes[:2]] == ["recursive", "tree"]
-    assert notes[2].startswith("domain error (DivisorBelowTolerance): "), notes
+    reports = {}
+    for method in ("recursive", "tree", "fixedpoint", "all"):
+        out = tmp_path / f"{method}.json"
+        assert main(argv + ["--method", method, "--output", str(out)]) == 0, method
+        reports[method] = json.loads(out.read_text())
+        assert reports[method]["conforming"] is False, method
+    clipped = reports["recursive"]["clipped"]
+    assert clipped and all(r["clipped"] == clipped for r in reports.values())
+    assert sorted(reports["all"]["methods"]) == ["fixedpoint", "recursive", "tree"]
+    assert reports["all"]["method_agreement_max_abs"] <= 1e-14
     # away from resonance every method runs and the report conforms
     problem = _write_problem(tmp_path, seed=3)
     out = tmp_path / "all.json"

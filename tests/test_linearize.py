@@ -132,15 +132,14 @@ def homogeneous(g: VectorSeries, d: int) -> VectorSeries:
     return VectorSeries.from_array(g.n, g.trunc, array)
 
 
-def recursive_oracle(problem, D, on_small_divisor="raise"):
-    """The recursion by one full composition f(z + h) per degree."""
+def recursive_oracle(problem, D, clipped=None):
+    """The recursion by one full composition f(z + h) per degree; a list ``clipped`` clips."""
     n, f = problem.f.n, problem.f.truncate(D)
-    h, clipped = VectorSeries.zero(n, D), []
+    h = VectorSeries.zero(n, D)
     for d in range(2, D + 1):
         rhs = f.truncate(d).compose(VectorSeries.identity(n, d) + h.truncate(d))
-        h = h + apply_inverse_D(problem.spectrum, homogeneous(rhs, d).truncate(D),
-                                on_small_divisor, clipped)
-    return h, tuple(clipped)
+        h = h + apply_inverse_D(problem.spectrum, homogeneous(rhs, d).truncate(D), clipped)
+    return h
 
 
 @pytest.mark.parametrize("kind", ["germ", "field"])
@@ -148,7 +147,7 @@ def recursive_oracle(problem, D, on_small_divisor="raise"):
 def test_online_recursion_is_bitwise_the_composition(tmp_path, kind, n, D):
     for seed in (1, 2, 3):
         problem = fixture_problem(tmp_path, kind, n, D, seed)
-        h, _ = recursive_oracle(problem, D)
+        h = recursive_oracle(problem, D)
         got = solve(problem, D, "recursive").h
         assert got.to_array().tobytes() == h.to_array().tobytes(), seed
 
@@ -158,7 +157,7 @@ def test_online_recursion_in_one_variable(tmp_path, kind):
     # one slot per degree: the coefficient products round as scalars here,
     # so h may move in the last bits
     problem = fixture_problem(tmp_path, kind, 1, 300, 1)
-    h, _ = recursive_oracle(problem, 300)
+    h = recursive_oracle(problem, 300)
     got = solve(problem, 300, "recursive").h
     assert (got - h).max_abs() <= 1e-13 * h.max_abs()
 
@@ -184,9 +183,10 @@ def test_online_recursion_small_divisors_match_the_composition(problem):
         solve(problem, 6, "recursive")
     assert (got.value.index, got.value.axis, got.value.modulus) == (
         want.value.index, want.value.axis, want.value.modulus)
-    h, clipped = recursive_oracle(problem, 6, "clip")
+    clipped = []
+    h = recursive_oracle(problem, 6, clipped)
     lin = solve(problem, 6, "recursive", on_small_divisor="clip")
-    assert clipped and lin.clipped == clipped
+    assert clipped and lin.clipped == tuple(clipped)
     assert lin.h.to_array().tobytes() == h.to_array().tobytes()
 
 
@@ -284,6 +284,21 @@ def test_tree_small_divisors_match_the_recursion(problem):
     tree = solve(problem, 6, "tree", on_small_divisor="clip")
     assert tree.clipped and tree.clipped == rec.clipped
     assert (tree.h - rec.h).max_abs() <= 2e-15 * rec.h.max_abs()
+
+
+@pytest.mark.parametrize("problem", SMALL_DIVISOR_GERMS)
+def test_fixed_point_small_divisors_match_the_recursion(problem):
+    # each step divides every degree so far; the last step's records are the list
+    with pytest.raises(DivisorBelowTolerance) as want:
+        solve(problem, 6, "recursive")
+    with pytest.raises(DivisorBelowTolerance) as got:
+        solve(problem, 6, "fixedpoint")
+    assert (got.value.index, got.value.axis, got.value.modulus) == (
+        want.value.index, want.value.axis, want.value.modulus)
+    rec = solve(problem, 6, "recursive", on_small_divisor="clip")
+    fixed = solve(problem, 6, "fixedpoint", on_small_divisor="clip")
+    assert fixed.clipped and fixed.clipped == rec.clipped
+    assert (fixed.h - rec.h).max_abs() <= 2e-15 * rec.h.max_abs()
 
 
 @pytest.mark.parametrize("kind", ["germ", "field"])
@@ -414,6 +429,15 @@ def test_solve_dispatcher(rng):
         assert solve(germ, 5, method).method == method
     with pytest.raises(ValueError):
         solve(germ, 5, "newton")
+
+
+@pytest.mark.parametrize("method", ["recursive", "tree", "fixedpoint"])
+@pytest.mark.parametrize("mode", ["Raise", None])
+def test_solve_refuses_an_unknown_small_divisor_mode(method, mode):
+    # the germ has a small divisor, which a mode read as neither "raise" nor
+    # "clip" would pass over silently
+    with pytest.raises(ValueError, match="on_small_divisor"):
+        solve(SMALL_DIVISOR_GERMS[0], 6, method, on_small_divisor=mode)
 
 
 def test_fixed_point_divides_through_the_module_function(monkeypatch, golden_spectrum_1d):

@@ -105,8 +105,8 @@ def test_tree_and_recursive_agree_on_drawn_spectra(kind, n, D, seed, keep, omega
     """Fixture coefficients over drawn spectra, half of them with one resonance within 1e-9..1e-14.
 
     Where every divisor met clears the tolerance the three methods agree.
-    Otherwise raise mode names the same witness for tree and recursive, and
-    clip mode records the same lines and gives the same h.
+    Otherwise raise mode names the same witness for all three, and clip
+    mode records the same lines and gives the same h.
     """
     problem = thinned_fixture(kind, n, D, seed, keep)
     # a planar field keeps the fixture's normalization omega_1 = -1
@@ -135,15 +135,15 @@ def test_tree_and_recursive_agree_on_drawn_spectra(kind, n, D, seed, keep, omega
     problem = type(problem)(spectrum, problem.f)
 
     rec = _solve_or_witness(problem, D, "recursive", "raise")
-    tree = _solve_or_witness(problem, D, "tree", "raise")
+    others = [_solve_or_witness(problem, D, method, "raise") for method in ("tree", "fixedpoint")]
     if isinstance(rec, tuple):
-        assert tree == rec
+        assert others == [rec, rec]
     else:
         scale = max(1.0, rec.h.max_abs())
-        fixed = solve(problem, D, "fixedpoint")
-        for other in (tree, fixed):
+        for other in others:
             assert (other.h - rec.h).max_abs() <= 1e-10 * scale, other.method
     rec = solve(problem, D, "recursive", on_small_divisor="clip")
-    tree = solve(problem, D, "tree", on_small_divisor="clip")
-    assert tree.clipped == rec.clipped
-    assert (tree.h - rec.h).max_abs() <= 1e-10 * max(1.0, rec.h.max_abs())
+    for method in ("tree", "fixedpoint"):
+        other = solve(problem, D, method, on_small_divisor="clip")
+        assert other.clipped == rec.clipped, method
+        assert (other.h - rec.h).max_abs() <= 1e-10 * max(1.0, rec.h.max_abs()), method
