@@ -53,9 +53,10 @@ _EXPORTS = {
         "FieldSpectrum", "GermSpectrum", "apply_forward_D", "apply_inverse_D",
     ),
     "errors": (
-        "CoefficientOverflow", "CompositionError", "DivisorBelowTolerance",
-        "FamilyViolation", "HypothesisViolated", "NoContraction", "RationalDetected",
-        "ResonantSpectrum", "TreelinError", "TruncationMismatch", "UsageError",
+        "CoefficientOverflow", "CompositionError", "ConjugacyDefect",
+        "DivisorBelowTolerance", "FamilyViolation", "HypothesisViolated", "NoContraction",
+        "RationalDetected", "ResonantSpectrum", "TreelinError", "TruncationMismatch",
+        "UsageError",
     ),
     "families": (
         "SeriesFamily", "formal_derivative", "shift_expand", "weighted_norm",

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from . import bruno, diagnostics, documents, linearize, trees
-from .errors import RationalDetected, ResonantSpectrum, UsageError
+from .errors import ConjugacyDefect, RationalDetected, UsageError
 from .output import emit
 from .series import VectorSeries, degree, iter_indices
 
@@ -264,7 +264,7 @@ def cmd_verify(args) -> int:
     ]
     emit("\n".join(rows) + "\n", args.output)
     if rep.max_rel > args.tol:
-        raise ResonantSpectrum(
+        raise ConjugacyDefect(
             f"conjugacy defect {rep.max_rel:.3e} exceeds tolerance {args.tol:.1e}"
         )
     return 0

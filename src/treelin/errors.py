@@ -50,6 +50,14 @@ class ResonantSpectrum(TreelinError):
     """An Omega value hit (near-)zero while accumulating a Bruno sum."""
 
 
+class ConjugacyDefect(TreelinError):
+    """A solution h fails the conjugacy check: its relative defect exceeds the tolerance.
+
+    Nothing about the spectrum need be resonant; the given h is not the
+    linearization of the problem it was checked against.
+    """
+
+
 class RationalDetected(TreelinError):
     """Continued-fraction expansion terminated: the input is rational to working precision.
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import argparse
 import gc
+import importlib.util
 import json
 import os
 import subprocess
@@ -11,7 +13,7 @@ import sys
 import pytest
 
 from treelin import Germ, GermSpectrum, VectorSeries, linearize
-from treelin.cli import main
+from treelin.cli import build_parser, main
 from treelin.documents import (
     canonical_bytes,
     digest,
@@ -267,6 +269,38 @@ def test_verify_refuses_a_solution_in_other_variables(tmp_path, capsys):
     assert main(["verify", "--input", str(problem), "--solution", str(other)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error: the solution has n = 2 but the problem has n = 1"), err
+
+
+def test_verify_names_a_wrong_solution_a_conjugacy_defect(tmp_path, capsys):
+    # a germ's h checked against a field of the same n and D: a wrong h, not a resonance
+    germ = _write_problem(tmp_path, seed=1, n=2, degree_f=3, trunc=8)
+    field = _write_problem(tmp_path, seed=1, n=2, degree_f=3, trunc=8, kind="field")
+    solution = tmp_path / "h.json"
+    assert main(["linearize", "germ", "--input", str(germ), "--degree", "8",
+                 "--output", str(solution)]) == 0
+    assert main(["verify", "--input", str(germ), "--solution", str(solution)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--input", str(field), "--solution", str(solution)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("domain error (ConjugacyDefect): conjugacy defect "), err
+    assert "exceeds tolerance 1.0e-09" in err
+
+
+def test_linearize_note_gives_the_relative_residual_first(tmp_path, capsys):
+    problem = _write_problem(tmp_path, seed=1, n=2, degree_f=3, trunc=6)
+    out = tmp_path / "h.json"
+    for method in ("recursive", "tree", "fixedpoint"):
+        capsys.readouterr()
+        assert main(["linearize", "germ", "--input", str(problem), "--degree", "6",
+                     "--method", method, "--verify", "--output", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""  # the note goes to stderr only
+        note = captured.err.splitlines()[0]
+        verified = json.loads(out.read_text())["verified"]
+        expected = (f"s, residual max_rel {verified['max_rel']:.3e}, "
+                    f"max_abs {verified['max_abs']:.3e}")
+        assert note.startswith(f"{method}: "), note
+        assert expected in note, note
 
 
 def test_linearize_deterministic_across_runs_and_threads(tmp_path):
@@ -665,3 +699,61 @@ def test_only_the_process_entry_point_freezes_the_collector(tmp_path, capsys):
     assert proc.stdout.split() == ["1", "True"]
     scripts = (ROOT / "pyproject.toml").read_text().split("[project.scripts]")[1]
     assert scripts.split("[")[0].strip() == 'treelin = "treelin.cli:run"'
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+
+def test_the_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_a_reused_parser_gives_the_same_bytes(capsys):
+    good = ["fixture", "germ", "--n", "2", "--degree-f", "3", "--trunc", "6", "--seed", "5"]
+    capsys.readouterr()
+    assert main(good) == 0
+    first = capsys.readouterr().out
+    assert main(good[:2] + ["--n", "7"] + good[4:]) == 1
+    assert capsys.readouterr().err.startswith("usage error: argument --n: invalid choice")
+    with pytest.raises(SystemExit):
+        main(["fixture", "--help"])
+    assert capsys.readouterr().out.startswith("usage: treelin fixture")
+    assert main(good) == 0
+    assert capsys.readouterr().out == first
+
+
+def test_benchmark_fixtures_in_one_process_match_fresh_processes(tmp_path, monkeypatch):
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    plan = workloads.make_plan("tree_cold", 1, workloads.rounds_for("tree_cold", 15))
+    argvs = [["fixture", kind, "--n", str(n), "--degree-f", "3", "--trunc", str(D),
+              "--seed", str(seed), "--out", str(tmp_path / f"{i}.json")]
+             for i, (kind, n, D, seed) in enumerate(plan.fixtures)]
+    assert len(argvs) == 18
+    for argv in argvs:  # as the benchmark's set-up worker writes them
+        assert main(argv) == 0
+    for i in (0, 8, 17):
+        fresh = tmp_path / f"fresh{i}.json"
+        proc = run_python("-m", "treelin.cli", *argvs[i][:-1], str(fresh))
+        assert proc.returncode == 0, proc.stderr
+        assert fresh.read_bytes() == (tmp_path / f"{i}.json").read_bytes(), argvs[i]
+
+
+def test_no_argument_carries_state_between_calls():
+    # every call of main parses with one parser, so a mutable default or an
+    # accumulating action (extend's is a subclass of append's) would carry over
+    accumulating = (argparse._AppendAction, argparse._AppendConstAction, argparse._CountAction)
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert len(subparsers.choices) == 7
+    for name, sub in [("treelin", parser), *subparsers.choices.items()]:
+        for action in sub._actions:
+            assert not isinstance(action, accumulating), (name, action.dest)
+            assert not isinstance(action.default, (list, dict, set)), (name, action.dest)
+        for dest, value in sub._defaults.items():
+            assert not isinstance(value, (list, dict, set)), (name, dest)
