@@ -55,8 +55,8 @@ _EXPORTS = {
     "errors": (
         "CoefficientOverflow", "CompositionError", "ConjugacyDefect",
         "DivisorBelowTolerance", "FamilyViolation", "HypothesisViolated", "NoContraction",
-        "RationalDetected", "ResonantSpectrum", "TreelinError", "TruncationMismatch",
-        "UsageError",
+        "RationalDetected", "ResonantSpectrum", "ResourceLimit", "TreelinError",
+        "TruncationMismatch", "UsageError",
     ),
     "families": (
         "SeriesFamily", "formal_derivative", "shift_expand", "weighted_norm",

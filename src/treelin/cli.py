@@ -30,7 +30,8 @@ DESCRIPTION = """Command-line front end.
 Canonical artifacts (solution documents, CSV tables) go to stdout or the
 requested output file and are byte-identical across reruns; volatile notes
 such as timings go to stderr.  Exit codes: 0 success, 1 usage error,
-2 domain error (resonance, rational input, family violation, coefficient overflow).
+2 domain error (resonance, rational input, family violation, coefficient overflow,
+conjugacy defect, resource limit).
 """
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

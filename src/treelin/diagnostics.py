@@ -122,7 +122,7 @@ def class_membership(h: VectorSeries, spec: ClassSpec) -> MembershipFit:
                              "need at least two nonzero degrees")
     ds = np.array([d for d, _ in data], dtype=float)
     ys = np.array([y for _, y in data])
-    slope, intercept = np.polyfit(ds, ys, 1)
+    slope, intercept = _fit_line(ds, ys)
     max_violation = float(np.max(ys - (intercept + slope * ds)))
     return MembershipFit(True, math.exp(intercept), math.exp(slope),
                          max_violation, len(data))
@@ -211,7 +211,7 @@ def growth_report(h: VectorSeries) -> GrowthReport:
         fit = per_degree
     ds = np.array([d for d, _ in fit], dtype=float)
     ys = np.array([math.log(m) for _, m in fit])
-    slope = float(np.polyfit(ds, ys, 1)[0])
+    slope = _fit_line(ds, ys)[0]
     radii = np.exp(-_leave_one_out_slopes(ds, ys)).tolist()
     spread = (max(radii) - min(radii)) / max(_median(radii), 1e-300)
     return GrowthReport(
@@ -227,6 +227,18 @@ def _median(values):
     return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
 
 
+# The line fits below take elementwise sums, not np.polyfit or a dot product:
+# the first LAPACK or BLAS call of a process adds about 1 MB to its resident
+# memory, and diagnose runs no other.
+
+def _fit_line(x, y):
+    """Slope and intercept of the least-squares line through (x, y), from centered sums."""
+    xm, ym = x.mean(), y.mean()
+    xc = x - xm
+    slope = float((xc * (y - ym)).sum() / (xc * xc).sum())
+    return slope, float(ym - slope * xm)
+
+
 def _leave_one_out_slopes(x, y):
     """Least-squares slopes of the line through (x, y) with point i left out, for every i.
 
@@ -237,7 +249,7 @@ def _leave_one_out_slopes(x, y):
     m = len(x)
     x = x - x.mean()
     y = y - y.mean()
-    return ((m - 1) * (x @ y) - m * x * y) / ((m - 1) * (x @ x) - m * x * x)
+    return ((m - 1) * (x * y).sum() - m * x * y) / ((m - 1) * (x * x).sum() - m * x * x)
 
 
 def majorant_partial_sums(h: VectorSeries, r: float):

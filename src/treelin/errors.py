@@ -58,6 +58,19 @@ class ConjugacyDefect(TreelinError):
     """
 
 
+class ResourceLimit(TreelinError):
+    """A solve ran out of memory: the route needs more at this n and D than the process may take.
+
+    Carries the ``route``, ``n`` and ``D`` of the solve.
+    """
+
+    def __init__(self, route, n, D):
+        self.route = route
+        self.n = n
+        self.D = D
+        super().__init__(f"the {route} route ran out of memory at n={n}, D={D}")
+
+
 class RationalDetected(TreelinError):
     """Continued-fraction expansion terminated: the input is rational to working precision.
 

@@ -35,6 +35,7 @@ from .errors import (
     CoefficientOverflow,
     CompositionError,
     NoContraction,
+    ResourceLimit,
     TruncationMismatch,
 )
 from .records import Record
@@ -259,6 +260,8 @@ def solve(problem, D: int, method: str = "recursive",
     sets it to zero and records it in ``clipped``.  Any other
     ``on_small_divisor`` raises :class:`ValueError`.  A non-finite
     coefficient of h raises :class:`CoefficientOverflow` naming its degree.
+    A solve or its check that runs out of memory raises
+    :class:`ResourceLimit` naming the method, n and D.
     """
     if on_small_divisor not in ("raise", "clip"):
         raise ValueError(f"on_small_divisor must be 'raise' or 'clip', not {on_small_divisor!r}")
@@ -269,10 +272,13 @@ def solve(problem, D: int, method: str = "recursive",
     else:
         raise ValueError(f"unknown method {method!r}")
     clipped = [] if on_small_divisor == "clip" else None
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = route(problem.spectrum, problem.f.truncate(D), D, clipped)
-    return Linearization(h, method, D, verify_conjugacy(problem, _check_finite(h)),
-                         tuple(clipped or ()))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = route(problem.spectrum, problem.f.truncate(D), D, clipped)
+        residual = verify_conjugacy(problem, _check_finite(h))
+    except MemoryError as exc:
+        raise ResourceLimit(method, problem.f.n, D) from exc
+    return Linearization(h, method, D, residual, tuple(clipped or ()))
 
 
 def _check_finite(h: VectorSeries) -> VectorSeries:

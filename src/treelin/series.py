@@ -23,7 +23,10 @@ Conventions used throughout the package:
   by ``numpy.bincount`` over block d of a pair table.  The block lists its
   pairs (i, j) by ascending i, then j; an output slot pairs each i with at
   most one j, and ``bincount`` adds a slot's terms in array order, so each
-  slot sums its products a_i * b_j in ascending i.
+  slot sums its products a_i * b_j in ascending i.  Every step of a solve
+  reads one output degree, so the table keeps only its newest block and
+  builds any other anew, bitwise the same: a solve's memory is set by its
+  largest block, not by the sum of its blocks.
   :meth:`ScalarSeries.multiply` is the concatenation of the slices, for
   every n.  Zero terms are never skipped, so the degree <= d part of a
   product is bitwise the same whatever the operands hold above degree d.
@@ -145,64 +148,79 @@ class _Basis:
 
 
 class _PairTable:
-    """Per output degree d, the slot pairs (i, j) with deg i + deg j = d.
+    """Per output degree d, the slot pairs (i, j) with deg i + deg j = d, one block at a time.
 
     Block d is ``(left, right, out2)``: the slots i and j of each pair, in the
     order they are generated (ascending i, then j), and the output index of
     their real and imaginary parts, interleaved, counted from the first slot
     of degree d.  An output slot meets each i at most once, so its pairs come
-    in ascending i.  A block depends on n and d alone, so the table grows a
-    block at a time and keeps what it has; ``terms`` fits the largest block's
+    in ascending i.  A block depends on n and d alone.  Every step of a solve
+    reads one output degree, so the table streams: it keeps the newest block
+    and builds any other from the slots' tail sums, which it keeps for every
+    degree seen, at (n - 1) int32 per slot.  Its memory is set by the largest
+    block, not by the sum of all of them.  ``terms`` fits the largest block's
     terms.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self.blocks: list = []
-        # tail sums r_p = g_p + ... + g_(n-1), p = 1 .. n-1, of every slot so far
+        self.top = -1  # the degree of the kept block
+        self.kept = None
+        self.terms = np.empty(0, dtype=complex)
+        # tail sums r_p = g_p + ... + g_(n-1), p = 1 .. n-1, of every slot of
+        # degree <= self._tails_top
         self._tails = np.empty((n - 1, 0), dtype=np.int32)
+        self._tails_top = -1
 
-    def block(self, top: int):
-        """Block ``top``, built after the blocks below it that the table lacks."""
+    def block(self, d: int):
+        """Block ``d``: the kept block, or a new one that replaces it."""
+        if d != self.top:
+            self.top, self.kept = -1, None  # release the old block before building
+            self.kept, self.top = self._build(d), d
+        return self.kept
+
+    def _build(self, d: int):
         n = self.n
-        for d in range(len(self.blocks), top + 1):
-            g = np.array(list(_indices_of_degree(n, d)), dtype=np.int32)
+        if d > self._tails_top:
+            g = np.array(list(iter_indices(n, d, self._tails_top + 1)), dtype=np.int32)
             self._tails = np.hstack((self._tails, np.cumsum(g[:, :0:-1], 1, np.int32)[:, ::-1].T))
-            count = [math.comb(k + n - 1, n - 1) for k in range(d + 1)]  # slots of degree k
-            size = sum(a * b for a, b in zip(count, reversed(count)))
-            # the block and its term buffer are allocated before the
-            # temporaries, so they can take the memory the previous block's
-            # temporaries left free
-            left, right = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp)
-            out2 = np.empty((size, 2), dtype=np.intp)
+            self._tails_top = d
+        count = [math.comb(k + n - 1, n - 1) for k in range(d + 1)]  # slots of degree k
+        size = sum(a * b for a, b in zip(count, reversed(count)))
+        # the block and its term buffer are allocated before the temporaries,
+        # so they can take the memory the previous block and its temporaries
+        # left free
+        left, right = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp)
+        out2 = np.empty((size, 2), dtype=np.intp)
+        if len(self.terms) < size:
+            self.terms = np.empty(0, dtype=complex)  # released before its successor
             self.terms = np.empty(size, dtype=complex)
-            # slot i of degree k pairs with the slots of degree d - k, one
-            # contiguous range
-            per_slot = np.repeat(count[::-1], count)
-            start = np.repeat(np.cumsum([0] + count)[d::-1], count)  # first slot of degree d - k
-            left[:] = np.repeat(np.arange(sum(count), dtype=np.intp), per_slot)
-            right[:] = np.arange(size) - np.repeat(np.cumsum(per_slot) - per_slot - start, per_slot)
-            # The slot of an index g of degree d is its block's last, less the
-            # indices of degree d after it; those first above g at axis p - 1
-            # number C(r_p + n - p - 1, n - p).  Tail sums add over a pair, so
-            # each term is a lookup.  Every partial difference lies in 0 ..
-            # last, so it is computed in the narrowest type that holds the
-            # block's slots.
-            out = np.full(size, count[d] - 1, dtype=np.min_scalar_type(count[d] - 1))
-            for p, tail in enumerate(self._tails, start=1):
-                w = np.array([math.comb(t + n - p - 1, n - p) for t in range(d + 1)], out.dtype)
-                out -= w[tail[left] + tail[right]]
-            np.multiply(out, 2, out=out2[:, 0], dtype=np.intp)
-            np.add(out2[:, 0], 1, out=out2[:, 1])
-            self.blocks.append((left, right, out2.ravel()))
-        return self.blocks[top]
+        # slot i of degree k pairs with the slots of degree d - k, one
+        # contiguous range
+        per_slot = np.repeat(count[::-1], count)
+        start = np.repeat(np.cumsum([0] + count)[d::-1], count)  # first slot of degree d - k
+        left[:] = np.repeat(np.arange(sum(count), dtype=np.intp), per_slot)
+        right[:] = np.arange(size) - np.repeat(np.cumsum(per_slot) - per_slot - start, per_slot)
+        # The slot of an index g of degree d is its block's last, less the
+        # indices of degree d after it; those first above g at axis p - 1
+        # number C(r_p + n - p - 1, n - p).  Tail sums add over a pair, so
+        # each term is a lookup.  Every partial difference lies in 0 .. last,
+        # so it is computed in the narrowest type that holds the block's slots.
+        out = np.full(size, count[d] - 1, dtype=np.min_scalar_type(count[d] - 1))
+        for p, tail in enumerate(self._tails, start=1):
+            w = np.array([math.comb(t + n - p - 1, n - p) for t in range(d + 1)], out.dtype)
+            out -= w[tail[left] + tail[right]]
+        np.multiply(out, 2, out=out2[:, 0], dtype=np.intp)
+        np.add(out2[:, 0], 1, out=out2[:, 1])
+        return left, right, out2.ravel()
 
 
 # The derived tables of the package (bases and pair tables here, divisor
 # tables and tree plans) are cached in plain dicts in insertion order, oldest
 # first.  A caller pops its key, builds or grows the entry, and stores it back
 # with _recent.  A basis is rebuilt for a larger truncation and serves every
-# smaller one as a prefix, and a pair table grows.
+# smaller one as a prefix.  A pair table keeps one block, the newest, and the
+# tail sums of the slots it has seen, so its size is set by its largest block.
 _CACHE_LIMIT = 16
 _BASES: dict = {}
 _PAIR_TABLES: dict = {}

@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from treelin import Germ, GermSpectrum, VectorSeries, linearize
+from treelin import Germ, GermSpectrum, VectorSeries, linearize, series
 from treelin.cli import build_parser, main
 from treelin.documents import (
     canonical_bytes,
@@ -520,6 +520,21 @@ def test_domain_error_exit_2(tmp_path, capsys):
     assert main(["diagnose", "condition", "--omega", "0.6", "--dmax", "5"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("domain error (ResonantSpectrum): "), err
+
+
+def test_running_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    problem = _write_problem(tmp_path, seed=1, n=2, degree_f=3, trunc=6)
+
+    def no_memory(table, d):
+        raise MemoryError
+
+    monkeypatch.setattr(series._PairTable, "block", no_memory)
+    capsys.readouterr()
+    assert main(["linearize", "germ", "--input", str(problem), "--degree", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("domain error (ResourceLimit): the recursive route ran out "
+                            "of memory at n=2, D=6\n")
 
 
 def test_every_method_clips(tmp_path):

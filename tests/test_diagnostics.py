@@ -200,28 +200,53 @@ def test_growth_report_scale_covariance(rng):
     assert r2.radius == pytest.approx(r1.radius / c, rel=1e-6)
 
 
-def polyfit_jackknife_spread(h, window=0.5):
-    """The spread growth_report gives, from one np.polyfit per left-out degree."""
+def fit_window(h, window=0.5):
+    """The degrees and log maxima growth_report fits."""
     per_degree = [(d, m) for d, m in h.per_degree_max().items() if m > 0]
     dmax = per_degree[-1][0]
     cut = dmax - max(2, int(round(window * (dmax - per_degree[0][0]))))
     fit = [(d, m) for d, m in per_degree if d >= cut]
     ds = np.array([d for d, _ in fit], dtype=float)
-    ys = np.array([math.log(m) for _, m in fit])
+    return ds, np.array([math.log(m) for _, m in fit])
+
+
+def polyfit_jackknife_spread(h, window=0.5):
+    """The spread growth_report gives, from one np.polyfit per left-out degree."""
+    ds, ys = fit_window(h, window)
     radii = [math.exp(-np.polyfit(np.delete(ds, i), np.delete(ys, i), 1)[0])
-             for i in range(len(fit))]
+             for i in range(len(ds))]
     return (max(radii) - min(radii)) / np.median(radii)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_growth_report_spread_matches_the_polyfit_jackknife(k):
+def family_solutions(k):
+    """h of the germ z -> lambda z (1 - z^k / k) at two degrees and three rotations."""
     for D in (200, 300):
         for omega in (GOLDEN, SILVER, 0.7548776662466927):
             spectrum = GermSpectrum.from_rotation((omega,))
             f = VectorSeries.from_coeffs(1, D, {(k + 1,): (-spectrum.lam[0] / k,)})
-            h = solve(Germ(spectrum, f), D, "recursive").h
-            want = polyfit_jackknife_spread(h)
-            assert growth_report(h).jackknife_spread == pytest.approx(want, rel=1e-12)
+            yield solve(Germ(spectrum, f), D, "recursive").h
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_growth_report_spread_matches_the_polyfit_jackknife(k):
+    for h in family_solutions(k):
+        want = polyfit_jackknife_spread(h)
+        assert growth_report(h).jackknife_spread == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_fitted_lines_match_polyfit(k):
+    cls = ClassSpec.gevrey(0.5)
+    for h in family_solutions(k):
+        slope, _ = np.polyfit(*fit_window(h), 1)
+        assert growth_report(h).slope == pytest.approx(slope, rel=1e-12)
+        per_degree = h.per_degree_max()
+        ds = np.array([d for d in per_degree if d >= 1], dtype=float)
+        ys = np.array([math.log(per_degree[d]) - cls.log_M(d) for d in per_degree if d >= 1])
+        slope, intercept = np.polyfit(ds, ys, 1)
+        fit = class_membership(h, cls)
+        assert math.log(fit.B) == pytest.approx(slope, rel=1e-12)
+        assert math.log(fit.A) == pytest.approx(intercept, rel=1e-12)
 
 
 def test_majorant_sums_monotone(rng):

@@ -17,6 +17,7 @@ from treelin import (
     Germ,
     GermSpectrum,
     NoContraction,
+    ResourceLimit,
     UsageError,
     VectorField,
     VectorSeries,
@@ -379,11 +380,10 @@ def test_module_caches_stay_bounded(golden_spectrum_1d):
     for T in list(range(13)) * 2:
         s = ScalarSeries.one(2, T)
         s.multiply(s)
-    assert len(series._PAIR_TABLES[2].blocks) >= 13  # grown, and checked below
+    assert series._PAIR_TABLES[2].top == 12  # the last product's top degree
     for table in series._PAIR_TABLES.values():
-        # one block per output degree: the C(2n + D, 2n) pairs of degree <= D
-        pairs = sum(len(block[0]) for block in table.blocks)
-        assert pairs == math.comb(2 * table.n + len(table.blocks) - 1, 2 * table.n)
+        # one block, the newest: the C(2n - 1 + d, 2n - 1) pairs of output degree d
+        assert len(table.kept[0]) == math.comb(2 * table.n - 1 + table.top, 2 * table.n - 1)
     # products in more dimensions than the basis and pair-table caches keep
     for n in range(2, series._CACHE_LIMIT + 6):
         s = ScalarSeries.one(n, 1)
@@ -405,6 +405,40 @@ def test_module_caches_stay_bounded(golden_spectrum_1d):
                   bruno.omega_tilde, bruno.omega_frac, bruno.omega_hat):
         info = cache.cache_info()
         assert info.currsize == info.maxsize, cache.__name__
+
+
+@pytest.mark.parametrize("method", ["recursive", "fixedpoint", "tree"])
+@pytest.mark.parametrize("kind,n,D", [("germ", 2, 20), ("field", 3, 10)])
+def test_h_is_bitwise_the_same_whatever_block_the_pair_table_holds(tmp_path, method, kind, n, D):
+    problem = fixture_problem(tmp_path, kind, n, D, 1)
+    if method == "tree":
+        # the tree plan of the fixture's dense f is out of reach at these sizes
+        rest = (0,) * (n - 2)
+        f = VectorSeries.from_coeffs(n, D, {(2, 0) + rest: (0.5, 0) + rest,
+                                            (1, 1) + rest: (0, 0.25) + rest})
+        problem = type(problem)(problem.spectrum, f)
+    series._PAIR_TABLES.pop(n, None)  # a cold table
+    cold = solve(problem, D, method)
+    for other in (D + 4, D - 4):  # after a larger-D solve, then after a smaller one
+        solve(problem, other, method)
+        again = solve(problem, D, method)
+        assert again.h.to_array().tobytes() == cold.h.to_array().tobytes(), other
+        assert again.residual == cold.residual, other
+
+
+def _no_memory(table, d):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("method", ["recursive", "fixedpoint", "tree"])
+def test_running_out_of_memory_is_a_resource_limit(tmp_path, monkeypatch, method):
+    # the tree route reaches the pair table only through the conjugacy check
+    problem = fixture_problem(tmp_path, "germ", 2, 6, 1)
+    monkeypatch.setattr(series._PairTable, "block", _no_memory)
+    with pytest.raises(ResourceLimit) as info:
+        solve(problem, 6, method)
+    assert (info.value.route, info.value.n, info.value.D) == (method, 2, 6)
+    assert isinstance(info.value.__cause__, MemoryError)
 
 
 def test_germ_field_structural_parity(rng):

@@ -16,6 +16,7 @@ from treelin import (
     shift_expand,
     weighted_norm,
 )
+from treelin import series
 from treelin.families import SeriesFamily
 from treelin.series import (
     PowerTable,
@@ -349,15 +350,18 @@ TABLE_SIZES = [(2, 10), (2, 30), (3, 30)]
 @pytest.mark.parametrize("n,D", TABLE_SIZES)
 def test_pair_table_runs_are_the_one_pass_table(n, D):
     # each output-degree block is the one-pass listing's pairs with outputs of
-    # that degree, in listing order
+    # that degree, in listing order, whatever blocks the table built before it:
+    # degrees ascending, descending and shuffled
     left, right, out, upto = _one_pass_pairs(n, D)
-    table = _PairTable(n)
-    for d in range(D + 1):
-        of_d = (upto[d] <= out) & (out < upto[d + 1])
-        want = (left[of_d], right[of_d], _interleaved(out[of_d] - upto[d]))
-        for got, wanted in zip(table.block(d), want):
-            assert got.dtype == wanted.dtype
-            assert got.tobytes() == wanted.tobytes(), d
+    orders = (range(D + 1), range(D, -1, -1), np.random.default_rng(D).permutation(D + 1).tolist())
+    for order in orders:
+        table = _PairTable(n)
+        for d in order:
+            of_d = (upto[d] <= out) & (out < upto[d + 1])
+            want = (left[of_d], right[of_d], _interleaved(out[of_d] - upto[d]))
+            for got, wanted in zip(table.block(d), want):
+                assert got.dtype == wanted.dtype
+                assert got.tobytes() == wanted.tobytes(), (d, order)
 
 
 @pytest.mark.parametrize("n,D", TABLE_SIZES)
@@ -382,17 +386,33 @@ def test_product_slice_refuses_an_operand_without_degree_d(rng):
         product_slice(f.vector, f.vector[: slot_count(2, 5)], 2, 6)
 
 
-def test_a_larger_truncation_keeps_the_pair_table_blocks(rng):
+def _held_bytes(table):
+    """Bytes of every array a pair table holds, its block's arrays included."""
+    held = [v for value in vars(table).values()
+            for v in (value if isinstance(value, tuple) else (value,))]
+    return sum(v.nbytes for v in held if isinstance(v, np.ndarray))
+
+
+def test_the_pair_table_keeps_only_its_newest_block(rng):
     n = 2
-    f = random_scalar_series(rng, n, 6)
-    f.multiply(f)
+    series._PAIR_TABLES.pop(n, None)
     table = _pair_table(n)
-    kept = table.blocks[:7]
-    g = random_scalar_series(rng, n, 12)
-    g.multiply(g)
+    for D in (6, 12, 6):
+        f = random_scalar_series(rng, n, D)
+        f.multiply(f)
     assert _pair_table(n) is table
-    assert len(table.blocks) >= 13
-    assert all(block is old for block, old in zip(table.blocks, kept))
+    fresh = _PairTable(n).block(6)
+    assert table.top == 6
+    for got, want in zip(table.kept, fresh):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    # one block of C(2n - 1 + d, 2n - 1) pairs at 32 bytes (left, right and
+    # two output indices), the 16-byte terms of the largest block built, and
+    # (n - 1) int32 tail sums per slot of the largest degree seen
+    pairs = math.comb(2 * n - 1 + 6, 2 * n - 1)
+    assert len(fresh[0]) == pairs
+    largest = math.comb(2 * n - 1 + 12, 2 * n - 1)
+    assert _held_bytes(table) == 32 * pairs + 16 * largest + 4 * (n - 1) * slot_count(n, 12)
 
 
 def test_multiply_commutative_and_associative(rng):
