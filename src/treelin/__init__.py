@@ -34,6 +34,7 @@ bruno = _register_deferred("bruno")
 diagnostics = _register_deferred("diagnostics")
 documents = _register_deferred("documents")
 commands = _register_deferred("commands")
+fixture = _register_deferred("fixture")
 
 from . import divisors, errors, linearize, series  # noqa: E402
 

@@ -1,13 +1,13 @@
-"""The ``treelin`` command: its parser, and the ``linearize`` and ``fixture`` commands.
+"""The ``treelin`` command: its parser, and the ``linearize`` command.
 
-Every command is parsed here; the other five run in
-:mod:`treelin.commands`, which ``import treelin`` registers without running
-it.  Modules are cut along the commands that run them, and each is run on
-first use, so a process compiles only what its command runs: a
-``linearize`` process runs ``treesum`` only for the tree method and
-``families`` only for the fixed point, and never ``trees``, ``bruno``,
-``diagnostics`` or ``commands``.  The parser's description is
-``DESCRIPTION``, the text of ``treelin --help``.
+Every command is parsed here; ``fixture`` runs in :mod:`treelin.fixture`
+and the other five in :mod:`treelin.commands`, which ``import treelin``
+registers without running them.  Modules are cut along the commands that
+run them, and each is run on first use, so a process compiles only what
+its command runs: a ``linearize`` process runs ``treesum`` only for the
+tree method and ``families`` only for the fixed point, and never
+``trees``, ``bruno``, ``diagnostics``, ``commands`` or ``fixture``.  The
+parser's description is ``DESCRIPTION``, the text of ``treelin --help``.
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ import os
 import sys
 import time
 
-from . import commands, divisors, documents, linearize, treesum
+from . import commands, documents, fixture, linearize, treesum
 from .errors import TreelinError, UsageError
 from .output import emit
-from .series import VectorSeries, iter_indices
 
 DESCRIPTION = """Command-line front end.
 
@@ -34,20 +33,22 @@ such as timings go to stderr.  Exit codes: 0 success, 1 usage error,
 conjugacy defect, resource limit).
 """
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_SILVER = math.sqrt(2.0) - 1.0
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
 
 def _check_destinations(args):
-    """Refuse, before any work, an output path that cannot be written."""
+    """Refuse, before any work, an output path that cannot be written or that two outputs name."""
+    named = {}
     for name in ("output", "emit_csv", "out"):
         path = getattr(args, name, None)
         if not path:
             continue
+        option = "--" + name.replace("_", "-")
+        other = named.setdefault(os.path.realpath(path), option)
+        if other != option:
+            raise UsageError(f"{other} and {option} name the same file {path}")
         folder = os.path.dirname(path) or os.curdir
         if not os.path.isdir(folder):
             raise UsageError(f"cannot write {path}: no directory {folder}")
@@ -144,48 +145,13 @@ def _cmd_linearize(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# subcommand: fixture
-# ---------------------------------------------------------------------------
-
-
-def _cmd_fixture(args) -> int:
-    import numpy as np
-
-    rng = np.random.default_rng(args.seed)
-    n, D = args.n, args.trunc
-    coeffs = {}
-    for alpha in iter_indices(n, args.degree_f, 2):
-        vec = []
-        for _ in range(n):
-            r = rng.uniform(0.05, 1.0)
-            phi = rng.uniform(0.0, 2.0 * math.pi)
-            vec.append(complex(r * math.cos(phi), r * math.sin(phi)))
-        coeffs[alpha] = tuple(vec)
-    f = VectorSeries.from_coeffs(n, D, coeffs)
-    if args.kind == "germ":
-        rotation = [_GOLDEN, _SILVER, 1.0 / math.e][:n]
-        problem = linearize.Germ(divisors.GermSpectrum.from_rotation(rotation), f)
-    else:
-        if n == 1:
-            omega = (1.0,)
-        elif n == 2:
-            omega = (-1.0, _GOLDEN)
-        else:
-            omega = (-1.0, _GOLDEN, _SILVER)[:n]
-        problem = linearize.VectorField(divisors.FieldSpectrum(omega), f)
-    doc = documents.problem_to_doc(problem, {"seed": args.seed})
-    emit(documents.canonical_bytes(doc).decode(), args.out)
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # parser wiring
 # ---------------------------------------------------------------------------
 
 
-def _deferred(name: str):
-    """The handler ``commands.<name>``, looked up (and that module run) only when it is called."""
-    return lambda args: getattr(commands, name)(args)
+def _deferred(module, name: str):
+    """The handler ``module.<name>``, looked up (and that module run) only when it is called."""
+    return lambda args: getattr(module, name)(args)
 
 
 
@@ -223,13 +189,13 @@ def build_parser() -> _Parser:
     p.add_argument("--axis", type=_at_least(1), default=1, help="root line axis (1-based)")
     p.add_argument("--support", help="series document or JSON index list")
     p.add_argument("--output", metavar="PATH")
-    p.set_defaults(fn=_deferred("cmd_trees"))
+    p.set_defaults(fn=_deferred(commands, "cmd_trees"))
 
     p = sub.add_parser("bruno", help="continued fraction and 1-D Bruno partial sums")
     p.add_argument("--omega", required=True, help="a real number or a fraction p/q")
     p.add_argument("--terms", type=_at_least(1), default=10)
     p.add_argument("--output", metavar="PATH")
-    p.set_defaults(fn=_deferred("cmd_bruno"))
+    p.set_defaults(fn=_deferred(commands, "cmd_bruno"))
 
     p = sub.add_parser("omega", help="small-divisor minimum tables as CSV")
     p.add_argument("--spectrum", required=True, help="spectrum document (JSON)")
@@ -237,7 +203,7 @@ def build_parser() -> _Parser:
     p.add_argument("--variant", required=True, choices=["tilde", "frac", "hat"])
     p.add_argument("--mode", default="realizable", choices=["realizable", "full"])
     p.add_argument("--output", metavar="PATH")
-    p.set_defaults(fn=_deferred("cmd_omega"))
+    p.set_defaults(fn=_deferred(commands, "cmd_omega"))
 
     p = sub.add_parser("diagnose", help="growth, class, condition and family reports")
     p.add_argument("what", choices=["growth", "class", "condition", "family", "domain"])
@@ -252,14 +218,14 @@ def build_parser() -> _Parser:
     p.add_argument("--majorant-r", type=_finite_where(lambda r: r > 0, "positive"))
     p.add_argument("--emit-csv", metavar="PATH")
     p.add_argument("--output", metavar="PATH")
-    p.set_defaults(fn=_deferred("cmd_diagnose"))
+    p.set_defaults(fn=_deferred(commands, "cmd_diagnose"))
 
     p = sub.add_parser("verify", help="check a solution document against its problem")
     p.add_argument("--input", required=True)
     p.add_argument("--solution", required=True)
     p.add_argument("--tol", type=_finite_where(lambda t: t >= 0, ">= 0"), default=1e-9)
     p.add_argument("--output", metavar="PATH")
-    p.set_defaults(fn=_deferred("cmd_verify"))
+    p.set_defaults(fn=_deferred(commands, "cmd_verify"))
 
     p = sub.add_parser("fixture", help="generate a reproducible random problem document")
     p.add_argument("kind", choices=["germ", "field"])
@@ -268,7 +234,7 @@ def build_parser() -> _Parser:
     p.add_argument("--trunc", type=_at_least(0), default=8)
     p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--out", metavar="PATH")
-    p.set_defaults(fn=_cmd_fixture)
+    p.set_defaults(fn=_deferred(fixture, "cmd_fixture"))
 
     return parser
 

@@ -1,11 +1,11 @@
 """The ``trees``, ``bruno``, ``omega``, ``diagnose`` and ``verify`` commands.
 
-:mod:`treelin.cli` parses every command and runs ``linearize`` and
-``fixture`` itself; it calls into this module only for the five commands
-here, so a ``linearize`` process never compiles them.  Each command runs
-the modules it needs on first use: ``diagnose family`` runs neither
-``documents`` nor ``trees``, and ``diagnose growth`` and ``class`` do not
-run ``bruno``.
+:mod:`treelin.cli` parses every command and runs ``linearize`` itself,
+and ``fixture`` runs in :mod:`treelin.fixture`; it calls into this module
+only for the five commands here, so a ``linearize`` process never compiles
+them.  Each command runs the modules it needs on first use: ``diagnose
+family`` runs neither ``documents`` nor ``trees``, and ``diagnose growth``
+and ``class`` do not run ``bruno``.
 """
 
 from __future__ import annotations

@@ -472,6 +472,25 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert not any(path.exists() for path in both)
 
 
+def test_two_outputs_naming_one_file_are_a_usage_error(tmp_path, capsys, monkeypatch):
+    # refused before the solve, which would leave the file holding only the CSV
+    problem = _write_problem(tmp_path)
+    same = tmp_path / "h.json"
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    for other in (str(same), "h.json", os.path.join(".", "sub", "..", "h.json")):
+        argv = ["linearize", "germ", "--input", str(problem), "--degree", "4",
+                "--output", str(same), "--emit-csv", other]
+        assert main(argv) == 1, other
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --output and --emit-csv name the same file"), err
+        assert "residual" not in err, err
+    assert not same.exists()
+    argv[-1] = "h.csv"
+    assert main(argv) == 0
+    assert same.read_text().startswith("{") and (tmp_path / "h.csv").exists()
+
+
 @pytest.mark.parametrize("what", ["growth", "class", "domain"])
 def test_diagnose_without_input_is_a_usage_error(what, capsys):
     assert main(["diagnose", what, "--degree", "12"]) == 1

@@ -24,7 +24,7 @@ from treelin import cli, divisors, documents, linearize, series
 from conftest import GOLDEN, ROOT, run_python
 
 DEFERRED = ("treelin.trees", "treelin.treesum", "treelin.families", "treelin.bruno",
-            "treelin.diagnostics", "treelin.documents", "treelin.commands")
+            "treelin.diagnostics", "treelin.documents", "treelin.commands", "treelin.fixture")
 EAGER = ("treelin", "treelin.cli", "treelin.divisors", "treelin.errors", "treelin.linearize",
          "treelin.output", "treelin.records", "treelin.series")
 # stdlib modules that a solve or a growth diagnostic has no use for;
@@ -104,8 +104,7 @@ def test_cli_import_registers_every_traced_module(tmp_path):
 
 def test_dense_linearize_runs_neither_trees_nor_diagnostics(tmp_path):
     # only documents, and families for the fixed point, and none of HEAVY:
-    # the report is written, so its input digest is computed; the fixture is
-    # made here, since numpy.random loads hashlib
+    # the report is written, so its input digest is computed
     for kind in ("germ", "field"):
         path, make = fixture_args(tmp_path, kind, 2, 8)
         assert cli.main(make) == 0
@@ -162,6 +161,22 @@ def test_tree_and_diagnose_processes_load_nothing_heavy(tmp_path):
     ]
     for argv in commands:
         assert not executed_after([argv], heavy=True) & set(HEAVY), argv
+
+
+def test_fixture_runs_only_itself_and_documents_and_loads_no_numpy_random(tmp_path):
+    # its stream is numpy's PCG64 in Python; numpy.random would load
+    # secrets, hmac and OpenSSL with it
+    _, make = fixture_args(tmp_path, "field", 3, 6)
+    script = (
+        "import sys\n"
+        "import treelin.cli as cli\n"
+        f"assert cli.main({make!r}) == 0\n"
+        "print(sorted(m for m in ('numpy.random', 'secrets', 'hmac', '_hashlib') if m in sys.modules))\n"
+    )
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"], proc.stdout
+    assert executed_after([make]) == {"fixture", "documents"}
 
 
 def test_cli_run_as_a_module_is_not_imported_again(tmp_path):
