@@ -128,12 +128,10 @@ def _cmd_linearize(args) -> int:
             pairwise = max(pairwise, diff.max_abs())
         extras["method_agreement_max_abs"] = pairwise
         extras["methods"] = {
-            m: {"residual_max": r.residual.max_abs, "residual_znorm": r.residual.znorm}
-            for m, r in sorted(results.items())
+            m: documents.residual_doc(r.residual) for m, r in sorted(results.items())
         }
     if args.verify:  # solve() already verified the solution; report that check
-        rep = primary.residual
-        extras["verified"] = {"max_abs": rep.max_abs, "znorm": rep.znorm, "max_rel": rep.max_rel}
+        extras["verified"] = documents.residual_doc(primary.residual)
     report = documents.run_report(doc, methods[0], primary, extras)
     emit(documents.canonical_bytes(report).decode(), args.output)
     if args.emit_csv:

@@ -259,8 +259,8 @@ def cmd_verify(args) -> int:
         raise UsageError(f"the solution has n = {h.n} but the problem has n = {problem.f.n}")
     rep = linearize.verify_conjugacy(problem, h)
     rows = [
-        "znorm,max_abs,max_rel,degree",
-        f"{rep.znorm!r},{rep.max_abs!r},{rep.max_rel!r},{rep.degree}",
+        "max_abs,max_rel,degree",
+        f"{rep.max_abs!r},{rep.max_rel!r},{rep.degree}",
     ]
     emit("\n".join(rows) + "\n", args.output)
     if rep.max_rel > args.tol:

@@ -314,13 +314,18 @@ def load_json(path: str) -> dict:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def residual_doc(rep) -> dict:
+    """A :class:`linearize.ConjugacyReport` as a report's residual record."""
+    return {"max_abs": rep.max_abs, "max_rel": rep.max_rel}
+
+
 def run_report(problem_doc: dict, method: str, lin, extras: dict | None = None) -> dict:
-    """Canonical run report: input digest, solver metadata, residuals, solution ``h`` itself."""
+    """Canonical run report: input digest, solver metadata, residual record, solution ``h`` itself."""
     report = {
         "input_digest": digest(problem_doc),
         "method": method,
         "degree": lin.degree,
-        "residual": {"znorm": lin.residual.znorm, "max_abs": lin.residual.max_abs},
+        "residual": residual_doc(lin.residual),
         "conforming": lin.conforming,
         "clipped": [
             {"alpha": list(a), "axis": j, "modulus": m} for a, j, m in lin.clipped

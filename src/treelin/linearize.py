@@ -85,7 +85,9 @@ class VectorField(Record):
 
 
 class ConjugacyReport(Record):
-    __slots__ = ("znorm", "max_abs", "scale", "degree")
+    """Largest defect coefficient ``max_abs`` at truncation ``degree``; ``max_rel`` is it over ``scale``."""
+
+    __slots__ = ("max_abs", "scale", "degree")
 
     @property
     def max_rel(self) -> float:
@@ -253,7 +255,7 @@ def solve(problem, D: int, method: str = "recursive",
     """Linearize a germ or a vector field to degree D by one of the three methods.
 
     The kinds differ only in the spectrum, whose divisors each method
-    divides by, and in the defect :func:`verify_conjugacy` measures.  A
+    divides by and :func:`verify_conjugacy` multiplies by again.  A
     nonzero coefficient over a divisor below ``divisors.RESONANCE_TOL``
     raises :class:`DivisorBelowTolerance` naming the first such (alpha, j)
     in graded-lex order, or with ``on_small_divisor="clip"`` every method
@@ -335,27 +337,16 @@ def classical_lagrange_1d(G: ScalarSeries, orders: int) -> InversionTable:
 # ---------------------------------------------------------------------------
 
 
-def verify_conjugacy(problem, h) -> ConjugacyReport:
-    """Defect of a candidate linearization at the stored truncation.
+def verify_conjugacy(problem, h: VectorSeries) -> ConjugacyReport:
+    """Defect of a candidate h (H = z + h) at its truncation: D h - f(z + h).
 
-    Germ: F(H(z)) - H(A z) with H = z + h.  Field: the straightening defect
-    (forward divisor operator applied to h) minus f(z + h).  Reports the
-    z-adic norm and the largest coefficient modulus of the defect, plus the
-    scale max(1, |f|, |h|) for relative comparisons.
+    D is the forward divisor operator of the problem's spectrum, so one
+    formula serves both kinds.  For a germ it is -(F(H) - H(A z)), slot by
+    slot, since H(A z) - A H multiplies the coefficient of z^alpha in h by
+    lambda^alpha - lambda_j.  Reports the largest coefficient modulus of the
+    defect and the scale max(1, |f|, |h|) for relative comparisons.
     """
-    if isinstance(h, Linearization):
-        h = h.h
-    spectrum, f = problem.spectrum, problem.f
-    n = f.n
     D = h.trunc
-    f = f.truncate(D)
-    ident = VectorSeries.identity(n, D)
-    H = ident + h
-    if isinstance(problem, Germ):
-        lam = np.array(spectrum.lam)
-        FH = VectorSeries.from_array(n, D, H.to_array() * lam[:, None]) + f.compose(H)
-        defect = FH - H.compose_diagonal(lam)
-    else:
-        defect = apply_forward_D(spectrum, h) - f.compose(ident + h)
-    scale = max(1.0, f.max_abs(), h.max_abs())
-    return ConjugacyReport(defect.znorm(), defect.max_abs(), scale, D)
+    f = problem.f.truncate(D)
+    defect = apply_forward_D(problem.spectrum, h) - f.compose(VectorSeries.identity(h.n, D) + h)
+    return ConjugacyReport(defect.max_abs(), max(1.0, f.max_abs(), h.max_abs()), D)

@@ -634,16 +634,6 @@ class VectorSeries(_DenseSeries):
             acc += np.multiply.outer(vec, powers[alpha])
         return VectorSeries.from_array(n, D, acc)
 
-    def compose_diagonal(self, lam) -> "VectorSeries":
-        """F(diag(lam) z): the coefficient of z^alpha times lam^alpha, slot by slot.
-
-        The same series as :meth:`compose` with the inner series
-        ``(lam_1 z_1, ..., lam_n z_n)``, without its products.
-        """
-        exps = np.array(graded_indices(self.n, self.trunc), dtype=np.intp)
-        lam_alpha = np.prod(np.array(lam, dtype=complex) ** exps, axis=1)
-        return self._wrap(self._v * lam_alpha)
-
 
 # The benchmark's tracer still looks these up here.  Only they are forwarded:
 # the import system probes other attributes (__path__) on every

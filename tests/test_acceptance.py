@@ -595,11 +595,11 @@ def test_criterion_13_determinism(tmp_path):
     ])
     assert code == 0
     outputs = []
-    for threads in ("1", "8", "1", "8"):
+    for threads in ("1", "2", "1", "2"):
         code, out = _run_cli(
             ["linearize", "germ", "--input", str(problem), "--degree", "5",
              "--method", "all", "--verify"],
-            env_extra={"TREELIN_THREADS": threads},
+            env_extra={"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads},
         )
         assert code == 0
         outputs.append(out)
@@ -608,6 +608,7 @@ def test_criterion_13_determinism(tmp_path):
     _, bruno2 = _run_cli(["bruno", "--omega", f"{GOLDEN:.10f}", "--terms", "10"])
     identical = identical and bruno1 == bruno2 and code == 0
     report(13, identical,
-           f"byte-identical outputs across 4 runs and thread counts 1/8 "
+           f"byte-identical outputs across 4 runs, OPENBLAS_NUM_THREADS and "
+           f"OMP_NUM_THREADS 1/2/1/2 "
            f"({len(outputs[0])} bytes)")
     assert identical

@@ -116,17 +116,21 @@ def test_inverse_preserves_valuation_and_round_trips(rng):
 
 
 def test_forward_operator_matches_composition_definition(rng):
-    # D g = g(A z) - A g(z), checked against the per-monomial form
-    spec = GermSpectrum.from_rotation((GOLDEN, SILVER))
-    g = random_vector_series(rng, 2, 5, min_degree=2, density=0.7)
-    n, D = 2, 5
-    Az = VectorSeries([
-        ScalarSeries.monomial(n, D, unit_index(n, j), spec.lam[j]) for j in range(n)
-    ])
-    composed = g.compose(Az) - VectorSeries(
-        [g.components[j].scale(spec.lam[j]) for j in range(n)]
-    )
-    assert_series_close(apply_forward_D(spec, g), composed, rel=1e-12)
+    # D g = g(A z) - A g(z), checked against the composition, on rotation
+    # spectra and on eigenvalues off the unit circle; verify_conjugacy
+    # multiplies by this operator for germs and fields alike
+    for n, D in ((1, 14), (2, 9), (3, 7)):
+        rotation = GermSpectrum.from_rotation((GOLDEN, SILVER, 1.0 / math.e)[:n])
+        for spec in (rotation, GermSpectrum((0.5, -1.25 + 0.5j, 1.5j)[:n])):
+            g = random_vector_series(rng, n, D, min_degree=1)
+            Az = VectorSeries([
+                ScalarSeries.monomial(n, D, unit_index(n, j), spec.lam[j]) for j in range(n)
+            ])
+            composed = g.compose(Az) - VectorSeries(
+                [g.components[j].scale(spec.lam[j]) for j in range(n)]
+            )
+            gap = (apply_forward_D(spec, g) - composed).max_abs()
+            assert gap <= 1e-13 * composed.max_abs(), (n, spec)
 
 
 def test_divisor_table_of_a_smaller_truncation_is_a_prefix():
