@@ -51,7 +51,7 @@ _EXPORTS = {
         "vf_domain_estimate",
     ),
     "divisors": (
-        "FieldSpectrum", "GermSpectrum", "apply_forward_D", "apply_inverse_D",
+        "FieldSpectrum", "GermSpectrum", "apply_forward_D", "apply_inverse_D", "divisor_table",
     ),
     "errors": (
         "CoefficientOverflow", "CompositionError", "ConjugacyDefect",

@@ -101,6 +101,8 @@ def _cmd_linearize(args) -> int:
     problem = documents.problem_from_doc(doc)
     if (args.kind == "germ") != isinstance(problem, linearize.Germ):
         raise UsageError(f"input document is not a {args.kind} problem")
+    if args.degree > problem.f.trunc:  # f is known only through its truncation
+        raise UsageError(f"--degree {args.degree} is above the document's truncation {problem.f.trunc}")
     methods = (
         ["recursive", "tree", "fixedpoint"] if args.method == "all" else [args.method]
     )
@@ -120,13 +122,8 @@ def _cmd_linearize(args) -> int:
     primary = results[methods[0]]
     extras = {}
     if len(results) > 1:
-        pairwise = 0.0
-        base = primary.h
-        for method in methods[1:]:
-            other = results[method].h
-            diff = base - other
-            pairwise = max(pairwise, diff.max_abs())
-        extras["method_agreement_max_abs"] = pairwise
+        extras["method_agreement_max_abs"] = max((primary.h - results[m].h).max_abs()
+                                                 for m in methods[1:])
         extras["methods"] = {
             m: documents.residual_doc(r.residual) for m, r in sorted(results.items())
         }
@@ -135,9 +132,7 @@ def _cmd_linearize(args) -> int:
     report = documents.run_report(doc, methods[0], primary, extras)
     emit(documents.canonical_bytes(report).decode(), args.output)
     if args.emit_csv:
-        rows = ["degree,max_abs"]
-        for d, m in primary.h.per_degree_max().items():
-            rows.append(f"{d},{m!r}")
+        rows = ["degree,max_abs"] + [f"{d},{m!r}" for d, m in primary.h.per_degree_max().items()]
         emit("\n".join(rows) + "\n", args.emit_csv)
     return 0
 

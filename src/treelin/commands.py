@@ -235,6 +235,8 @@ def cmd_diagnose(args) -> int:
         problem = documents.problem_from_doc(doc)
         if not isinstance(problem, linearize.VectorField):
             raise UsageError("domain diagnostics need a field problem document")
+        if args.degree > problem.f.trunc:
+            raise UsageError(f"--degree {args.degree} is above the document's truncation {problem.f.trunc}")
         # the parser refuses a radius that is not positive, so only None falls back
         rep = diagnostics.vf_domain_estimate(problem, args.degree, args.majorant_r or 0.5)
         _require_fit(rep.rho, f"--degree {args.degree}")
@@ -257,6 +259,8 @@ def cmd_verify(args) -> int:
     h = _load_h(args.solution)
     if h.n != problem.f.n:
         raise UsageError(f"the solution has n = {h.n} but the problem has n = {problem.f.n}")
+    if h.trunc > problem.f.trunc:
+        raise UsageError(f"--solution truncation {h.trunc} is above --input truncation {problem.f.trunc}")
     rep = linearize.verify_conjugacy(problem, h)
     rows = [
         "max_abs,max_rel,degree",

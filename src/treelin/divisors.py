@@ -7,9 +7,9 @@ have negative entries; powers of the ``lambda_i`` use inverses there.
 
 A divisor whose modulus falls below ``RESONANCE_TOL`` makes division fail
 loudly instead of amplifying noise.  For rotation spectra every divisor is
-evaluated in the stable form
-lambda_j * 2i sin(pi x) e^(i pi x), with x = nu.omega - omega_j reduced mod 1,
-so its modulus agrees with ``divisor_modulus`` near resonance.
+lambda_j * 2i sin(pi x) e^(i pi x), x = nu.omega - omega_j reduced mod 1, so
+its modulus agrees with ``divisor_modulus`` near resonance.  The divisor
+operators take a :func:`divisor_table`, not a spectrum.
 
 Every solve runs this module.  The Omega minima, the counting indicator,
 the Bruno sums and continued fractions live in :mod:`treelin.bruno`, which
@@ -23,9 +23,9 @@ import math
 
 import numpy as np
 
-from .errors import DivisorBelowTolerance
+from .errors import DivisorBelowTolerance, TruncationMismatch
 from .records import Record
-from .series import VectorSeries, _recent, graded_indices, slot_count
+from .series import VectorSeries, graded_indices, slot_count
 
 # A divisor modulus (or an Omega value of the Bruno sums) below this is a
 # resonance: every route raises or clips there, and so do the tree plans.
@@ -127,35 +127,27 @@ class FieldSpectrum(Record):
 # ---------------------------------------------------------------------------
 
 
-# per spectrum, (D, divisors, moduli) at the largest D built so far, for the
-# most recently used spectra (see series._recent)
-_DIVISOR_TABLES: dict = {}
+def divisor_table(spectrum, D: int) -> VectorSeries:
+    """The divisors over the graded-lex slots of degree <= D, as a vector series.
 
-
-def divisor_table(spectrum, D: int):
-    """Divisors and their moduli as two ``(n, slots)`` arrays over the graded-lex slots of degree <= D.
-
-    Row j, slot alpha holds ``spectrum.divisor(alpha, j)``.  The slots of
-    degree <= d come first, so the table of truncation d is a prefix of any
-    larger one: each spectrum keeps the largest table built so far, for the
-    most recently used spectra (see ``series._recent``), and a smaller D reads
-    its prefix.
+    Row j, slot alpha holds ``spectrum.divisor(alpha, j)``: all the routes
+    and the operators below know of a spectrum.  The table of truncation d
+    is ``truncate(d)`` of any larger one.
     """
-    entry = _DIVISOR_TABLES.pop(spectrum, None)
-    if entry is None or entry[0] < D:
-        indices = graded_indices(spectrum.n, D)
-        table = np.array(
-            [[spectrum.divisor(alpha, j) for alpha in indices] for j in range(spectrum.n)],
-            dtype=complex,
-        )
-        entry = (D, table, np.abs(table))
-    _recent(_DIVISOR_TABLES, spectrum, entry)
-    M = slot_count(spectrum.n, D)
-    return entry[1][:, :M], entry[2][:, :M]
+    indices = graded_indices(spectrum.n, D)
+    rows = [[spectrum.divisor(alpha, j) for alpha in indices] for j in range(spectrum.n)]
+    return VectorSeries.from_array(spectrum.n, D, np.array(rows, dtype=complex))
 
 
-def apply_inverse_D(spectrum, g: VectorSeries, clipped: list | None = None) -> VectorSeries:
-    """Per-monomial division by the divisors; preserves the valuation.
+def _slots(table: VectorSeries, lo: int, width: int):
+    """Columns ``lo : lo + width`` of the table, or :class:`TruncationMismatch` if it stops short."""
+    if slot_count(table.n, table.trunc) < lo + width:
+        raise TruncationMismatch(f"the divisor table stops at degree {table.trunc}")
+    return table.to_array()[:, lo:lo + width]
+
+
+def apply_inverse_D(table: VectorSeries, g: VectorSeries, clipped: list | None = None) -> VectorSeries:
+    """Per-monomial division by the divisors of ``table``; preserves the valuation.
 
     Requires valuation(g) >= 2.  A nonzero coefficient whose divisor has
     modulus below ``RESONANCE_TOL`` raises :class:`DivisorBelowTolerance`
@@ -165,39 +157,37 @@ def apply_inverse_D(spectrum, g: VectorSeries, clipped: list | None = None) -> V
     """
     if not g.is_zero() and g.valuation() < 2:
         raise ValueError("inverse divisor operator is defined on valuation >= 2")
-    out = divide_slots(spectrum, g.to_array(), g.trunc, 0, clipped)
+    out = divide_slots(table, g.to_array(), 0, clipped)
     return VectorSeries.from_array(g.n, g.trunc, out)
 
 
-def divide_slots(spectrum, values, D: int, lo: int, clipped: list | None = None):
-    """Divide an ``(n, width)`` array holding slots ``lo : lo + width`` of truncation D.
+def divide_slots(table: VectorSeries, values, lo: int, clipped: list | None = None):
+    """Divide an ``(n, width)`` array holding slots ``lo : lo + width`` by those of ``table``.
 
     The division behind :func:`apply_inverse_D`, with the tolerance rule of
     :func:`small_divisors` and :func:`settle_small_divisors`: a nonzero
     value over a divisor of modulus below ``RESONANCE_TOL`` raises, or,
     given a list ``clipped``, becomes zero and is recorded there.
     """
-    table, _ = divisor_table(spectrum, D)
-    table = table[:, lo:lo + values.shape[1]]
     nonzero = values != 0
-    small, bad = small_divisors(spectrum, nonzero, D, lo)
+    small, bad = small_divisors(table, nonzero, lo)
     settle_small_divisors(bad, clipped)
-    return np.divide(values, table, out=np.zeros_like(values), where=nonzero & ~small)
+    divs = _slots(table, lo, values.shape[1])
+    return np.divide(values, divs, out=np.zeros_like(values), where=nonzero & ~small)
 
 
-def small_divisors(spectrum, nonzero, D: int, lo: int):
+def small_divisors(table: VectorSeries, nonzero, lo: int):
     """The resonance test of the solvers, on an ``(n, width)`` block of slots ``lo : lo + width``.
 
-    Returns the mask of the ``nonzero`` entries whose divisor modulus is
-    below ``RESONANCE_TOL``, and one (alpha, j, modulus) record per such
-    entry in graded-lex order (by slot, then axis).
+    Returns the mask of the ``nonzero`` entries whose divisor in ``table``
+    has modulus below ``RESONANCE_TOL``, and one (alpha, j, modulus) record
+    per such entry in graded-lex order (by slot, then axis).
     """
-    _, modulus = divisor_table(spectrum, D)
-    modulus = modulus[:, lo:lo + nonzero.shape[1]]
+    modulus = np.abs(_slots(table, lo, nonzero.shape[1]))
     small = nonzero & (modulus < RESONANCE_TOL)
     if not small.any():
         return small, []
-    indices = graded_indices(spectrum.n, D)
+    indices = graded_indices(table.n, table.trunc)
     slots, axes = np.nonzero(small.T)
     return small, [(indices[lo + i], j, float(modulus[j, i]))
                    for i, j in zip(slots.tolist(), axes.tolist())]
@@ -211,10 +201,10 @@ def settle_small_divisors(bad, clipped: list | None):
         raise DivisorBelowTolerance(*bad[0])
 
 
-def apply_forward_D(spectrum, g: VectorSeries) -> VectorSeries:
-    """Per-monomial multiplication by the divisors (the forward operator)."""
-    table, _ = divisor_table(spectrum, g.trunc)
-    return VectorSeries.from_array(g.n, g.trunc, g.to_array() * table)
+def apply_forward_D(table: VectorSeries, g: VectorSeries) -> VectorSeries:
+    """Per-monomial multiplication by the divisors of ``table`` (the forward operator)."""
+    divs = _slots(table, 0, slot_count(g.n, g.trunc))
+    return VectorSeries.from_array(g.n, g.trunc, g.to_array() * divs)
 
 
 # The benchmark's tracer still looks this up here.  Only it is forwarded: the

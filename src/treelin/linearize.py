@@ -109,8 +109,8 @@ class Linearization(Record):
 # ---------------------------------------------------------------------------
 
 
-def _solve_recursive(spectrum, f: VectorSeries, D: int, clipped: list | None) -> VectorSeries:
-    """Degree-by-degree solution, online: each power of z + h is built once.
+def _solve_recursive(table: VectorSeries, f: VectorSeries, clipped: list | None) -> VectorSeries:
+    """Degree-by-degree solution through f.trunc, online: each power of z + h is built once.
 
     The degree-d part of the equation is D h_d = [f(z + h)]_d.  Because f
     and h have valuation >= 2, the degree-d slots of (z + h)^alpha for
@@ -121,22 +121,22 @@ def _solve_recursive(spectrum, f: VectorSeries, D: int, clipped: list | None) ->
     :func:`solve` silences numpy's overflow warnings, so the check of each
     finished slice is what reports one.
     """
-    n = f.n
+    n, D = f.n, f.trunc
     indices = graded_indices(n, D)
     F = f.to_array()
     terms = [(indices[s], F[:, s]) for s in np.flatnonzero(F.any(axis=0)).tolist()]
     H = VectorSeries.identity(n, D).to_array().copy()  # written below, so not the storage
     h = np.zeros_like(H)
-    table = PowerTable(H, [alpha for alpha, _ in terms], D)
+    powers = PowerTable(H, [alpha for alpha, _ in terms], D)
     for d in range(2, D + 1):
         lo, hi = slot_count(n, d - 1), slot_count(n, d)
-        table.fill(d)
+        powers.fill(d)
         rhs = np.zeros((n, hi - lo), dtype=complex)
         for alpha, coef in terms:
             if sum(alpha) > d:
                 break
-            rhs += np.multiply.outer(coef, table.power[alpha][lo:hi])
-        h_d = divide_slots(spectrum, rhs, D, lo, clipped)
+            rhs += np.multiply.outer(coef, powers.power[alpha][lo:hi])
+        h_d = divide_slots(table, rhs, lo, clipped)
         if not np.isfinite(h_d).all():
             raise CoefficientOverflow(d)
         h[:, lo:hi] = H[:, lo:hi] = h_d
@@ -217,22 +217,22 @@ def _check_settled(H: VectorSeries, Hn: VectorSeries):
                             f"(step {Hn.trunc})")
 
 
-def _solve_fixedpoint(spectrum, f: VectorSeries, D: int, clipped: list | None) -> VectorSeries:
-    """h as the fixed point of f(z + h) divided by the divisors, one degree per step.
+def _solve_fixedpoint(table: VectorSeries, f: VectorSeries, clipped: list | None) -> VectorSeries:
+    """h as the fixed point of f(z + h) divided by the divisors of ``table``, one degree per step.
 
-    Each step divides every degree settled so far, so ``clipped`` is
-    emptied before each division and the last step's records are the whole
-    list, in graded-lex order.
+    Each step divides every degree settled so far by a prefix of ``table``,
+    so ``clipped`` is emptied before each division and the last step's
+    records are the whole list, in graded-lex order.
     """
     _check_finite(f)  # the products would turn it into NaN (inf * 0) below its degree
-    divisor_table(spectrum, D)  # every step divides by a prefix of this table
 
     def op(g: VectorSeries) -> VectorSeries:
         if clipped is not None:
             clipped.clear()
         # looked up per call, so a rebinding of linearize.apply_inverse_D sees every division
-        return apply_inverse_D(spectrum, g, clipped)
+        return apply_inverse_D(table, g, clipped)
 
+    D = f.trunc
     return fixed_point_inversion(op, families.shift_expand(f), 1.0, VectorSeries.zero(f.n, D), D)
 
 
@@ -240,9 +240,11 @@ def _solve_fixedpoint(spectrum, f: VectorSeries, D: int, clipped: list | None) -
 # the solver entry point
 # ---------------------------------------------------------------------------
 
-# Every route is (spectrum, f, D, clipped) -> h.  ``clipped`` None raises
-# at the first small divisor; a list gets the clipped slots' records in
-# graded-lex order.  The tree route is treesum._solve_tree, looked up by
+# Every route is (table, f, clipped) -> h, through degree f.trunc, where
+# ``table`` is divisors.divisor_table of the problem's spectrum at that
+# degree: the routes know the divisors, not the spectrum.  ``clipped`` None
+# raises at the first small divisor; a list gets the clipped slots' records
+# in graded-lex order.  The tree route is treesum._solve_tree, looked up by
 # solve() at call time.
 _METHODS = {
     "recursive": _solve_recursive,
@@ -254,8 +256,8 @@ def solve(problem, D: int, method: str = "recursive",
           on_small_divisor: str = "raise") -> Linearization:
     """Linearize a germ or a vector field to degree D by one of the three methods.
 
-    The kinds differ only in the spectrum, whose divisors each method
-    divides by and :func:`verify_conjugacy` multiplies by again.  A
+    The kinds differ only in the divisor table of their spectrum, which
+    the method divides by and :func:`verify_conjugacy` multiplies by.  A
     nonzero coefficient over a divisor below ``divisors.RESONANCE_TOL``
     raises :class:`DivisorBelowTolerance` naming the first such (alpha, j)
     in graded-lex order, or with ``on_small_divisor="clip"`` every method
@@ -276,7 +278,7 @@ def solve(problem, D: int, method: str = "recursive",
     clipped = [] if on_small_divisor == "clip" else None
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            h = route(problem.spectrum, problem.f.truncate(D), D, clipped)
+            h = route(divisor_table(problem.spectrum, D), problem.f.truncate(D), clipped)
         residual = verify_conjugacy(problem, _check_finite(h))
     except MemoryError as exc:
         raise ResourceLimit(method, problem.f.n, D) from exc
@@ -340,13 +342,14 @@ def classical_lagrange_1d(G: ScalarSeries, orders: int) -> InversionTable:
 def verify_conjugacy(problem, h: VectorSeries) -> ConjugacyReport:
     """Defect of a candidate h (H = z + h) at its truncation: D h - f(z + h).
 
-    D is the forward divisor operator of the problem's spectrum, so one
-    formula serves both kinds.  For a germ it is -(F(H) - H(A z)), slot by
-    slot, since H(A z) - A H multiplies the coefficient of z^alpha in h by
+    D multiplies by the problem's divisor table, built here, so one formula
+    serves both kinds.  For a germ it is -(F(H) - H(A z)), slot by slot,
+    since H(A z) - A H multiplies the coefficient of z^alpha in h by
     lambda^alpha - lambda_j.  Reports the largest coefficient modulus of the
     defect and the scale max(1, |f|, |h|) for relative comparisons.
     """
     D = h.trunc
     f = problem.f.truncate(D)
-    defect = apply_forward_D(problem.spectrum, h) - f.compose(VectorSeries.identity(h.n, D) + h)
+    defect = (apply_forward_D(divisor_table(problem.spectrum, D), h)
+              - f.compose(VectorSeries.identity(h.n, D) + h))
     return ConjugacyReport(defect.max_abs(), max(1.0, f.max_abs(), h.max_abs()), D)

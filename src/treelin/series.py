@@ -215,8 +215,8 @@ class _PairTable:
         return left, right, out2.ravel()
 
 
-# The derived tables of the package (bases and pair tables here, divisor
-# tables and tree plans) are cached in plain dicts in insertion order, oldest
+# The derived tables of the package (bases and pair tables here, and tree
+# plans) are cached in plain dicts in insertion order, oldest
 # first.  A caller pops its key, builds or grows the entry, and stores it back
 # with _recent.  A basis is rebuilt for a larger truncation and serves every
 # smaller one as a prefix.  A pair table keeps one block, the newest, and the

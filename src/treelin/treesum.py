@@ -4,10 +4,10 @@ h_{alpha,j} is a sum over labeled rooted trees (see :mod:`treelin.trees`)
 of divisor and coefficient products.  :class:`LinePolynomials` builds that
 sum for every line as a polynomial in the nonzero coefficients of f,
 bottom-up over subtrees, so no labeling is ever enumerated;
-:class:`TreePlan` compiles the polynomials into arrays, cached per set of
-nonzero coefficients, and :func:`_solve_tree` evaluates a plan at f's
-values.  Only a tree solve runs this module: it shares the series kernel
-and the divisor tables with the other two routes, and nothing else.
+:class:`TreePlan` compiles the polynomials into arrays, cached per divisor
+table and set of nonzero coefficients, and :func:`_solve_tree` evaluates a
+plan at f's values.  Only a tree solve runs this module: it shares the
+kernel and the divisor table with the other two routes, and nothing else.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from itertools import product
 import numpy as np
 
 from . import divisors
-from .errors import UsageError
+from .errors import ResourceLimit, UsageError
 from .records import Record
 from .series import (
     VectorSeries,
@@ -33,6 +33,12 @@ from .series import (
     slot_count,
     unit_index,
 )
+
+
+# The most monomials a LinePolynomials build may hold.  Builds from
+# degree-3 f hold 869,139 at n=3 D=7 and 589,371 at n=2 D=12; n=3 D=8 passes
+# 4 million.
+MONOMIAL_LIMIT = 2_000_000
 
 
 class LinePolynomials:
@@ -60,11 +66,14 @@ class LinePolynomials:
     subtree is the distributive law, so no labeling is ever enumerated.
     Then h_{alpha,j} = S(alpha, j) evaluated at f.
 
-    Divisors come from :func:`divisors.divisor_table` by graded-lex slot.
-    A line whose polynomial is nonempty and whose divisor modulus is below
-    ``divisors.RESONANCE_TOL`` is resolved by
+    div(nu, a) is row a, slot nu of ``table`` (:func:`divisors.divisor_table`),
+    built to its truncation D.  A line whose polynomial is nonempty and whose
+    divisor modulus is below ``divisors.RESONANCE_TOL`` is resolved by
     :func:`divisors.small_divisors`: its polynomial becomes zero and its
     (nu, a, modulus) record joins ``clipped``, in graded-lex order.
+
+    ``held`` counts the monomials of the line polynomials and the power-chain
+    memo; past ``MONOMIAL_LIMIT`` the build raises :class:`ResourceLimit`.
 
     ``poly[(nu, a)]`` maps a monomial to its constant.  A monomial is an
     int holding one byte per variable, the variable's exponent, so the
@@ -78,15 +87,16 @@ class LinePolynomials:
 
     EXPONENT_BITS = 8
 
-    def __init__(self, spectrum, variables, D: int):
+    def __init__(self, table: VectorSeries, variables):
+        n, D = self.n, self.D = table.n, table.trunc
         if D > 1 << self.EXPONENT_BITS:  # a line of degree D has at most D - 1 nodes
             raise UsageError(f"the tree method reaches degree {1 << self.EXPONENT_BITS} at most")
-        n = self.n = spectrum.n
         self.support = sorted({L for L, _ in variables}, key=graded_key)
         self.key = {v: 1 << (self.EXPONENT_BITS * i) for i, v in enumerate(variables)}
         self.poly: dict = {}
         self.count: dict = {}
         self.clipped: list = []
+        self.held = 0
         self._betas: dict = {}  # L -> (beta, binom(L, beta), t!/beta!) for 0 < beta <= L
         self._parent: dict = {}  # beta -> (beta - e_i, i), i its first nonzero axis
         for L in self.support:
@@ -98,20 +108,19 @@ class LinePolynomials:
                 self._parent[b] = (index_sub(b, unit_index(n, i)), i)
         self._memo = {up: {} for up, _ in self._parent.values() if degree(up) >= 2}
         self._live = [[] for _ in range(n)]  # per axis, the momenta of lines with subtrees
-        table, _ = divisors.divisor_table(spectrum, D)
-        indices = graded_indices(n, D)
+        indices, divs = graded_indices(n, D), table.to_array()
         for d in range(2, D + 1):
             lo, hi = slot_count(n, d - 1), slot_count(n, d)
             lines = [self._line(indices[s]) for s in range(lo, hi)]
             nonzero = np.array([[bool(polys[a]) for polys, _ in lines] for a in range(n)])
-            small, bad = divisors.small_divisors(spectrum, nonzero, D, lo)
+            small, bad = divisors.small_divisors(table, nonzero, lo)
             self.clipped.extend(bad)
             for i, (polys, counts) in enumerate(lines):
                 nu = indices[lo + i]
                 for a in range(n):
                     if not nonzero[a, i] or small[a, i]:
                         continue
-                    dv = complex(table[a, lo + i])
+                    dv = complex(divs[a, lo + i])
                     self.poly[(nu, a)] = {k: c / dv for k, c in polys[a].items()}
                     self.count[(nu, a)] = counts[a]
                     self._live[a].append(nu)
@@ -134,6 +143,9 @@ class LinePolynomials:
                 for k, c in R.items():
                     P[k + kv] = P.get(k + kv, 0) + c
                 counts[a] += rc
+        self.held += sum(map(len, polys))  # checked once per line, memo included
+        if self.held > MONOMIAL_LIMIT:
+            raise ResourceLimit("tree", self.n, self.D)
         return polys, counts
 
     def _expansion(self, nu, L):
@@ -181,13 +193,13 @@ class LinePolynomials:
                     P[k1 + k2] = P.get(k1 + k2, 0) + c1 * c2
             pc += qc * self.count[(mu, i)]
         if memo is not None:
+            self.held += len(P)
             memo[m] = P, pc
         return P, pc
 
 
-# compiled plans (see TreePlan) of the most recently used (spectrum, D,
-# variables), keyed by the spectrum record itself, rotation included, as
-# divisors._DIVISOR_TABLES is (see series._recent)
+# compiled plans (see TreePlan) of the most recently used (table, variables),
+# which is all a plan depends on (see series._recent)
 _TREE_PLANS: dict = {}
 
 
@@ -221,16 +233,16 @@ def _tree_variables(f: VectorSeries):
 def tree_plan(problem, D: int) -> TreePlan:
     """The (cached) tree plan :func:`linearize.solve` uses for ``problem`` at degree D."""
     variables, _ = _tree_variables(problem.f.truncate(D))
-    return _tree_plan(problem.spectrum, D, variables)
+    return _tree_plan(divisors.divisor_table(problem.spectrum, D), variables)
 
 
-def _tree_plan(spectrum, D: int, variables: tuple) -> TreePlan:
-    key = (spectrum, D, variables)
+def _tree_plan(table: VectorSeries, variables: tuple) -> TreePlan:
+    key = (table, variables)
     plan = _TREE_PLANS.pop(key, None)
     if plan is not None:
         return _recent(_TREE_PLANS, key, plan)
-    n = spectrum.n
-    lines = LinePolynomials(spectrum, variables, D)
+    n, D = table.n, table.trunc
+    lines = LinePolynomials(table, variables)
     M = slot_count(n, D)
     slot_of = {alpha: s for s, alpha in enumerate(graded_indices(n, D))}
     keys: list = []
@@ -265,19 +277,19 @@ def _index_rows(keys: list, V: int) -> np.ndarray:
     return rows
 
 
-def _solve_tree(spectrum, f: VectorSeries, D: int, clipped: list | None) -> VectorSeries:
-    """Explicit tree-sum solution (the same trees for germs and fields).
+def _solve_tree(table: VectorSeries, f: VectorSeries, clipped: list | None) -> VectorSeries:
+    """Explicit tree-sum solution through f.trunc (the same trees for germs and fields).
 
     Each coefficient is the sum over labeled rooted trees of the divisor and
     coefficient product, weighted per node by binom(label, entering axes)
     times beta!/m! (the multinomial share of the ordered child slots).  The
-    sum is compiled once per set of nonzero coefficients of f into a
-    :class:`TreePlan`, and evaluated with one gather, one product per row
-    and one sum per slot.
+    sum is compiled once per divisor table and set of nonzero coefficients
+    of f into a :class:`TreePlan`, and evaluated with one gather, one
+    product per row and one sum per slot.
     """
-    n = f.n
+    n, D = f.n, f.trunc
     variables, values = _tree_variables(f)
-    plan = _tree_plan(spectrum, D, variables)
+    plan = _tree_plan(table, variables)
     divisors.settle_small_divisors(plan.clipped, clipped)
     terms = plan.const * np.append(values, 1.0)[plan.rows].prod(axis=1)
     h = np.zeros(n * slot_count(n, D), dtype=complex)

@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from treelin import Germ, GermSpectrum, VectorSeries, linearize, series
+from treelin import Germ, GermSpectrum, VectorSeries, linearize, series, treesum
 from treelin.cli import build_parser, main
 from treelin.documents import (
     canonical_bytes,
@@ -542,6 +542,49 @@ def test_domain_error_exit_2(tmp_path, capsys):
     assert main(["diagnose", "condition", "--omega", "0.6", "--dmax", "5"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("domain error (ResonantSpectrum): "), err
+
+
+def test_a_degree_above_the_documents_truncation_is_a_usage_error(tmp_path, capsys):
+    # a document states f only through its truncation, so a solve or a check
+    # above it would read coefficients the document never gave
+    germ = _write_problem(tmp_path, seed=1, n=2, degree_f=3, trunc=6)
+    field = _write_problem(tmp_path, seed=1, n=2, degree_f=3, trunc=6, kind="field")
+    longer = _write_problem(tmp_path, seed=2, n=2, degree_f=3, trunc=7)
+    h7 = tmp_path / "h7.json"
+    assert main(["linearize", "germ", "--input", str(longer), "--degree", "7",
+                 "--output", str(h7)]) == 0
+    capsys.readouterr()
+    cases = [
+        (["linearize", "germ", "--input", str(germ), "--degree", "7"], "--degree 7"),
+        (["linearize", "field", "--input", str(field), "--degree", "9", "--method", "all"],
+         "--degree 9"),
+        (["diagnose", "domain", "--input", str(field), "--degree", "8"], "--degree 8"),
+        (["verify", "--input", str(germ), "--solution", str(h7)], "truncation 7"),
+    ]
+    for argv, named in cases:
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("usage error: "), (argv, captured.err)
+        assert named in captured.err and "truncation 6" in captured.err, (argv, captured.err)
+    # at the document's truncation, and below it, the same commands run
+    for D in ("6", "5"):
+        assert main(["linearize", "germ", "--input", str(germ), "--degree", D]) == 0
+        assert main(["linearize", "field", "--input", str(field), "--degree", D]) == 0
+
+
+def test_a_tree_build_past_its_monomial_limit_exits_2(tmp_path, capsys, monkeypatch):
+    # --method all stops at the tree route, with a one-line message naming it
+    problem = _write_problem(tmp_path, seed=1, n=2, degree_f=3, trunc=6)
+    treesum._TREE_PLANS.clear()
+    monkeypatch.setattr(treesum, "MONOMIAL_LIMIT", 1000)
+    capsys.readouterr()
+    assert main(["linearize", "germ", "--input", str(problem), "--degree", "6",
+                 "--method", "all"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == ("domain error (ResourceLimit): the tree route ran "
+                                             "out of memory at n=2, D=6")
 
 
 def test_running_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):

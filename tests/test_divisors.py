@@ -16,6 +16,7 @@ from treelin import (
     RationalDetected,
     ResonantSpectrum,
     ScaleSequence,
+    TruncationMismatch,
     VectorSeries,
     apply_forward_D,
     apply_inverse_D,
@@ -23,6 +24,7 @@ from treelin import (
     bruno_series_1d,
     bruno_sum,
     continued_fraction,
+    divisor_table,
     frac_distance,
     omega_frac,
     omega_hat,
@@ -71,12 +73,12 @@ def test_rotation_divisor_is_stable_near_resonance():
 def test_apply_inverse_examples():
     spec = GermSpectrum((2.0,))
     g = VectorSeries.from_coeffs(1, 4, {(2,): (1.0,)})
-    out = apply_inverse_D(spec, g)
+    out = apply_inverse_D(divisor_table(spec, 4), g)
     assert abs(out.coefficient((2,))[0] - 0.5) < 1e-15  # divisor 4 - 2 = 2
 
     fspec = FieldSpectrum((1.0,))
     g3 = VectorSeries.from_coeffs(1, 4, {(3,): (1.0,)})
-    out = apply_inverse_D(fspec, g3)
+    out = apply_inverse_D(divisor_table(fspec, 4), g3)
     assert abs(out.coefficient((3,))[0] - 0.5) < 1e-15  # divisor 3 - 1 = 2
 
 
@@ -84,33 +86,42 @@ def test_apply_inverse_requires_valuation_two():
     spec = GermSpectrum((2.0,))
     g = VectorSeries.from_coeffs(1, 4, {(1,): (1.0,)})
     with pytest.raises(ValueError):
-        apply_inverse_D(spec, g)
+        apply_inverse_D(divisor_table(spec, 4), g)
+
+
+def test_divisor_operators_refuse_a_table_shorter_than_the_series():
+    g = VectorSeries.from_coeffs(1, 4, {(2,): (1.0,)})
+    table = divisor_table(GermSpectrum((2.0,)), 3)
+    with pytest.raises(TruncationMismatch):
+        apply_inverse_D(table, g)
+    with pytest.raises(TruncationMismatch):
+        apply_forward_D(table, g)
 
 
 def test_apply_inverse_raises_on_resonance():
     spec = GermSpectrum((4.0, 2.0))  # resonant at (0, 2), axis 0
     g = VectorSeries.from_coeffs(2, 4, {(0, 2): (1.0, 1.0)})
     with pytest.raises(DivisorBelowTolerance) as info:
-        apply_inverse_D(spec, g)
+        apply_inverse_D(divisor_table(spec, 4), g)
     assert info.value.index == (0, 2)
     assert info.value.axis == 0
 
 
 def test_inverse_preserves_valuation_and_round_trips(rng):
-    spec = GermSpectrum.from_rotation((GOLDEN, SILVER))
+    table = divisor_table(GermSpectrum.from_rotation((GOLDEN, SILVER)), 6)
     for _ in range(25):
         g = random_vector_series(rng, 2, 6, min_degree=2, density=0.6)
-        out = apply_inverse_D(spec, g)
+        out = apply_inverse_D(table, g)
         assert out.valuation() == g.valuation()
-        assert_series_close(apply_forward_D(spec, out), g, rel=1e-12)
+        assert_series_close(apply_forward_D(table, out), g, rel=1e-12)
         # additivity and scalar commutation
         g2 = random_vector_series(rng, 2, 6, min_degree=2, density=0.6)
-        lhs = apply_inverse_D(spec, g + g2)
-        rhs = apply_inverse_D(spec, g) + apply_inverse_D(spec, g2)
+        lhs = apply_inverse_D(table, g + g2)
+        rhs = apply_inverse_D(table, g) + apply_inverse_D(table, g2)
         assert_series_close(lhs, rhs, rel=1e-12)
         assert_series_close(
-            apply_inverse_D(spec, g.scale(2.5j)),
-            apply_inverse_D(spec, g).scale(2.5j),
+            apply_inverse_D(table, g.scale(2.5j)),
+            apply_inverse_D(table, g).scale(2.5j),
             rel=1e-12,
         )
 
@@ -129,25 +140,24 @@ def test_forward_operator_matches_composition_definition(rng):
             composed = g.compose(Az) - VectorSeries(
                 [g.components[j].scale(spec.lam[j]) for j in range(n)]
             )
-            gap = (apply_forward_D(spec, g) - composed).max_abs()
+            gap = (apply_forward_D(divisor_table(spec, D), g) - composed).max_abs()
             assert gap <= 1e-13 * composed.max_abs(), (n, spec)
 
 
 def test_divisor_table_of_a_smaller_truncation_is_a_prefix():
-    # after a larger table is built, a smaller truncation reads its prefix,
-    # bitwise the table built on its own
-    from treelin import divisors
+    # the prefix of a larger table is, bitwise, the table of the smaller
+    # truncation and the divisors taken one by one; so the fixed point's
+    # steps may divide by prefixes of the solve's one table
     from treelin.series import graded_indices
 
     for spec in (GermSpectrum.from_rotation((GOLDEN, SILVER)), FieldSpectrum((-1.0, GOLDEN))):
-        divisors._DIVISOR_TABLES.clear()
-        divisors.divisor_table(spec, 9)
+        large = divisor_table(spec, 9)
         for D in (0, 3, 9):
-            table, modulus = divisors.divisor_table(spec, D)
+            prefix = large.truncate(D)
             fresh = np.array([[spec.divisor(a, j) for a in graded_indices(2, D)] for j in range(2)])
-            assert table.tobytes() == fresh.tobytes()
-            assert modulus.tobytes() == np.abs(fresh).tobytes()
-        assert divisors._DIVISOR_TABLES[spec][0] == 9
+            assert prefix.trunc == D
+            assert prefix.to_array().tobytes() == fresh.tobytes()
+            assert divisor_table(spec, D).to_array().tobytes() == fresh.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -30,14 +30,14 @@ from treelin import (
     tree_value,
     verify_conjugacy,
 )
-from treelin import bruno, cli, divisors, linearize, series, trees
+from treelin import bruno, cli, linearize, series, trees, treesum
 from treelin.diagnostics import germ_family_radius
 from treelin.bruno import omega_frac, omega_hat, omega_tilde
-from treelin.divisors import apply_inverse_D
+from treelin.divisors import apply_inverse_D, divisor_table
 from treelin.documents import load_json, problem_from_doc
 from treelin.families import SeriesFamily, formal_derivative
 from treelin.linearize import SETTLED_RTOL
-from treelin.series import ScalarSeries, iter_indices, slot_count
+from treelin.series import ScalarSeries, graded_indices, iter_indices, slot_count
 from treelin.trees import children_lists
 from treelin.treesum import _TREE_PLANS, tree_plan
 
@@ -136,10 +136,11 @@ def homogeneous(g: VectorSeries, d: int) -> VectorSeries:
 def recursive_oracle(problem, D, clipped=None):
     """The recursion by one full composition f(z + h) per degree; a list ``clipped`` clips."""
     n, f = problem.f.n, problem.f.truncate(D)
+    table = divisor_table(problem.spectrum, D)
     h = VectorSeries.zero(n, D)
     for d in range(2, D + 1):
         rhs = f.truncate(d).compose(VectorSeries.identity(n, d) + h.truncate(d))
-        h = h + apply_inverse_D(problem.spectrum, homogeneous(rhs, d).truncate(D), clipped)
+        h = h + apply_inverse_D(table, homogeneous(rhs, d).truncate(D), clipped)
     return h
 
 
@@ -341,19 +342,24 @@ def test_tree_solve_enumerates_no_labeling(tmp_path, monkeypatch):
     assert sum(tree_plan(problem, 6).summands) > 0
 
 
-def test_tree_plans_are_keyed_by_the_whole_spectrum(tmp_path):
+def test_tree_plans_are_keyed_by_the_divisor_table(tmp_path):
     # a germ given by lambda has the eigenvalues of the rotation germ, but its
-    # divisors are lambda^nu - lambda_j, not the rotation's stable form, so it
-    # must not reuse the rotation germ's plan
+    # divisors are lambda^nu - lambda_j, not the rotation's stable form, so its
+    # table differs and it must not reuse the rotation germ's plan
     rot = fixture_problem(tmp_path, "germ", 2, 6, 1)
     assert rot.spectrum.rotation is not None
     lam = Germ(GermSpectrum(rot.spectrum.lam), rot.f)
+    tables = {divisor_table(p.spectrum, 6) for p in (rot, lam)}
+    assert len(tables) == 2
     _TREE_PLANS.clear()
     alone = solve(lam, 6, "tree").h
     _TREE_PLANS.clear()
     solve(rot, 6, "tree")
     after = solve(lam, 6, "tree").h
     assert after.to_array().tobytes() == alone.to_array().tobytes()
+    # one plan per table, for the one set of variables of f
+    assert {table for table, _ in _TREE_PLANS} == tables
+    assert len({variables for _, variables in _TREE_PLANS}) == 1
 
 
 def test_module_caches_stay_bounded(golden_spectrum_1d):
@@ -388,11 +394,8 @@ def test_module_caches_stay_bounded(golden_spectrum_1d):
     for n in range(2, series._CACHE_LIMIT + 6):
         s = ScalarSeries.one(n, 1)
         s.multiply(s)
-    # more spectra than the divisor cache keeps
-    for k in range(series._CACHE_LIMIT + 4):
-        divisors.divisor_table(GermSpectrum.from_rotation((GOLDEN / (k + 2),)), 5)
     # one bound for every dict cache, each driven past it above
-    for cache in (series._BASES, series._PAIR_TABLES, divisors._DIVISOR_TABLES, _TREE_PLANS):
+    for cache in (series._BASES, series._PAIR_TABLES, _TREE_PLANS):
         assert len(cache) == series._CACHE_LIMIT
     caches = (trees._forest, trees.children_lists, trees._labeled_forest_cached,
               bruno.omega_tilde, bruno.omega_frac, bruno.omega_hat)
@@ -439,6 +442,62 @@ def test_running_out_of_memory_is_a_resource_limit(tmp_path, monkeypatch, method
         solve(problem, 6, method)
     assert (info.value.route, info.value.n, info.value.D) == (method, 2, 6)
     assert isinstance(info.value.__cause__, MemoryError)
+
+
+def test_tree_build_past_its_monomial_limit_is_a_resource_limit(tmp_path, monkeypatch):
+    problem = fixture_problem(tmp_path, "germ", 2, 6, 1)
+    variables, _ = treesum._tree_variables(problem.f)
+    held = treesum.LinePolynomials(divisor_table(problem.spectrum, 6), variables).held
+    assert 0 < held <= treesum.MONOMIAL_LIMIT
+    _TREE_PLANS.clear()
+    monkeypatch.setattr(treesum, "MONOMIAL_LIMIT", held - 1)
+    with pytest.raises(ResourceLimit) as info:
+        solve(problem, 6, "tree")
+    assert (info.value.route, info.value.n, info.value.D) == ("tree", 2, 6)
+    monkeypatch.setattr(treesum, "MONOMIAL_LIMIT", held)
+    assert solve(problem, 6, "tree").h.max_abs() > 0
+
+
+# ---------------------------------------------------------------------------
+# the majorant: the same equation over the moduli table and |f|
+# ---------------------------------------------------------------------------
+
+ROUTES = {
+    "recursive": linearize._solve_recursive,
+    "fixedpoint": linearize._solve_fixedpoint,
+    "tree": treesum._solve_tree,
+}
+
+
+def moduli(series_: VectorSeries) -> VectorSeries:
+    """The coefficient moduli of a vector series, as a complex vector series."""
+    array = np.abs(series_.to_array()).astype(complex)
+    return VectorSeries.from_array(series_.n, series_.trunc, array)
+
+
+@pytest.mark.parametrize("kind", ["germ", "field"])
+@pytest.mark.parametrize("n,D,tree_D", [(2, 10, 10), (3, 10, 6), (1, 30, 12)])
+def test_every_route_over_the_moduli_table_solves_the_majorant(tmp_path, kind, n, D, tree_D):
+    # The majorant M = |D|^-1 [|f|(z + M)] is the equation over the moduli
+    # table and |f|.  It has no cancellation, so every route must give the
+    # recursion's M within 8 d eps M_alpha at each slot of degree d, and M
+    # must bound every route's |h_alpha| within a factor 1 + 4 d eps.  Both
+    # bounds were fixed before the first run.  The real problem is solved by
+    # tree first: |f| has f's support, so a plan keyed by support would be
+    # reused for M, wrongly.
+    eps = np.finfo(float).eps
+    for seed in (1, 2):
+        problem = fixture_problem(tmp_path, kind, n, D, seed)
+        for method, route in ROUTES.items():
+            Dm = tree_D if method == "tree" else D
+            h = solve(problem, Dm, method).h.to_array()
+            table = moduli(divisor_table(problem.spectrum, Dm))
+            f = moduli(problem.f.truncate(Dm))
+            M = np.abs(linearize._solve_recursive(table, f, None).to_array())
+            d = np.array([sum(alpha) for alpha in graded_indices(n, Dm)])
+            gap = np.abs(route(table, f, None).to_array() - M)
+            assert (gap <= 8 * d * eps * M).all(), (method, seed, (gap / M).max())
+            assert (np.abs(h) <= M * (1 + 4 * d * eps)).all(), (method, seed)
 
 
 def test_germ_field_structural_parity(rng):
@@ -506,7 +565,7 @@ def test_fixed_point_constant_family():
 def test_fixed_point_matches_recursive(rng, golden_spectrum_1d):
     f = random_vector_series(rng, 1, 7, min_degree=2, max_degree=4)
     germ = Germ(golden_spectrum_1d, f)
-    op = partial(apply_inverse_D, golden_spectrum_1d)
+    op = partial(apply_inverse_D, divisor_table(golden_spectrum_1d, 7))
     H = fixed_point_inversion(op, shift_expand(f.truncate(7)), 1.0,
                               VectorSeries.zero(1, 7), 7)
     assert_series_close(H, solve(germ, 7, "recursive").h, rel=1e-10)
@@ -592,7 +651,7 @@ def full_truncation_fixed_point(op, family, u, w, D):
 def test_growing_truncation_is_bitwise_the_full_iteration(tmp_path, kind, n, D):
     for seed in (1, 2):
         problem = fixture_problem(tmp_path, kind, n, D, seed)
-        op = partial(apply_inverse_D, problem.spectrum)
+        op = partial(apply_inverse_D, divisor_table(problem.spectrum, D))
         family = shift_expand(problem.f.truncate(D))
         w = VectorSeries.zero(n, D)
         want = full_truncation_fixed_point(op, family, 1.0, w, D)
@@ -648,7 +707,7 @@ def test_fixed_point_valuation_ladder(rng, golden_spectrum_1d):
     # partial tree sums match the fixed point through degree N + 1 (to
     # roundoff); the remainder is carried by trees of higher order
     f = random_vector_series(rng, 1, 6, min_degree=2, max_degree=3)
-    op = partial(apply_inverse_D, golden_spectrum_1d)
+    op = partial(apply_inverse_D, divisor_table(golden_spectrum_1d, 6))
     fam = shift_expand(f.truncate(6))
     H = fixed_point_inversion(op, fam, 1.0, VectorSeries.zero(1, 6), 6)
     acc = VectorSeries.zero(1, 6)
@@ -703,7 +762,7 @@ def test_per_tree_label_identity(rng, n):
             else GermSpectrum.from_rotation((GOLDEN, SILVER)))
     f = random_vector_series(rng, n, D, min_degree=2, max_degree=3)
     germ = Germ(spec, f)
-    op = partial(apply_inverse_D, spec)
+    op = partial(apply_inverse_D, divisor_table(spec, D))
     fam = shift_expand(f)
     for N in range(1, 5):
         for theta in enumerate_forest(N):

@@ -129,7 +129,7 @@ def test_tree_and_recursive_agree_on_drawn_spectra(kind, n, D, seed, keep, omega
     # divisor is a factor of the numerator); each method then sees rounding
     # noise or an exact zero over a zero divisor, which decides nothing.
     # Simple drawn values such as (-1, 0.5) give such resonances.
-    _, modulus = divisor_table(spectrum, D)
+    modulus = abs(divisor_table(spectrum, D).to_array())
     if modulus[:, n + 1:].min() < EXACT_RESONANCE:
         reject()
     problem = type(problem)(spectrum, problem.f)

@@ -20,6 +20,7 @@ from treelin import (
     standard_decomposition,
 )
 from treelin.bruno import frac_distance, omega_frac, omega_hat, phi_counting
+from treelin.divisors import divisor_table
 from treelin.series import abs_degree, graded_key, iter_indices, signed_degree
 from treelin.trees import children_lists, is_valid_m
 from treelin.treesum import LinePolynomials
@@ -178,7 +179,7 @@ def test_line_polynomials_are_the_labeling_sums(kind, n, alpha_max, supports):
         sup = (full_support(n, alpha_max) if which == "full"
                else thinned_support(n, alpha_max, which))
         variables = tuple((L, a) for L in sorted(sup, key=graded_key) for a in range(n))
-        lines = LinePolynomials(spectrum, variables, alpha_max)
+        lines = LinePolynomials(divisor_table(spectrum, alpha_max), variables)
         assert not lines.clipped
         for alpha in iter_indices(n, alpha_max, 2):
             for j in range(n):
