@@ -24,19 +24,15 @@ def _register_deferred(name: str):
 
 
 # Each command runs only the modules it uses (README, "Module map"): these
-# are registered here, before any other submodule is imported, so that
-# `from . import trees` anywhere finds the deferred module instead of
-# loading it.  Their code runs on the first attribute access.
-trees = _register_deferred("trees")
-treesum = _register_deferred("treesum")
-families = _register_deferred("families")
-bruno = _register_deferred("bruno")
-diagnostics = _register_deferred("diagnostics")
-documents = _register_deferred("documents")
-commands = _register_deferred("commands")
-fixture = _register_deferred("fixture")
+# are registered here, as treelin.series and so on, before any other
+# submodule is imported, so that `from . import trees` anywhere finds the
+# deferred module instead of loading it.  Their code runs on the first
+# attribute access, so a process loads numpy only when its command computes.
+globals().update((name, _register_deferred(name)) for name in (
+    "series", "divisors", "linearize", "trees", "treesum", "families", "bruno", "diagnostics",
+    "documents", "commands", "fixture"))
 
-from . import divisors, errors, linearize, series  # noqa: E402
+from . import errors  # noqa: E402
 
 # the public names, by the submodule that defines them
 _EXPORTS = {

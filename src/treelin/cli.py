@@ -207,7 +207,7 @@ def build_parser() -> _Parser:
     p.add_argument("--omega", type=_finite)
     p.add_argument("--dmax", type=_at_least(2), default=200)
     p.add_argument("--k", type=_at_least(1), default=1)
-    p.add_argument("--degree", type=_at_least(0), default=40)
+    p.add_argument("--degree", type=_at_least(0), help="family: 40, domain: the truncation of f")
     p.add_argument("--majorant-r", type=_finite_where(lambda r: r > 0, "positive"))
     p.add_argument("--emit-csv", metavar="PATH")
     p.add_argument("--output", metavar="PATH")

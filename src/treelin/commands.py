@@ -221,8 +221,9 @@ def cmd_diagnose(args) -> int:
     elif args.what == "family":
         if args.omega is None:
             raise UsageError("family diagnostics need --omega")
-        rep = diagnostics.germ_family_radius(args.k, args.omega, args.degree)
-        _require_fit(rep.radius, f"--degree {args.degree}")
+        degree = 40 if args.degree is None else args.degree  # domain's is the truncation
+        rep = diagnostics.germ_family_radius(args.k, args.omega, degree)
+        _require_fit(rep.radius, f"--degree {degree}")
         rows.append("k,omega,degree,radius,log_radius,jackknife_spread,"
                     "bruno_value,reference_log_radius,empirical_gap")
         rows.append(
@@ -235,11 +236,16 @@ def cmd_diagnose(args) -> int:
         problem = documents.problem_from_doc(doc)
         if not isinstance(problem, linearize.VectorField):
             raise UsageError("domain diagnostics need a field problem document")
-        if args.degree > problem.f.trunc:
-            raise UsageError(f"--degree {args.degree} is above the document's truncation {problem.f.trunc}")
+        try:  # refused here, before the solve
+            diagnostics.family_omega(problem.spectrum)
+        except ValueError as exc:
+            raise UsageError(f"domain diagnostics need a normalized planar field: {exc}") from exc
+        degree = problem.f.trunc if args.degree is None else args.degree
+        if degree > problem.f.trunc:
+            raise UsageError(f"--degree {degree} is above the document's truncation {problem.f.trunc}")
         # the parser refuses a radius that is not positive, so only None falls back
-        rep = diagnostics.vf_domain_estimate(problem, args.degree, args.majorant_r or 0.5)
-        _require_fit(rep.rho, f"--degree {args.degree}")
+        rep = diagnostics.vf_domain_estimate(problem, degree, args.majorant_r or 0.5)
+        _require_fit(rep.rho, f"--degree {degree}")
         rows.append("omega,degree,rho,d_estimate,log_d,bruno_value,gap,divergence_flag")
         rows.append(
             f"{rep.omega!r},{rep.degree},{rep.rho!r},{rep.d_estimate!r},"

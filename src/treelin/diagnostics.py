@@ -321,6 +321,16 @@ class DomainReport(Record):
     )
 
 
+def family_omega(spectrum) -> float:
+    """The omega of a normalized planar family's spectrum (-1, omega), omega > 0, else ValueError."""
+    if spectrum.n != 2:
+        raise ValueError("the normalized family is two-dimensional")
+    w0, w1 = spectrum.omega
+    if abs(w0 + 1.0) > 1e-9 or abs(w1.imag) > 1e-9 or w1.real <= 0:
+        raise ValueError("the normalized family has spectrum (-1, omega), omega > 0")
+    return float(w1.real)
+
+
 def vf_domain_estimate(field_: VectorField, D: int = 20, majorant_r: float = 0.5,
                        divergence_threshold: float = 1e6) -> DomainReport:
     """Polydisk-size estimate for a normalized planar field (-z1, omega z2) + f.
@@ -331,13 +341,7 @@ def vf_domain_estimate(field_: VectorField, D: int = 20, majorant_r: float = 0.5
     The absolute-value majorant partial sums at ``majorant_r`` raise the
     divergence flag once they pass ``divergence_threshold``.
     """
-    spectrum = field_.spectrum
-    if spectrum.n != 2:
-        raise ValueError("the normalized family is two-dimensional")
-    w0, w1 = spectrum.omega
-    if abs(w0 + 1.0) > 1e-9 or abs(w1.imag) > 1e-9 or w1.real <= 0:
-        raise ValueError("the normalized family has spectrum (-1, omega), omega > 0")
-    omega = float(w1.real)
+    omega = family_omega(field_.spectrum)
     for alpha, vec in field_.f.coeff_items():
         for j, c in enumerate(vec):
             if abs(c) > 1.0 + 1e-12:

@@ -14,8 +14,6 @@ import json
 import math
 from json.encoder import encode_basestring_ascii as _string
 
-import numpy as np
-
 try:  # CPython's own SHA-256; hashlib would load OpenSSL's libcrypto, several MB resident
     from _sha2 import sha256 as _sha256  # 3.12 and later
 except ImportError:
@@ -24,10 +22,10 @@ except ImportError:
     except ImportError:
         from hashlib import sha256 as _sha256
 
-from .divisors import FieldSpectrum, GermSpectrum
+# deferred modules, run on first use, so a document of plain data, such as
+# the fixture's, is written without them and without numpy
+from . import divisors, linearize, series
 from .errors import UsageError
-from .linearize import Germ, VectorField
-from .series import ScalarSeries, VectorSeries, graded_indices
 
 
 def _is_number(value, kinds=(int, float)) -> bool:
@@ -59,18 +57,18 @@ def _pair(z: complex):
 # ---------------------------------------------------------------------------
 
 
-def series_to_doc(series) -> dict:
+def series_to_doc(s) -> dict:
     """Canonical document for a scalar or vector series."""
-    if isinstance(series, ScalarSeries):
+    if isinstance(s, series.ScalarSeries):
         terms = [
-            {"alpha": list(a), "value": _pair(c)} for a, c in series.items()
+            {"alpha": list(a), "value": _pair(c)} for a, c in s.items()
         ]
-        return {"n": series.n, "D": series.trunc, "kind": "scalar", "terms": terms}
+        return {"n": s.n, "D": s.trunc, "kind": "scalar", "terms": terms}
     terms = [
         {"alpha": list(a), "value": [_pair(c) for c in vec]}
-        for a, vec in series.coeff_items()
+        for a, vec in s.coeff_items()
     ]
-    return {"n": series.n, "D": series.trunc, "kind": "vector", "terms": terms}
+    return {"n": s.n, "D": s.trunc, "kind": "vector", "terms": terms}
 
 
 def series_from_doc(doc: dict):
@@ -99,8 +97,8 @@ def series_from_doc(doc: dict):
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed series document: {exc}") from exc
     if kind == "scalar":
-        return ScalarSeries(n, D, coeffs)
-    return VectorSeries.from_coeffs(n, D, coeffs)
+        return series.ScalarSeries(n, D, coeffs)
+    return series.VectorSeries.from_coeffs(n, D, coeffs)
 
 
 def index(value, n: int) -> tuple:
@@ -127,14 +125,14 @@ def _alpha(term: dict, n: int, D: int):
 
 def problem_to_doc(problem, options: dict | None = None) -> dict:
     """The problem's document, holding ``f`` itself; :func:`canonical_bytes` writes it."""
-    if isinstance(problem, Germ):
+    if isinstance(problem, linearize.Germ):
         spec = problem.spectrum
         if spec.rotation is not None:
             spectrum = {"rotation": list(spec.rotation)}
         else:
             spectrum = {"lambda": [_pair(x) for x in spec.lam]}
         kind = "germ"
-    elif isinstance(problem, VectorField):
+    elif isinstance(problem, linearize.VectorField):
         spectrum = {"omega": [_pair(x) for x in problem.spectrum.omega]}
         kind = "field"
     else:
@@ -179,11 +177,11 @@ def spectrum_from_doc(doc, kind: str, n: int | None = None):
     """
     try:
         if kind == "field":
-            spec = FieldSpectrum(_finite(doc["omega"], "field eigenvalues", _cplx))
+            spec = divisors.FieldSpectrum(_finite(doc["omega"], "field eigenvalues", _cplx))
         elif "rotation" in doc:
-            spec = GermSpectrum.from_rotation(real_numbers(doc["rotation"], "rotation numbers"))
+            spec = divisors.GermSpectrum.from_rotation(real_numbers(doc["rotation"], "rotation numbers"))
         else:
-            spec = GermSpectrum(_finite(doc["lambda"], "germ eigenvalues", _cplx))
+            spec = divisors.GermSpectrum(_finite(doc["lambda"], "germ eigenvalues", _cplx))
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed {kind} spectrum {doc!r}: {exc!r}") from exc
     if not spec.n or n not in (None, spec.n):
@@ -202,11 +200,11 @@ def problem_from_doc(doc: dict):
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed problem document: {exc}") from exc
     f = series_from_doc(series_doc)
-    if not isinstance(f, VectorSeries) or f.n != n:
+    if not isinstance(f, series.VectorSeries) or f.n != n:
         raise UsageError("problem series must be an n-component vector series")
     spec = spectrum_from_doc(spectrum_doc, kind, n)
     try:  # the problem checks that f has valuation >= 2
-        return (Germ if kind == "germ" else VectorField)(spec, f)
+        return (linearize.Germ if kind == "germ" else linearize.VectorField)(spec, f)
     except ValueError as exc:
         raise UsageError(f"malformed problem document: {exc}") from exc
 
@@ -225,9 +223,9 @@ def canonical_bytes(doc) -> bytes:
 
     Keys sorted, two-space indent, one element per line, ASCII escapes,
     floats as Python's shortest ``repr`` and non-finite ones as ``NaN``,
-    ``Infinity`` and ``-Infinity``.  A :class:`ScalarSeries` or
-    :class:`VectorSeries` is written as its :func:`series_to_doc` document.
-    Keys must be strings.
+    ``Infinity`` and ``-Infinity``.  A :class:`~treelin.series.ScalarSeries`
+    or :class:`~treelin.series.VectorSeries` is written as its
+    :func:`series_to_doc` document.  Keys must be strings.
     """
     return (_text(doc, 0) + "\n").encode("ascii")
 
@@ -255,7 +253,8 @@ def _text(value, level: int) -> str:
             raise TypeError(f"keys must be str, got {list(value)!r}")
         return _listing("{}", [f"{_string(key)}: {_text(value[key], level + 1)}"
                                for key in sorted(value)], level)
-    if isinstance(value, (ScalarSeries, VectorSeries)):
+    # last, so that a document of plain data never runs treelin.series
+    if isinstance(value, (series.ScalarSeries, series.VectorSeries)):
         return _series_text(value, level)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -273,14 +272,16 @@ def _listing(brackets: str, entries: list, level: int) -> str:
     return f"{brackets[0]}{inner}{(',' + inner).join(entries)}\n{_INDENT * level}{brackets[1]}"
 
 
-def _series_text(series, level: int) -> str:
-    """``_text(series_to_doc(series), level)``, written from the coefficient array.
+def _series_text(s, level: int) -> str:
+    """``_text(series_to_doc(s), level)``, written from the coefficient array.
 
     Each nonzero slot fills one term template with its index and the real
     and imaginary parts of its coefficients, component by component.
     """
-    n, scalar = series.n, isinstance(series, ScalarSeries)
-    rows = series.vector[np.newaxis] if scalar else series.to_array()
+    import numpy as np  # only a series object is written with numpy
+
+    n, scalar = s.n, isinstance(s, series.ScalarSeries)
+    rows = s.vector[np.newaxis] if scalar else s.to_array()
     used = np.flatnonzero(rows.any(axis=0))
     # re, im of each component, slot by slot
     floats = np.ascontiguousarray(rows[:, used].T).view(float).ravel().tolist()
@@ -291,11 +292,11 @@ def _series_text(series, level: int) -> str:
     value = pair if scalar else _listing("[]", [pair] * n, level + 3)
     template = _listing("{}", ['"alpha": ' + _listing("[]", ["%d"] * n, level + 3),
                                '"value": ' + value], level + 2)
-    indices = graded_indices(n, series.trunc)
+    indices = series.graded_indices(n, s.trunc)
     width = 2 * len(rows)
     terms = [template % (*indices[i], *parts[t:t + width])
              for t, i in zip(range(0, len(parts), width), used.tolist())]
-    return _listing("{}", [f'"D": {series.trunc}', f'"kind": "{"scalar" if scalar else "vector"}"',
+    return _listing("{}", [f'"D": {s.trunc}', f'"kind": "{"scalar" if scalar else "vector"}"',
                            f'"n": {n}', '"terms": ' + _listing("[]", terms, level + 1)], level)
 
 

@@ -59,16 +59,17 @@ class ConjugacyDefect(TreelinError):
 
 
 class ResourceLimit(TreelinError):
-    """A solve ran out of memory: the route needs more at this n and D than the process may take.
+    """A solve needs more at this n and D than the process may take: memory, or a count limit.
 
-    Carries the ``route``, ``n`` and ``D`` of the solve.
+    Carries the ``route``, ``n`` and ``D`` of the solve and the ``cause`` its message names.
     """
 
-    def __init__(self, route, n, D):
+    def __init__(self, route, n, D, cause):
         self.route = route
         self.n = n
         self.D = D
-        super().__init__(f"the {route} route ran out of memory at n={n}, D={D}")
+        self.cause = cause
+        super().__init__(f"the {route} route {cause} at n={n}, D={D}")
 
 
 class RationalDetected(TreelinError):

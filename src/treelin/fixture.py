@@ -3,18 +3,18 @@
 The coefficients are numpy's ``default_rng(seed).uniform`` draws, double for
 double, from :class:`Uniform`, a Python copy of that stream: numpy's
 ``SeedSequence`` seeding, its PCG64 (XSL-RR 128/64) generator and its
-53-bit doubles.  So the fixture bytes are those numpy's stream gives, and a
-``fixture`` process never imports ``numpy.random``, which also loads
-``secrets``, ``hmac`` and OpenSSL.  Only ``fixture`` runs this module.
+53-bit doubles.  The document is plain data, laid out as
+:func:`documents.problem_to_doc` lays out a problem, so a ``fixture``
+process loads no numpy at all.  Only ``fixture`` runs this module.
 """
 
 from __future__ import annotations
 
 import math
 
-from . import divisors, documents, linearize
+from . import documents
+from .indices import iter_indices
 from .output import emit
-from .series import VectorSeries, iter_indices
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SILVER = math.sqrt(2.0) - 1.0
@@ -93,28 +93,21 @@ class Uniform:
 def cmd_fixture(args) -> int:
     rng = Uniform(args.seed)
     n, D = args.n, args.trunc
-    coeffs = {}
-    # iter_indices is graded, so the coefficients above --trunc, which
-    # from_coeffs would drop, are the last drawn: they are not drawn at all
+    terms = []
+    # iter_indices is graded, so the terms come in canonical order, and those
+    # above --trunc, which a series would drop, are not drawn at all; every
+    # modulus is at least 0.05, so no term is zero
     for alpha in iter_indices(n, min(args.degree_f, D), 2):
-        vec = []
-        for _ in range(n):
-            r = rng.uniform(0.05, 1.0)
-            phi = rng.uniform(0.0, 2.0 * math.pi)
-            vec.append(complex(r * math.cos(phi), r * math.sin(phi)))
-        coeffs[alpha] = tuple(vec)
-    f = VectorSeries.from_coeffs(n, D, coeffs)
+        polar = [(rng.uniform(0.05, 1.0), rng.uniform(0.0, 2.0 * math.pi)) for _ in range(n)]
+        terms.append({"alpha": list(alpha),
+                      "value": [[r * math.cos(phi), r * math.sin(phi)] for r, phi in polar]})
     if args.kind == "germ":
-        rotation = [_GOLDEN, _SILVER, 1.0 / math.e][:n]
-        problem = linearize.Germ(divisors.GermSpectrum.from_rotation(rotation), f)
+        spectrum = {"rotation": [_GOLDEN, _SILVER, 1.0 / math.e][:n]}
     else:
-        if n == 1:
-            omega = (1.0,)
-        elif n == 2:
-            omega = (-1.0, _GOLDEN)
-        else:
-            omega = (-1.0, _GOLDEN, _SILVER)[:n]
-        problem = linearize.VectorField(divisors.FieldSpectrum(omega), f)
-    doc = documents.problem_to_doc(problem, {"seed": args.seed})
+        omega = (1.0,) if n == 1 else (-1.0, _GOLDEN, _SILVER)[:n]
+        spectrum = {"omega": [[w, 0.0] for w in omega]}
+    doc = {"kind": args.kind, "n": n, "D": D, "spectrum": spectrum,
+           "series": {"n": n, "D": D, "kind": "vector", "terms": terms},
+           "options": {"seed": args.seed}}
     emit(documents.canonical_bytes(doc).decode(), args.out)
     return 0

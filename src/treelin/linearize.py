@@ -264,8 +264,8 @@ def solve(problem, D: int, method: str = "recursive",
     sets it to zero and records it in ``clipped``.  Any other
     ``on_small_divisor`` raises :class:`ValueError`.  A non-finite
     coefficient of h raises :class:`CoefficientOverflow` naming its degree.
-    A solve or its check that runs out of memory raises
-    :class:`ResourceLimit` naming the method, n and D.
+    A solve that runs out of memory or passes a count limit raises
+    :class:`ResourceLimit` naming the method, n, D and the cause.
     """
     if on_small_divisor not in ("raise", "clip"):
         raise ValueError(f"on_small_divisor must be 'raise' or 'clip', not {on_small_divisor!r}")
@@ -281,7 +281,7 @@ def solve(problem, D: int, method: str = "recursive",
             h = route(divisor_table(problem.spectrum, D), problem.f.truncate(D), clipped)
         residual = verify_conjugacy(problem, _check_finite(h))
     except MemoryError as exc:
-        raise ResourceLimit(method, problem.f.n, D) from exc
+        raise ResourceLimit(method, problem.f.n, D, "ran out of memory") from exc
     return Linearization(h, method, D, residual, tuple(clipped or ()))
 
 

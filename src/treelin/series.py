@@ -42,8 +42,8 @@ Conventions used throughout the package:
   nonzero coefficient (``math.inf`` for the zero series); the matching
   ultrametric norm is ``2**-valuation``.
 
-Every treelin process runs this module, so it holds only what the solvers
-share.  Formal derivatives, the weighted norm and series families live in
+Every solve runs this module, so it holds only what the solvers share.
+Formal derivatives, the weighted norm and series families live in
 :mod:`treelin.families`, which only the fixed-point route and
 ``classical_lagrange_1d`` run; ``series.SeriesFamily`` and
 ``series.shift_expand`` still resolve there, by name.
@@ -56,87 +56,14 @@ import math
 import numpy as np
 
 from .errors import CompositionError, TruncationMismatch
-
-# ---------------------------------------------------------------------------
-# index helpers
-# ---------------------------------------------------------------------------
-
-def degree(alpha) -> int:
-    """Total (signed) degree: sum of the entries."""
-    return sum(alpha)
-
-
-def abs_degree(nu) -> int:
-    """Sum of absolute values of the entries."""
-    return sum(abs(x) for x in nu)
-
-
-signed_degree = degree  # explicit name for momenta
-
-
-def dominates(alpha, beta) -> bool:
-    """Component-wise ``alpha >= beta``."""
-    return all(a >= b for a, b in zip(alpha, beta))
-
-
-def index_add(alpha, beta):
-    return tuple(a + b for a, b in zip(alpha, beta))
-
-
-def index_sub(alpha, beta):
-    return tuple(a - b for a, b in zip(alpha, beta))
-
-
-def unit_index(n: int, i: int):
-    """Standard basis index e_i (0-based axis)."""
-    return tuple(1 if k == i else 0 for k in range(n))
-
-
-def graded_key(alpha):
-    """Sort key for graded lexicographic order."""
-    return (sum(alpha), alpha)
-
-
-def multi_factorial(alpha) -> int:
-    out = 1
-    for a in alpha:
-        out *= math.factorial(a)
-    return out
-
-
-def multi_binom(alpha, beta) -> int:
-    """Product of per-component binomials; 0 unless alpha >= beta."""
-    if not dominates(alpha, beta):
-        return 0
-    out = 1
-    for a, b in zip(alpha, beta):
-        out *= math.comb(a, b)
-    return out
-
-
-def iter_indices(n: int, max_degree: int, min_degree: int = 0):
-    """All indices in N^n with min_degree <= total degree <= max_degree, graded-lex."""
-    for d in range(min_degree, max_degree + 1):
-        yield from _indices_of_degree(n, d)
-
-
-def _indices_of_degree(n: int, d: int):
-    if n == 1:
-        yield (d,)
-        return
-    for first in range(d + 1):
-        for rest in _indices_of_degree(n - 1, d - first):
-            yield (first,) + rest
-
+# the index helpers live in treelin.indices, which loads no numpy; every name resolves here
+from .indices import (_indices_of_degree, abs_degree, degree, dominates, graded_key,  # noqa: F401
+                      index_add, index_sub, iter_indices, multi_binom, multi_factorial,
+                      signed_degree, slot_count, unit_index)
 
 # ---------------------------------------------------------------------------
 # the graded-lex basis and the product tables
 # ---------------------------------------------------------------------------
-
-def slot_count(n: int, D: int) -> int:
-    """Number of indices of degree <= D in n variables: C(n + D, n)."""
-    return math.comb(n + D, n)
-
 
 class _Basis:
     """The indices of degree <= D in graded-lex order, with their slots."""

@@ -145,7 +145,7 @@ class LinePolynomials:
                 counts[a] += rc
         self.held += sum(map(len, polys))  # checked once per line, memo included
         if self.held > MONOMIAL_LIMIT:
-            raise ResourceLimit("tree", self.n, self.D)
+            raise ResourceLimit("tree", self.n, self.D, f"held over {MONOMIAL_LIMIT:,} monomials")
         return polys, counts
 
     def _expansion(self, nu, L):

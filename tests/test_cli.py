@@ -573,8 +573,41 @@ def test_a_degree_above_the_documents_truncation_is_a_usage_error(tmp_path, caps
         assert main(["linearize", "field", "--input", str(field), "--degree", D]) == 0
 
 
+def test_diagnose_domain_refuses_a_field_outside_the_planar_family(tmp_path, capsys):
+    # the spectrum must be (-1, omega) with omega > 0; a traceback before
+    field = _write_problem(tmp_path, seed=1, n=2, degree_f=3, trunc=6, kind="field")
+    doc = json.loads(field.read_text())
+    spectra = [[[1.0, 0.0], [GOLDEN, 0.0]], [[-1.0, 0.0], [-GOLDEN, 0.0]],
+               [[-1.0, 0.0], [GOLDEN, 0.5]]]
+    cases = [_write_problem(tmp_path, seed=1, n=3, degree_f=3, trunc=6, kind="field")]
+    for i, omega in enumerate(spectra):
+        cases.append(tmp_path / f"spectrum{i}.json")
+        cases[-1].write_text(json.dumps({**doc, "spectrum": {"omega": omega}}))
+    capsys.readouterr()
+    for path in cases:
+        assert main(["diagnose", "domain", "--input", str(path)]) == 1, path
+        captured = capsys.readouterr()
+        assert captured.out == "", path
+        first, usage = captured.err.splitlines()
+        assert first.startswith("usage error: domain diagnostics need a normalized planar "
+                                "field: the normalized family "), (path, first)
+        assert usage.startswith("usage: treelin"), (path, usage)
+
+
+def test_diagnose_defaults_to_the_documents_truncation_and_degree_40(tmp_path):
+    # domain solves to the document's truncation, family to degree 40
+    field = tmp_path / "f.json"
+    assert main(["fixture", "field", "--n", "2", "--out", str(field)]) == 0
+    domain, family = tmp_path / "domain.csv", tmp_path / "family.csv"
+    assert main(["diagnose", "domain", "--input", str(field), "--output", str(domain)]) == 0
+    assert main(["diagnose", "family", "--omega", repr(GOLDEN), "--output", str(family)]) == 0
+    assert domain.read_text().splitlines()[1].split(",")[1] == "8"
+    assert family.read_text().splitlines()[1].split(",")[2] == "40"
+
+
 def test_a_tree_build_past_its_monomial_limit_exits_2(tmp_path, capsys, monkeypatch):
     # --method all stops at the tree route, with a one-line message naming it
+    # and the limit it passed, which is not memory
     problem = _write_problem(tmp_path, seed=1, n=2, degree_f=3, trunc=6)
     treesum._TREE_PLANS.clear()
     monkeypatch.setattr(treesum, "MONOMIAL_LIMIT", 1000)
@@ -583,8 +616,8 @@ def test_a_tree_build_past_its_monomial_limit_exits_2(tmp_path, capsys, monkeypa
                  "--method", "all"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines()[-1] == ("domain error (ResourceLimit): the tree route ran "
-                                             "out of memory at n=2, D=6")
+    assert captured.err.splitlines()[-1] == (
+        "domain error (ResourceLimit): the tree route held over 1,000 monomials at n=2, D=6")
 
 
 def test_running_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 
 import numpy as np
 import pytest
 
 from treelin.cli import main
+from treelin.documents import canonical_bytes, problem_from_doc, problem_to_doc
 from treelin.fixture import Uniform
 
 # 1500 small seeds, 1500 random 31-bit ones, and seeds of one to seven
@@ -64,3 +66,21 @@ def test_no_coefficient_above_trunc_is_drawn(tmp_path, capsys):
     assert outputs[0] == outputs[1]
     assert hashlib.sha256(outputs[0].encode()).hexdigest() == (
         "e29ad4acb5cb2580834f87b3d3ad5de7337dd895f69f3b14fd4f0d81e037277a")
+
+
+def test_fixture_documents_are_the_documents_of_their_problems(capsys):
+    # the fixture writes plain data; read back as a problem object and
+    # written again, its bytes are the same, so the two layouts agree
+    for kind in ("germ", "field"):
+        for n in (1, 2, 3):
+            for degree_f in (2, 3, 5):
+                for trunc in (0, 1, 2, 4, 8):
+                    for seed in (0, 1, 2**64 + 3):
+                        argv = [kind, "--n", str(n), "--degree-f", str(degree_f),
+                                "--trunc", str(trunc), "--seed", str(seed)]
+                        assert main(["fixture", *argv]) == 0
+                        b = capsys.readouterr().out.encode()
+                        doc = json.loads(b)
+                        again = canonical_bytes(problem_to_doc(problem_from_doc(doc),
+                                                               doc["options"]))
+                        assert b == again, argv

@@ -1,11 +1,13 @@
 """The import contract: each command runs only the treelin modules it uses.
 
 `import treelin` registers the modules of ``DEFERRED`` and runs their code
-on first use; every process runs the modules of ``EAGER``.  A dense
+on first use; every process runs the modules of ``EAGER``, and those of
+``IMPORTED`` run when a module that imports them runs.  A dense
 `linearize` process (recursive or fixed point) runs neither `trees` nor
 `diagnostics`.  No `linearize` or `diagnose family|domain` process loads
 OpenSSL (`_hashlib`), `fractions`, `decimal`, `dataclasses` or
-`statistics`.
+`statistics`.  `import treelin.cli`, `--help`, a usage error and
+`fixture` load no numpy.
 """
 
 from __future__ import annotations
@@ -23,21 +25,25 @@ from treelin import cli, divisors, documents, linearize, series
 
 from conftest import GOLDEN, ROOT, run_python
 
-DEFERRED = ("treelin.trees", "treelin.treesum", "treelin.families", "treelin.bruno",
-            "treelin.diagnostics", "treelin.documents", "treelin.commands", "treelin.fixture")
-EAGER = ("treelin", "treelin.cli", "treelin.divisors", "treelin.errors", "treelin.linearize",
-         "treelin.output", "treelin.records", "treelin.series")
+DEFERRED = ("treelin.series", "treelin.divisors", "treelin.linearize", "treelin.trees",
+            "treelin.treesum", "treelin.families", "treelin.bruno", "treelin.diagnostics",
+            "treelin.documents", "treelin.commands", "treelin.fixture")
+EAGER = ("treelin", "treelin.cli", "treelin.errors", "treelin.output")
+IMPORTED = ("treelin.indices", "treelin.records")
+# what every solve runs, by short name
+SOLVER = {"series", "divisors", "linearize", "indices", "records"}
 # stdlib modules that a solve or a growth diagnostic has no use for;
 # dataclasses builds its methods by exec when a class is defined
 HEAVY = ("_hashlib", "fractions", "decimal", "dataclasses", "statistics")
 
 
 def executed_after(commands: list, heavy: bool = False) -> set:
-    """The deferred modules that have run after ``treelin.cli.main`` ran each command, by short name.
+    """The treelin modules past ``EAGER`` that have run after ``treelin.cli.main`` ran each command.
 
-    With ``heavy``, also those of ``HEAVY`` that are loaded.  Every treelin
-    module in ``sys.modules`` must be one of ``EAGER`` or ``DEFERRED``, and
-    every one of ``EAGER`` must have run.
+    By short name.  With ``heavy``, also those of ``HEAVY`` that are
+    loaded.  Every treelin module in ``sys.modules`` must be one of
+    ``EAGER``, ``DEFERRED`` or ``IMPORTED``, every one of ``EAGER`` and
+    ``DEFERRED`` must be there, and every one of ``EAGER`` must have run.
     """
     script = (
         "import sys, types\n"
@@ -54,7 +60,7 @@ def executed_after(commands: list, heavy: bool = False) -> set:
     assert proc.returncode == 0, proc.stderr
     state = dict(line.split() for line in proc.stdout.splitlines())
     modules = {name for name in state if name.split(".")[0] == "treelin"}
-    assert modules == set(EAGER) | set(DEFERRED), modules
+    assert set(EAGER) | set(DEFERRED) <= modules <= set(EAGER) | set(DEFERRED) | set(IMPORTED), modules
     assert all(state[name] == "True" for name in EAGER), state
     return {name.rpartition(".")[2] for name, ran in state.items()
             if ran == "True" and name not in EAGER}
@@ -108,7 +114,8 @@ def test_dense_linearize_runs_neither_trees_nor_diagnostics(tmp_path):
     for kind in ("germ", "field"):
         path, make = fixture_args(tmp_path, kind, 2, 8)
         assert cli.main(make) == 0
-        for method, runs in (("recursive", {"documents"}), ("fixedpoint", {"documents", "families"})):
+        for method, runs in (("recursive", {"documents"} | SOLVER),
+                             ("fixedpoint", {"documents", "families"} | SOLVER)):
             solve = ["linearize", kind, "--input", path, "--degree", "8", "--method", method,
                      "--verify", "--output", str(tmp_path / "h.json")]
             assert executed_after([solve], heavy=True) == runs, (kind, method)
@@ -121,16 +128,17 @@ def test_tree_method_and_diagnose_run_what_they_use(tmp_path):
     out, table = str(tmp_path / "out"), tmp_path / "bruno.csv"
     runs = [
         (["linearize", "germ", "--input", germ, "--degree", "6", "--method", "tree",
-          "--output", out], {"documents", "treesum"}),
+          "--output", out], {"documents", "treesum"} | SOLVER),
         (["diagnose", "family", "--omega", repr(GOLDEN), "--degree", "12", "--output", out],
-         {"commands", "diagnostics", "bruno"}),
+         {"commands", "diagnostics", "bruno"} | SOLVER),
         (["diagnose", "domain", "--input", field, "--degree", "12", "--output", out],
-         {"commands", "diagnostics", "bruno", "documents"}),
+         {"commands", "diagnostics", "bruno", "documents"} | SOLVER),
         (["diagnose", "condition", "--omega", repr(GOLDEN), "--dmax", "10", "--output", out],
-         {"commands", "diagnostics", "bruno", "trees"}),
+         {"commands", "diagnostics", "bruno", "trees"} | SOLVER),
         (["bruno", "--omega", repr(GOLDEN), "--terms", "8", "--output", str(table)],
-         {"commands", "bruno"}),
-        (["trees", "enum", "--order", "4", "--output", out], {"commands", "trees"}),
+         {"commands", "bruno"} | SOLVER - {"linearize"}),
+        (["trees", "enum", "--order", "4", "--output", out],
+         {"commands", "trees"} | SOLVER - {"divisors", "linearize"}),
     ]
     for argv, modules in runs:
         assert executed_after([argv]) == modules, argv
@@ -145,7 +153,7 @@ def test_fits_of_a_stored_h_run_no_bruno_arithmetic(tmp_path, what, extra):
     assert cli.main(make_germ) == 0
     assert cli.main(["linearize", "germ", "--input", germ, "--degree", "6", "--output", h]) == 0
     argv = ["diagnose", what, "--input", h, "--output", str(tmp_path / "out")] + extra
-    assert executed_after([argv]) == {"commands", "diagnostics", "documents"}
+    assert executed_after([argv]) == {"commands", "diagnostics", "documents"} | SOLVER
 
 
 def test_tree_and_diagnose_processes_load_nothing_heavy(tmp_path):
@@ -163,20 +171,33 @@ def test_tree_and_diagnose_processes_load_nothing_heavy(tmp_path):
         assert not executed_after([argv], heavy=True) & set(HEAVY), argv
 
 
-def test_fixture_runs_only_itself_and_documents_and_loads_no_numpy_random(tmp_path):
-    # its stream is numpy's PCG64 in Python; numpy.random would load
-    # secrets, hmac and OpenSSL with it
+def test_fixture_help_and_usage_errors_load_no_numpy(tmp_path):
+    # the fixture's stream is numpy's PCG64 in Python and its document plain
+    # data; numpy.random would also load secrets, hmac and OpenSSL
     _, make = fixture_args(tmp_path, "field", 3, 6)
     script = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
+        "def loaded():\n"
+        "    print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'\n"
+        "                 or m in ('secrets', 'hmac', '_hashlib')))\n"
         "import treelin.cli as cli\n"
+        "loaded()\n"
+        "try:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        cli.main(['--help'])\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "loaded()\n"
+        "with contextlib.redirect_stderr(io.StringIO()):\n"
+        "    assert cli.main(['linearize', 'germ', '--input', 'missing.json', '--degree', '1']) == 1\n"
+        "loaded()\n"
         f"assert cli.main({make!r}) == 0\n"
-        "print(sorted(m for m in ('numpy.random', 'secrets', 'hmac', '_hashlib') if m in sys.modules))\n"
+        "loaded()\n"
     )
     proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["[]"], proc.stdout
-    assert executed_after([make]) == {"fixture", "documents"}
+    assert proc.stdout.split() == ["[]"] * 4, proc.stdout
+    assert executed_after([make]) == {"fixture", "documents", "indices"}
 
 
 def test_cli_run_as_a_module_is_not_imported_again(tmp_path):
@@ -263,8 +284,7 @@ def test_cli_module_runs_without_warnings(tmp_path):
 
 def test_deferred_module_reports_its_missing_dependency():
     # the error of a deferred module's own import surfaces unchanged; numpy
-    # goes missing after `import treelin` has loaded it, before
-    # treelin.diagnostics runs and imports it
+    # goes missing before treelin.diagnostics runs and imports it
     script = (
         "import sys\n"
         "import treelin\n"

@@ -441,6 +441,7 @@ def test_running_out_of_memory_is_a_resource_limit(tmp_path, monkeypatch, method
     with pytest.raises(ResourceLimit) as info:
         solve(problem, 6, method)
     assert (info.value.route, info.value.n, info.value.D) == (method, 2, 6)
+    assert info.value.cause == "ran out of memory"
     assert isinstance(info.value.__cause__, MemoryError)
 
 
@@ -454,6 +455,8 @@ def test_tree_build_past_its_monomial_limit_is_a_resource_limit(tmp_path, monkey
     with pytest.raises(ResourceLimit) as info:
         solve(problem, 6, "tree")
     assert (info.value.route, info.value.n, info.value.D) == ("tree", 2, 6)
+    assert info.value.cause == f"held over {held - 1:,} monomials"
+    assert info.value.__cause__ is None
     monkeypatch.setattr(treesum, "MONOMIAL_LIMIT", held)
     assert solve(problem, 6, "tree").h.max_abs() > 0
 
