@@ -58,13 +58,12 @@ _EXPORTS = {
     "families": (
         "SeriesFamily", "formal_derivative", "shift_expand", "weighted_norm",
     ),
+    "indices": ("abs_degree", "degree", "signed_degree"),
     "linearize": (
         "Germ", "Linearization", "VectorField", "classical_lagrange_1d",
         "fixed_point_inversion", "solve", "verify_conjugacy",
     ),
-    "series": (
-        "ScalarSeries", "VectorSeries", "abs_degree", "degree", "signed_degree",
-    ),
+    "series": ("ScalarSeries", "VectorSeries"),
     "trees": (
         "LabeledTree", "ScaleSequence", "count_scale", "counting_bound",
         "enumerate_forest", "enumerate_labeled", "scale_of_line",
@@ -83,7 +82,7 @@ def __getattr__(name: str):
         module = _HOME[name]
     except KeyError:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    return getattr(globals()[module], name)
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
 
 
 def __dir__():

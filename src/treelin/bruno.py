@@ -15,10 +15,10 @@ import numbers
 from functools import lru_cache
 from itertools import product
 
-from .divisors import RESONANCE_TOL
+from . import divisors  # deferred: only omega_hat and bruno_sum read it
 from .errors import RationalDetected, ResonantSpectrum
+from .indices import abs_degree, signed_degree
 from .records import Record
-from .series import abs_degree, signed_degree
 
 
 def frac_distance(x: float) -> float:
@@ -95,7 +95,7 @@ def omega_hat(omega: tuple, p: int) -> float:
     """min of |nu.omega| over the restricted index set with abs-degree <= p.
 
     The index set allows at most one entry equal to -1 (the rest
-    non-negative) and skips resonances, |nu.omega| <= ``RESONANCE_TOL``.
+    non-negative) and skips resonances, |nu.omega| <= ``divisors.RESONANCE_TOL``.
     The bound is inclusive so that the separation property below holds for
     every shift of abs-degree <= p.
     """
@@ -105,7 +105,7 @@ def omega_hat(omega: tuple, p: int) -> float:
     best = math.inf
     for nu in _hat_indices(len(omega), p):
         v = abs(sum(x * w for x, w in zip(nu, omega)))
-        if v > RESONANCE_TOL:
+        if v > divisors.RESONANCE_TOL:
             best = min(best, v)
     return best
 
@@ -139,13 +139,13 @@ def bruno_sum(omega_of_p, P, K: int):
     """Partial sums S_K = sum_{k<=K} log(1/Omega(p_(k+1))) / p_k.
 
     ``omega_of_p`` maps an integer p to a positive Omega value; a value at
-    or below ``RESONANCE_TOL`` raises :class:`ResonantSpectrum`.
+    or below ``divisors.RESONANCE_TOL`` raises :class:`ResonantSpectrum`.
     """
     sums = []
     total = 0.0
     for k in range(K + 1):
         value = omega_of_p(P[k + 1])
-        if value <= RESONANCE_TOL:
+        if value <= divisors.RESONANCE_TOL:
             raise ResonantSpectrum(
                 f"Omega(p_{k + 1} = {P[k + 1]}) = {value:.3e} at or below tolerance"
             )

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 
-from . import bruno, diagnostics, documents, linearize, trees
+from . import bruno, diagnostics, documents, linearize, series, trees
 from .errors import ConjugacyDefect, RationalDetected, UsageError
+from .indices import degree, iter_indices
 from .output import emit
-from .series import VectorSeries, degree, iter_indices
 
 
 # ---------------------------------------------------------------------------
@@ -28,10 +28,10 @@ def _support_from_file(path: str, n: int):
     if isinstance(doc, list):
         return frozenset(documents.index(a, n) for a in doc)
     if isinstance(doc, dict) and "terms" in doc:
-        series = documents.series_from_doc(doc)
-        if series.n != n:
-            raise UsageError(f"the support series has n={series.n}, --alpha has {n} axes")
-        sup = series.support() if isinstance(series, VectorSeries) else series.support
+        s = documents.series_from_doc(doc)
+        if s.n != n:
+            raise UsageError(f"the support series has n={s.n}, --alpha has {n} axes")
+        sup = s.support() if isinstance(s, series.VectorSeries) else s.support
         return frozenset(a for a in sup if degree(a) >= 2)
     raise UsageError("support file must be a JSON list of indices or a series document")
 
@@ -159,14 +159,16 @@ def _class_spec(text: str) -> diagnostics.ClassSpec:
     raise UsageError(f"unknown class spec {text!r} (use gevrey:s, geometric:C, table:file)")
 
 
-def _load_h(path: str) -> VectorSeries:
+def _load_h(path: str) -> series.VectorSeries:
     doc = documents.load_json(path)
-    if "h" in doc:  # a run report
+    if isinstance(doc, dict) and "h" in doc:  # a run report
         doc = doc["h"]
-    series = documents.series_from_doc(doc)
-    if not isinstance(series, VectorSeries):
+    if isinstance(doc, dict) and doc.get("kind") in ("germ", "field"):
+        raise UsageError(f"expected a series document, got a {doc['kind']} problem document")
+    h = documents.series_from_doc(doc)
+    if not isinstance(h, series.VectorSeries):
         raise UsageError("growth diagnostics need a vector series")
-    return series
+    return h
 
 
 def _require_fit(radius: float, source: str) -> None:
@@ -273,7 +275,7 @@ def cmd_verify(args) -> int:
         f"{rep.max_abs!r},{rep.max_rel!r},{rep.degree}",
     ]
     emit("\n".join(rows) + "\n", args.output)
-    if rep.max_rel > args.tol:
+    if not rep.max_rel <= args.tol:  # a defect that overflowed to inf or NaN fails too
         raise ConjugacyDefect(
             f"conjugacy defect {rep.max_rel:.3e} exceeds tolerance {args.tol:.1e}"
         )

@@ -17,9 +17,10 @@ import numpy as np
 from . import bruno
 from .divisors import GermSpectrum
 from .errors import FamilyViolation, HypothesisViolated
+from .indices import degree
 from .linearize import Germ, VectorField, solve
 from .records import Record
-from .series import VectorSeries, degree
+from .series import VectorSeries
 
 # ---------------------------------------------------------------------------
 # weight-sequence classes

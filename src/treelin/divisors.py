@@ -23,9 +23,10 @@ import math
 
 import numpy as np
 
-from .errors import DivisorBelowTolerance, TruncationMismatch
+from .errors import DivisorBelowTolerance, TruncationMismatch, UsageError
+from .indices import slot_count
 from .records import Record
-from .series import VectorSeries, graded_indices, slot_count
+from .series import VectorSeries, graded_indices
 
 # A divisor modulus (or an Omega value of the Bruno sums) below this is a
 # resonance: every route raises or clips there, and so do the tree plans.
@@ -132,11 +133,19 @@ def divisor_table(spectrum, D: int) -> VectorSeries:
 
     Row j, slot alpha holds ``spectrum.divisor(alpha, j)``: all the routes
     and the operators below know of a spectrum.  The table of truncation d
-    is ``truncate(d)`` of any larger one.
+    is ``truncate(d)`` of any larger one.  A divisor beyond double precision
+    is a :class:`UsageError`: no route could divide by it or check it.
     """
     indices = graded_indices(spectrum.n, D)
-    rows = [[spectrum.divisor(alpha, j) for alpha in indices] for j in range(spectrum.n)]
-    return VectorSeries.from_array(spectrum.n, D, np.array(rows, dtype=complex))
+    try:
+        rows = np.array([[spectrum.divisor(alpha, j) for alpha in indices]
+                         for j in range(spectrum.n)], dtype=complex)
+        finite = np.isfinite(rows).all()
+    except OverflowError:  # complex ** of a germ eigenvalue
+        finite = False
+    if not finite:
+        raise UsageError(f"the spectrum's divisors of degree <= {D} overflow double precision")
+    return VectorSeries.from_array(spectrum.n, D, rows)
 
 
 def _slots(table: VectorSeries, lo: int, width: int):

@@ -3,16 +3,13 @@
 Everything is JSON with a canonical form: terms sorted graded
 lexicographically, complex numbers as [re, im] pairs, keys sorted.  The
 canonical bytes of a document are stable, so digests and byte-identical
-reruns are well defined.  :func:`canonical_bytes` writes them itself, and
-writes a series in a document straight from its coefficient array.
+reruns are well defined.  :mod:`treelin.canonical` writes them.
 """
 
 from __future__ import annotations
 
 import cmath
 import json
-import math
-from json.encoder import encode_basestring_ascii as _string
 
 try:  # CPython's own SHA-256; hashlib would load OpenSSL's libcrypto, several MB resident
     from _sha2 import sha256 as _sha256  # 3.12 and later
@@ -22,9 +19,9 @@ except ImportError:
     except ImportError:
         from hashlib import sha256 as _sha256
 
-# deferred modules, run on first use, so a document of plain data, such as
-# the fixture's, is written without them and without numpy
-from . import divisors, linearize, series
+from . import divisors, linearize, series  # deferred, run on first use
+# digest calls canonical_bytes through this binding, which the benchmark tracer wraps
+from .canonical import canonical_bytes
 from .errors import UsageError
 
 
@@ -94,11 +91,12 @@ def series_from_doc(doc: dict):
             if not isinstance(value, list) or len(value) != n:
                 raise UsageError(f"vector term at {alpha} needs {n} components")
             coeffs[alpha] = tuple(_cplx(v) for v in value)
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        # a truncation too high to hold is refused here too, with numpy's reason
+        if kind == "scalar":
+            return series.ScalarSeries(n, D, coeffs)
+        return series.VectorSeries.from_coeffs(n, D, coeffs)
+    except (AttributeError, KeyError, MemoryError, OverflowError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed series document: {exc}") from exc
-    if kind == "scalar":
-        return series.ScalarSeries(n, D, coeffs)
-    return series.VectorSeries.from_coeffs(n, D, coeffs)
 
 
 def index(value, n: int) -> tuple:
@@ -210,94 +208,8 @@ def problem_from_doc(doc: dict):
 
 
 # ---------------------------------------------------------------------------
-# canonical bytes and digests
+# digests
 # ---------------------------------------------------------------------------
-
-
-_INDENT = "  "
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def canonical_bytes(doc) -> bytes:
-    """The canonical form of ``doc``: ``json.dumps(doc, sort_keys=True, indent=2)`` and a newline.
-
-    Keys sorted, two-space indent, one element per line, ASCII escapes,
-    floats as Python's shortest ``repr`` and non-finite ones as ``NaN``,
-    ``Infinity`` and ``-Infinity``.  A :class:`~treelin.series.ScalarSeries`
-    or :class:`~treelin.series.VectorSeries` is written as its
-    :func:`series_to_doc` document.  Keys must be strings.
-    """
-    return (_text(doc, 0) + "\n").encode("ascii")
-
-
-def _text(value, level: int) -> str:
-    """``value`` in canonical form, its opening line at indentation ``level``."""
-    # scalars in json.encoder's order, so subclasses of int and float
-    # (numpy.float64 among them) are written as their base type
-    if isinstance(value, str):
-        return _string(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float(value)
-    if isinstance(value, (list, tuple)):
-        return _listing("[]", [_text(v, level + 1) for v in value], level)
-    if isinstance(value, dict):
-        if not all(isinstance(key, str) for key in value):
-            raise TypeError(f"keys must be str, got {list(value)!r}")
-        return _listing("{}", [f"{_string(key)}: {_text(value[key], level + 1)}"
-                               for key in sorted(value)], level)
-    # last, so that a document of plain data never runs treelin.series
-    if isinstance(value, (series.ScalarSeries, series.VectorSeries)):
-        return _series_text(value, level)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _float(x: float) -> str:
-    text = float.__repr__(x)
-    return _NON_FINITE.get(text, text)
-
-
-def _listing(brackets: str, entries: list, level: int) -> str:
-    """A list or object (``brackets`` "[]" or "{}") of written ``entries``, opened at ``level``."""
-    if not entries:
-        return brackets
-    inner = "\n" + _INDENT * (level + 1)
-    return f"{brackets[0]}{inner}{(',' + inner).join(entries)}\n{_INDENT * level}{brackets[1]}"
-
-
-def _series_text(s, level: int) -> str:
-    """``_text(series_to_doc(s), level)``, written from the coefficient array.
-
-    Each nonzero slot fills one term template with its index and the real
-    and imaginary parts of its coefficients, component by component.
-    """
-    import numpy as np  # only a series object is written with numpy
-
-    n, scalar = s.n, isinstance(s, series.ScalarSeries)
-    rows = s.vector[np.newaxis] if scalar else s.to_array()
-    used = np.flatnonzero(rows.any(axis=0))
-    # re, im of each component, slot by slot
-    floats = np.ascontiguousarray(rows[:, used].T).view(float).ravel().tolist()
-    # A NaN or an infinity makes the sum non-finite.  The first numpy.isfinite
-    # call of a process would map 64 KB more.
-    parts = list(map(float.__repr__ if math.isfinite(sum(floats)) else _float, floats))
-    pair = _listing("[]", ["%s", "%s"], level + 4 - scalar)
-    value = pair if scalar else _listing("[]", [pair] * n, level + 3)
-    template = _listing("{}", ['"alpha": ' + _listing("[]", ["%d"] * n, level + 3),
-                               '"value": ' + value], level + 2)
-    indices = series.graded_indices(n, s.trunc)
-    width = 2 * len(rows)
-    terms = [template % (*indices[i], *parts[t:t + width])
-             for t, i in zip(range(0, len(parts), width), used.tolist())]
-    return _listing("{}", [f'"D": {s.trunc}', f'"kind": "{"scalar" if scalar else "vector"}"',
-                           f'"n": {n}', '"terms": ' + _listing("[]", terms, level + 1)], level)
 
 
 def digest(doc: dict) -> str:

@@ -12,11 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CompositionError, TruncationMismatch
-from .series import (
-    PowerTable,
-    ScalarSeries,
-    VectorSeries,
-    _basis,
+from .indices import (
     dominates,
     graded_key,
     index_add,
@@ -25,6 +21,7 @@ from .series import (
     multi_binom,
     unit_index,
 )
+from .series import PowerTable, ScalarSeries, VectorSeries, _basis
 
 def formal_derivative(f, beta):
     """Binomial-weighted derivative: sum over alpha >= beta of binom(alpha,beta) f_alpha z^(alpha-beta).

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from . import documents
+from .canonical import canonical_bytes
 from .indices import iter_indices
 from .output import emit
 
@@ -109,5 +109,5 @@ def cmd_fixture(args) -> int:
     doc = {"kind": args.kind, "n": n, "D": D, "spectrum": spectrum,
            "series": {"n": n, "D": D, "kind": "vector", "terms": terms},
            "options": {"seed": args.seed}}
-    emit(documents.canonical_bytes(doc).decode(), args.out)
+    emit(canonical_bytes(doc).decode(), args.out)
     return 0

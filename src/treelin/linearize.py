@@ -38,16 +38,9 @@ from .errors import (
     ResourceLimit,
     TruncationMismatch,
 )
+from .indices import degree, slot_count
 from .records import Record
-from .series import (
-    PowerTable,
-    ScalarSeries,
-    VectorSeries,
-    degree,
-    graded_indices,
-    product_slice,
-    slot_count,
-)
+from .series import PowerTable, ScalarSeries, VectorSeries, graded_indices, product_slice
 
 # ---------------------------------------------------------------------------
 # problems and solutions
@@ -350,6 +343,7 @@ def verify_conjugacy(problem, h: VectorSeries) -> ConjugacyReport:
     """
     D = h.trunc
     f = problem.f.truncate(D)
-    defect = (apply_forward_D(divisor_table(problem.spectrum, D), h)
-              - f.compose(VectorSeries.identity(h.n, D) + h))
+    table = divisor_table(problem.spectrum, D)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as an inf or NaN defect
+        defect = apply_forward_D(table, h) - f.compose(VectorSeries.identity(h.n, D) + h)
     return ConjugacyReport(defect.max_abs(), max(1.0, f.max_abs(), h.max_abs()), D)

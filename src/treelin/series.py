@@ -56,10 +56,7 @@ import math
 import numpy as np
 
 from .errors import CompositionError, TruncationMismatch
-# the index helpers live in treelin.indices, which loads no numpy; every name resolves here
-from .indices import (_indices_of_degree, abs_degree, degree, dominates, graded_key,  # noqa: F401
-                      index_add, index_sub, iter_indices, multi_binom, multi_factorial,
-                      signed_degree, slot_count, unit_index)
+from .indices import graded_key, index_sub, iter_indices, slot_count, unit_index
 
 # ---------------------------------------------------------------------------
 # the graded-lex basis and the product tables

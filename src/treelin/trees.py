@@ -23,10 +23,8 @@ import math
 from functools import lru_cache
 from itertools import product
 
-from . import bruno, families
-from .records import Record
-from .series import (
-    VectorSeries,
+from . import bruno, families, series  # deferred, run on first use
+from .indices import (
     degree,
     graded_key,
     index_add,
@@ -36,6 +34,7 @@ from .series import (
     signed_degree,
     unit_index,
 )
+from .records import Record
 
 # ---------------------------------------------------------------------------
 # rooted trees (m-vector encoding)
@@ -266,7 +265,7 @@ def enumerate_labeled(N: int, alpha, j: int, support, n: int | None = None):
 # ---------------------------------------------------------------------------
 
 
-def tree_value(theta, op, family: families.SeriesFamily, u) -> VectorSeries:
+def tree_value(theta, op, family: families.SeriesFamily, u) -> series.VectorSeries:
     """Value of one rooted tree in the inversion expansion.
 
     ``family`` must be the expansion of the right-hand side of
@@ -280,7 +279,7 @@ def tree_value(theta, op, family: families.SeriesFamily, u) -> VectorSeries:
     if t == 0:
         return op(family.coeff((0,) * n).scale(u))
     vals = [tree_value(s, op, family, u) for s in subs]
-    acc = VectorSeries.zero(n, D)
+    acc = series.VectorSeries.zero(n, D)
     inv_t_fact = 1.0 / math.factorial(t)
     for axes in product(range(n), repeat=t):
         gamma = [0] * n

@@ -19,12 +19,8 @@ import numpy as np
 
 from . import divisors
 from .errors import ResourceLimit, UsageError
-from .records import Record
-from .series import (
-    VectorSeries,
-    _recent,
+from .indices import (
     degree,
-    graded_indices,
     graded_key,
     index_add,
     index_sub,
@@ -33,6 +29,8 @@ from .series import (
     slot_count,
     unit_index,
 )
+from .records import Record
+from .series import VectorSeries, _recent, graded_indices
 
 
 # The most monomials a LinePolynomials build may hold.  Builds from

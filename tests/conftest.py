@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from treelin import GermSpectrum, FieldSpectrum, ScalarSeries, VectorSeries
-from treelin.series import iter_indices
+from treelin.indices import iter_indices
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SILVER = math.sqrt(2.0) - 1.0

@@ -51,7 +51,8 @@ from treelin import (
 )
 from treelin.diagnostics import germ_omega_of_p
 from treelin.families import SeriesFamily, formal_derivative
-from treelin.series import ScalarSeries, iter_indices
+from treelin.indices import iter_indices
+from treelin.series import ScalarSeries
 from treelin.trees import ScaleSequence
 
 from conftest import (

@@ -385,9 +385,6 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         ["verify", "--input", str(problem), "--solution", str(solution), "--tol", "-1"],
         ["fixture", "germ", "--seed", "-1"],
         ["diagnose", "class", "--input", str(solution), "--class-m", "gevrey:nan"],
-        # a problem document is not a series: it has no terms and kind "germ"
-        ["verify", "--input", str(problem), "--solution", str(problem)],
-        ["diagnose", "class", "--input", str(problem)],
         ["trees", "enum", "--order", "2", "--labeled", "--alpha", "2,-1"],
         ["diagnose", "condition", "--omega", "0.6", "--class-m", "geometric:inf"],
         # f has degree >= 2
@@ -452,6 +449,13 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("usage error: "), (argv, err)
         assert "Traceback" not in err, argv
+    # a problem document where a series belongs is named as what it is
+    for argv in (["diagnose", "growth", "--input", str(problem)],
+                 ["diagnose", "class", "--input", str(problem)],
+                 ["verify", "--input", str(problem), "--solution", str(problem)]):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.splitlines()[0] == (
+            "usage error: expected a series document, got a germ problem document"), argv
     # outputs in a directory that does not exist are refused before any work:
     # no solve writes its timing note to stderr, and no other output is left
     written = tmp_path / "written.json"

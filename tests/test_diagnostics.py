@@ -26,8 +26,8 @@ from treelin import (
     vf_domain_estimate,
 )
 from treelin.diagnostics import germ_omega_of_p
+from treelin.indices import iter_indices
 from treelin.trees import ScaleSequence
-from treelin.series import iter_indices
 
 from conftest import GOLDEN, SILVER, random_vector_series
 

@@ -30,7 +30,8 @@ from treelin import (
     omega_hat,
     omega_tilde,
 )
-from treelin.series import ScalarSeries, unit_index
+from treelin.indices import unit_index
+from treelin.series import ScalarSeries
 
 from conftest import GOLDEN, SILVER, assert_series_close, random_vector_series
 

@@ -12,7 +12,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from treelin.documents import canonical_bytes, series_to_doc
-from treelin.series import ScalarSeries, VectorSeries, slot_count
+from treelin.indices import slot_count
+from treelin.series import ScalarSeries, VectorSeries
 
 
 def stdlib_bytes(doc) -> bytes:

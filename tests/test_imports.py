@@ -6,8 +6,9 @@ on first use; every process runs the modules of ``EAGER``, and those of
 `linearize` process (recursive or fixed point) runs neither `trees` nor
 `diagnostics`.  No `linearize` or `diagnose family|domain` process loads
 OpenSSL (`_hashlib`), `fractions`, `decimal`, `dataclasses` or
-`statistics`.  `import treelin.cli`, `--help`, a usage error and
-`fixture` load no numpy.
+`statistics`.  `import treelin.cli`, `--help`, a usage error,
+`fixture`, `trees enum`, `bruno`, `omega --variant frac` and the index
+helpers load no numpy.
 """
 
 from __future__ import annotations
@@ -29,21 +30,23 @@ DEFERRED = ("treelin.series", "treelin.divisors", "treelin.linearize", "treelin.
             "treelin.treesum", "treelin.families", "treelin.bruno", "treelin.diagnostics",
             "treelin.documents", "treelin.commands", "treelin.fixture")
 EAGER = ("treelin", "treelin.cli", "treelin.errors", "treelin.output")
-IMPORTED = ("treelin.indices", "treelin.records")
+IMPORTED = ("treelin.canonical", "treelin.indices", "treelin.records")
 # what every solve runs, by short name
 SOLVER = {"series", "divisors", "linearize", "indices", "records"}
+# what reading or writing a document runs
+DOCUMENTS = {"documents", "canonical"}
 # stdlib modules that a solve or a growth diagnostic has no use for;
 # dataclasses builds its methods by exec when a class is defined
 HEAVY = ("_hashlib", "fractions", "decimal", "dataclasses", "statistics")
 
 
-def executed_after(commands: list, heavy: bool = False) -> set:
+def executed_after(commands: list, heavy: tuple = ()) -> set:
     """The treelin modules past ``EAGER`` that have run after ``treelin.cli.main`` ran each command.
 
-    By short name.  With ``heavy``, also those of ``HEAVY`` that are
-    loaded.  Every treelin module in ``sys.modules`` must be one of
-    ``EAGER``, ``DEFERRED`` or ``IMPORTED``, every one of ``EAGER`` and
-    ``DEFERRED`` must be there, and every one of ``EAGER`` must have run.
+    By short name, with those of ``heavy`` that are loaded.  Every treelin
+    module in ``sys.modules`` must be one of ``EAGER``, ``DEFERRED`` or
+    ``IMPORTED``, every one of ``EAGER`` and ``DEFERRED`` must be there, and
+    every one of ``EAGER`` must have run.
     """
     script = (
         "import sys, types\n"
@@ -53,7 +56,7 @@ def executed_after(commands: list, heavy: bool = False) -> set:
         "for name, module in sorted(sys.modules.items()):\n"
         "    if name.split('.')[0] == 'treelin':\n"
         "        print(name, type(module) is types.ModuleType)\n"
-        f"for name in {HEAVY if heavy else ()!r}:\n"
+        f"for name in {heavy!r}:\n"
         "    print(name, name in sys.modules)\n"
     )
     proc = run_python("-c", script)
@@ -114,11 +117,11 @@ def test_dense_linearize_runs_neither_trees_nor_diagnostics(tmp_path):
     for kind in ("germ", "field"):
         path, make = fixture_args(tmp_path, kind, 2, 8)
         assert cli.main(make) == 0
-        for method, runs in (("recursive", {"documents"} | SOLVER),
-                             ("fixedpoint", {"documents", "families"} | SOLVER)):
+        for method, runs in (("recursive", DOCUMENTS | SOLVER),
+                             ("fixedpoint", DOCUMENTS | {"families"} | SOLVER)):
             solve = ["linearize", kind, "--input", path, "--degree", "8", "--method", method,
                      "--verify", "--output", str(tmp_path / "h.json")]
-            assert executed_after([solve], heavy=True) == runs, (kind, method)
+            assert executed_after([solve], heavy=HEAVY) == runs, (kind, method)
 
 
 def test_tree_method_and_diagnose_run_what_they_use(tmp_path):
@@ -128,17 +131,17 @@ def test_tree_method_and_diagnose_run_what_they_use(tmp_path):
     out, table = str(tmp_path / "out"), tmp_path / "bruno.csv"
     runs = [
         (["linearize", "germ", "--input", germ, "--degree", "6", "--method", "tree",
-          "--output", out], {"documents", "treesum"} | SOLVER),
+          "--output", out], DOCUMENTS | {"treesum"} | SOLVER),
         (["diagnose", "family", "--omega", repr(GOLDEN), "--degree", "12", "--output", out],
          {"commands", "diagnostics", "bruno"} | SOLVER),
         (["diagnose", "domain", "--input", field, "--degree", "12", "--output", out],
-         {"commands", "diagnostics", "bruno", "documents"} | SOLVER),
+         {"commands", "diagnostics", "bruno"} | DOCUMENTS | SOLVER),
         (["diagnose", "condition", "--omega", repr(GOLDEN), "--dmax", "10", "--output", out],
          {"commands", "diagnostics", "bruno", "trees"} | SOLVER),
         (["bruno", "--omega", repr(GOLDEN), "--terms", "8", "--output", str(table)],
-         {"commands", "bruno"} | SOLVER - {"linearize"}),
+         {"commands", "bruno", "indices", "records"}),
         (["trees", "enum", "--order", "4", "--output", out],
-         {"commands", "trees"} | SOLVER - {"divisors", "linearize"}),
+         {"commands", "trees", "indices", "records"}),
     ]
     for argv, modules in runs:
         assert executed_after([argv]) == modules, argv
@@ -153,7 +156,7 @@ def test_fits_of_a_stored_h_run_no_bruno_arithmetic(tmp_path, what, extra):
     assert cli.main(make_germ) == 0
     assert cli.main(["linearize", "germ", "--input", germ, "--degree", "6", "--output", h]) == 0
     argv = ["diagnose", what, "--input", h, "--output", str(tmp_path / "out")] + extra
-    assert executed_after([argv]) == {"commands", "diagnostics", "documents"} | SOLVER
+    assert executed_after([argv]) == {"commands", "diagnostics"} | DOCUMENTS | SOLVER
 
 
 def test_tree_and_diagnose_processes_load_nothing_heavy(tmp_path):
@@ -168,7 +171,7 @@ def test_tree_and_diagnose_processes_load_nothing_heavy(tmp_path):
         ["diagnose", "domain", "--input", field, "--degree", "12", "--output", out],
     ]
     for argv in commands:
-        assert not executed_after([argv], heavy=True) & set(HEAVY), argv
+        assert not executed_after([argv], heavy=HEAVY) & set(HEAVY), argv
 
 
 def test_fixture_help_and_usage_errors_load_no_numpy(tmp_path):
@@ -197,7 +200,31 @@ def test_fixture_help_and_usage_errors_load_no_numpy(tmp_path):
     proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["[]"] * 4, proc.stdout
-    assert executed_after([make]) == {"fixture", "documents", "indices"}
+    # the fixture writes through the canonical writer alone: no documents, no digest
+    assert executed_after([make], heavy=("_sha2", "_sha256")) == {"fixture", "canonical", "indices"}
+
+
+def test_pure_commands_and_index_helpers_load_no_numpy(tmp_path):
+    # trees, the Bruno series and the frac minima are integer and float
+    # arithmetic; they reach series and divisors only through deferred names
+    spectrum = tmp_path / "spectrum.json"
+    spectrum.write_text('{"rotation": [0.618]}')
+    commands = [["trees", "enum", "--order", "4"],
+                ["trees", "enum", "--labeled", "--alpha", "2,1", "--order", "3"],
+                ["bruno", "--omega", "0.618"],
+                ["omega", "--spectrum", str(spectrum), "--p-max", "8", "--variant", "frac"]]
+    script = (
+        "import contextlib, io, sys\n"
+        "import treelin, treelin.cli as cli\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "assert treelin.degree((1, 2)) == treelin.abs_degree((1, -2)) == 3\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"], proc.stdout
 
 
 def test_cli_run_as_a_module_is_not_imported_again(tmp_path):

@@ -37,7 +37,8 @@ from treelin.divisors import apply_inverse_D, divisor_table
 from treelin.documents import load_json, problem_from_doc
 from treelin.families import SeriesFamily, formal_derivative
 from treelin.linearize import SETTLED_RTOL
-from treelin.series import ScalarSeries, graded_indices, iter_indices, slot_count
+from treelin.indices import iter_indices, slot_count
+from treelin.series import ScalarSeries, graded_indices
 from treelin.trees import children_lists
 from treelin.treesum import _TREE_PLANS, tree_plan
 

@@ -21,8 +21,8 @@ from treelin import (
 )
 from treelin.divisors import divisor_table
 from treelin.documents import load_json, problem_from_doc
+from treelin.indices import iter_indices
 from treelin.linearize import solve
-from treelin.series import iter_indices
 
 
 def thinned_fixture(kind: str, n: int, D: int, seed: int, keep: int):

@@ -18,21 +18,17 @@ from treelin import (
 )
 from treelin import series
 from treelin.families import SeriesFamily
-from treelin.series import (
-    PowerTable,
-    _basis,
-    _pair_table,
-    _PairTable,
+from treelin.indices import (
     abs_degree,
     degree,
     dominates,
     iter_indices,
     multi_binom,
-    product_slice,
     signed_degree,
     slot_count,
     unit_index,
 )
+from treelin.series import PowerTable, _basis, _pair_table, _PairTable, product_slice
 
 from conftest import (
     approx_equal,

@@ -21,7 +21,7 @@ from treelin import (
 )
 from treelin.bruno import frac_distance, omega_frac, omega_hat, phi_counting
 from treelin.divisors import divisor_table
-from treelin.series import abs_degree, graded_key, iter_indices, signed_degree
+from treelin.indices import abs_degree, graded_key, iter_indices, signed_degree
 from treelin.trees import children_lists, is_valid_m
 from treelin.treesum import LinePolynomials
 
@@ -431,8 +431,6 @@ def random_labeled_tree(rng, n, N, support_sorted):
 def test_counting_lemma_randomized_beyond_exhaustive_range():
     # orders up to 6 and labels up to degree 4: total momenta well past the
     # exhaustively checked window
-    from treelin.series import graded_key
-
     P = ScaleSequence.pow2()
     rng = np.random.default_rng(66)
     support = sorted(iter_indices(2, 4, 2), key=graded_key)
