@@ -98,11 +98,7 @@ def _finite_where(valid, what: str):
 
 def _cmd_linearize(args) -> int:
     doc = documents.load_json(args.input)
-    problem = documents.problem_from_doc(doc)
-    if (args.kind == "germ") != isinstance(problem, linearize.Germ):
-        raise UsageError(f"input document is not a {args.kind} problem")
-    if args.degree > problem.f.trunc:  # f is known only through its truncation
-        raise UsageError(f"--degree {args.degree} is above the document's truncation {problem.f.trunc}")
+    problem = documents.problem_from_doc(doc, args.kind, args.degree)
     methods = (
         ["recursive", "tree", "fixedpoint"] if args.method == "all" else [args.method]
     )

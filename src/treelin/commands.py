@@ -159,18 +159,6 @@ def _class_spec(text: str) -> diagnostics.ClassSpec:
     raise UsageError(f"unknown class spec {text!r} (use gevrey:s, geometric:C, table:file)")
 
 
-def _load_h(path: str) -> series.VectorSeries:
-    doc = documents.load_json(path)
-    if isinstance(doc, dict) and "h" in doc:  # a run report
-        doc = doc["h"]
-    if isinstance(doc, dict) and doc.get("kind") in ("germ", "field"):
-        raise UsageError(f"expected a series document, got a {doc['kind']} problem document")
-    h = documents.series_from_doc(doc)
-    if not isinstance(h, series.VectorSeries):
-        raise UsageError("growth diagnostics need a vector series")
-    return h
-
-
 def _require_fit(radius: float, source: str) -> None:
     """Refuse a growth fit that had too few degrees: growth_report leaves it NaN."""
     if math.isnan(radius):
@@ -185,7 +173,7 @@ def cmd_diagnose(args) -> int:
         raise UsageError(f"{args.what} diagnostics need --input")
     rows: list[str] = []
     if args.what == "growth":
-        h = _load_h(args.input)
+        h = documents.load_solution(args.input)
         rep = diagnostics.growth_report(h)
         _require_fit(rep.radius, args.input)
         rows.append("degree,max_abs")
@@ -197,7 +185,7 @@ def cmd_diagnose(args) -> int:
             rows.append("degree,majorant_partial_sum")
             rows.extend(f"{d},{s!r}" for d, s in sums)
     elif args.what == "class":
-        h = _load_h(args.input)
+        h = documents.load_solution(args.input)
         spec = _class_spec(args.class_m)
         try:
             fit = diagnostics.class_membership(h, spec)
@@ -234,20 +222,15 @@ def cmd_diagnose(args) -> int:
             f"{rep.reference_log_radius!r},{rep.empirical_gap!r}"
         )
     else:  # domain
-        doc = documents.load_json(args.input)
-        problem = documents.problem_from_doc(doc)
-        if not isinstance(problem, linearize.VectorField):
-            raise UsageError("domain diagnostics need a field problem document")
+        problem = documents.problem_from_doc(documents.load_json(args.input), "field", args.degree)
         try:  # refused here, before the solve
             diagnostics.family_omega(problem.spectrum)
         except ValueError as exc:
             raise UsageError(f"domain diagnostics need a normalized planar field: {exc}") from exc
-        degree = problem.f.trunc if args.degree is None else args.degree
-        if degree > problem.f.trunc:
-            raise UsageError(f"--degree {degree} is above the document's truncation {problem.f.trunc}")
-        # the parser refuses a radius that is not positive, so only None falls back
-        rep = diagnostics.vf_domain_estimate(problem, degree, args.majorant_r or 0.5)
-        _require_fit(rep.rho, f"--degree {degree}")
+        # f is read through --degree, or the document's truncation; the parser
+        # refuses a radius that is not positive, so only None falls back
+        rep = diagnostics.vf_domain_estimate(problem, problem.f.trunc, args.majorant_r or 0.5)
+        _require_fit(rep.rho, f"--degree {rep.degree}")
         rows.append("omega,degree,rho,d_estimate,log_d,bruno_value,gap,divergence_flag")
         rows.append(
             f"{rep.omega!r},{rep.degree},{rep.rho!r},{rep.d_estimate!r},"
@@ -263,12 +246,11 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    problem = documents.problem_from_doc(documents.load_json(args.input))
-    h = _load_h(args.solution)
+    h = documents.load_solution(args.solution)
+    problem = documents.problem_from_doc(documents.load_json(args.input), degree=h.trunc,
+                                         asked="--solution truncation")
     if h.n != problem.f.n:
         raise UsageError(f"the solution has n = {h.n} but the problem has n = {problem.f.n}")
-    if h.trunc > problem.f.trunc:
-        raise UsageError(f"--solution truncation {h.trunc} is above --input truncation {problem.f.trunc}")
     rep = linearize.verify_conjugacy(problem, h)
     rows = [
         "max_abs,max_rel,degree",

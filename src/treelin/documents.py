@@ -68,14 +68,19 @@ def series_to_doc(s) -> dict:
     return {"n": s.n, "D": s.trunc, "kind": "vector", "terms": terms}
 
 
-def series_from_doc(doc: dict):
-    """The series of a series document; ``kind`` "scalar" or "vector" (the default), ``terms`` a list."""
+def series_from_doc(doc: dict, degree: int | None = None, kind: str | None = None):
+    """The series of a series document through ``degree`` <= D (D when None); every term is checked.
+
+    Its ``kind`` is "scalar" or "vector" (the default), and ``kind`` when that is given.
+    """
     try:
         n = _integer(doc["n"], "n")
         D = _integer(doc["D"], "D")
-        kind = doc.get("kind", "vector")
-        if kind not in ("scalar", "vector"):
-            raise UsageError(f"a series kind is \"scalar\" or \"vector\", got {kind!r}")
+        found = doc.get("kind", "vector")
+        if found not in ("scalar", "vector"):
+            raise UsageError(f"a series kind is \"scalar\" or \"vector\", got {found!r}")
+        if kind not in (None, found):
+            raise UsageError(f"expected a {kind} series, got a {found} series")
         if n < 1 or D < 0:
             raise UsageError(f"a series needs n >= 1 and D >= 0, got n={n}, D={D}")
         terms = doc.get("terms")
@@ -83,20 +88,22 @@ def series_from_doc(doc: dict):
             raise UsageError(f"a series document needs a list of terms, got {terms!r}")
         coeffs = {}
         for t in terms:
-            alpha = _alpha(t, n, D)
+            alpha = index(t.get("alpha", []), n)
+            if sum(alpha) > D:
+                raise UsageError(f"term degree {sum(alpha)} exceeds D={D}")
             value = t["value"]
-            if kind == "scalar":
+            if found == "scalar":
                 coeffs[alpha] = _cplx(value)
                 continue
             if not isinstance(value, list) or len(value) != n:
                 raise UsageError(f"vector term at {alpha} needs {n} components")
             coeffs[alpha] = tuple(_cplx(v) for v in value)
+        build = series.ScalarSeries if found == "scalar" else series.VectorSeries.from_coeffs
         # a truncation too high to hold is refused here too, with numpy's reason
-        if kind == "scalar":
-            return series.ScalarSeries(n, D, coeffs)
-        return series.VectorSeries.from_coeffs(n, D, coeffs)
+        return build(n, D if degree is None else degree, coeffs)
     except (AttributeError, KeyError, MemoryError, OverflowError, TypeError, ValueError) as exc:
-        raise UsageError(f"malformed series document: {exc}") from exc
+        # a MemoryError says nothing of itself, so it is named
+        raise UsageError(f"malformed series document: {str(exc) or type(exc).__name__}") from exc
 
 
 def index(value, n: int) -> tuple:
@@ -106,13 +113,6 @@ def index(value, n: int) -> tuple:
     alpha = tuple(_integer(a, "an exponent") for a in value)
     if len(alpha) != n or any(a < 0 for a in alpha):
         raise UsageError(f"bad index {alpha} for n={n}")
-    return alpha
-
-
-def _alpha(term: dict, n: int, D: int):
-    alpha = index(term.get("alpha", []), n)
-    if sum(alpha) > D:
-        raise UsageError(f"term degree {sum(alpha)} exceeds D={D}")
     return alpha
 
 
@@ -187,22 +187,36 @@ def spectrum_from_doc(doc, kind: str, n: int | None = None):
     return spec
 
 
-def problem_from_doc(doc: dict):
-    kind = doc.get("kind") if isinstance(doc, dict) else None
-    if kind not in ("germ", "field"):
-        raise UsageError(f"unknown problem kind {kind!r}")
+def problem_from_doc(doc: dict, kind: str | None = None, degree: int | None = None,
+                     asked: str = "--degree"):
+    """The germ or field problem of a problem document, with f read only through ``degree``.
+
+    ``kind`` is the kind a command needs and ``degree`` the degree it solves or checks to, D
+    when None; ``asked`` names that degree if it is above D.  h through degree d needs f only
+    through degree d.  The top-level ``n`` and ``D`` must be the series' own.
+    """
+    found = doc.get("kind") if isinstance(doc, dict) else None
+    if found not in ("germ", "field"):
+        raise UsageError(f"unknown problem kind {found!r}")
+    if kind not in (None, found):
+        raise UsageError(f"the input document is a {found} problem, not a {kind} problem")
     try:
         n = _integer(doc["n"], "n")
+        D = _integer(doc["D"], "D")
         spectrum_doc = doc["spectrum"]
         series_doc = doc["series"]
+        shape = (series_doc["n"], series_doc["D"])
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed problem document: {exc}") from exc
-    f = series_from_doc(series_doc)
-    if not isinstance(f, series.VectorSeries) or f.n != n:
-        raise UsageError("problem series must be an n-component vector series")
-    spec = spectrum_from_doc(spectrum_doc, kind, n)
+    if shape != (n, D):
+        raise UsageError(f"the document has (n, D) = {(n, D)} but its series has {shape!r}")
+    degree = D if degree is None else degree
+    if degree > D:  # f is known only through its truncation
+        raise UsageError(f"{asked} {degree} is above the document's truncation {D}")
+    f = series_from_doc(series_doc, degree, "vector")
+    spec = spectrum_from_doc(spectrum_doc, found, n)
     try:  # the problem checks that f has valuation >= 2
-        return (linearize.Germ if kind == "germ" else linearize.VectorField)(spec, f)
+        return (linearize.Germ if found == "germ" else linearize.VectorField)(spec, f)
     except ValueError as exc:
         raise UsageError(f"malformed problem document: {exc}") from exc
 
@@ -230,6 +244,15 @@ def load_json(path: str) -> dict:
 def residual_doc(rep) -> dict:
     """A :class:`linearize.ConjugacyReport` as a report's residual record."""
     return {"max_abs": rep.max_abs, "max_rel": rep.max_rel}
+
+
+def load_solution(path: str):
+    """The solution h at ``path``: a vector series document, or the ``h`` of a run report."""
+    doc = load_json(path)
+    doc = doc.get("h", doc) if isinstance(doc, dict) else doc  # a run report holds h
+    if isinstance(doc, dict) and doc.get("kind") in ("germ", "field"):
+        raise UsageError(f"expected a series document, got a {doc['kind']} problem document")
+    return series_from_doc(doc, kind="vector")
 
 
 def run_report(problem_doc: dict, method: str, lin, extras: dict | None = None) -> dict:

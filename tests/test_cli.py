@@ -577,6 +577,120 @@ def test_a_degree_above_the_documents_truncation_is_a_usage_error(tmp_path, caps
         assert main(["linearize", "field", "--input", str(field), "--degree", D]) == 0
 
 
+def _fixture_pair(tmp_path, kind):
+    """The n=2, degree-3 fixture of seed 1 written at truncations 6 and 2000: the same f."""
+    paths = []
+    for trunc in (6, 2000):
+        paths.append(tmp_path / f"{kind}{trunc}.json")
+        assert main(["fixture", kind, "--n", "2", "--degree-f", "3", "--trunc", str(trunc),
+                     "--seed", "1", "--out", str(paths[-1])]) == 0
+    return paths
+
+
+def test_f_is_read_only_through_the_degree_asked(tmp_path):
+    # h through degree d needs f only through degree d; read at its own
+    # truncation, f would hold two million slots per component
+    for kind in ("germ", "field"):
+        short, long = (json.loads(path.read_text()) for path in _fixture_pair(tmp_path, kind))
+        problem = problem_from_doc(long, kind, 6)
+        assert problem.f.trunc == 6, kind
+        assert problem.f == problem_from_doc(short).f, kind
+        assert problem_from_doc(long, degree=4).f == problem.f.truncate(4), kind
+
+
+def test_a_long_document_solves_and_checks_as_its_short_form(tmp_path):
+    # in a fresh process whose address space is capped at 400 MB, where
+    # reading f through the document's truncation runs out of memory
+    germ6, germ2000 = _fixture_pair(tmp_path, "germ")
+    field6, field2000 = _fixture_pair(tmp_path, "field")
+    h6 = tmp_path / "h6.json"
+    assert main(["linearize", "germ", "--input", str(germ6), "--degree", "6",
+                 "--output", str(h6)]) == 0
+    runs = {
+        "linearize": ["linearize", "germ", "--input", "{germ}", "--degree", "6", "--verify"],
+        "verify": ["verify", "--input", "{germ}", "--solution", str(h6)],
+        "domain": ["diagnose", "domain", "--input", "{field}", "--degree", "6"],
+    }
+    for name, argv in runs.items():
+        short = [a.format(germ=germ6, field=field6) for a in argv]
+        assert main(short + ["--output", str(tmp_path / f"{name}6.out")]) == 0, name
+    script = (
+        "import contextlib, io, os, resource, sys\n"
+        "os.environ['OPENBLAS_NUM_THREADS'] = '1'\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
+        "from treelin.cli import main\n"
+        f"runs = {runs!r}\n"
+        "codes = []\n"
+        "for name, argv in runs.items():\n"
+        f"    argv = [a.format(germ={str(germ2000)!r}, field={str(field2000)!r}) for a in argv]\n"
+        f"    out = os.path.join({str(tmp_path)!r}, name + '2000.out')\n"
+        "    with contextlib.redirect_stderr(io.StringIO()):\n"
+        "        codes.append(main(argv + ['--output', out]))\n"
+        "print(codes)\n"
+    )
+    proc = run_python("-c", script)
+    assert proc.stdout.splitlines()[-1:] == ["[0, 0, 0]"], (proc.stdout, proc.stderr)
+    for name in runs:
+        short = (tmp_path / f"{name}6.out").read_text()
+        long = (tmp_path / f"{name}2000.out").read_text()
+        if name == "linearize":  # the input digests differ, and nothing else
+            short, long = json.loads(short), json.loads(long)
+            assert short.pop("input_digest") != long.pop("input_digest")
+        assert long == short, name
+
+
+def test_a_top_level_truncation_other_than_the_series_is_refused(tmp_path, capsys):
+    doc = json.loads(_write_problem(tmp_path, seed=1, n=2, degree_f=3, trunc=6).read_text())
+    path = tmp_path / "other.json"
+    for D in (3, 99):
+        path.write_text(json.dumps({**doc, "D": D}))
+        assert main(["linearize", "germ", "--input", str(path), "--degree", "3"]) == 1, D
+        assert capsys.readouterr().err.splitlines()[0] == (
+            f"usage error: the document has (n, D) = (2, {D}) but its series has (2, 6)"), D
+
+
+def test_a_problem_of_the_other_kind_is_named_in_one_line(tmp_path, capsys):
+    germ = _write_problem(tmp_path, seed=1, n=2, degree_f=3, trunc=6)
+    field = _write_problem(tmp_path, seed=1, n=2, degree_f=3, trunc=6, kind="field")
+    capsys.readouterr()
+    for argv, line in (
+        (["diagnose", "domain", "--input", str(germ)], "a germ problem, not a field problem"),
+        (["linearize", "field", "--input", str(germ), "--degree", "4"],
+         "a germ problem, not a field problem"),
+        (["linearize", "germ", "--input", str(field), "--degree", "4"],
+         "a field problem, not a germ problem"),
+    ):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.splitlines()[0] == (
+            f"usage error: the input document is {line}"), argv
+
+
+def test_a_scalar_series_where_a_solution_belongs_is_named(tmp_path, capsys):
+    germ = _write_problem(tmp_path, seed=1, n=2, degree_f=3, trunc=6)
+    scalar = tmp_path / "scalar.json"
+    scalar.write_text(json.dumps(series_to_doc(ScalarSeries(2, 6, {(2, 0): 0.5}))))
+    capsys.readouterr()
+    for argv in (["verify", "--input", str(germ), "--solution", str(scalar)],
+                 ["diagnose", "growth", "--input", str(scalar)]):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.splitlines()[0] == (
+            "usage error: expected a vector series, got a scalar series"), argv
+
+
+def test_a_series_too_large_to_hold_names_the_cause(tmp_path, capsys, monkeypatch):
+    # a MemoryError carries no message of its own
+    problem = _write_problem(tmp_path, seed=1, n=2, degree_f=3, trunc=6)
+
+    def no_memory(cls, n, trunc, coeffs):
+        raise MemoryError
+
+    monkeypatch.setattr(series.VectorSeries, "from_coeffs", classmethod(no_memory))
+    capsys.readouterr()
+    assert main(["linearize", "germ", "--input", str(problem), "--degree", "6"]) == 1
+    assert capsys.readouterr().err.splitlines()[0] == (
+        "usage error: malformed series document: MemoryError")
+
+
 def test_diagnose_domain_refuses_a_field_outside_the_planar_family(tmp_path, capsys):
     # the spectrum must be (-1, omega) with omega > 0; a traceback before
     field = _write_problem(tmp_path, seed=1, n=2, degree_f=3, trunc=6, kind="field")

@@ -142,21 +142,27 @@ def test_an_edited_command_line_ends_in_one_outcome(files, data):
 
 def test_inputs_beyond_double_precision_are_refused(files, capsys):
     # a truncation numpy cannot index and a spectrum whose divisors overflow
-    # are usage errors where they are read
+    # are usage errors where they are read; the truncation is read only
+    # where a command reads through it
     with open(files["germ"]) as fh:
         germ = json.load(fh)
+    with open(files["field"]) as fh:
+        field = json.load(fh)
     with open(files["lambda"]) as fh:
         by_eigenvalues = json.load(fh)
     problem = str(files["folder"] / "beyond.json")
-    for path, value, doc, reason in ((("series", "D"), 2**64, germ, "malformed series document"),
-                                     (("spectrum", "lambda", 0, 0), 1e308, by_eigenvalues,
-                                      "overflow double precision")):
-        with open(problem, "w") as fh:
-            json.dump(edited(doc, path, value), fh)
-        for argv in (["linearize", "germ", "--input", problem, "--degree", "4"],
-                     ["verify", "--input", problem, "--solution", files["germ_h"]]):
-            assert main(argv) == 1, (path, argv)
-            assert reason in capsys.readouterr().err.splitlines()[0], (path, argv)
+    with open(problem, "w") as fh:
+        json.dump(edited(edited(field, ("D",), 2**64), ("series", "D"), 2**64), fh)
+    assert main(["diagnose", "domain", "--input", problem]) == 1
+    assert "malformed series document" in capsys.readouterr().err.splitlines()[0]
+    assert main(["linearize", "field", "--input", problem, "--degree", "4"]) == 0
+    capsys.readouterr()
+    with open(problem, "w") as fh:
+        json.dump(edited(by_eigenvalues, ("spectrum", "lambda", 0, 0), 1e308), fh)
+    for argv in (["linearize", "germ", "--input", problem, "--degree", "4"],
+                 ["verify", "--input", problem, "--solution", files["germ_h"]]):
+        assert main(argv) == 1, argv
+        assert "overflow double precision" in capsys.readouterr().err.splitlines()[0], argv
     # a defect that is not finite is not within any tolerance
     for value, defect in ((math.inf, "nan"), (1e308, "inf")):
         with open(problem, "w") as fh:
