@@ -68,10 +68,12 @@ def series_to_doc(s) -> dict:
     return {"n": s.n, "D": s.trunc, "kind": "vector", "terms": terms}
 
 
-def series_from_doc(doc: dict, degree: int | None = None, kind: str | None = None):
+def series_from_doc(doc: dict, degree: int | None = None, kind: str | None = None,
+                    valuation: int = 0):
     """The series of a series document through ``degree`` <= D (D when None); every term is checked.
 
     Its ``kind`` is "scalar" or "vector" (the default), and ``kind`` when that is given.
+    A nonzero vector term of degree below ``valuation`` is refused, whatever ``degree`` is.
     """
     try:
         n = _integer(doc["n"], "n")
@@ -98,6 +100,9 @@ def series_from_doc(doc: dict, degree: int | None = None, kind: str | None = Non
             if not isinstance(value, list) or len(value) != n:
                 raise UsageError(f"vector term at {alpha} needs {n} components")
             coeffs[alpha] = tuple(_cplx(v) for v in value)
+            if sum(alpha) < valuation and any(coeffs[alpha]):
+                raise UsageError(f"the nonlinear part must have valuation >= {valuation}, "
+                                 f"got a nonzero term at {alpha}")
         build = series.ScalarSeries if found == "scalar" else series.VectorSeries.from_coeffs
         # a truncation too high to hold is refused here too, with numpy's reason
         return build(n, D if degree is None else degree, coeffs)
@@ -193,7 +198,8 @@ def problem_from_doc(doc: dict, kind: str | None = None, degree: int | None = No
 
     ``kind`` is the kind a command needs and ``degree`` the degree it solves or checks to, D
     when None; ``asked`` names that degree if it is above D.  h through degree d needs f only
-    through degree d.  The top-level ``n`` and ``D`` must be the series' own.
+    through degree d, but a nonzero term of f below degree 2 is refused at every degree.  The
+    top-level ``n`` and ``D`` must be the series' own.
     """
     found = doc.get("kind") if isinstance(doc, dict) else None
     if found not in ("germ", "field"):
@@ -213,12 +219,9 @@ def problem_from_doc(doc: dict, kind: str | None = None, degree: int | None = No
     degree = D if degree is None else degree
     if degree > D:  # f is known only through its truncation
         raise UsageError(f"{asked} {degree} is above the document's truncation {D}")
-    f = series_from_doc(series_doc, degree, "vector")
+    f = series_from_doc(series_doc, degree, "vector", valuation=2)
     spec = spectrum_from_doc(spectrum_doc, found, n)
-    try:  # the problem checks that f has valuation >= 2
-        return (linearize.Germ if found == "germ" else linearize.VectorField)(spec, f)
-    except ValueError as exc:
-        raise UsageError(f"malformed problem document: {exc}") from exc
+    return (linearize.Germ if found == "germ" else linearize.VectorField)(spec, f)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -424,6 +425,24 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         path = tmp_path / f"{name.replace(' ', '_')}.json"
         path.write_text(json.dumps(doc))
         bad_args.append(["linearize", "germ", "--input", str(path), "--degree", "4"])
+    # f has valuation >= 2 at every degree, also where f is read only through degree 0 or 1
+    h0 = tmp_path / "h0.json"
+    assert main(["linearize", "germ", "--input", str(problem), "--degree", "0",
+                 "--output", str(h0)]) == 0
+    capsys.readouterr()
+    linear = {"germ": tmp_path / "linear_germ.json", "field": tmp_path / "linear_field.json"}
+    for kind, good in (("germ", problem), ("field", field)):
+        doc = json.loads(good.read_text())
+        n = doc["n"]
+        value = [[0.5, 0.0]] + [[0.0, 0.0]] * (n - 1)
+        doc["series"]["terms"].append({"alpha": [1] + [0] * (n - 1), "value": value})
+        linear[kind].write_text(json.dumps(doc))
+    for degree in ("0", "1", "4"):
+        bad_args += [["linearize", "germ", "--input", str(linear["germ"]), "--degree", degree],
+                     ["linearize", "field", "--input", str(linear["field"]), "--degree", degree],
+                     ["diagnose", "domain", "--input", str(linear["field"]), "--degree", degree]]
+    bad_args += [["verify", "--input", str(linear["germ"]), "--solution", str(h)]
+                 for h in (h0, solution)]
     # support indices are lists of len(alpha) integers >= 0, not coerced;
     # a support series has len(alpha) variables
     one_variable = series_to_doc(VectorSeries.from_coeffs(1, 4, {(2,): (0.5,)}))
@@ -647,6 +666,24 @@ def test_a_top_level_truncation_other_than_the_series_is_refused(tmp_path, capsy
         assert main(["linearize", "germ", "--input", str(path), "--degree", "3"]) == 1, D
         assert capsys.readouterr().err.splitlines()[0] == (
             f"usage error: the document has (n, D) = (2, {D}) but its series has (2, 6)"), D
+
+
+def test_a_term_of_f_below_degree_2_is_named_and_a_zero_one_is_accepted(tmp_path, capsys):
+    doc = json.loads(_write_problem(tmp_path, seed=1, n=2, degree_f=3, trunc=6).read_text())
+    terms = doc["series"]["terms"]
+    path = tmp_path / "low.json"
+    for alpha, value, code in (([0, 1], [[0.0, 0.0], [0.0, 0.0]], 0),
+                               ([0, 1], [[0.0, 0.0], [0.0, -1e-300]], 1),
+                               ([0, 0], [[0.5, 0.0], [0.0, 0.0]], 1)):
+        doc["series"]["terms"] = terms + [{"alpha": alpha, "value": value}]
+        path.write_text(json.dumps(doc))
+        for degree in ("0", "1", "6"):
+            argv = ["linearize", "germ", "--input", str(path), "--degree", degree]
+            assert main(argv) == code, (alpha, value, degree)
+            err = capsys.readouterr().err.splitlines()[0]
+            if code:
+                assert err == ("usage error: the nonlinear part must have valuation >= 2, "
+                               f"got a nonzero term at {tuple(alpha)}"), err
 
 
 def test_a_problem_of_the_other_kind_is_named_in_one_line(tmp_path, capsys):
@@ -911,25 +948,109 @@ def test_process_exit_codes_are_mains(tmp_path, capsys):
 def test_only_the_process_entry_point_freezes_the_collector(tmp_path, capsys):
     frozen = gc.get_freeze_count()
     problem = _write_problem(tmp_path, n=2, degree_f=3, trunc=6)
-    for method in ("recursive", "tree", "fixedpoint"):
-        assert main(["linearize", "germ", "--input", str(problem), "--degree", "6",
-                     "--method", method, "--output", str(tmp_path / "h.json")]) == 0
-    assert main(["bruno", "--omega", "1/0"]) == 1
+    for enabled in (True, False):
+        (gc.enable if enabled else gc.disable)()
+        try:
+            for method in ("recursive", "tree", "fixedpoint"):
+                assert main(["linearize", "germ", "--input", str(problem), "--degree", "6",
+                             "--method", method, "--output", str(tmp_path / "h.json")]) == 0
+            assert main(["bruno", "--omega", "1/0"]) == 1
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
     assert gc.get_freeze_count() == frozen
-    # the module's __main__ ends through run, which freezes on every exit path
+    # the module's __main__ runs through run, which turns the collector off for
+    # the command and freezes what is tracked on every exit path
     script = (
         "import gc, runpy, sys\n"
         "sys.argv = ['treelin', 'bruno', '--omega', '1/0']\n"
         "try:\n"
         "    runpy.run_module('treelin.cli', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
-        "    print(exc.code, gc.get_freeze_count() > 0)\n"
+        "    print(exc.code, gc.isenabled(), gc.get_freeze_count() > 0)\n"
     )
     proc = run_python("-W", "error", "-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "True"]
+    assert proc.stdout.split() == ["1", "False", "True"]
     scripts = (ROOT / "pyproject.toml").read_text().split("[project.scripts]")[1]
     assert scripts.split("[")[0].strip() == 'treelin = "treelin.cli:run"'
+
+
+# In a fresh process with the collector off, as under cli.run: what main
+# leaves for the collector to free, and the treelin types among it.
+_GARBAGE_AUDIT = (
+    "import contextlib, gc, io, sys\n"
+    "gc.disable()\n"
+    "import treelin.cli\n"
+    "gc.collect()\n"
+    "gc.set_debug(gc.DEBUG_SAVEALL)\n"
+    "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+    "    code = treelin.cli.main(sys.argv[1:])\n"
+    "freed = gc.collect()\n"
+    "types = {type(o) for o in gc.garbage}\n"
+    "print(code, freed, *sorted(t.__qualname__ for t in types\n"
+    "                           if (t.__module__ or '').startswith('treelin')))\n"
+)
+
+
+def test_no_command_leaves_garbage_that_grows_with_its_problem(tmp_path):
+    # cli.run keeps the collector off for the whole command, which is safe
+    # only while a command's reference cycles do not grow with its problem
+    def fixture(kind, n, trunc):
+        return _write_problem(tmp_path, seed=trunc, n=n, degree_f=3, trunc=trunc, kind=kind)
+
+    def solution(germ, degree):
+        path = tmp_path / f"h{degree}.json"
+        assert main(["linearize", "germ", "--input", str(germ), "--degree", str(degree),
+                     "--output", str(path)]) == 0
+        return path
+
+    germs = fixture("germ", 2, 6), fixture("germ", 3, 10)
+    fields = fixture("field", 2, 6), fixture("field", 3, 10)
+    planar = fields[0], fixture("field", 2, 12)  # domain diagnostics take n = 2
+    solutions = solution(germs[0], 6), solution(germs[1], 10)
+    spectrum = tmp_path / "spectrum.json"
+    spectrum.write_text(json.dumps({"rotation": [GOLDEN]}))
+    commands = {
+        "linearize recursive": [["linearize", "germ", "--input", str(germs[0]), "--degree", "6"],
+                                ["linearize", "germ", "--input", str(germs[1]), "--degree", "10"]],
+        "linearize tree": [["linearize", "germ", "--input", str(germs[0]), "--degree", "4",
+                            "--method", "tree"],
+                           ["linearize", "germ", "--input", str(germs[1]), "--degree", "7",
+                            "--method", "tree"]],
+        "linearize fixedpoint": [["linearize", "field", "--input", str(fields[0]),
+                                  "--degree", "6", "--method", "fixedpoint"],
+                                 ["linearize", "field", "--input", str(fields[1]),
+                                  "--degree", "10", "--method", "fixedpoint"]],
+        "verify": [["verify", "--input", str(g), "--solution", str(h)]
+                   for g, h in zip(germs, solutions)],
+        "diagnose family": [["diagnose", "family", "--omega", repr(GOLDEN), "--degree", str(D)]
+                            for D in (40, 600)],
+        "diagnose domain": [["diagnose", "domain", "--input", str(f), "--degree", str(D)]
+                            for f, D in zip(planar, (6, 12))],
+        "diagnose growth": [["diagnose", "growth", "--input", str(h), "--majorant-r", "0.5"]
+                            for h in solutions],
+        "diagnose class": [["diagnose", "class", "--input", str(h)] for h in solutions],
+        "diagnose condition": [["diagnose", "condition", "--omega", repr(GOLDEN), "--dmax", str(D)]
+                               for D in (10, 400)],
+        "fixture": [["fixture", "field", "--n", str(n), "--trunc", str(D), "--seed", "2",
+                     "--out", str(tmp_path / f"fixture_{D}.json")] for n, D in ((2, 6), (3, 12))],
+        "trees enum": [["trees", "enum", "--order", str(order)] for order in (4, 8)],
+        "bruno": [["bruno", "--omega", repr(GOLDEN), "--terms", str(terms)] for terms in (5, 60)],
+        "omega": [["omega", "--spectrum", str(spectrum), "--p-max", str(p), "--variant", "frac"]
+                  for p in (8, 80)],
+    }
+    runs = [(name, argv) for name, pair in commands.items() for argv in pair]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        procs = list(pool.map(lambda run: run_python("-c", _GARBAGE_AUDIT, *run[1]), runs))
+    freed = {}
+    for (name, argv), proc in zip(runs, procs):
+        assert proc.returncode == 0, (argv, proc.stderr)
+        code, count, *treelin_types = proc.stdout.split()
+        assert code == "0", argv
+        assert treelin_types == [], argv
+        freed.setdefault(name, []).append(int(count))
+    assert all(small == large for small, large in freed.values()), freed
 
 
 # ---------------------------------------------------------------------------
