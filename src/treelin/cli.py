@@ -20,7 +20,7 @@ import os
 import sys
 import time
 
-from . import commands, documents, fixture, linearize, treesum
+from . import commands, documents, fixture, linearize
 from .errors import TreelinError, UsageError
 from .output import emit
 
@@ -110,10 +110,10 @@ def _cmd_linearize(args) -> int:
         residual = results[method].residual
         note = (f"{method}: {time.perf_counter() - start:.3f}s, "
                 f"residual max_rel {residual.max_rel:.3e}, max_abs {residual.max_abs:.3e}")
-        if method == "tree":
-            plan = treesum.tree_plan(problem, args.degree)
-            note += (f", degrees 2..{args.degree}: summands {list(plan.summands)}, "
-                     f"monomials {list(plan.monomials)}")
+        if results[method].tree_counts is not None:
+            summands, monomials = results[method].tree_counts
+            note += (f", degrees 2..{args.degree}: summands {list(summands)}, "
+                     f"monomials {list(monomials)}")
         _note(note)
     primary = results[methods[0]]
     extras = {}
@@ -228,6 +228,23 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _clear_frames(exc: BaseException):
+    """Clear the finished frames of ``exc``'s traceback and ``__context__`` chain.
+
+    A frame that holds the exception raised through it is a reference
+    cycle, and :func:`run` turns the collector off.
+    """
+    while exc is not None:
+        tb = exc.__traceback__
+        while tb is not None:
+            try:
+                tb.tb_frame.clear()
+            except RuntimeError:  # main's own frame, still running
+                pass
+            tb = tb.tb_next
+        exc = exc.__context__
+
+
 def main(argv=None) -> int:
     """Run one command and return its exit code: 0 success, 1 usage error, 2 domain error.
 
@@ -241,11 +258,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         _check_destinations(args)
         return args.fn(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        print(parser.format_usage(), file=sys.stderr, end="")
-        return 1
     except TreelinError as exc:
+        _clear_frames(exc)
+        if isinstance(exc, UsageError):
+            print(f"usage error: {exc}", file=sys.stderr)
+            print(parser.format_usage(), file=sys.stderr, end="")
+            return 1
         print(f"domain error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 2
 

@@ -29,7 +29,7 @@ from .records import Record
 from .series import VectorSeries, graded_indices
 
 # A divisor modulus (or an Omega value of the Bruno sums) below this is a
-# resonance: every route raises or clips there, and so do the tree plans.
+# resonance: every route raises or clips there, the tree route line by line.
 RESONANCE_TOL = 1e-12
 
 

@@ -7,9 +7,9 @@ routes:
 
 * order-by-order recursion on the conjugacy equation (divide each new degree
   slice by its divisors),
-* the explicit sum over labeled rooted trees, compiled into one polynomial
-  per coefficient in the nonzero coefficients of f, built over subtrees;
-  this route lives in :mod:`treelin.treesum` (``TreePlan``, ``tree_plan``),
+* the explicit sum over labeled rooted trees, built over subtrees as one
+  polynomial per coefficient in the nonzero coefficients of f and evaluated
+  at f; this route lives in :mod:`treelin.treesum`,
 * the generic non-expanding fixed-point iteration driven by the shift
   family of f, :func:`fixed_point_inversion`, whose operator is any
   callable from vector series to vector series (here division by the
@@ -22,7 +22,7 @@ only ``families`` and a tree process only ``treesum``.
 All three agree coefficient-wise on their shared validity range; the tests
 and the acceptance suite make that executable.  Summation order inside the
 tree sum is normative (see :class:`treesum.LinePolynomials` and
-:class:`treesum.TreePlan`), so totals are reproducible bit for bit.
+:func:`treesum._solve_tree`), so totals are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -88,9 +88,12 @@ class ConjugacyReport(Record):
 
 
 class Linearization(Record):
-    """A solution h (H = z + h) with provenance and its :class:`ConjugacyReport`."""
+    """A solution h (H = z + h) with provenance and its :class:`ConjugacyReport`.
 
-    __slots__ = ("h", "method", "degree", "residual", "clipped")
+    ``tree_counts`` is None, or the tree route's (summands, monomials) per degree 2..D.
+    """
+
+    __slots__ = ("h", "method", "degree", "residual", "clipped", "tree_counts")
 
     @property
     def conforming(self) -> bool:
@@ -238,7 +241,7 @@ def _solve_fixedpoint(table: VectorSeries, f: VectorSeries, clipped: list | None
 # degree: the routes know the divisors, not the spectrum.  ``clipped`` None
 # raises at the first small divisor; a list gets the clipped slots' records
 # in graded-lex order.  The tree route is treesum._solve_tree, looked up by
-# solve() at call time.
+# solve() at call time, and returns h with its counts.
 _METHODS = {
     "recursive": _solve_recursive,
     "fixedpoint": _solve_fixedpoint,
@@ -262,20 +265,18 @@ def solve(problem, D: int, method: str = "recursive",
     """
     if on_small_divisor not in ("raise", "clip"):
         raise ValueError(f"on_small_divisor must be 'raise' or 'clip', not {on_small_divisor!r}")
-    if method == "tree":
-        route = treesum._solve_tree
-    elif method in _METHODS:
-        route = _METHODS[method]
-    else:
+    route = treesum._solve_tree if method == "tree" else _METHODS.get(method)
+    if route is None:
         raise ValueError(f"unknown method {method!r}")
     clipped = [] if on_small_divisor == "clip" else None
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            h = route(divisor_table(problem.spectrum, D), problem.f.truncate(D), clipped)
+            out = route(divisor_table(problem.spectrum, D), problem.f.truncate(D), clipped)
+        h, counts = out if method == "tree" else (out, None)
         residual = verify_conjugacy(problem, _check_finite(h))
     except MemoryError as exc:
         raise ResourceLimit(method, problem.f.n, D, "ran out of memory") from exc
-    return Linearization(h, method, D, residual, tuple(clipped or ()))
+    return Linearization(h, method, D, residual, tuple(clipped or ()), counts)
 
 
 def _check_finite(h: VectorSeries) -> VectorSeries:

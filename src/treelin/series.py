@@ -139,12 +139,12 @@ class _PairTable:
         return left, right, out2.ravel()
 
 
-# The derived tables of the package (bases and pair tables here, and tree
-# plans) are cached in plain dicts in insertion order, oldest
-# first.  A caller pops its key, builds or grows the entry, and stores it back
-# with _recent.  A basis is rebuilt for a larger truncation and serves every
-# smaller one as a prefix.  A pair table keeps one block, the newest, and the
-# tail sums of the slots it has seen, so its size is set by its largest block.
+# The derived tables of the package (bases and pair tables) are cached in
+# plain dicts in insertion order, oldest first.  A caller pops its key,
+# builds or grows the entry, and stores it back with _recent.  A basis is
+# rebuilt for a larger truncation and serves every smaller one as a prefix.
+# A pair table keeps one block, the newest, and the tail sums of the slots
+# it has seen, so its size is set by its largest block.
 _CACHE_LIMIT = 16
 _BASES: dict = {}
 _PAIR_TABLES: dict = {}
@@ -342,9 +342,6 @@ class _DenseSeries:
             and self.trunc == other.trunc
             and bool(np.array_equal(self._v, other._v))
         )
-
-    def __hash__(self):
-        return hash((self.n, self.trunc, tuple(self._v.ravel().tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,12 @@
-"""The tree-sum route of :func:`linearize.solve`: labeled-tree sums compiled into plans.
+"""The tree-sum route of :func:`linearize.solve`: labeled-tree sums as line polynomials.
 
 h_{alpha,j} is a sum over labeled rooted trees (see :mod:`treelin.trees`)
 of divisor and coefficient products.  :class:`LinePolynomials` builds that
 sum for every line as a polynomial in the nonzero coefficients of f,
-bottom-up over subtrees, so no labeling is ever enumerated;
-:class:`TreePlan` compiles the polynomials into arrays, cached per divisor
-table and set of nonzero coefficients, and :func:`_solve_tree` evaluates a
-plan at f's values.  Only a tree solve runs this module: it shares the
-kernel and the divisor table with the other two routes, and nothing else.
+bottom-up over subtrees, so no labeling is ever enumerated, and
+:func:`_solve_tree` evaluates each polynomial at f's values.  Only a tree
+solve runs this module: it shares the kernel and the divisor table with
+the other two routes, and nothing else.
 """
 
 from __future__ import annotations
@@ -29,14 +28,16 @@ from .indices import (
     slot_count,
     unit_index,
 )
-from .records import Record
-from .series import VectorSeries, _recent, graded_indices
+from .series import VectorSeries, graded_indices
 
 
 # The most monomials a LinePolynomials build may hold.  Builds from
 # degree-3 f hold 869,139 at n=3 D=7 and 589,371 at n=2 D=12; n=3 D=8 passes
 # 4 million.
 MONOMIAL_LIMIT = 2_000_000
+
+# A monomial key holds one exponent of this many bits per variable.
+EXPONENT_BITS = 8
 
 
 class LinePolynomials:
@@ -83,14 +84,12 @@ class LinePolynomials:
     of two polynomials the chain parent's keys in the outer loop.
     """
 
-    EXPONENT_BITS = 8
-
     def __init__(self, table: VectorSeries, variables):
         n, D = self.n, self.D = table.n, table.trunc
-        if D > 1 << self.EXPONENT_BITS:  # a line of degree D has at most D - 1 nodes
-            raise UsageError(f"the tree method reaches degree {1 << self.EXPONENT_BITS} at most")
+        if D > 1 << EXPONENT_BITS:  # a line of degree D has at most D - 1 nodes
+            raise UsageError(f"the tree method reaches degree {1 << EXPONENT_BITS} at most")
         self.support = sorted({L for L, _ in variables}, key=graded_key)
-        self.key = {v: 1 << (self.EXPONENT_BITS * i) for i, v in enumerate(variables)}
+        self.key = {v: 1 << (EXPONENT_BITS * i) for i, v in enumerate(variables)}
         self.poly: dict = {}
         self.count: dict = {}
         self.clipped: list = []
@@ -196,101 +195,47 @@ class LinePolynomials:
         return P, pc
 
 
-# compiled plans (see TreePlan) of the most recently used (table, variables),
-# which is all a plan depends on (see series._recent)
-_TREE_PLANS: dict = {}
-
-
-class TreePlan(Record):
-    """The tree sum of h as arrays over the nonzero coefficients of f.
-
-    The variables are those coefficients f_{L,a}, in graded-lex order of L,
-    then by axis (:func:`_tree_variables`).  Let v be their values followed
-    by a 1.  Row r adds ``const[r] * prod(v[rows[r]])`` to the flat slot
-    ``slots[r]`` (axis * slot_count + slot) of h.  Index rows list a
-    monomial's variables in ascending order, padded with the 1; the rows of
-    a slot run in lexicographic order of their index rows.  ``clipped``
-    holds the (alpha, j, modulus) records of the lines whose divisor is
-    below the tolerance.  ``summands[d - 2]`` and ``monomials[d - 2]``
-    count the labelings summed and the rows of the coefficients of
-    degree d.
-    """
-
-    __slots__ = ("const", "rows", "slots", "clipped", "summands", "monomials")
-
-
 def _tree_variables(f: VectorSeries):
-    """The nonzero coefficients of f as TreePlan variables, and their values."""
+    """The nonzero coefficients f_{L,a} of f as variables (graded-lex in L, then by axis), and their values."""
     F = f.to_array()
     slots, axes = np.nonzero(F.T)
     indices = graded_indices(f.n, f.trunc)
     variables = tuple((indices[s], a) for s, a in zip(slots.tolist(), axes.tolist()))
-    return variables, F.T[slots, axes]
+    return variables, F.T[slots, axes].tolist()
 
 
-def tree_plan(problem, D: int) -> TreePlan:
-    """The (cached) tree plan :func:`linearize.solve` uses for ``problem`` at degree D."""
-    variables, _ = _tree_variables(problem.f.truncate(D))
-    return _tree_plan(divisors.divisor_table(problem.spectrum, D), variables)
+def _solve_tree(table: VectorSeries, f: VectorSeries, clipped: list | None):
+    """Explicit tree-sum solution through f.trunc (the same trees for germs and fields), and its counts.
 
-
-def _tree_plan(table: VectorSeries, variables: tuple) -> TreePlan:
-    key = (table, variables)
-    plan = _TREE_PLANS.pop(key, None)
-    if plan is not None:
-        return _recent(_TREE_PLANS, key, plan)
-    n, D = table.n, table.trunc
-    lines = LinePolynomials(table, variables)
-    M = slot_count(n, D)
-    slot_of = {alpha: s for s, alpha in enumerate(graded_indices(n, D))}
-    keys: list = []
-    const: list = []
-    slots: list = []
-    summands = [0] * (D - 1)
-    monomials = [0] * (D - 1)
-    for (nu, a), poly in lines.poly.items():
-        keys.extend(poly)
-        const.extend(poly.values())
-        slots.extend([a * M + slot_of[nu]] * len(poly))
-        summands[degree(nu) - 2] += lines.count[(nu, a)]
-        monomials[degree(nu) - 2] += len(poly)
-    rows = _index_rows(keys, len(variables))
-    slots = np.array(slots, dtype=np.intp)
-    order = np.lexsort(tuple(rows[:, c] for c in reversed(range(rows.shape[1]))) + (slots,))
-    plan = TreePlan(np.array(const, dtype=complex)[order], rows[order],
-                    slots[order], tuple(lines.clipped), tuple(summands), tuple(monomials))
-    return _recent(_TREE_PLANS, key, plan)
-
-
-def _index_rows(keys: list, V: int) -> np.ndarray:
-    """Monomial keys (one exponent byte per variable) as rows of variable indices padded with V."""
-    exps = np.frombuffer(b"".join(k.to_bytes(V, "little") for k in keys),
-                         dtype=np.uint8).reshape(len(keys), V)
-    row, var = np.nonzero(exps)
-    reps = exps[row, var]
-    row, var = np.repeat(row, reps), np.repeat(var, reps)  # one entry per factor
-    lengths = np.bincount(row, minlength=len(keys))
-    rows = np.full((len(keys), int(lengths.max(initial=0))), V, dtype=np.int32)
-    rows[row, np.arange(len(row)) - (np.cumsum(lengths) - lengths)[row]] = var
-    return rows
-
-
-def _solve_tree(table: VectorSeries, f: VectorSeries, clipped: list | None) -> VectorSeries:
-    """Explicit tree-sum solution through f.trunc (the same trees for germs and fields).
-
-    Each coefficient is the sum over labeled rooted trees of the divisor and
-    coefficient product, weighted per node by binom(label, entering axes)
-    times beta!/m! (the multinomial share of the ordered child slots).  The
-    sum is compiled once per divisor table and set of nonzero coefficients
-    of f into a :class:`TreePlan`, and evaluated with one gather, one
-    product per row and one sum per slot.
+    Builds :class:`LinePolynomials` and evaluates each line at f's nonzero
+    coefficients in the normative order: a monomial is the product of its
+    variables in ascending order, memoized by prefix, and a line sums
+    constant * monomial over its monomials in lexicographic order of their
+    variable lists, which on the keys is descending order of
+    ``key.to_bytes(len(variables), "little")``.  Returns h and the pair
+    (summands, monomials): per degree 2..D, the labelings summed and the
+    monomials evaluated.
     """
     n, D = f.n, f.trunc
     variables, values = _tree_variables(f)
-    plan = _tree_plan(table, variables)
-    divisors.settle_small_divisors(plan.clipped, clipped)
-    terms = plan.const * np.append(values, 1.0)[plan.rows].prod(axis=1)
-    h = np.zeros(n * slot_count(n, D), dtype=complex)
-    h.real = np.bincount(plan.slots, terms.real, h.size)
-    h.imag = np.bincount(plan.slots, terms.imag, h.size)
-    return VectorSeries.from_array(n, D, h.reshape(n, -1))
+    lines = LinePolynomials(table, variables)
+    divisors.settle_small_divisors(lines.clipped, clipped)
+    value = {lines.key[v]: x for v, x in zip(variables, values)}  # every monomial met, by key
+
+    def monomial(k):
+        x = value.get(k)
+        if x is None:  # the prefix times the last variable
+            last = 1 << (EXPONENT_BITS * ((k.bit_length() - 1) // EXPONENT_BITS))
+            x = value[k] = monomial(k - last) * value[last]
+        return x
+
+    h: dict = {}
+    summands, monomials = [0] * (D - 1), [0] * (D - 1)
+    for (nu, a), poly in lines.poly.items():
+        total = 0j
+        for k in sorted(poly, key=lambda m: m.to_bytes(len(variables), "little"), reverse=True):
+            total += poly[k] * monomial(k)
+        h.setdefault(nu, [0j] * n)[a] = total
+        summands[degree(nu) - 2] += lines.count[(nu, a)]
+        monomials[degree(nu) - 2] += len(poly)
+    return VectorSeries.from_coeffs(n, D, h), (tuple(summands), tuple(monomials))

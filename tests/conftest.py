@@ -78,6 +78,12 @@ def random_dyadic_vector_series(rng, n, trunc, min_degree=0, max_degree=None,
     return VectorSeries.from_coeffs(n, trunc, coeffs)
 
 
+def moduli(series_: VectorSeries) -> VectorSeries:
+    """The coefficient moduli of a vector series, as a complex vector series."""
+    array = np.abs(series_.to_array()).astype(complex)
+    return VectorSeries.from_array(series_.n, series_.trunc, array)
+
+
 def _rows(s):
     return s.to_array() if isinstance(s, VectorSeries) else s.vector
 

@@ -764,7 +764,6 @@ def test_a_tree_build_past_its_monomial_limit_exits_2(tmp_path, capsys, monkeypa
     # --method all stops at the tree route, with a one-line message naming it
     # and the limit it passed, which is not memory
     problem = _write_problem(tmp_path, seed=1, n=2, degree_f=3, trunc=6)
-    treesum._TREE_PLANS.clear()
     monkeypatch.setattr(treesum, "MONOMIAL_LIMIT", 1000)
     capsys.readouterr()
     assert main(["linearize", "germ", "--input", str(problem), "--degree", "6",
@@ -977,9 +976,10 @@ def test_only_the_process_entry_point_freezes_the_collector(tmp_path, capsys):
 
 
 # In a fresh process with the collector off, as under cli.run: what main
-# leaves for the collector to free, and the treelin types among it.
+# leaves for the collector to free, and the treelin types and the frames of
+# treelin functions among it.
 _GARBAGE_AUDIT = (
-    "import contextlib, gc, io, sys\n"
+    "import contextlib, gc, io, sys, types\n"
     "gc.disable()\n"
     "import treelin.cli\n"
     "gc.collect()\n"
@@ -987,9 +987,11 @@ _GARBAGE_AUDIT = (
     "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
     "    code = treelin.cli.main(sys.argv[1:])\n"
     "freed = gc.collect()\n"
-    "types = {type(o) for o in gc.garbage}\n"
-    "print(code, freed, *sorted(t.__qualname__ for t in types\n"
-    "                           if (t.__module__ or '').startswith('treelin')))\n"
+    "kinds = {type(o) for o in gc.garbage}\n"
+    "frames = {'frame:' + o.f_code.co_name for o in gc.garbage if type(o) is types.FrameType\n"
+    "          and o.f_globals.get('__name__', '').startswith('treelin')}\n"
+    "print(code, freed, *sorted(frames), *sorted(t.__qualname__ for t in kinds\n"
+    "                                            if (t.__module__ or '').startswith('treelin')))\n"
 )
 
 
@@ -1040,16 +1042,27 @@ def test_no_command_leaves_garbage_that_grows_with_its_problem(tmp_path):
         "omega": [["omega", "--spectrum", str(spectrum), "--p-max", str(p), "--variant", "frac"]
                   for p in (8, 80)],
     }
+    # a usage error raised inside a command and a domain error raised deep in a
+    # solve: main clears their tracebacks' frames as it turns them into exit codes
+    resonant = tmp_path / "resonant.json"
+    resonant.write_text(json.dumps({
+        "kind": "germ", "n": 2, "D": 4, "spectrum": {"lambda": [[4.0, 0.0], [2.0, 0.0]]},
+        "series": {"n": 2, "D": 4, "kind": "vector",
+                   "terms": [{"alpha": [0, 2], "value": [[1.0, 0.0], [0.0, 0.0]]}]}}))
+    errors = {"1": ["bruno", "--omega", "1/0"],
+              "2": ["linearize", "germ", "--input", str(resonant), "--degree", "4"]}
     runs = [(name, argv) for name, pair in commands.items() for argv in pair]
+    runs += [(code, argv) for code, argv in errors.items()]
     with ThreadPoolExecutor(max_workers=2) as pool:
         procs = list(pool.map(lambda run: run_python("-c", _GARBAGE_AUDIT, *run[1]), runs))
     freed = {}
     for (name, argv), proc in zip(runs, procs):
         assert proc.returncode == 0, (argv, proc.stderr)
-        code, count, *treelin_types = proc.stdout.split()
-        assert code == "0", argv
-        assert treelin_types == [], argv
-        freed.setdefault(name, []).append(int(count))
+        code, count, *treelin_garbage = proc.stdout.split()
+        assert code == (name if name in errors else "0"), argv
+        assert treelin_garbage == [], argv
+        if name in commands:
+            freed.setdefault(name, []).append(int(count))
     assert all(small == large for small, large in freed.values()), freed
 
 

@@ -40,9 +40,8 @@ from treelin.linearize import SETTLED_RTOL
 from treelin.indices import iter_indices, slot_count
 from treelin.series import ScalarSeries, graded_indices
 from treelin.trees import children_lists
-from treelin.treesum import _TREE_PLANS, tree_plan
 
-from conftest import GOLDEN, SILVER, assert_series_close, random_vector_series
+from conftest import GOLDEN, SILVER, assert_series_close, moduli, random_vector_series
 
 
 def fixture_problem(tmp_path, kind, n, D, seed):
@@ -322,7 +321,6 @@ def test_tree_degree_limit_is_a_usage_error():
 
 def test_tree_solve_enumerates_no_labeling(tmp_path, monkeypatch):
     problem = fixture_problem(tmp_path, "germ", 2, 6, 2)
-    _TREE_PLANS.clear()
     built = []
     init = trees.LabeledTree.__init__
 
@@ -340,31 +338,12 @@ def test_tree_solve_enumerates_no_labeling(tmp_path, monkeypatch):
     lin = solve(problem, 6, "tree")
     assert not built
     assert lin.h.max_abs() > 0
-    assert sum(tree_plan(problem, 6).summands) > 0
-
-
-def test_tree_plans_are_keyed_by_the_divisor_table(tmp_path):
-    # a germ given by lambda has the eigenvalues of the rotation germ, but its
-    # divisors are lambda^nu - lambda_j, not the rotation's stable form, so its
-    # table differs and it must not reuse the rotation germ's plan
-    rot = fixture_problem(tmp_path, "germ", 2, 6, 1)
-    assert rot.spectrum.rotation is not None
-    lam = Germ(GermSpectrum(rot.spectrum.lam), rot.f)
-    tables = {divisor_table(p.spectrum, 6) for p in (rot, lam)}
-    assert len(tables) == 2
-    _TREE_PLANS.clear()
-    alone = solve(lam, 6, "tree").h
-    _TREE_PLANS.clear()
-    solve(rot, 6, "tree")
-    after = solve(lam, 6, "tree").h
-    assert after.to_array().tobytes() == alone.to_array().tobytes()
-    # one plan per table, for the one set of variables of f
-    assert {table for table, _ in _TREE_PLANS} == tables
-    assert len({variables for _, variables in _TREE_PLANS}) == 1
+    summands, monomials = lin.tree_counts
+    assert sum(summands) >= sum(monomials) > 0
 
 
 def test_module_caches_stay_bounded(golden_spectrum_1d):
-    # more distinct supports than the plan cache keeps
+    # tree solves over more distinct supports than any cache keeps
     D = 7
     supports = [
         frozenset([(2,)] + [(d,) for d in range(3, D + 1) if mask >> (d - 3) & 1])
@@ -396,7 +375,7 @@ def test_module_caches_stay_bounded(golden_spectrum_1d):
         s = ScalarSeries.one(n, 1)
         s.multiply(s)
     # one bound for every dict cache, each driven past it above
-    for cache in (series._BASES, series._PAIR_TABLES, _TREE_PLANS):
+    for cache in (series._BASES, series._PAIR_TABLES):
         assert len(cache) == series._CACHE_LIMIT
     caches = (trees._forest, trees.children_lists, trees._labeled_forest_cached,
               bruno.omega_tilde, bruno.omega_frac, bruno.omega_hat)
@@ -451,7 +430,6 @@ def test_tree_build_past_its_monomial_limit_is_a_resource_limit(tmp_path, monkey
     variables, _ = treesum._tree_variables(problem.f)
     held = treesum.LinePolynomials(divisor_table(problem.spectrum, 6), variables).held
     assert 0 < held <= treesum.MONOMIAL_LIMIT
-    _TREE_PLANS.clear()
     monkeypatch.setattr(treesum, "MONOMIAL_LIMIT", held - 1)
     with pytest.raises(ResourceLimit) as info:
         solve(problem, 6, "tree")
@@ -469,14 +447,8 @@ def test_tree_build_past_its_monomial_limit_is_a_resource_limit(tmp_path, monkey
 ROUTES = {
     "recursive": linearize._solve_recursive,
     "fixedpoint": linearize._solve_fixedpoint,
-    "tree": treesum._solve_tree,
+    "tree": lambda table, f, clipped: treesum._solve_tree(table, f, clipped)[0],
 }
-
-
-def moduli(series_: VectorSeries) -> VectorSeries:
-    """The coefficient moduli of a vector series, as a complex vector series."""
-    array = np.abs(series_.to_array()).astype(complex)
-    return VectorSeries.from_array(series_.n, series_.trunc, array)
 
 
 @pytest.mark.parametrize("kind", ["germ", "field"])
@@ -486,9 +458,7 @@ def test_every_route_over_the_moduli_table_solves_the_majorant(tmp_path, kind, n
     # table and |f|.  It has no cancellation, so every route must give the
     # recursion's M within 8 d eps M_alpha at each slot of degree d, and M
     # must bound every route's |h_alpha| within a factor 1 + 4 d eps.  Both
-    # bounds were fixed before the first run.  The real problem is solved by
-    # tree first: |f| has f's support, so a plan keyed by support would be
-    # reused for M, wrongly.
+    # bounds were fixed before the first run.
     eps = np.finfo(float).eps
     for seed in (1, 2):
         problem = fixture_problem(tmp_path, kind, n, D, seed)
@@ -523,7 +493,9 @@ def test_solve_dispatcher(rng):
     f = random_vector_series(rng, 1, 5, min_degree=2, max_degree=3)
     germ = Germ(spec, f)
     for method in ("recursive", "tree", "fixedpoint"):
-        assert solve(germ, 5, method).method == method
+        lin = solve(germ, 5, method)
+        assert lin.method == method
+        assert (lin.tree_counts is None) == (method != "tree")
     with pytest.raises(ValueError):
         solve(germ, 5, "newton")
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -18,11 +19,15 @@ from treelin import (
     VectorField,
     VectorSeries,
     cli,
+    linearize,
 )
 from treelin.divisors import divisor_table
 from treelin.documents import load_json, problem_from_doc
 from treelin.indices import iter_indices
 from treelin.linearize import solve
+from treelin.series import graded_indices
+
+from conftest import moduli
 
 
 def thinned_fixture(kind: str, n: int, D: int, seed: int, keep: int):
@@ -147,3 +152,71 @@ def test_tree_and_recursive_agree_on_drawn_spectra(kind, n, D, seed, keep, omega
         other = solve(problem, D, method, on_small_divisor="clip")
         assert other.clipped == rec.clipped, method
         assert (other.h - rec.h).max_abs() <= 1e-10 * max(1.0, rec.h.max_abs()), method
+
+
+def _field_oracle(problem, D: int) -> np.ndarray:
+    """h of a vector field by the recursion D h_d = [f(z + h)]_d in 60-digit arithmetic.
+
+    The divisors nu.omega - omega_j come from the spectrum, not from the
+    divisor table, and products of the truncated series are dict loops.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    n = problem.f.n
+    with mpmath.workdps(60):
+        omega = [mpmath.mpc(w) for w in problem.spectrum.omega]
+        f = {alpha: [mpmath.mpc(c) for c in vec] for alpha, vec in problem.f.coeff_items()}
+        h: dict = {}
+
+        def product(p, q, d):
+            out: dict = {}
+            for a, x in p.items():
+                for b, y in q.items():
+                    c = tuple(i + j for i, j in zip(a, b))
+                    if sum(c) <= d:
+                        out[c] = out.get(c, 0) + x * y
+            return out
+
+        for d in range(2, D + 1):
+            z = [{tuple(int(k == i) for k in range(n)): mpmath.mpc(1),
+                  **{alpha: vec[i] for alpha, vec in h.items()}} for i in range(n)]
+            rhs: dict = {}
+            for L, vec in f.items():
+                power = {(0,) * n: mpmath.mpc(1)}
+                for i, e in enumerate(L):
+                    for _ in range(e):
+                        power = product(power, z[i], d)
+                for nu, x in power.items():
+                    if sum(nu) == d:
+                        rhs[nu] = [r + c * x for r, c in zip(rhs.get(nu, [0] * n), vec)]
+            for nu, vec in rhs.items():
+                dot = sum(v * w for v, w in zip(nu, omega))
+                h[nu] = [r / (dot - omega[j]) for j, r in enumerate(vec)]
+        return np.array([[complex(h[alpha][j]) if alpha in h else 0j
+                          for alpha in graded_indices(n, D)] for j in range(n)])
+
+
+def test_every_route_meets_the_oracle_on_a_drawn_near_resonance():
+    """A case the drawn-spectra test can hit: the line ((1, 3), 1) over a 1e-9 divisor.
+
+    Its numerator vanishes with its divisor, so the dense routes lose about
+    eps / |divisor| there (1.8e-8), still within 8 d eps M_alpha of the
+    60-digit h, M the majorant over the moduli table and |f|.  The tree
+    keeps the line to 5.7e-17.
+    """
+    D = 4
+    problem = thinned_fixture("field", 2, D, seed=1, keep=16)
+    momenta = list(iter_indices(2, D, 2))
+    assert momenta[8] == (1, 3)
+    spectrum = near_resonant_spectrum("field", [-1.0, 0.75], (1, 3), 1, 1e-9, 0)
+    problem = VectorField(spectrum, problem.f)
+    table = divisor_table(spectrum, D)
+    assert abs(table.to_array()[1, list(graded_indices(2, D)).index((1, 3))]) == pytest.approx(1e-9)
+    exact = _field_oracle(problem, D)
+    M = np.abs(linearize._solve_recursive(moduli(table), moduli(problem.f), None).to_array())
+    d = np.array([sum(alpha) for alpha in graded_indices(2, D)])
+    eps = np.finfo(float).eps
+    for method in ("recursive", "tree", "fixedpoint"):
+        gap = np.abs(solve(problem, D, method).h.to_array() - exact)
+        assert (gap <= 8 * d * eps * M).all(), (method, gap.max())
+        if method == "tree":
+            assert gap.max() <= 1e-15, gap.max()
