@@ -129,18 +129,18 @@ class SeriesFamily:
         return SeriesFamily(self.n, self.inner_trunc, self.outer_trunc, out)
 
     def evaluate(self, x: VectorSeries) -> VectorSeries:
-        """sum_beta g_beta * x^beta for an argument with valuation >= 1."""
+        """sum_beta g_beta * x^beta for an argument with valuation >= 1, one degree at a time."""
         if x.n != self.n or x.trunc != self.inner_trunc:
             raise TruncationMismatch("argument disagrees with family on n or truncation")
         if not x.is_zero() and x.valuation() < 1:
             raise CompositionError("family evaluation needs an argument of valuation >= 1")
-        items = self.items()
-        powers = PowerTable(x.to_array(), [beta for beta, _ in items], x.trunc).fill_all().power
-        acc = VectorSeries.zero(self.n, self.inner_trunc)
-        for beta, g in items:
-            if powers[beta].any():
-                acc = acc + g.mul_scalar_series(ScalarSeries.from_vector(self.n, x.trunc, powers[beta]))
-        return acc
+        terms = [(beta, g.to_array()) for beta, g in self.items()]
+        table = PowerTable(x.to_array(), [beta for beta, _ in terms])
+        degrees = []
+        for d in range(x.trunc + 1):
+            table.fill(d)
+            degrees.append(table.family_slice(terms, d))
+        return VectorSeries.from_array(self.n, x.trunc, np.hstack(degrees))
 
     def compose(self, inner: "SeriesFamily") -> "SeriesFamily":
         """Substitute the auxiliary variables by the components of another family."""

@@ -40,7 +40,7 @@ from .errors import (
 )
 from .indices import degree, slot_count
 from .records import Record
-from .series import PowerTable, ScalarSeries, VectorSeries, graded_indices, product_slice
+from .series import PowerTable, ScalarSeries, VectorSeries, graded_indices
 
 # ---------------------------------------------------------------------------
 # problems and solutions
@@ -112,27 +112,20 @@ def _solve_recursive(table: VectorSeries, f: VectorSeries, clipped: list | None)
     and h have valuation >= 2, the degree-d slots of (z + h)^alpha for
     |alpha| >= 2 depend only on h below degree d, which is final by then.
     So a :class:`series.PowerTable` over the support of f fills one degree
-    slice of every power before that slice of h is solved, and the sum over
-    alpha runs in graded-lex order, as in :meth:`VectorSeries.compose`.
+    slice of every power, and :meth:`~series.PowerTable.series_slots` sums
+    that slice of f(z + h) as :meth:`VectorSeries.compose` sums every slot.
     :func:`solve` silences numpy's overflow warnings, so the check of each
     finished slice is what reports one.
     """
     n, D = f.n, f.trunc
-    indices = graded_indices(n, D)
-    F = f.to_array()
-    terms = [(indices[s], F[:, s]) for s in np.flatnonzero(F.any(axis=0)).tolist()]
+    terms = f.coeff_items()
     H = VectorSeries.identity(n, D).to_array().copy()  # written below, so not the storage
     h = np.zeros_like(H)
-    powers = PowerTable(H, [alpha for alpha, _ in terms], D)
+    powers = PowerTable(H, [alpha for alpha, _ in terms])
     for d in range(2, D + 1):
         lo, hi = slot_count(n, d - 1), slot_count(n, d)
         powers.fill(d)
-        rhs = np.zeros((n, hi - lo), dtype=complex)
-        for alpha, coef in terms:
-            if sum(alpha) > d:
-                break
-            rhs += np.multiply.outer(coef, powers.power[alpha][lo:hi])
-        h_d = divide_slots(table, rhs, lo, clipped)
+        h_d = divide_slots(table, powers.series_slots(terms, lo, hi, d), lo, clipped)
         if not np.isfinite(h_d).all():
             raise CoefficientOverflow(d)
         h[:, lo:hi] = H[:, lo:hi] = h_d
@@ -156,15 +149,15 @@ def fixed_point_inversion(op, family: families.SeriesFamily, u, w: VectorSeries,
     coefficients of valuation >= 1 at |beta| = 1 (as the shift family of a
     map of valuation >= 2 has), and op additive and valuation-non-decreasing.
     Then, for H of valuation >= 1, degree T of op(w + u * family(H)) depends
-    only on the degrees < T of H.  So step T = 1, ..., D adds only degree T
-    of the right-hand side, from a :class:`series.PowerTable` of the iterate
-    filled at T, and applies op once to the right-hand side truncated at T,
-    which settles degree T (step 1 settles degrees 0 and 1).  A coefficient
-    of valuation 0 at |beta| = 1 raises :class:`NoContraction` up front, and
-    an iterate with a constant term raises :class:`CompositionError` at the
-    next step.  Each step must leave the degrees below T as the step before
-    left them, to within ``SETTLED_RTOL`` times that iterate's largest
-    coefficient; a larger move means op does not contract and raises
+    only on the degrees < T of H.  So step T = 1, ..., D adds degree T of
+    the right-hand side (:meth:`series.PowerTable.family_slice`) and applies
+    op once to the right-hand side truncated at T, which settles degree T
+    (step 1 settles degrees 0 and 1).  A coefficient of valuation 0 at
+    |beta| = 1 raises :class:`NoContraction` up front, and an iterate with
+    a constant term raises :class:`CompositionError` at the next step.  Each
+    step must leave the degrees below T as the step before left them, to
+    within ``SETTLED_RTOL`` times that iterate's largest coefficient; a
+    larger move means op does not contract and raises
     :class:`NoContraction`.  An iterate with a non-finite coefficient raises
     :class:`CoefficientOverflow`.  The kernel's products do not read degrees
     above those they return, so every degree is bitwise what iterating the
@@ -173,12 +166,12 @@ def fixed_point_inversion(op, family: families.SeriesFamily, u, w: VectorSeries,
     if family.inner_trunc != D:
         raise TruncationMismatch("family truncation must match the target degree")
     n = family.n
-    items = [(beta, sum(beta), g.to_array()) for beta, g in family.items()]
-    for beta, size, g in items:
-        if size == 1 and g[:, 0].any():
+    terms = [(beta, g.to_array()) for beta, g in family.items()]
+    for beta, g in terms:
+        if sum(beta) == 1 and g[:, 0].any():
             raise NoContraction(f"the family's coefficient at beta = {beta} has valuation 0")
     X = np.zeros((n, slot_count(n, D)), dtype=complex)  # the iterate, settled degrees only
-    table = PowerTable(X, [beta for beta, _, _ in items], D)
+    table = PowerTable(X, [beta for beta, _ in terms])
     w = w.truncate(D).to_array()
     rhs = np.zeros_like(X)
     for T in range(D + 1):
@@ -186,12 +179,7 @@ def fixed_point_inversion(op, family: families.SeriesFamily, u, w: VectorSeries,
             raise CompositionError(f"the iterate of step {T - 1} has a constant term")
         lo, hi = slot_count(n, T - 1), slot_count(n, T)
         table.fill(T)
-        acc = np.zeros((n, hi - lo), dtype=complex)
-        for beta, size, g in items:
-            if size > T:
-                break
-            acc += [product_slice(row, table.power[beta], n, T) for row in g]
-        rhs[:, lo:hi] = w[:, lo:hi] + acc * complex(u)
+        rhs[:, lo:hi] = w[:, lo:hi] + table.family_slice(terms, T) * complex(u)
         if T == 0 and D > 0:
             continue  # step 1 settles degrees 0 and 1
         Hn = _check_finite(op(VectorSeries.from_array(n, T, rhs[:, :hi].copy())))

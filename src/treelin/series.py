@@ -34,10 +34,11 @@ Conventions used throughout the package:
   product in a longer array: with two nonzero constant terms it may differ
   in its last bit from a whole-table sum.  No solver forms such a product.
 * Every power x^alpha of a vector argument comes from one
-  :class:`PowerTable`, which fills the powers one degree slice at a time
-  with :func:`product_slice`: the recursive solver and the fixed point in
-  step with the unknown they solve for, :meth:`VectorSeries.compose` and
-  :meth:`families.SeriesFamily.evaluate` at every degree.
+  :class:`PowerTable`, filled one degree slice at a time with
+  :func:`product_slice`, and every composition sum is one of its two
+  routines: :meth:`PowerTable.series_slots` forms f(x) for the recursive
+  solver and :meth:`VectorSeries.compose`, :meth:`PowerTable.family_slice`
+  G(x) for the fixed point and :meth:`families.SeriesFamily.evaluate`.
 * The z-adic valuation of a series is the least total degree of a stored
   nonzero coefficient (``math.inf`` for the zero series); the matching
   ultrametric norm is ``2**-valuation``.
@@ -210,11 +211,13 @@ class PowerTable:
     slots of every power of degree 2..d with :func:`product_slice`, parents
     first.  It reads x only below degree d, so x may be filled in step with
     the table; filled at d = 2..D in turn, every power is bitwise the chain
-    of full :meth:`ScalarSeries.multiply` products.
+    of full :meth:`ScalarSeries.multiply` products.  The two sums take
+    ``terms``, (alpha, coefficient) pairs over held indices in graded-lex
+    order, and add them in that order.
     """
 
-    def __init__(self, x, alphas, D: int):
-        self.x, self.n, self.D = x, len(x), D
+    def __init__(self, x, alphas):
+        self.x, self.n = x, len(x)
         parent: dict = {}
         for alpha in alphas:
             while sum(alpha) >= 2 and alpha not in parent:
@@ -233,11 +236,23 @@ class PowerTable:
                 break
             self.power[alpha][lo:hi] = product_slice(self.power[up], self.x[i], self.n, d)
 
-    def fill_all(self) -> "PowerTable":
-        """Fill every degree 2..D; returns the table."""
-        for d in range(2, self.D + 1):
-            self.fill(d)
-        return self
+    def series_slots(self, terms, lo: int, hi: int, top: int):
+        """Slots ``lo:hi`` of f(x) = sum c_alpha x^alpha over the terms with |alpha| <= top."""
+        out = np.zeros((self.n, hi - lo), dtype=complex)
+        for alpha, c in terms:
+            if sum(alpha) > top:
+                break
+            out += np.multiply.outer(c, self.power[alpha][lo:hi])
+        return out
+
+    def family_slice(self, terms, d: int):
+        """Degree d of G(x) = sum g_beta x^beta, one :func:`product_slice` per row of g_beta."""
+        out = np.zeros((self.n, slot_count(self.n, d) - slot_count(self.n, d - 1)), dtype=complex)
+        for beta, g in terms:
+            if sum(beta) > d:
+                break
+            out += [product_slice(row, self.power[beta], self.n, d) for row in g]
+        return out
 
 
 def _slot(basis: _Basis, alpha, n: int, trunc: int):
@@ -544,16 +559,13 @@ class VectorSeries(_DenseSeries):
             raise CompositionError(
                 f"inner component {constant[0]} has valuation 0; composition undefined"
             )
-        n, D = self.n, self.trunc
-        inner_val = inner.valuation()
-        # valuation(inner) >= 1 makes deg(power) >= |alpha|: skip vanishing ones
-        terms = [(alpha, vec) for alpha, vec in self.coeff_items()
-                 if sum(alpha) == 0 or inner_val * sum(alpha) <= D]
-        acc = np.zeros((n, slot_count(n, D)), dtype=complex)
-        powers = PowerTable(inner._v, [alpha for alpha, _ in terms], D).fill_all().power
-        for alpha, vec in terms:
-            acc += np.multiply.outer(vec, powers[alpha])
-        return VectorSeries.from_array(n, D, acc)
+        # inner^alpha has valuation >= |alpha| valuation(inner): the terms above top vanish
+        top = int(self.trunc // inner.valuation())
+        terms = self.coeff_items()
+        table = PowerTable(inner._v, [alpha for alpha, _ in terms if sum(alpha) <= top])
+        for d in range(2, self.trunc + 1):
+            table.fill(d)
+        return self._wrap(table.series_slots(terms, 0, inner._v.shape[1], top))
 
 
 # The benchmark's tracer still looks these up here.  Only they are forwarded:

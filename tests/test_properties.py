@@ -47,7 +47,7 @@ def thinned_fixture(kind: str, n: int, D: int, seed: int, keep: int):
     return (Germ if kind == "germ" else VectorField)(problem.spectrum, f)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(
     kind=st.sampled_from(["germ", "field"]),
     n_and_D=st.one_of(
@@ -96,7 +96,7 @@ def _solve_or_witness(problem, D, method, mode):
         return (exc.index, exc.axis, exc.modulus)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(
     kind=st.sampled_from(["germ", "field"]),
     n=st.integers(1, 2),

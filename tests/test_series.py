@@ -280,7 +280,9 @@ def _power_argument(rng, n, D):
 @pytest.mark.parametrize("n,D,alphas", POWER_SUPPORTS)
 def test_power_table_is_the_chain_of_full_products(rng, n, D, alphas):
     x = _power_argument(rng, n, D)
-    table = PowerTable(x.to_array(), alphas, D).fill_all()
+    table = PowerTable(x.to_array(), alphas)
+    for d in range(2, D + 1):
+        table.fill(d)
     for alpha in alphas:
         want = _power_chain(x, alpha, n, D).vector
         assert table.power[alpha].tobytes() == want.tobytes(), alpha
@@ -289,7 +291,7 @@ def test_power_table_is_the_chain_of_full_products(rng, n, D, alphas):
 @pytest.mark.parametrize("n,D,alphas", POWER_SUPPORTS)
 def test_power_table_fill_reads_no_degree_d_slot_of_x(rng, n, D, alphas):
     x = _power_argument(rng, n, D).to_array().copy()
-    table = PowerTable(x, alphas, D)
+    table = PowerTable(x, alphas)
     for d in range(2, D + 1):
         table.fill(d)
         lo, hi = slot_count(n, d - 1), slot_count(n, d)
