@@ -61,7 +61,7 @@ _EXPORTS = {
     "indices": ("abs_degree", "degree", "signed_degree"),
     "linearize": (
         "Germ", "Linearization", "VectorField", "classical_lagrange_1d",
-        "fixed_point_inversion", "solve", "verify_conjugacy",
+        "fixed_point_inversion", "majorant", "solve", "verify_conjugacy",
     ),
     "series": ("ScalarSeries", "VectorSeries"),
     "trees": (

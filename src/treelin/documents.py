@@ -3,7 +3,9 @@
 Everything is JSON with a canonical form: terms sorted graded
 lexicographically, complex numbers as [re, im] pairs, keys sorted.  The
 canonical bytes of a document are stable, so digests and byte-identical
-reruns are well defined.  :mod:`treelin.canonical` writes them.
+reruns are well defined.  :func:`series_to_doc` is the one writer of the
+series layout: a report or problem document holds its series as that plain
+data, which :mod:`treelin.canonical` writes like any other.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ def _pair(z: complex):
 
 
 def series_to_doc(s) -> dict:
-    """Canonical document for a scalar or vector series."""
+    """The document of a scalar or vector series: plain data, its nonzero terms in graded order."""
     if isinstance(s, series.ScalarSeries):
         terms = [
             {"alpha": list(a), "value": _pair(c)} for a, c in s.items()
@@ -127,7 +129,7 @@ def index(value, n: int) -> tuple:
 
 
 def problem_to_doc(problem, options: dict | None = None) -> dict:
-    """The problem's document, holding ``f`` itself; :func:`canonical_bytes` writes it."""
+    """The problem's document, ``f`` as its :func:`series_to_doc` document."""
     if isinstance(problem, linearize.Germ):
         spec = problem.spectrum
         if spec.rotation is not None:
@@ -145,7 +147,7 @@ def problem_to_doc(problem, options: dict | None = None) -> dict:
         "n": problem.f.n,
         "D": problem.f.trunc,
         "spectrum": spectrum,
-        "series": problem.f,
+        "series": series_to_doc(problem.f),
     }
     if options:
         doc["options"] = options
@@ -259,7 +261,7 @@ def load_solution(path: str):
 
 
 def run_report(problem_doc: dict, method: str, lin, extras: dict | None = None) -> dict:
-    """Canonical run report: input digest, solver metadata, residual record, solution ``h`` itself."""
+    """Canonical run report: input digest, solver metadata, residual record, the document of ``h``."""
     report = {
         "input_digest": digest(problem_doc),
         "method": method,
@@ -269,7 +271,7 @@ def run_report(problem_doc: dict, method: str, lin, extras: dict | None = None) 
         "clipped": [
             {"alpha": list(a), "axis": j, "modulus": m} for a, j, m in lin.clipped
         ],
-        "h": lin.h,
+        "h": series_to_doc(lin.h),
     }
     if extras:
         report.update(extras)

@@ -275,6 +275,22 @@ def _check_finite(h: VectorSeries) -> VectorSeries:
     return h
 
 
+def majorant(problem, D: int) -> VectorSeries:
+    """The majorant M = |D|^-1 [|f|(z + M)] of the problem's h through degree D.
+
+    It is the recursive route over the moduli of the divisor table and of
+    f, so no sum cancels: M bounds the tree sum of h term by term, and
+    M_alpha is the condition of h_alpha.  It costs one recursive solve, and
+    no default path runs it.
+    """
+    def moduli(s: VectorSeries) -> VectorSeries:
+        return VectorSeries.from_array(s.n, D, np.abs(s.to_array()).astype(complex))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _solve_recursive(moduli(divisor_table(problem.spectrum, D)),
+                                moduli(problem.f.truncate(D)), None)
+
+
 # ---------------------------------------------------------------------------
 # classical one-dimensional formula
 # ---------------------------------------------------------------------------

@@ -385,9 +385,8 @@ class ScalarSeries(_DenseSeries):
             basis = _basis(n, trunc)
             for alpha, c in coeffs.items():
                 i = _slot(basis, alpha, n, trunc)
-                c = complex(c)
                 if i is not None:
-                    self._v[i] += c
+                    self._v[i] = complex(c)  # a -0.0 part is kept, as from_coeffs keeps it
 
     # -- constructors -------------------------------------------------------
     @classmethod

@@ -813,6 +813,23 @@ def test_every_method_clips(tmp_path):
     assert sorted(report["methods"]) == ["fixedpoint", "recursive", "tree"]
 
 
+@pytest.mark.parametrize("kind", ["germ", "field"])
+def test_every_json_file_the_cli_writes_is_in_json_dumps_form(tmp_path, kind):
+    problem = _write_problem(tmp_path, seed=1, n=2, degree_f=3, trunc=6, kind=kind)
+    sources = [problem]
+    if kind == "germ":  # a problem that clips, so that its report holds clipped records
+        sources.append(tmp_path / "resonant.json")
+        sources[-1].write_text(json.dumps(RESONANT_PROBLEM))
+    written = [problem]
+    for source in sources:
+        written.append(tmp_path / f"{source.stem}_all.json")
+        assert main(["linearize", kind, "--input", str(source), "--degree", "4", "--method", "all",
+                     "--verify", "--clip", "--output", str(written[-1])]) == 0
+    for path in written:
+        text = path.read_bytes()
+        assert text == (json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n").encode(), path
+
+
 @pytest.mark.parametrize("value", [[INF, 0.0], [0.5, NAN]])
 def test_non_finite_coefficient_exits_2(tmp_path, capsys, value):
     # a spectrum entry is checked as it is read; a coefficient is the solvers' to refuse

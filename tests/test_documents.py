@@ -1,4 +1,4 @@
-"""The canonical writer: byte for byte the standard library's encoder."""
+"""The canonical writer: byte for byte the standard library's encoder, on plain data only."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from treelin.documents import canonical_bytes, series_to_doc
+from treelin.documents import canonical_bytes, series_from_doc, series_to_doc
 from treelin.indices import slot_count
 from treelin.series import ScalarSeries, VectorSeries
 
@@ -81,14 +81,31 @@ def _series_cases(n: int):
         VectorSeries.zero(n, 0), VectorSeries.zero(n, D)]
 
 
+def _rows(s):
+    """The coefficients of a scalar or vector series as one row per component."""
+    return s.vector[np.newaxis] if isinstance(s, ScalarSeries) else s.to_array()
+
+
+def _bits(a):
+    """The bit patterns of a complex array's real and imaginary parts."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_series_are_written_as_their_documents(n):
     for vector in _series_cases(n):
-        series = [vector, *vector.components, ScalarSeries.zero(n, 3)]
-        for s in series:
-            expected = series_to_doc(s)
-            assert canonical_bytes(s) == stdlib_bytes(expected)
-            # at other depths, beside other values
-            doc = {"h": s, "list": [1, {"inner": s}], "z": None}
-            reference = {"h": expected, "list": [1, {"inner": expected}], "z": None}
-            assert canonical_bytes(doc) == stdlib_bytes(reference)
+        for s in [vector, *vector.components, ScalarSeries.zero(n, 3)]:
+            doc = series_to_doc(s)
+            # at depths 0, 1 and 4, beside other values
+            for outer in (doc, {"h": doc, "z": None}, {"list": [1, {"inner": [doc]}]}):
+                assert canonical_bytes(outer) == stdlib_bytes(outer)
+            # the bytes read back give every term slot bit for bit, and zero elsewhere
+            back = series_from_doc(json.loads(canonical_bytes(doc)))
+            rows, read = _rows(s), _rows(back)
+            assert type(back) is type(s) and read.shape == rows.shape
+            used = rows.any(axis=0)
+            assert np.array_equal(_bits(read[:, used]), _bits(rows[:, used]))
+            assert not read[:, ~used].any()
+            # the writer takes plain data only
+            with pytest.raises(TypeError):
+                canonical_bytes(s)

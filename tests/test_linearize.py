@@ -25,6 +25,7 @@ from treelin import (
     enumerate_forest,
     enumerate_labeled,
     fixed_point_inversion,
+    majorant,
     shift_expand,
     solve,
     tree_value,
@@ -467,7 +468,7 @@ def test_every_route_over_the_moduli_table_solves_the_majorant(tmp_path, kind, n
             h = solve(problem, Dm, method).h.to_array()
             table = moduli(divisor_table(problem.spectrum, Dm))
             f = moduli(problem.f.truncate(Dm))
-            M = np.abs(linearize._solve_recursive(table, f, None).to_array())
+            M = np.abs(majorant(problem, Dm).to_array())
             d = np.array([sum(alpha) for alpha in graded_indices(n, Dm)])
             gap = np.abs(route(table, f, None).to_array() - M)
             assert (gap <= 8 * d * eps * M).all(), (method, seed, (gap / M).max())

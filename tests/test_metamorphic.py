@@ -6,10 +6,13 @@ Each relation edits a problem document, reads the result with
 * conjugating f and the spectrum (for a germ, rotation -> -rotation)
   gives conj(h);
 * for a field, (omega, f) -> (2 omega, 2 f) gives the same h, since every
-  divisor and every coefficient of f doubles exactly.
+  divisor and every coefficient of f doubles exactly;
+* dilating f by a power of two rho, f_alpha -> f_alpha rho^(|alpha| - 1)
+  with the spectrum kept, gives h_alpha rho^(|alpha| - 1): the problem of
+  f(rho z) / rho, solved by h(rho z) / rho.
 
-Both hold bit for bit on all three routes.  ``np.conj`` turns a +0.0
-imaginary part into -0.0, so conjugation compares values
+All three hold bit for bit on all three routes.  ``np.conj`` turns a +0.0
+imaginary part into -0.0, so conjugation and dilation compare values
 (``np.array_equal``), and scaling compares bytes.
 
 * reversing the variables (spectrum, exponents and components together)
@@ -80,6 +83,28 @@ def test_doubling_a_fields_spectrum_and_f_keeps_h(tmp_path, kind, n, D, tree_D, 
                           tree_D if method == "tree" else D)
     assert h.any()
     assert scaled.tobytes() == h.tobytes()
+
+
+def dilated(doc: dict, rho: float) -> dict:
+    """``doc`` with each coefficient of f at alpha times rho^(|alpha| - 1)."""
+    def term(t):
+        scale = rho ** (sum(t["alpha"]) - 1)
+        return {**t, "value": [[re * scale, im * scale] for re, im in t["value"]]}
+
+    return {**doc, "series": {**doc["series"], "terms": [term(t) for t in doc["series"]["terms"]]}}
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("kind,n,D,tree_D", CASES)
+def test_dilating_f_by_a_power_of_two_dilates_h(tmp_path, kind, n, D, tree_D, method):
+    D = tree_D if method == "tree" else D
+    doc = fixture_doc(tmp_path, kind, n, D)
+    h = solve(problem_from_doc(doc), D, method).h.to_array()
+    assert h.any()
+    degrees = np.array([sum(alpha) for alpha in graded_indices(n, D)])
+    for rho in (2.0 ** -3, 2.0 ** 5):
+        dilation = solve(problem_from_doc(dilated(doc, rho)), D, method).h.to_array()
+        assert np.array_equal(dilation, h * rho ** (degrees - 1.0)), rho
 
 
 # per degree, relative to the degree's largest coefficient of h
