@@ -29,7 +29,7 @@ from .records import Record
 from .series import VectorSeries, graded_indices
 
 # A divisor modulus (or an Omega value of the Bruno sums) below this is a
-# resonance: every route raises or clips there, the tree route line by line.
+# resonance: linearize.solve raises or clips there, for every route.
 RESONANCE_TOL = 1e-12
 
 
@@ -173,41 +173,26 @@ def apply_inverse_D(table: VectorSeries, g: VectorSeries, clipped: list | None =
 def divide_slots(table: VectorSeries, values, lo: int, clipped: list | None = None):
     """Divide an ``(n, width)`` array holding slots ``lo : lo + width`` by those of ``table``.
 
-    The division behind :func:`apply_inverse_D`, with the tolerance rule of
-    :func:`small_divisors` and :func:`settle_small_divisors`: a nonzero
-    value over a divisor of modulus below ``RESONANCE_TOL`` raises, or,
-    given a list ``clipped``, becomes zero and is recorded there.
+    The one divide-with-tolerance routine.  A nonzero value over a divisor
+    of modulus below ``RESONANCE_TOL`` raises :class:`DivisorBelowTolerance`
+    for the first such (alpha, j) by slot, then axis, or given a list
+    ``clipped`` writes +0.0 and appends (alpha, j, modulus) there.  A
+    divisor of inf, one :func:`linearize.solve` resolved, writes +0.0 too.
     """
-    nonzero = values != 0
-    small, bad = small_divisors(table, nonzero, lo)
-    settle_small_divisors(bad, clipped)
     divs = _slots(table, lo, values.shape[1])
-    return np.divide(values, divs, out=np.zeros_like(values), where=nonzero & ~small)
-
-
-def small_divisors(table: VectorSeries, nonzero, lo: int):
-    """The resonance test of the solvers, on an ``(n, width)`` block of slots ``lo : lo + width``.
-
-    Returns the mask of the ``nonzero`` entries whose divisor in ``table``
-    has modulus below ``RESONANCE_TOL``, and one (alpha, j, modulus) record
-    per such entry in graded-lex order (by slot, then axis).
-    """
-    modulus = np.abs(_slots(table, lo, nonzero.shape[1]))
+    modulus = np.abs(divs)
+    nonzero = values != 0
     small = nonzero & (modulus < RESONANCE_TOL)
-    if not small.any():
-        return small, []
-    indices = graded_indices(table.n, table.trunc)
-    slots, axes = np.nonzero(small.T)
-    return small, [(indices[lo + i], j, float(modulus[j, i]))
-                   for i, j in zip(slots.tolist(), axes.tolist())]
-
-
-def settle_small_divisors(bad, clipped: list | None):
-    """Raise :class:`DivisorBelowTolerance` for the first record of ``bad``, or append them all to ``clipped``."""
-    if clipped is not None:
+    if small.any():
+        indices = graded_indices(table.n, table.trunc)
+        slots, axes = np.nonzero(small.T)
+        bad = [(indices[lo + i], j, float(modulus[j, i]))
+               for i, j in zip(slots.tolist(), axes.tolist())]
+        if clipped is None:
+            raise DivisorBelowTolerance(*bad[0])
         clipped.extend(bad)
-    elif bad:
-        raise DivisorBelowTolerance(*bad[0])
+    divided = nonzero & (modulus >= RESONANCE_TOL) & (modulus < np.inf)
+    return np.divide(values, divs, out=np.zeros_like(values), where=divided)
 
 
 def apply_forward_D(table: VectorSeries, g: VectorSeries) -> VectorSeries:

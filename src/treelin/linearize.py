@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import families, treesum
-from .divisors import apply_forward_D, apply_inverse_D, divide_slots, divisor_table
+from .divisors import RESONANCE_TOL, apply_forward_D, apply_inverse_D, divide_slots, divisor_table
 from .errors import (
     CoefficientOverflow,
     CompositionError,
@@ -105,7 +105,12 @@ class Linearization(Record):
 # ---------------------------------------------------------------------------
 
 
-def _solve_recursive(table: VectorSeries, f: VectorSeries, clipped: list | None) -> VectorSeries:
+def _solve_recursive(table: VectorSeries, f: VectorSeries) -> VectorSeries:
+    """The recursive route: :func:`_recursion` over a table :func:`solve` resolved."""
+    return _recursion(table, f, None)
+
+
+def _recursion(table: VectorSeries, f: VectorSeries, clipped: list | None) -> VectorSeries:
     """Degree-by-degree solution through f.trunc, online: each power of z + h is built once.
 
     The degree-d part of the equation is D h_d = [f(z + h)]_d.  Because f
@@ -201,35 +206,25 @@ def _check_settled(H: VectorSeries, Hn: VectorSeries):
                             f"(step {Hn.trunc})")
 
 
-def _solve_fixedpoint(table: VectorSeries, f: VectorSeries, clipped: list | None) -> VectorSeries:
-    """h as the fixed point of f(z + h) divided by the divisors of ``table``, one degree per step.
-
-    Each step divides every degree settled so far by a prefix of ``table``,
-    so ``clipped`` is emptied before each division and the last step's
-    records are the whole list, in graded-lex order.
-    """
+def _solve_fixedpoint(table: VectorSeries, f: VectorSeries) -> VectorSeries:
+    """h as the fixed point of f(z + h) divided by the divisors of ``table``, one degree per step."""
     _check_finite(f)  # the products would turn it into NaN (inf * 0) below its degree
-
-    def op(g: VectorSeries) -> VectorSeries:
-        if clipped is not None:
-            clipped.clear()
-        # looked up per call, so a rebinding of linearize.apply_inverse_D sees every division
-        return apply_inverse_D(table, g, clipped)
-
-    D = f.trunc
-    return fixed_point_inversion(op, families.shift_expand(f), 1.0, VectorSeries.zero(f.n, D), D)
+    # the operator looks apply_inverse_D up per call, so a rebinding of
+    # linearize.apply_inverse_D sees every division
+    return fixed_point_inversion(lambda g: apply_inverse_D(table, g), families.shift_expand(f),
+                                 1.0, VectorSeries.zero(f.n, f.trunc), f.trunc)
 
 
 # ---------------------------------------------------------------------------
 # the solver entry point
 # ---------------------------------------------------------------------------
 
-# Every route is (table, f, clipped) -> h, through degree f.trunc, where
-# ``table`` is divisors.divisor_table of the problem's spectrum at that
-# degree: the routes know the divisors, not the spectrum.  ``clipped`` None
-# raises at the first small divisor; a list gets the clipped slots' records
-# in graded-lex order.  The tree route is treesum._solve_tree, looked up by
-# solve() at call time, and returns h with its counts.
+# Every route is (table, f) -> h, through degree f.trunc, where ``table``
+# is divisors.divisor_table of the problem's spectrum at that degree with
+# its small divisors resolved by solve(): the routes know the divisors, not
+# the spectrum, and meet no small divisor.  The tree route is
+# treesum._solve_tree, looked up by solve() at call time, and returns h with
+# its counts.
 _METHODS = {
     "recursive": _solve_recursive,
     "fixedpoint": _solve_fixedpoint,
@@ -242,29 +237,49 @@ def solve(problem, D: int, method: str = "recursive",
 
     The kinds differ only in the divisor table of their spectrum, which
     the method divides by and :func:`verify_conjugacy` multiplies by.  A
-    nonzero coefficient over a divisor below ``divisors.RESONANCE_TOL``
-    raises :class:`DivisorBelowTolerance` naming the first such (alpha, j)
-    in graded-lex order, or with ``on_small_divisor="clip"`` every method
-    sets it to zero and records it in ``clipped``.  Any other
-    ``on_small_divisor`` raises :class:`ValueError`.  A non-finite
-    coefficient of h raises :class:`CoefficientOverflow` naming its degree.
-    A solve that runs out of memory or passes a count limit raises
-    :class:`ResourceLimit` naming the method, n, D and the cause.
+    slot (alpha, j) that f's support reaches over a divisor below
+    ``divisors.RESONANCE_TOL`` raises :class:`DivisorBelowTolerance` naming
+    the first such slot in graded-lex order, or with
+    ``on_small_divisor="clip"`` becomes zero and is recorded in ``clipped``,
+    whatever its value: :func:`_resolve_small_divisors` decides this once,
+    for every method.  Any other ``on_small_divisor`` raises
+    :class:`ValueError`.  A non-finite coefficient of h raises
+    :class:`CoefficientOverflow` naming its degree.  A solve that runs out
+    of memory or passes a count limit raises :class:`ResourceLimit` naming
+    the method, n, D and the cause.
     """
     if on_small_divisor not in ("raise", "clip"):
         raise ValueError(f"on_small_divisor must be 'raise' or 'clip', not {on_small_divisor!r}")
     route = treesum._solve_tree if method == "tree" else _METHODS.get(method)
     if route is None:
         raise ValueError(f"unknown method {method!r}")
-    clipped = [] if on_small_divisor == "clip" else None
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            out = route(divisor_table(problem.spectrum, D), problem.f.truncate(D), clipped)
+            f = problem.f.truncate(D)
+            table, clipped = _resolve_small_divisors(divisor_table(problem.spectrum, D), f, on_small_divisor)
+            out = route(table, f)
         h, counts = out if method == "tree" else (out, None)
         residual = verify_conjugacy(problem, _check_finite(h))
     except MemoryError as exc:
         raise ResourceLimit(method, problem.f.n, D, "ran out of memory") from exc
-    return Linearization(h, method, D, residual, tuple(clipped or ()), counts)
+    return Linearization(h, method, D, residual, clipped, counts)
+
+
+def _resolve_small_divisors(table: VectorSeries, f: VectorSeries, mode: str):
+    """``table`` with its divisors below ``RESONANCE_TOL`` set to inf, and the clipped records.
+
+    Only when a slot of degree >= 2 holds one, :func:`_moduli_recursion`
+    raises at the first slot f's support reaches over one, or in ``mode``
+    "clip" lists every such slot.  A route writes h = +0.0 over a divisor of inf,
+    and divides no nonzero value of degree < 2.
+    """
+    small = np.abs(table.to_array()) < RESONANCE_TOL
+    if not small[:, f.n + 1:].any():
+        return table, ()
+    clipped = [] if mode == "clip" else None
+    _moduli_recursion(table, f, clipped)
+    resolved = np.where(small, np.inf, table.to_array())
+    return VectorSeries.from_array(table.n, table.trunc, resolved), tuple(clipped or ())
 
 
 def _check_finite(h: VectorSeries) -> VectorSeries:
@@ -278,17 +293,24 @@ def _check_finite(h: VectorSeries) -> VectorSeries:
 def majorant(problem, D: int) -> VectorSeries:
     """The majorant M = |D|^-1 [|f|(z + M)] of the problem's h through degree D.
 
-    It is the recursive route over the moduli of the divisor table and of
-    f, so no sum cancels: M bounds the tree sum of h term by term, and
-    M_alpha is the condition of h_alpha.  It costs one recursive solve, and
-    no default path runs it.
+    It is :func:`_moduli_recursion` of the problem, so no sum cancels: M
+    bounds the tree sum of h term by term, and M_alpha is the condition of
+    h_alpha.  It costs one recursive solve, which :func:`solve` also runs
+    when its table holds a small divisor, and raises where solve does.
     """
-    def moduli(s: VectorSeries) -> VectorSeries:
-        return VectorSeries.from_array(s.n, D, np.abs(s.to_array()).astype(complex))
-
     with np.errstate(over="ignore", invalid="ignore"):
-        return _solve_recursive(moduli(divisor_table(problem.spectrum, D)),
-                                moduli(problem.f.truncate(D)), None)
+        return _moduli_recursion(divisor_table(problem.spectrum, D), problem.f.truncate(D), None)
+
+
+def _moduli_recursion(table: VectorSeries, f: VectorSeries, clipped: list | None) -> VectorSeries:
+    """:func:`_recursion` over the moduli of ``table`` and ``f``, whose slots no sum cancels.
+
+    So a slot is nonzero exactly when f's support reaches it past the
+    clipped slots (barring underflow).
+    """
+    table, f = (VectorSeries.from_array(s.n, s.trunc, np.abs(s.to_array()).astype(complex))
+                for s in (table, f))
+    return _recursion(table, f, clipped)
 
 
 # ---------------------------------------------------------------------------

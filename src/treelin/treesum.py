@@ -11,12 +11,12 @@ the other two routes, and nothing else.
 
 from __future__ import annotations
 
+import cmath
 import math
 from itertools import product
 
 import numpy as np
 
-from . import divisors
 from .errors import ResourceLimit, UsageError
 from .indices import (
     degree,
@@ -66,10 +66,9 @@ class LinePolynomials:
     Then h_{alpha,j} = S(alpha, j) evaluated at f.
 
     div(nu, a) is row a, slot nu of ``table`` (:func:`divisors.divisor_table`),
-    built to its truncation D.  A line whose polynomial is nonempty and whose
-    divisor modulus is below ``divisors.RESONANCE_TOL`` is resolved by
-    :func:`divisors.small_divisors`: its polynomial becomes zero and its
-    (nu, a, modulus) record joins ``clipped``, in graded-lex order.
+    built to its truncation D, with its small divisors resolved by
+    :func:`linearize.solve`.  A line over a divisor of inf, a resolved one,
+    is dropped, and so from every larger tree, as an empty one is.
 
     ``held`` counts the monomials of the line polynomials and the power-chain
     memo; past ``MONOMIAL_LIMIT`` the build raises :class:`ResourceLimit`.
@@ -92,7 +91,6 @@ class LinePolynomials:
         self.key = {v: 1 << (EXPONENT_BITS * i) for i, v in enumerate(variables)}
         self.poly: dict = {}
         self.count: dict = {}
-        self.clipped: list = []
         self.held = 0
         self._betas: dict = {}  # L -> (beta, binom(L, beta), t!/beta!) for 0 < beta <= L
         self._parent: dict = {}  # beta -> (beta - e_i, i), i its first nonzero axis
@@ -106,21 +104,16 @@ class LinePolynomials:
         self._memo = {up: {} for up, _ in self._parent.values() if degree(up) >= 2}
         self._live = [[] for _ in range(n)]  # per axis, the momenta of lines with subtrees
         indices, divs = graded_indices(n, D), table.to_array()
-        for d in range(2, D + 1):
-            lo, hi = slot_count(n, d - 1), slot_count(n, d)
-            lines = [self._line(indices[s]) for s in range(lo, hi)]
-            nonzero = np.array([[bool(polys[a]) for polys, _ in lines] for a in range(n)])
-            small, bad = divisors.small_divisors(table, nonzero, lo)
-            self.clipped.extend(bad)
-            for i, (polys, counts) in enumerate(lines):
-                nu = indices[lo + i]
-                for a in range(n):
-                    if not nonzero[a, i] or small[a, i]:
-                        continue
-                    dv = complex(divs[a, lo + i])
-                    self.poly[(nu, a)] = {k: c / dv for k, c in polys[a].items()}
-                    self.count[(nu, a)] = counts[a]
-                    self._live[a].append(nu)
+        for s in range(slot_count(n, 1), slot_count(n, D)):  # a line draws on lower degrees only
+            nu = indices[s]
+            polys, counts = self._line(nu)
+            for a in range(n):
+                dv = complex(divs[a, s])
+                if not polys[a] or cmath.isinf(dv):
+                    continue
+                self.poly[(nu, a)] = {k: c / dv for k, c in polys[a].items()}
+                self.count[(nu, a)] = counts[a]
+                self._live[a].append(nu)
         del self._memo
 
     def _line(self, nu):
@@ -204,7 +197,7 @@ def _tree_variables(f: VectorSeries):
     return variables, F.T[slots, axes].tolist()
 
 
-def _solve_tree(table: VectorSeries, f: VectorSeries, clipped: list | None):
+def _solve_tree(table: VectorSeries, f: VectorSeries):
     """Explicit tree-sum solution through f.trunc (the same trees for germs and fields), and its counts.
 
     Builds :class:`LinePolynomials` and evaluates each line at f's nonzero
@@ -219,7 +212,6 @@ def _solve_tree(table: VectorSeries, f: VectorSeries, clipped: list | None):
     n, D = f.n, f.trunc
     variables, values = _tree_variables(f)
     lines = LinePolynomials(table, variables)
-    divisors.settle_small_divisors(lines.clipped, clipped)
     value = {lines.key[v]: x for v, x in zip(variables, values)}  # every monomial met, by key
 
     def monomial(k):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 from functools import partial
@@ -276,7 +277,8 @@ def test_tree_agrees_with_recursive_at_degree_12(tmp_path, kind):
 
 @pytest.mark.parametrize("problem", SMALL_DIVISOR_GERMS)
 def test_tree_small_divisors_match_the_recursion(problem):
-    # a line is clipped alone, as the recursion clips its one coefficient
+    # a line is clipped alone and dropped from every larger tree, as the
+    # recursion carries its one coefficient as zero
     with pytest.raises(DivisorBelowTolerance) as want:
         solve(problem, 6, "recursive")
     with pytest.raises(DivisorBelowTolerance) as got:
@@ -291,7 +293,7 @@ def test_tree_small_divisors_match_the_recursion(problem):
 
 @pytest.mark.parametrize("problem", SMALL_DIVISOR_GERMS)
 def test_fixed_point_small_divisors_match_the_recursion(problem):
-    # each step divides every degree so far; the last step's records are the list
+    # each step divides every degree so far, over the table solve resolved
     with pytest.raises(DivisorBelowTolerance) as want:
         solve(problem, 6, "recursive")
     with pytest.raises(DivisorBelowTolerance) as got:
@@ -302,6 +304,43 @@ def test_fixed_point_small_divisors_match_the_recursion(problem):
     fixed = solve(problem, 6, "fixedpoint", on_small_divisor="clip")
     assert fixed.clipped and fixed.clipped == rec.clipped
     assert (fixed.h - rec.h).max_abs() <= 2e-15 * rec.h.max_abs()
+
+
+# Spectrum (-1, 0.5) makes the divisor of ((1, 3), 1) exactly zero.  In the
+# document and in seed 1's problem the line's value is 0.0 in the dense
+# routes, though its tree polynomial is not empty; in seed 3's it is not.
+EXACT_RESONANCE_DOC = (
+    '{"kind": "field", "n": 2, "D": 4, "spectrum": {"omega": [[-1.0, 0.0], [0.5, 0.0]]}, '
+    '"series": {"n": 2, "D": 4, "kind": "vector", "terms": ['
+    '{"alpha": [0, 2], "value": [[1.0, 0.0], [1.0, 0.0]]}, '
+    '{"alpha": [1, 2], "value": [[1.0, 0.0], [1.0, 0.0]]}]}}'
+)
+
+
+def exact_resonance_problem(tmp_path, case):
+    """The document above, or fixture field n=2 D=4 of seed ``case`` thinned to three indices."""
+    if case == "document":
+        return problem_from_doc(json.loads(EXACT_RESONANCE_DOC))
+    f = fixture_problem(tmp_path, "field", 2, 4, case).f
+    kept = {alpha: vec for alpha, vec in f.coeff_items() if alpha in ((0, 2), (0, 3), (1, 2))}
+    return VectorField(FieldSpectrum((-1.0, 0.5)), VectorSeries.from_coeffs(2, 4, kept))
+
+
+@pytest.mark.parametrize("case", ["document", 1, 3])
+def test_an_exact_resonance_is_decided_once_for_every_route(tmp_path, case):
+    # whether the line's value is zero decides nothing: f's support reaches it
+    problem = exact_resonance_problem(tmp_path, case)
+    for method in ("recursive", "fixedpoint", "tree"):
+        with pytest.raises(DivisorBelowTolerance) as info:
+            solve(problem, 4, method)
+        assert (info.value.index, info.value.axis, info.value.modulus) == ((1, 3), 1, 0.0), method
+    rec = solve(problem, 4, "recursive", on_small_divisor="clip")
+    assert rec.clipped == (((1, 3), 1, 0.0),)
+    assert rec.h.coefficient((1, 3))[1] == 0
+    for method in ("fixedpoint", "tree"):
+        other = solve(problem, 4, method, on_small_divisor="clip")
+        assert other.clipped == rec.clipped, method
+        assert (other.h - rec.h).max_abs() <= 2e-15 * rec.h.max_abs(), method
 
 
 @pytest.mark.parametrize("kind", ["germ", "field"])
@@ -448,7 +487,7 @@ def test_tree_build_past_its_monomial_limit_is_a_resource_limit(tmp_path, monkey
 ROUTES = {
     "recursive": linearize._solve_recursive,
     "fixedpoint": linearize._solve_fixedpoint,
-    "tree": lambda table, f, clipped: treesum._solve_tree(table, f, clipped)[0],
+    "tree": lambda table, f: treesum._solve_tree(table, f)[0],
 }
 
 
@@ -470,7 +509,7 @@ def test_every_route_over_the_moduli_table_solves_the_majorant(tmp_path, kind, n
             f = moduli(problem.f.truncate(Dm))
             M = np.abs(majorant(problem, Dm).to_array())
             d = np.array([sum(alpha) for alpha in graded_indices(n, Dm)])
-            gap = np.abs(route(table, f, None).to_array() - M)
+            gap = np.abs(route(table, f).to_array() - M)
             assert (gap <= 8 * d * eps * M).all(), (method, seed, (gap / M).max())
             assert (np.abs(h) <= M * (1 + 4 * d * eps)).all(), (method, seed)
 

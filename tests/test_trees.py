@@ -20,7 +20,7 @@ from treelin import (
     standard_decomposition,
 )
 from treelin.bruno import frac_distance, omega_frac, omega_hat, phi_counting
-from treelin.divisors import divisor_table
+from treelin.divisors import RESONANCE_TOL, divisor_table
 from treelin.indices import abs_degree, graded_key, iter_indices, signed_degree
 from treelin.trees import children_lists, is_valid_m
 from treelin.treesum import LinePolynomials
@@ -179,8 +179,9 @@ def test_line_polynomials_are_the_labeling_sums(kind, n, alpha_max, supports):
         sup = (full_support(n, alpha_max) if which == "full"
                else thinned_support(n, alpha_max, which))
         variables = tuple((L, a) for L in sorted(sup, key=graded_key) for a in range(n))
-        lines = LinePolynomials(divisor_table(spectrum, alpha_max), variables)
-        assert not lines.clipped
+        table = divisor_table(spectrum, alpha_max)
+        assert (np.abs(table.to_array()[:, n + 1:]) >= RESONANCE_TOL).all()  # no line is resolved
+        lines = LinePolynomials(table, variables)
         for alpha in iter_indices(n, alpha_max, 2):
             for j in range(n):
                 want: dict = {}
