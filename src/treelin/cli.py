@@ -39,8 +39,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _check_destinations(args):
-    """Refuse, before any work, an output path that cannot be written or that two outputs name."""
-    named = {}
+    """Refuse, before any work, an unwritable output path, or one that another option names."""
+    named = {os.path.realpath(path): "--" + name
+             for name in ("input", "solution", "spectrum", "support")
+             if (path := getattr(args, name, None))}
     for name in ("output", "emit_csv", "out"):
         path = getattr(args, name, None)
         if not path:
@@ -265,6 +267,11 @@ def main(argv=None) -> int:
             print(parser.format_usage(), file=sys.stderr, end="")
             return 1
         print(f"domain error ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # solve names its own; this is any other command's
+        _clear_frames(exc)
+        print(f"domain error (ResourceLimit): the {args.command} command ran out of memory",
+              file=sys.stderr)
         return 2
 
 

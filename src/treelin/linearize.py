@@ -106,21 +106,15 @@ class Linearization(Record):
 
 
 def _solve_recursive(table: VectorSeries, f: VectorSeries) -> VectorSeries:
-    """The recursive route: :func:`_recursion` over a table :func:`solve` resolved."""
-    return _recursion(table, f, None)
+    """The recursive route: h degree by degree through f.trunc, each power of z + h built once.
 
-
-def _recursion(table: VectorSeries, f: VectorSeries, clipped: list | None) -> VectorSeries:
-    """Degree-by-degree solution through f.trunc, online: each power of z + h is built once.
-
-    The degree-d part of the equation is D h_d = [f(z + h)]_d.  Because f
-    and h have valuation >= 2, the degree-d slots of (z + h)^alpha for
-    |alpha| >= 2 depend only on h below degree d, which is final by then.
+    The degree-d part of the equation is D h_d = [f(z + h)]_d, whose right
+    side reads h only below degree d, since f and h have valuation >= 2.
     So a :class:`series.PowerTable` over the support of f fills one degree
     slice of every power, and :meth:`~series.PowerTable.series_slots` sums
     that slice of f(z + h) as :meth:`VectorSeries.compose` sums every slot.
     :func:`solve` silences numpy's overflow warnings, so the check of each
-    finished slice is what reports one.
+    finished slice reports one.
     """
     n, D = f.n, f.trunc
     terms = f.coeff_items()
@@ -130,7 +124,7 @@ def _recursion(table: VectorSeries, f: VectorSeries, clipped: list | None) -> Ve
     for d in range(2, D + 1):
         lo, hi = slot_count(n, d - 1), slot_count(n, d)
         powers.fill(d)
-        h_d = divide_slots(table, powers.series_slots(terms, lo, hi, d), lo, clipped)
+        h_d = divide_slots(table, powers.series_slots(terms, lo, hi, d), lo)
         if not np.isfinite(h_d).all():
             raise CoefficientOverflow(d)
         h[:, lo:hi] = H[:, lo:hi] = h_d
@@ -242,7 +236,7 @@ def solve(problem, D: int, method: str = "recursive",
     the first such slot in graded-lex order, or with
     ``on_small_divisor="clip"`` becomes zero and is recorded in ``clipped``,
     whatever its value: :func:`_resolve_small_divisors` decides this once,
-    for every method.  Any other ``on_small_divisor`` raises
+    by reach alone, for every method.  Any other ``on_small_divisor`` raises
     :class:`ValueError`.  A non-finite coefficient of h raises
     :class:`CoefficientOverflow` naming its degree.  A solve that runs out
     of memory or passes a count limit raises :class:`ResourceLimit` naming
@@ -268,18 +262,28 @@ def solve(problem, D: int, method: str = "recursive",
 def _resolve_small_divisors(table: VectorSeries, f: VectorSeries, mode: str):
     """``table`` with its divisors below ``RESONANCE_TOL`` set to inf, and the clipped records.
 
-    Only when a slot of degree >= 2 holds one, :func:`_moduli_recursion`
-    raises at the first slot f's support reaches over one, or in ``mode``
-    "clip" lists every such slot.  A route writes h = +0.0 over a divisor of inf,
-    and divides no nonzero value of degree < 2.
+    Only when a slot of degree >= 2 holds one, a reach pass, the recursion
+    through the last such degree with f's coefficients and the other
+    divisors 1 and each degree reduced to 0/1, raises at the first slot f's
+    support reaches over one, or in ``mode`` "clip" lists every such slot.
+    Its values are small counts, so no underflow or overflow hides a slot.
     """
-    small = np.abs(table.to_array()) < RESONANCE_TOL
-    if not small[:, f.n + 1:].any():
+    n, divs = table.n, table.to_array()
+    small = np.abs(divs) < RESONANCE_TOL
+    late = np.flatnonzero(small[:, n + 1:].any(axis=0))
+    if not len(late):
         return table, ()
+    top = degree(graded_indices(n, table.trunc)[n + 1 + late[-1]])
     clipped = [] if mode == "clip" else None
-    _moduli_recursion(table, f, clipped)
-    resolved = np.where(small, np.inf, table.to_array())
-    return VectorSeries.from_array(table.n, table.trunc, resolved), tuple(clipped or ())
+    only_small = VectorSeries.from_array(n, table.trunc, np.where(small, divs, 1))
+    terms = [(alpha, np.not_equal(c, 0)) for alpha, c in f.truncate(top).coeff_items()]
+    X = VectorSeries.identity(n, top).to_array().copy()  # z + the reached slots of h
+    powers = PowerTable(X, [alpha for alpha, _ in terms])
+    for d in range(2, top + 1):
+        lo, hi = slot_count(n, d - 1), slot_count(n, d)
+        powers.fill(d)
+        X[:, lo:hi] = divide_slots(only_small, powers.series_slots(terms, lo, hi, d), lo, clipped) != 0
+    return VectorSeries.from_array(n, table.trunc, np.where(small, np.inf, divs)), tuple(clipped or ())
 
 
 def _check_finite(h: VectorSeries) -> VectorSeries:
@@ -293,24 +297,15 @@ def _check_finite(h: VectorSeries) -> VectorSeries:
 def majorant(problem, D: int) -> VectorSeries:
     """The majorant M = |D|^-1 [|f|(z + M)] of the problem's h through degree D.
 
-    It is :func:`_moduli_recursion` of the problem, so no sum cancels: M
-    bounds the tree sum of h term by term, and M_alpha is the condition of
-    h_alpha.  It costs one recursive solve, which :func:`solve` also runs
-    when its table holds a small divisor, and raises where solve does.
+    It is the recursive route over the moduli of the divisor table and of
+    f, in which no sum cancels: M bounds the tree sum of h term by term, and
+    M_alpha is the condition of h_alpha.  Like that route it raises at the
+    first slot f reaches over a divisor below ``RESONANCE_TOL``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return _moduli_recursion(divisor_table(problem.spectrum, D), problem.f.truncate(D), None)
-
-
-def _moduli_recursion(table: VectorSeries, f: VectorSeries, clipped: list | None) -> VectorSeries:
-    """:func:`_recursion` over the moduli of ``table`` and ``f``, whose slots no sum cancels.
-
-    So a slot is nonzero exactly when f's support reaches it past the
-    clipped slots (barring underflow).
-    """
-    table, f = (VectorSeries.from_array(s.n, s.trunc, np.abs(s.to_array()).astype(complex))
-                for s in (table, f))
-    return _recursion(table, f, clipped)
+        table, f = (VectorSeries.from_array(s.n, s.trunc, np.abs(s.to_array()).astype(complex))
+                    for s in (divisor_table(problem.spectrum, D), problem.f.truncate(D)))
+        return _solve_recursive(table, f)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from treelin import Germ, GermSpectrum, VectorSeries, linearize, series, treesum
+from treelin import Germ, GermSpectrum, VectorSeries, linearize, series, trees, treesum
 from treelin.cli import build_parser, main
 from treelin.documents import (
     canonical_bytes,
@@ -517,6 +517,30 @@ def test_two_outputs_naming_one_file_are_a_usage_error(tmp_path, capsys, monkeyp
     assert same.read_text().startswith("{") and (tmp_path / "h.csv").exists()
 
 
+@pytest.mark.parametrize("reads,writes", [("--input", "--output"), ("--input", "--emit-csv"),
+                                          ("--solution", "--output")])
+def test_an_output_naming_an_input_is_a_usage_error(tmp_path, capsys, monkeypatch, reads, writes):
+    # refused before any work, which would leave the input holding the output
+    problem = _write_problem(tmp_path)
+    solution = tmp_path / "h.json"
+    assert main(["linearize", "germ", "--input", str(problem), "--degree", "6",
+                 "--output", str(solution)]) == 0
+    monkeypatch.chdir(tmp_path)
+    target = problem if reads == "--input" else solution
+    before = target.read_bytes()
+    if reads == "--solution":
+        argv = ["verify", "--input", str(problem), "--solution", str(solution)]
+    else:
+        argv = ["linearize", "germ", "--input", str(problem), "--degree", "6"]
+    capsys.readouterr()
+    assert main(argv + [writes, os.path.join(".", target.name)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[0] == (
+        f"usage error: {reads} and {writes} name the same file ./{target.name}")
+    assert target.read_bytes() == before
+
+
 @pytest.mark.parametrize("what", ["growth", "class", "domain"])
 def test_diagnose_without_input_is_a_usage_error(what, capsys):
     assert main(["diagnose", what, "--degree", "12"]) == 1
@@ -787,6 +811,19 @@ def test_running_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err == ("domain error (ResourceLimit): the recursive route ran out "
                             "of memory at n=2, D=6\n")
+
+
+def test_running_out_of_memory_outside_a_solve_exits_2(capsys, monkeypatch):
+    # a real order-16 enumeration needs a memory cap, so the forest is made to fail
+    def no_memory(N):
+        raise MemoryError
+
+    monkeypatch.setattr(trees, "_forest", no_memory)
+    capsys.readouterr()
+    assert main(["trees", "enum", "--order", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "domain error (ResourceLimit): the trees command ran out of memory\n"
 
 
 def test_every_method_clips(tmp_path):

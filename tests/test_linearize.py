@@ -343,6 +343,42 @@ def test_an_exact_resonance_is_decided_once_for_every_route(tmp_path, case):
         assert (other.h - rec.h).max_abs() <= 2e-15 * rec.h.max_abs(), method
 
 
+def test_an_unreached_small_divisor_is_decided_without_magnitudes():
+    # Rotation (g, 2g) makes the divisor of ((2, 0), 1) zero, and f = c z1^2 e1
+    # never reaches axis 1.  With c = -1e4 lambda_1, h reaches 1e306 by
+    # degree 70 and its majorant overflows, so only a decision that reads
+    # which slots f reaches, and no magnitude, lets every route finish.
+    D = 70
+    spectrum = GermSpectrum.from_rotation((GOLDEN, 2 * GOLDEN))
+    problem = Germ(spectrum, VectorSeries.from_coeffs(2, D, {(2, 0): (-1e4 * spectrum.lam[0], 0)}))
+    h = {}
+    for method in ("recursive", "fixedpoint", "tree"):
+        for mode in ("raise", "clip"):
+            got = solve(problem, D, method, on_small_divisor=mode)
+            assert got.conforming and got.clipped == (), (method, mode)
+            assert got.residual.max_rel <= 1e-10, (method, mode, got.residual)
+        h[method] = got.h.to_array()
+    rec = h.pop("recursive")
+    for method, other in h.items():
+        assert (np.abs(other - rec) <= 1e-13 * np.abs(rec)).all(), method
+    with pytest.raises(CoefficientOverflow):
+        majorant(problem, D)
+
+
+def test_reach_is_reduced_to_0_1_at_every_degree(tmp_path):
+    # Rotation 1/5 puts a small divisor at every fifth degree through D = 500,
+    # where the fixture germ reaches every slot.
+    f = fixture_problem(tmp_path, "germ", 1, 500, 1).f
+    got = solve(Germ(GermSpectrum.from_rotation((1 / 5,)), f), 500, on_small_divisor="clip")
+    assert len(got.clipped) == 99
+    # f = z^3 reaches odd degrees only.  Counted instead of reduced to 0/1,
+    # the ternary trees that reach a slot pass double precision at degree
+    # 756, and inf * 0 then reads the unreached degree 874 as reached.
+    f = VectorSeries.from_coeffs(1, 1000, {(3,): (0.05,)})
+    got = solve(Germ(GermSpectrum.from_rotation((1 / 97,)), f), 1000, on_small_divisor="clip")
+    assert [(alpha, j) for alpha, j, _ in got.clipped] == [((d,), 0) for d in (195, 389, 583, 777, 971)]
+
+
 @pytest.mark.parametrize("kind", ["germ", "field"])
 @pytest.mark.parametrize("n,D", [(1, 16), (2, 8), (3, 6)])
 def test_tree_agrees_with_recursive_at_ceiling_sizes(tmp_path, kind, n, D):
