@@ -40,9 +40,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _check_destinations(args):
     """Refuse, before any work, an unwritable output path, or one that another option names."""
-    named = {os.path.realpath(path): "--" + name
-             for name in ("input", "solution", "spectrum", "support")
-             if (path := getattr(args, name, None))}
+    # the file of a table: spec of --class-m or --class-n is read too
+    reads = [(name, spec[len("table:"):]) for name in ("class_m", "class_n")
+             if (spec := getattr(args, name, None) or "").startswith("table:")]
+    reads += [(name, getattr(args, name, None)) for name in ("input", "solution", "spectrum", "support")]
+    named = {os.path.realpath(path): "--" + name.replace("_", "-") for name, path in reads if path}
     for name in ("output", "emit_csv", "out"):
         path = getattr(args, name, None)
         if not path:

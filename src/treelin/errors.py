@@ -33,15 +33,17 @@ class DivisorBelowTolerance(TreelinError):
 
 
 class CoefficientOverflow(TreelinError):
-    """A coefficient of the solution h is not finite: its growth left double precision.
+    """A coefficient of a computed series is not finite: its growth left double precision.
 
-    ``degree`` is the first degree holding a non-finite coefficient.
+    ``degree`` is the first degree holding a non-finite coefficient, and
+    ``series`` names the series: the solution "h", or "the majorant M".
     """
 
-    def __init__(self, degree):
+    def __init__(self, degree, series="h"):
         self.degree = degree
+        self.series = series
         super().__init__(
-            f"h has a non-finite coefficient at degree {degree}: "
+            f"{series} has a non-finite coefficient at degree {degree}: "
             f"its growth overflows double precision"
         )
 

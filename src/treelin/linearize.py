@@ -101,34 +101,45 @@ class Linearization(Record):
 
 
 # ---------------------------------------------------------------------------
-# recursive solver
+# the online recursion: h, the reach pass and the majorant
 # ---------------------------------------------------------------------------
 
 
-def _solve_recursive(table: VectorSeries, f: VectorSeries) -> VectorSeries:
-    """The recursive route: h degree by degree through f.trunc, each power of z + h built once.
+def _online(table: VectorSeries, f: VectorSeries, finish, clipped: list | None = None) -> VectorSeries:
+    """x through degree f.trunc from D x_d = [f(z + x)]_d, D the divisors of ``table``.
 
-    The degree-d part of the equation is D h_d = [f(z + h)]_d, whose right
-    side reads h only below degree d, since f and h have valuation >= 2.
-    So a :class:`series.PowerTable` over the support of f fills one degree
-    slice of every power, and :meth:`~series.PowerTable.series_slots` sums
-    that slice of f(z + h) as :meth:`VectorSeries.compose` sums every slot.
-    :func:`solve` silences numpy's overflow warnings, so the check of each
-    finished slice reports one.
+    Degree d of f(z + x) reads x only below d, as f and x have valuation
+    >= 2, so a :class:`series.PowerTable` of z + x over f's support fills it
+    one degree at a time.  :func:`divisors.divide_slots` divides it, given
+    ``clipped``, and ``finish(d, slice)`` is degree d of x for later degrees.
     """
     n, D = f.n, f.trunc
     terms = f.coeff_items()
-    H = VectorSeries.identity(n, D).to_array().copy()  # written below, so not the storage
-    h = np.zeros_like(H)
-    powers = PowerTable(H, [alpha for alpha, _ in terms])
+    X = VectorSeries.identity(n, D).to_array().copy()  # z + x, written below
+    powers = PowerTable(X, [alpha for alpha, _ in terms])
     for d in range(2, D + 1):
         lo, hi = slot_count(n, d - 1), slot_count(n, d)
         powers.fill(d)
-        h_d = divide_slots(table, powers.series_slots(terms, lo, hi, d), lo)
-        if not np.isfinite(h_d).all():
-            raise CoefficientOverflow(d)
-        h[:, lo:hi] = H[:, lo:hi] = h_d
-    return VectorSeries.from_array(n, D, h)
+        X[:, lo:hi] = finish(d, divide_slots(table, powers.series_slots(terms, lo, hi, d), lo, clipped))
+    X[:, : n + 1] = 0  # x = (z + x) - z
+    return VectorSeries.from_array(n, D, X)
+
+
+def _finite(series: str, d: int, values):
+    """``values``, degree d of ``series``, or :class:`CoefficientOverflow` if one is not finite."""
+    if not np.isfinite(values).all():
+        raise CoefficientOverflow(d, series)
+    return values
+
+
+def _mapped(s: VectorSeries, fn) -> VectorSeries:
+    """``s`` with ``fn`` applied to its coefficient array, as complex."""
+    return VectorSeries.from_array(s.n, s.trunc, fn(s.to_array()).astype(complex))
+
+
+def _solve_recursive(table: VectorSeries, f: VectorSeries) -> VectorSeries:
+    """The recursive route: the online recursion for h, whose overflow names h."""
+    return _online(table, f, lambda d, values: _finite("h", d, values))
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +230,7 @@ def _solve_fixedpoint(table: VectorSeries, f: VectorSeries) -> VectorSeries:
 # the spectrum, and meet no small divisor.  The tree route is
 # treesum._solve_tree, looked up by solve() at call time, and returns h with
 # its counts.
-_METHODS = {
-    "recursive": _solve_recursive,
-    "fixedpoint": _solve_fixedpoint,
-}
+_METHODS = {"recursive": _solve_recursive, "fixedpoint": _solve_fixedpoint}
 
 
 def solve(problem, D: int, method: str = "recursive",
@@ -235,12 +243,13 @@ def solve(problem, D: int, method: str = "recursive",
     ``divisors.RESONANCE_TOL`` raises :class:`DivisorBelowTolerance` naming
     the first such slot in graded-lex order, or with
     ``on_small_divisor="clip"`` becomes zero and is recorded in ``clipped``,
-    whatever its value: :func:`_resolve_small_divisors` decides this once,
-    by reach alone, for every method.  Any other ``on_small_divisor`` raises
-    :class:`ValueError`.  A non-finite coefficient of h raises
-    :class:`CoefficientOverflow` naming its degree.  A solve that runs out
-    of memory or passes a count limit raises :class:`ResourceLimit` naming
-    the method, n, D and the cause.
+    whatever its value: :func:`_resolve_small_divisors` decides this once
+    for every method, by the reach pass of the recursive route's online
+    recursion.  Any other ``on_small_divisor`` raises :class:`ValueError`.
+    A non-finite coefficient of h raises :class:`CoefficientOverflow`
+    naming h and its degree.  A solve that runs out of memory or passes a
+    count limit raises :class:`ResourceLimit` naming the method, n, D and
+    the cause.
     """
     if on_small_divisor not in ("raise", "clip"):
         raise ValueError(f"on_small_divisor must be 'raise' or 'clip', not {on_small_divisor!r}")
@@ -262,11 +271,11 @@ def solve(problem, D: int, method: str = "recursive",
 def _resolve_small_divisors(table: VectorSeries, f: VectorSeries, mode: str):
     """``table`` with its divisors below ``RESONANCE_TOL`` set to inf, and the clipped records.
 
-    Only when a slot of degree >= 2 holds one, a reach pass, the recursion
-    through the last such degree with f's coefficients and the other
-    divisors 1 and each degree reduced to 0/1, raises at the first slot f's
-    support reaches over one, or in ``mode`` "clip" lists every such slot.
-    Its values are small counts, so no underflow or overflow hides a slot.
+    Only when a slot of degree >= 2 holds one, a reach pass runs the online
+    recursion through the last such degree over f as 0/1, the other
+    divisors 1 and each degree reduced to 0/1.  It raises at the first slot
+    f reaches over a small divisor, or in ``mode`` "clip" lists every such
+    slot.  Its values are small counts, so no underflow or overflow hides one.
     """
     n, divs = table.n, table.to_array()
     small = np.abs(divs) < RESONANCE_TOL
@@ -275,14 +284,8 @@ def _resolve_small_divisors(table: VectorSeries, f: VectorSeries, mode: str):
         return table, ()
     top = degree(graded_indices(n, table.trunc)[n + 1 + late[-1]])
     clipped = [] if mode == "clip" else None
-    only_small = VectorSeries.from_array(n, table.trunc, np.where(small, divs, 1))
-    terms = [(alpha, np.not_equal(c, 0)) for alpha, c in f.truncate(top).coeff_items()]
-    X = VectorSeries.identity(n, top).to_array().copy()  # z + the reached slots of h
-    powers = PowerTable(X, [alpha for alpha, _ in terms])
-    for d in range(2, top + 1):
-        lo, hi = slot_count(n, d - 1), slot_count(n, d)
-        powers.fill(d)
-        X[:, lo:hi] = divide_slots(only_small, powers.series_slots(terms, lo, hi, d), lo, clipped) != 0
+    _online(_mapped(table, lambda a: np.where(small, a, 1)), _mapped(f.truncate(top), lambda a: a != 0),
+            lambda d, values: values != 0, clipped)
     return VectorSeries.from_array(n, table.trunc, np.where(small, np.inf, divs)), tuple(clipped or ())
 
 
@@ -297,15 +300,15 @@ def _check_finite(h: VectorSeries) -> VectorSeries:
 def majorant(problem, D: int) -> VectorSeries:
     """The majorant M = |D|^-1 [|f|(z + M)] of the problem's h through degree D.
 
-    It is the recursive route over the moduli of the divisor table and of
-    f, in which no sum cancels: M bounds the tree sum of h term by term, and
-    M_alpha is the condition of h_alpha.  Like that route it raises at the
-    first slot f reaches over a divisor below ``RESONANCE_TOL``.
+    It is the recursive route's online recursion over the moduli of the
+    divisor table and of f, in which no sum cancels: M bounds the tree sum
+    of h term by term, and M_alpha is the condition of h_alpha.  It raises
+    at the first slot f reaches over a divisor below ``RESONANCE_TOL``, and
+    at a non-finite M :class:`CoefficientOverflow` naming M.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        table, f = (VectorSeries.from_array(s.n, s.trunc, np.abs(s.to_array()).astype(complex))
-                    for s in (divisor_table(problem.spectrum, D), problem.f.truncate(D)))
-        return _solve_recursive(table, f)
+        table, f = _mapped(divisor_table(problem.spectrum, D), np.abs), _mapped(problem.f.truncate(D), np.abs)
+        return _online(table, f, lambda d, values: _finite("the majorant M", d, values))
 
 
 # ---------------------------------------------------------------------------

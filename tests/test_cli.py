@@ -541,6 +541,30 @@ def test_an_output_naming_an_input_is_a_usage_error(tmp_path, capsys, monkeypatc
     assert target.read_bytes() == before
 
 
+@pytest.mark.parametrize("option,argv", [
+    ("--class-m", ["diagnose", "class", "--input", "h.json"]),
+    ("--class-n", ["diagnose", "condition", "--omega", "0.618", "--dmax", "10"]),
+])
+@pytest.mark.parametrize("writes", ["--output", "--emit-csv"])
+def test_an_output_naming_a_class_table_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                         option, argv, writes):
+    # the file of a table: spec is read, so writing it would replace it
+    problem = _write_problem(tmp_path)
+    assert main(["linearize", "germ", "--input", str(problem), "--degree", "8",
+                 "--output", str(tmp_path / "h.json")]) == 0
+    table = tmp_path / "t.json"
+    table.write_text(json.dumps([1] * 16))
+    before = table.read_bytes()
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main(argv + [option, "table:t.json", writes, os.path.join(".", "t.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[0] == f"usage error: {option} and {writes} name the same file ./t.json"
+    assert table.read_bytes() == before
+    assert main(argv + [option, "table:t.json", writes, "out.csv"]) == 0
+
+
 @pytest.mark.parametrize("what", ["growth", "class", "domain"])
 def test_diagnose_without_input_is_a_usage_error(what, capsys):
     assert main(["diagnose", what, "--degree", "12"]) == 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import sys
@@ -361,8 +362,11 @@ def test_an_unreached_small_divisor_is_decided_without_magnitudes():
     rec = h.pop("recursive")
     for method, other in h.items():
         assert (np.abs(other - rec) <= 1e-13 * np.abs(rec)).all(), method
-    with pytest.raises(CoefficientOverflow):
+    with pytest.raises(CoefficientOverflow) as info:
         majorant(problem, D)
+    assert info.value.series == "the majorant M" and info.value.degree == D
+    assert str(info.value).startswith("the majorant M has a non-finite coefficient at degree 70")
+    assert not str(info.value).startswith("h ")
 
 
 def test_reach_is_reduced_to_0_1_at_every_degree(tmp_path):
@@ -386,6 +390,16 @@ def test_tree_agrees_with_recursive_at_ceiling_sizes(tmp_path, kind, n, D):
     tree = solve(problem, D, "tree")
     rec = solve(problem, D, "recursive")
     assert (tree.h - rec.h).max_abs() <= 1e-10 * max(1.0, rec.h.max_abs())
+
+
+def test_the_tree_route_keeps_its_normative_summation_order(tmp_path):
+    # A field's divisors and the tree's evaluation are plain Python
+    # arithmetic, so these bytes hold on any IEEE double platform.  Summing
+    # each line's monomials in any other order moves h in its last bits.
+    problem = fixture_problem(tmp_path, "field", 2, 6, 1)
+    h = solve(problem, 6, "tree").h.to_array()
+    assert hashlib.sha256(h.tobytes()).hexdigest() == (
+        "33468668e3c0f73a83aba6d288f42f8410a590bdf44d9b7dea7f90a7cf6a35d6")
 
 
 def test_tree_degree_limit_is_a_usage_error():
@@ -753,6 +767,16 @@ def test_fixed_point_settled_degree_tolerance():
     assert abs(H.coefficient((1,))[0] - 1.0) <= D * SETTLED_RTOL
     with pytest.raises(NoContraction, match="degree 1 moved"):
         fixed_point_inversion(_DriftingOperator(2.0 * SETTLED_RTOL), family, 1.0, w, D)
+
+
+def test_fixed_point_refuses_a_settled_degree_that_moves_by_1e_9_of_the_iterate():
+    # far below any tolerance a comparison of routes states, yet 1000 times
+    # SETTLED_RTOL: an operator that moves a settled degree does not contract
+    n, D, scale = 1, 6, 1e3
+    c = VectorSeries.from_coeffs(n, D, {(1,): (scale,), (3,): (0.25 * scale,)})
+    family = SeriesFamily(n, D, D, {(0,): c})
+    with pytest.raises(NoContraction, match="degree 1 moved"):
+        fixed_point_inversion(_DriftingOperator(1e-9 * scale), family, 1.0, VectorSeries.zero(n, D), D)
 
 
 def test_fixed_point_valuation_ladder(rng, golden_spectrum_1d):

@@ -19,15 +19,13 @@ from treelin import (
     VectorField,
     VectorSeries,
     cli,
-    linearize,
+    majorant,
 )
 from treelin.divisors import divisor_table
 from treelin.documents import load_json, problem_from_doc
 from treelin.indices import iter_indices
 from treelin.linearize import solve
 from treelin.series import graded_indices
-
-from conftest import moduli
 
 
 def thinned_fixture(kind: str, n: int, D: int, seed: int, keep: int):
@@ -203,7 +201,7 @@ def test_every_route_meets_the_oracle_on_a_drawn_near_resonance():
     table = divisor_table(spectrum, D)
     assert abs(table.to_array()[1, list(graded_indices(2, D)).index((1, 3))]) == pytest.approx(1e-9)
     exact = _field_oracle(problem, D)
-    M = np.abs(linearize._solve_recursive(moduli(table), moduli(problem.f)).to_array())
+    M = np.abs(majorant(problem, D).to_array())
     d = np.array([sum(alpha) for alpha in graded_indices(2, D)])
     eps = np.finfo(float).eps
     for method in ("recursive", "tree", "fixedpoint"):
