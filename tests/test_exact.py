@@ -1,19 +1,24 @@
-"""Problems that no route rounds: fabricated dyadic tables, checked against exact arithmetic.
+"""Every route against the exact h of ``reference.py``: bit for bit, or within 8 d eps M on true spectra.
 
 Each route is ``(table, f) -> h``, so it can be fed a table that no
 spectrum gives.  With table entries from {±1, ±2, ±1/2, ±i, ±2i} and f
 with Gaussian-integer coefficients, every sum, product and quotient is a
-dyadic Gaussian rational.  The reference here is a ``fractions.Fraction``
-dict recursion that shares no code with ``series``, ``divisors`` or
-``treesum``.  Whether a case is exact in doubles is decided from the
-problem alone: the majorant M over |table| and |f| bounds every partial
-sum, and a degree-D slot sits over at most D - 1 divisions, each of which
-halves the finest dyadic unit at most.  So if max M * 2^(D-1) < 2^53, no
-route rounds, and each must equal the reference bit for bit.
+dyadic Gaussian rational.  Whether such a case is exact in doubles is
+decided from the problem alone: the majorant M over |table| and |f| bounds
+every partial sum, and a degree-D slot sits over at most D - 1 divisions,
+each of which halves the finest dyadic unit at most.  So if
+max M * 2^(D-1) < 2^53, no route rounds, and each must equal the reference
+bit for bit.
 
 The reach pass of ``linearize._resolve_small_divisors`` is the same
-recursion over f as 0/1 with every divisor 1, so it is checked against a
-Fraction count recursion here too.
+recursion over f as 0/1 with every divisor 1, so it is checked against the
+reference's integer counts.
+
+On true spectra every route rounds.  The reference takes the problem's
+own floats exactly, so it gives the true h: of a field in Gaussian
+rationals, of a germ, given by its eigenvalues or by its rotation, in 60
+digits.  Each route must be within 8 d eps M_alpha of it at every slot of
+degree d, M the majorant ``tl.majorant``.
 """
 
 from __future__ import annotations
@@ -24,119 +29,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from treelin import DivisorBelowTolerance, ScalarSeries, VectorSeries, classical_lagrange_1d
+from treelin import (DivisorBelowTolerance, Germ, GermSpectrum, ScalarSeries, VectorSeries,
+                     classical_lagrange_1d, cli, majorant, solve)
 from treelin import linearize, treesum
+from treelin.documents import load_json, problem_from_doc
 from treelin.series import graded_indices
 
-ZERO = (Fraction(0), Fraction(0))
-ONE = (Fraction(1), Fraction(0))
+from reference import Gaussian, as_array, conjugacy, recursion
+
 HALF = Fraction(1, 2)
 # the table entries: a germ of a rotation spectrum has complex divisors,
 # a field of a real spectrum real ones
-GERM_ENTRIES = [(s * m, Fraction(0)) for s in (1, -1) for m in (1, 2, HALF)] + \
-               [(Fraction(0), s * m) for s in (1, -1) for m in (1, 2)]
-FIELD_ENTRIES = [(s * m, Fraction(0)) for s in (1, -1) for m in (1, 2, HALF)]
-
-
-# ---------------------------------------------------------------------------
-# Gaussian rationals as (re, im) pairs of Fractions
-# ---------------------------------------------------------------------------
-
-
-def _add(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _mul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _div(a, b):
-    norm = b[0] * b[0] + b[1] * b[1]
-    return ((a[0] * b[0] + a[1] * b[1]) / norm, (a[1] * b[0] - a[0] * b[1]) / norm)
-
-
-def _is_zero(a):
-    return a[0] == 0 and a[1] == 0
-
-
-def _modulus(a):
-    """|a| for a real or imaginary a: exact."""
-    assert a[0] == 0 or a[1] == 0, a
-    return (abs(a[0]) + abs(a[1]), Fraction(0))
-
-
-# ---------------------------------------------------------------------------
-# the reference recursion
-# ---------------------------------------------------------------------------
-
-
-def _monomials(n, d):
-    """The exponent tuples of degree d, in any order."""
-    if n == 1:
-        return [(d,)]
-    return [(a,) + rest for a in range(d, -1, -1) for rest in _monomials(n - 1, d - a)]
-
-
-def exact_recursion(n, D, f, divide):
-    """x through degree D from x_d = divide(alpha, j, [f(z + x)]_{alpha, j}), in Fractions.
-
-    ``f`` maps an exponent tuple to its n Gaussian coefficients.  The powers
-    (z + x)^alpha are built degree by degree, each as its prefix power times
-    the factor of its last nonzero axis; degree d of a power reads the
-    factors only below degree d.  Returns {(alpha, j): value} over the
-    nonzero values.
-    """
-    unit = [tuple(int(i == k) for i in range(n)) for k in range(n)]
-    # factor[k][m]: degree m of z_k + x_k, as {monomial: value}
-    factor = [{1: {unit[k]: ONE}} for k in range(n)]
-    chain = {}  # alpha -> (prefix, axis)
-    for alpha in f:
-        while sum(alpha) >= 2 and alpha not in chain:
-            k = max(i for i, a in enumerate(alpha) if a)
-            chain[alpha] = (tuple(a - (i == k) for i, a in enumerate(alpha)), k)
-            alpha = chain[alpha][0]
-    order = sorted(chain, key=sum)
-    power = {alpha: {} for alpha in chain}  # power[alpha][m]: degree m of (z + x)^alpha
-
-    def graded(alpha, m):
-        if sum(alpha) == 1:
-            return factor[alpha.index(1)].get(m, {})
-        return power[alpha].get(m, {})
-
-    x = {}
-    for d in range(2, D + 1):
-        for alpha in order:
-            up, k = chain[alpha]
-            out = {}
-            for m in range(sum(up), d):
-                for mu, u in graded(up, m).items():
-                    for nu, v in factor[k].get(d - m, {}).items():
-                        key = tuple(a + b for a, b in zip(mu, nu))
-                        out[key] = _add(out.get(key, ZERO), _mul(u, v))
-            power[alpha][d] = out
-        for k in range(n):
-            factor[k][d] = {}
-        for beta in _monomials(n, d):
-            for j in range(n):
-                value = ZERO
-                for alpha, c in f.items():
-                    if 1 < sum(alpha) <= d and not _is_zero(c[j]):
-                        value = _add(value, _mul(c[j], graded(alpha, d).get(beta, ZERO)))
-                value = divide(beta, j, value)
-                if not _is_zero(value):
-                    x[(beta, j)] = factor[j][d][beta] = value
-    return x
-
-
-def as_array(n, D, values):
-    """A {(alpha, j): Gaussian rational} dict as a route's (n, slots) complex array."""
-    out = np.zeros((n, len(graded_indices(n, D))), dtype=complex)
-    for s, alpha in enumerate(graded_indices(n, D)):
-        for j in range(n):
-            re, im = values.get((alpha, j), ZERO)
-            out[j, s] = complex(float(re), float(im))
-    return out
+GERM_ENTRIES = [Gaussian(s * m) for s in (1, -1) for m in (1, 2, HALF)] + \
+               [Gaussian(0, s * m) for s in (1, -1) for m in (1, 2)]
+FIELD_ENTRIES = [Gaussian(s * m) for s in (1, -1) for m in (1, 2, HALF)]
 
 
 def as_series(n, D, values):
@@ -159,14 +65,14 @@ def draw_case(shape, n, D, seed, axis_only=True, f_degree=3, density=0.6):
     table = {(alpha, j): rng.choice(entries)
              for alpha in graded_indices(n, D) if sum(alpha) >= 2 for j in range(n)}
     f = {}
-    for d in range(2, f_degree + 1):
-        for alpha in _monomials(n, d):
-            if d > 2 and rng.random() > density:  # degree 2 is dense
-                continue
-            c = [ZERO] * n
-            while all(map(_is_zero, c)):
-                c = [_draw(rng, axis_only) for _ in range(n)]
-            f[alpha] = c
+    # by degree, and within one in descending lex order
+    for alpha in sorted(graded_indices(n, f_degree), key=lambda a: (sum(a), [-e for e in a])):
+        if sum(alpha) < 2 or sum(alpha) > 2 and rng.random() > density:  # degree 2 is dense
+            continue
+        c = []
+        while not any(c):
+            c = [_draw(rng, axis_only) for _ in range(n)]
+        f[alpha] = c
     return table, f
 
 
@@ -174,25 +80,30 @@ def _draw(rng, axis_only):
     re, im = rng.randint(-2, 2), rng.randint(-2, 2)
     if axis_only:
         re, im = (re, 0) if rng.random() < 0.5 else (0, re)
-    return (Fraction(re), Fraction(im))
+    return Gaussian(re, im)
 
 
 def exact_h(n, D, table, f):
-    return exact_recursion(n, D, f, lambda beta, j, value: _div(value, table[(beta, j)]))
+    return recursion(n, D, f, lambda beta, j, value: value / table[(beta, j)])
+
+
+def modulus(v):
+    """|v| for a real or imaginary v, exactly, and a bound of it for any other."""
+    return abs(v.re) + abs(v.im)
 
 
 def exact_premise(n, D, table, f):
-    """max M * 2^(D-1) < 2^53, M the majorant over |table| and a bound |Re| + |Im| of |f|."""
-    bound = {alpha: [(abs(re) + abs(im), Fraction(0)) for re, im in c] for alpha, c in f.items()}
-    M = exact_recursion(n, D, bound, lambda beta, j, value: _div(value, _modulus(table[(beta, j)])))
-    top = max((m[0] for m in M.values()), default=Fraction(0))
+    """max M * 2^(D-1) < 2^53, M the majorant over |table| and ``modulus`` of f."""
+    bound = {alpha: [modulus(v) for v in c] for alpha, c in f.items()}
+    M = recursion(n, D, bound, lambda beta, j, value: value / modulus(table[(beta, j)]))
+    top = max(M.values(), default=Fraction(0))
     return top * 2 ** (D - 1) < 2 ** 53, top
 
 
 def route_inputs(n, D, table, f):
     """The table and f as the routes take them: vector series at truncation D."""
     return as_series(n, D, table), as_series(n, D, {(alpha, j): c[j] for alpha, c in f.items()
-                                                  for j in range(n) if not _is_zero(c[j])})
+                                                  for j in range(n)})
 
 
 CASES = [("germ", 1, 16), ("germ", 2, 10), ("germ", 3, 6),
@@ -215,8 +126,8 @@ def test_every_route_is_exact_on_a_dyadic_problem(shape, n, D, seed):
     for name, h in routes.items():
         assert np.array_equal(h.to_array(), want), name
     # the majorant: the same recursion over |table| and |f|, all exact here
-    moduli = {key: _modulus(value) for key, value in table.items()}
-    abs_f = {alpha: [_modulus(v) for v in c] for alpha, c in f.items()}
+    moduli = {key: modulus(value) for key, value in table.items()}
+    abs_f = {alpha: [modulus(v) for v in c] for alpha, c in f.items()}
     M = linearize._solve_recursive(*route_inputs(n, D, moduli, abs_f))
     assert np.array_equal(M.to_array(), as_array(n, D, exact_h(n, D, moduli, abs_f)))
     assert (np.abs(want) <= M.to_array().real).all()
@@ -229,7 +140,7 @@ def test_every_route_is_exact_with_gaussian_coefficients(shape):
     table, f = draw_case(shape, n, D, 3, axis_only=False)
     exact, top = exact_premise(n, D, table, f)
     assert exact, float(top)
-    assert any(c[0] and c[1] for cs in f.values() for c in cs)
+    assert any(v.re and v.im for c in f.values() for v in c)
     tab, fs = route_inputs(n, D, table, f)
     want = as_array(n, D, exact_h(n, D, table, f))
     for h in (linearize._solve_recursive(tab, fs), linearize._solve_fixedpoint(tab, fs),
@@ -246,8 +157,8 @@ def test_the_premise_rejects_a_case_past_53_bits():
 def test_the_table_of_ones_with_f_z_squared_gives_the_catalan_numbers():
     # H = z + H^2, so h_k = C_{k-1}; M = h, and C_20 * 2^20 < 2^53
     n, D = 1, 21
-    table = {((d,), 0): ONE for d in range(2, D + 1)}
-    f = {(2,): [ONE]}
+    table = {((d,), 0): Gaussian(1) for d in range(2, D + 1)}
+    f = {(2,): [Gaussian(1)]}
     assert exact_premise(n, D, table, f)[0]
     catalan = [1]
     for k in range(1, D):
@@ -263,6 +174,60 @@ def test_the_table_of_ones_with_f_z_squared_gives_the_catalan_numbers():
     # of u^N is C_N w^(N+1), so at u = 1, w = z it is h
     orders = classical_lagrange_1d(ScalarSeries(1, 2 * D, {(2,): 1.0}), D - 1).orders
     assert [orders[N - 1].get((N + 1,)) for N in range(1, D)] == catalan[1:D]
+
+
+# ---------------------------------------------------------------------------
+# true spectra
+# ---------------------------------------------------------------------------
+
+# germ eigenvalues, the doubles at Gaussian-rational points of the unit
+# circle: none of the points is a root of unity, and they are
+# multiplicatively independent, so their small divisors are genuine
+RATIONAL_LAMBDA = ((3 + 4j) / 5, (5 - 12j) / 13, (-8 + 15j) / 17)
+
+# (spectrum, n, the (method, D) pairs checked); a tree solve at n=2 D=12
+# takes seconds, so the tree stops at D=10 there
+N2 = (("recursive", 12), ("fixedpoint", 12), ("tree", 10))
+N3 = (("recursive", 6), ("fixedpoint", 6), ("tree", 6))
+TRUE_CASES = [pytest.param(spectrum, n, routes, id=f"{spectrum}-n{n}") for spectrum, n, routes in [
+    ("field", 2, N2), ("field", 3, N3), ("rational germ", 2, N2), ("rational germ", 3, N3),
+    ("rotation germ", 2, N2 + (("recursive", 30),)), ("rotation germ", 3, N3)]]
+
+
+def true_problem(tmp_path, spectrum, n, D):
+    """The `treelin fixture --degree-f 3 --seed 1` problem of the kind, at truncation D.
+
+    A rational germ keeps the germ fixture's f over the eigenvalues
+    ``RATIONAL_LAMBDA``.
+    """
+    path = str(tmp_path / "fixture.json")
+    assert cli.main(["fixture", spectrum.split()[-1], "--n", str(n), "--degree-f", "3",
+                     "--trunc", str(D), "--seed", "1", "--out", path]) == 0
+    problem = problem_from_doc(load_json(path))
+    if spectrum == "rational germ":
+        problem = Germ(GermSpectrum(RATIONAL_LAMBDA[:n]), problem.f)
+    return problem
+
+
+@pytest.mark.parametrize("spectrum,n,routes", TRUE_CASES)
+def test_every_route_meets_the_exact_h_on_true_spectra(tmp_path, spectrum, n, routes):
+    # |h - h_exact| <= 8 d eps M_alpha per coefficient, the constant of the
+    # majorant test, fixed before the first run
+    if "germ" in spectrum:
+        pytest.importorskip("mpmath")
+    problem = true_problem(tmp_path, spectrum, n, max(D for _, D in routes))
+    exact = conjugacy(problem, problem.f.trunc)
+    eps = np.finfo(float).eps
+    for method, D in routes:
+        slots = graded_indices(n, D)
+        scale = eps * np.array([sum(alpha) for alpha in slots]) * np.abs(majorant(problem, D).to_array())
+        gap = np.abs(solve(problem, D, method).h.to_array() - as_array(n, D, exact))
+        ratio = gap / np.maximum(scale, np.finfo(float).tiny)
+        j, s = np.unravel_index(ratio.argmax(), ratio.shape)
+        per_degree = ", ".join(f"{d}: {ratio[:, [sum(a) == d for a in slots]].max():.3g}"
+                               for d in range(2, D + 1))
+        assert ratio.max() <= 8, (f"{method} at D={D}: |h - h_exact| / (d eps M) is {ratio.max():.3g} "
+                                  f"at ({slots[s]}, {j}); worst per degree {per_degree}")
 
 
 # ---------------------------------------------------------------------------
@@ -285,21 +250,20 @@ REACH_CASES = [
 
 
 def reached_small(n, D, support, small):
-    """The small slots that the Fraction count recursion over f as 0/1 reaches, by slot then axis.
+    """The small slots that the reference's counts over f as 0/1 reach, by slot then axis.
 
     Every other divisor is 1, and a small slot counts as 0 for what it reaches.
     """
-    f = {alpha: [ONE if j in axes else ZERO for j in range(n)] for alpha, axes in support.items()}
+    f = {alpha: [int(j in axes) for j in range(n)] for alpha, axes in support.items()}
     hit = []
 
-    def divide(beta, j, value):
+    def divide(beta, j, count):
         if (beta, j) in small:
-            if not _is_zero(value):
-                hit.append((beta, j))
-            return ZERO
-        return value
+            hit.append((beta, j))
+            return 0
+        return count
 
-    exact_recursion(n, D, f, divide)
+    recursion(n, D, f, divide)
     slot = {alpha: s for s, alpha in enumerate(graded_indices(n, D))}
     return sorted(hit, key=lambda key: (slot[key[0]], key[1]))
 

@@ -27,6 +27,8 @@ from treelin.indices import iter_indices
 from treelin.linearize import solve
 from treelin.series import graded_indices
 
+from reference import as_array, conjugacy
+
 
 def thinned_fixture(kind: str, n: int, D: int, seed: int, keep: int):
     """A `treelin fixture` problem whose f keeps the indices picked by the bits of ``keep``.
@@ -143,54 +145,13 @@ def test_tree_and_recursive_agree_on_drawn_spectra(kind, n, D, seed, keep, omega
         assert (other.h - rec.h).max_abs() <= 1e-10 * max(1.0, rec.h.max_abs()), method
 
 
-def _field_oracle(problem, D: int) -> np.ndarray:
-    """h of a vector field by the recursion D h_d = [f(z + h)]_d in 60-digit arithmetic.
-
-    The divisors nu.omega - omega_j come from the spectrum, not from the
-    divisor table, and products of the truncated series are dict loops.
-    """
-    mpmath = pytest.importorskip("mpmath")
-    n = problem.f.n
-    with mpmath.workdps(60):
-        omega = [mpmath.mpc(w) for w in problem.spectrum.omega]
-        f = {alpha: [mpmath.mpc(c) for c in vec] for alpha, vec in problem.f.coeff_items()}
-        h: dict = {}
-
-        def product(p, q, d):
-            out: dict = {}
-            for a, x in p.items():
-                for b, y in q.items():
-                    c = tuple(i + j for i, j in zip(a, b))
-                    if sum(c) <= d:
-                        out[c] = out.get(c, 0) + x * y
-            return out
-
-        for d in range(2, D + 1):
-            z = [{tuple(int(k == i) for k in range(n)): mpmath.mpc(1),
-                  **{alpha: vec[i] for alpha, vec in h.items()}} for i in range(n)]
-            rhs: dict = {}
-            for L, vec in f.items():
-                power = {(0,) * n: mpmath.mpc(1)}
-                for i, e in enumerate(L):
-                    for _ in range(e):
-                        power = product(power, z[i], d)
-                for nu, x in power.items():
-                    if sum(nu) == d:
-                        rhs[nu] = [r + c * x for r, c in zip(rhs.get(nu, [0] * n), vec)]
-            for nu, vec in rhs.items():
-                dot = sum(v * w for v, w in zip(nu, omega))
-                h[nu] = [r / (dot - omega[j]) for j, r in enumerate(vec)]
-        return np.array([[complex(h[alpha][j]) if alpha in h else 0j
-                          for alpha in graded_indices(n, D)] for j in range(n)])
-
-
 def test_every_route_meets_the_oracle_on_a_drawn_near_resonance():
     """A case the drawn-spectra test can hit: the line ((1, 3), 1) over a 1e-9 divisor.
 
     Its numerator vanishes with its divisor, so the dense routes lose about
     eps / |divisor| there (1.8e-8), still within 8 d eps M_alpha of the
-    60-digit h, M the majorant over the moduli table and |f|.  The tree
-    keeps the line to 5.7e-17.
+    exact h, M the majorant over the moduli table and |f|.  The tree keeps
+    the line to 5.7e-17.
     """
     D = 4
     problem = thinned_fixture("field", 2, D, seed=1, keep=16)
@@ -200,7 +161,7 @@ def test_every_route_meets_the_oracle_on_a_drawn_near_resonance():
     problem = VectorField(spectrum, problem.f)
     table = divisor_table(spectrum, D)
     assert abs(table.to_array()[1, list(graded_indices(2, D)).index((1, 3))]) == pytest.approx(1e-9)
-    exact = _field_oracle(problem, D)
+    exact = as_array(2, D, conjugacy(problem, D))
     M = np.abs(majorant(problem, D).to_array())
     d = np.array([sum(alpha) for alpha in graded_indices(2, D)])
     eps = np.finfo(float).eps
