@@ -22,7 +22,7 @@ import time
 
 from . import commands, documents, fixture, linearize
 from .errors import TreelinError, UsageError
-from .output import emit
+from .output import emit, send
 
 DESCRIPTION = """Command-line front end.
 
@@ -130,7 +130,7 @@ def _cmd_linearize(args) -> int:
     if args.verify:  # solve() already verified the solution; report that check
         extras["verified"] = documents.residual_doc(primary.residual)
     report = documents.run_report(doc, methods[0], primary, extras)
-    emit(documents.canonical_bytes(report).decode(), args.output)
+    send(lambda out: documents.write(report, out), args.output)
     if args.emit_csv:
         rows = ["degree,max_abs"] + [f"{d},{m!r}" for d, m in primary.h.per_degree_max().items()]
         emit("\n".join(rows) + "\n", args.emit_csv)

@@ -3,9 +3,11 @@
 Everything is JSON with a canonical form: terms sorted graded
 lexicographically, complex numbers as [re, im] pairs, keys sorted.  The
 canonical bytes of a document are stable, so digests and byte-identical
-reruns are well defined.  :func:`series_to_doc` is the one writer of the
-series layout: a report or problem document holds its series as that plain
-data, which :mod:`treelin.canonical` writes like any other.
+reruns are well defined.  :func:`_series_doc` is the one writer of the
+series layout: a problem document holds its series as that plain data,
+listed by :func:`series_to_doc`, which :mod:`treelin.canonical` writes like
+any other.  A run report holds h's terms as its iterator, which
+:func:`write` writes term by term.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ except ImportError:
         from hashlib import sha256 as _sha256
 
 from . import divisors, linearize, series  # deferred, run on first use
-# digest calls canonical_bytes through this binding, which the benchmark tracer wraps
-from .canonical import canonical_bytes
+# digest calls canonical_bytes through this binding, which the benchmark tracer
+# wraps; cli writes a run report through documents.write
+from .canonical import canonical_bytes, write
 from .errors import UsageError
 
 
@@ -58,16 +61,19 @@ def _pair(z: complex):
 
 def series_to_doc(s) -> dict:
     """The document of a scalar or vector series: plain data, its nonzero terms in graded order."""
+    doc = _series_doc(s)
+    doc["terms"] = list(doc["terms"])
+    return doc
+
+
+def _series_doc(s) -> dict:
+    """The document of a series with its terms as an iterator, made as it is read."""
     if isinstance(s, series.ScalarSeries):
-        terms = [
-            {"alpha": list(a), "value": _pair(c)} for a, c in s.items()
-        ]
-        return {"n": s.n, "D": s.trunc, "kind": "scalar", "terms": terms}
-    terms = [
-        {"alpha": list(a), "value": [_pair(c) for c in vec]}
-        for a, vec in s.coeff_items()
-    ]
-    return {"n": s.n, "D": s.trunc, "kind": "vector", "terms": terms}
+        kind, value = "scalar", _pair
+    else:
+        kind, value = "vector", lambda vec: [_pair(c) for c in vec]
+    terms = ({"alpha": list(a), "value": value(c)} for a, c in s.iter_terms())
+    return {"n": s.n, "D": s.trunc, "kind": kind, "terms": terms}
 
 
 def series_from_doc(doc: dict, degree: int | None = None, kind: str | None = None,
@@ -261,7 +267,12 @@ def load_solution(path: str):
 
 
 def run_report(problem_doc: dict, method: str, lin, extras: dict | None = None) -> dict:
-    """Canonical run report: input digest, solver metadata, residual record, the document of ``h``."""
+    """Canonical run report: input digest, solver metadata, residual record, the document of ``h``.
+
+    The terms of ``h`` are an iterator, read from h's array as :func:`write`
+    writes them, so the report can be written once; list them first for
+    :func:`canonical_bytes`.
+    """
     report = {
         "input_digest": digest(problem_doc),
         "method": method,
@@ -271,7 +282,7 @@ def run_report(problem_doc: dict, method: str, lin, extras: dict | None = None) 
         "clipped": [
             {"alpha": list(a), "axis": j, "modulus": m} for a, j, m in lin.clipped
         ],
-        "h": series_to_doc(lin.h),
+        "h": _series_doc(lin.h),
     }
     if extras:
         report.update(extras)

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 
-from .canonical import canonical_bytes
+from .canonical import write
 from .indices import iter_indices
-from .output import emit
+from .output import send
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SILVER = math.sqrt(2.0) - 1.0
@@ -109,5 +109,5 @@ def cmd_fixture(args) -> int:
     doc = {"kind": args.kind, "n": n, "D": D, "spectrum": spectrum,
            "series": {"n": n, "D": D, "kind": "vector", "terms": terms},
            "options": {"seed": args.seed}}
-    emit(canonical_bytes(doc).decode(), args.out)
+    send(lambda out: write(doc, out), args.out)
     return 0

@@ -150,6 +150,10 @@ _CACHE_LIMIT = 16
 _BASES: dict = {}
 _PAIR_TABLES: dict = {}
 
+# slots that iter_terms reads from the array at once: enough to spread numpy's
+# per-call cost, few enough that the terms in hand stay a few tens of KB
+_TERM_CHUNK = 256
+
 
 def _recent(cache: dict, key, entry):
     """Store ``entry`` as the newest of ``cache``, dropping the oldest past ``_CACHE_LIMIT``."""
@@ -304,6 +308,20 @@ class _DenseSeries:
         indices = _basis(self.n, self.trunc).indices
         return frozenset(indices[i] for i in np.flatnonzero(self._used()).tolist())
 
+    def iter_terms(self):
+        """The nonzero terms (index, coefficient) in graded lexicographic order, made lazily.
+
+        A scalar series' coefficient is a complex, a vector series' a list
+        with one complex per component.  The array is read ``_TERM_CHUNK``
+        slots at a time, so the terms of a large series are never all held
+        at once.
+        """
+        indices = _basis(self.n, self.trunc).indices
+        nz = np.flatnonzero(self._used())
+        for start in range(0, len(nz), _TERM_CHUNK):
+            slots = nz[start:start + _TERM_CHUNK].tolist()
+            yield from zip([indices[i] for i in slots], self._v[..., slots].T.tolist())
+
     # -- queries ---------------------------------------------------------------
     def is_zero(self) -> bool:
         return not self._v.any()
@@ -420,9 +438,7 @@ class ScalarSeries(_DenseSeries):
 
     def items(self):
         """Nonzero coefficients in graded lexicographic order."""
-        indices = _basis(self.n, self.trunc).indices
-        nz = np.flatnonzero(self._v)
-        return list(zip([indices[i] for i in nz.tolist()], self._v[nz].tolist()))
+        return list(self.iter_terms())
 
     support = property(_DenseSeries._support)
 
@@ -524,10 +540,7 @@ class VectorSeries(_DenseSeries):
 
     def coeff_items(self):
         """(index, coefficient vector) pairs in graded lexicographic order."""
-        nz = np.flatnonzero(self._used())
-        indices = _basis(self.n, self.trunc).indices
-        columns = self._v[:, nz].T.tolist()
-        return [(indices[i], tuple(col)) for i, col in zip(nz.tolist(), columns)]
+        return [(alpha, tuple(vec)) for alpha, vec in self.iter_terms()]
 
     def per_degree_max(self):
         """degree -> max coefficient modulus over all components, sorted by degree."""

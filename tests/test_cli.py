@@ -9,11 +9,12 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from treelin import Germ, GermSpectrum, VectorSeries, linearize, series, trees, treesum
+from treelin import Germ, GermSpectrum, VectorSeries, documents, linearize, series, trees, treesum
 from treelin.cli import build_parser, main
 from treelin.documents import (
     canonical_bytes,
@@ -874,6 +875,69 @@ def test_every_method_clips(tmp_path):
     assert sorted(report["methods"]) == ["fixedpoint", "recursive", "tree"]
 
 
+@pytest.mark.parametrize("case", ["fixture", "clipped", "f_zero"])
+def test_the_written_report_is_the_canonical_bytes_of_the_listed_report(tmp_path, capsys,
+                                                                       monkeypatch, case):
+    # the report's terms of h are an iterator, written term by term; the
+    # same report with its terms listed gives the bytes through canonical_bytes
+    flags = {"fixture": [], "clipped": ["--clip"], "f_zero": []}[case]
+    if case == "fixture":
+        problem = _write_problem(tmp_path, seed=1, n=2, degree_f=3, trunc=6)
+    else:
+        # the clipped problem holds a nonresonant term too, so h is not 0
+        terms = {"clipped": RESONANT_PROBLEM["series"]["terms"]
+                 + [{"alpha": [1, 1], "value": [[0.5, 0.0], [0.25, 0.0]]}], "f_zero": []}[case]
+        doc = {**RESONANT_PROBLEM, "series": {**RESONANT_PROBLEM["series"], "terms": terms}}
+        problem = tmp_path / f"{case}.json"
+        problem.write_text(json.dumps(doc))
+    run_report, expected = documents.run_report, []
+
+    def listed(problem_doc, method, lin, extras=None):
+        report = run_report(problem_doc, method, lin, extras)
+        report["h"]["terms"] = list(report["h"]["terms"])
+        expected.append(canonical_bytes(report))
+        return run_report(problem_doc, method, lin, extras)
+
+    monkeypatch.setattr(documents, "run_report", listed)
+    out = tmp_path / "report.json"
+    for method in ("recursive", "tree", "fixedpoint", "all"):
+        for verify in ([], ["--verify"]):
+            argv = ["linearize", "germ", "--input", str(problem), "--degree", "4",
+                    "--method", method, *verify, *flags]
+            capsys.readouterr()
+            assert main(argv) == 0
+            assert capsys.readouterr().out.encode() == expected[-1], (method, verify)
+            assert main(argv + ["--output", str(out)]) == 0
+            assert out.read_bytes() == expected[-1], (method, verify)
+            report = json.loads(expected[-1])
+            assert bool(report["clipped"]) == (case == "clipped"), method
+            assert (report["h"]["terms"] == []) == (case == "f_zero"), method
+
+
+def test_a_run_report_is_written_in_less_memory_than_half_its_size(tmp_path, monkeypatch):
+    # the bound was fixed before the writer was: on this problem, listing
+    # h's terms as dicts and writing them as one text took 5.4 times the
+    # report's size, and listing only the coefficients 1.05 times
+    problem = _write_problem(tmp_path, seed=1, n=2, degree_f=3, trunc=60)
+    out = tmp_path / "h.json"
+    run_report = documents.run_report
+
+    def traced(*args):
+        tracemalloc.start()
+        return run_report(*args)
+
+    monkeypatch.setattr(documents, "run_report", traced)
+    try:
+        assert main(["linearize", "germ", "--input", str(problem), "--degree", "60",
+                     "--output", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert size > 500_000
+    assert peak < size / 2, (peak, size)
+
+
 @pytest.mark.parametrize("kind", ["germ", "field"])
 def test_every_json_file_the_cli_writes_is_in_json_dumps_form(tmp_path, kind):
     problem = _write_problem(tmp_path, seed=1, n=2, degree_f=3, trunc=6, kind=kind)
@@ -1020,6 +1084,23 @@ def test_process_exit_codes_are_mains(tmp_path, capsys):
         proc = run_python("-m", "treelin.cli", *argv)
         assert proc.returncode == code, proc.stderr
         assert proc.stderr.startswith(err), proc.stderr
+
+
+def test_a_reader_that_leaves_early_ends_the_report_quietly(tmp_path):
+    # the report, 137 KB, is more than a pipe holds, so it is written while
+    # its reader is gone; the reader takes 100 bytes and closes the pipe
+    problem = _write_problem(tmp_path, seed=1, n=2, degree_f=3, trunc=30)
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    with open(tmp_path / "stderr", "w") as stderr:
+        proc = subprocess.Popen([sys.executable, "-m", "treelin.cli", "linearize", "germ",
+                                 "--input", str(problem), "--degree", "30"], stdout=subprocess.PIPE,
+                                stderr=stderr, env={**os.environ, "PYTHONPATH": path})
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+    err = (tmp_path / "stderr").read_text()
+    assert code == 0, err
+    assert err.startswith("recursive: ") and err.count("\n") == 1, err
 
 
 def test_only_the_process_entry_point_freezes_the_collector(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 
@@ -11,7 +12,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from treelin.documents import canonical_bytes, series_from_doc, series_to_doc
+from treelin.documents import canonical_bytes, series_from_doc, series_to_doc, write
 from treelin.indices import slot_count
 from treelin.series import ScalarSeries, VectorSeries
 
@@ -54,10 +55,30 @@ def test_writer_matches_json_dumps(doc):
     assert canonical_bytes(doc) == stdlib_bytes(doc)
 
 
+def _streamed(value):
+    """``value`` with every list that is reached through objects alone given as an iterator."""
+    if isinstance(value, dict):
+        return {key: _streamed(item) for key, item in value.items()}
+    return iter(value) if isinstance(value, list) else value
+
+
+@settings(max_examples=100, deadline=None)
+@given(VALUES)
+def test_the_stream_writer_writes_the_canonical_bytes(doc):
+    for form in (doc, _streamed(doc)):
+        out = io.StringIO()
+        write(form, out)
+        assert out.getvalue().encode("ascii") == canonical_bytes(doc)
+
+
 def test_writer_refuses_what_json_refuses_and_keys_other_than_str():
     for doc in ({"s": {1, 2}}, [np.int64(3)], {1: "json.dumps would write the key as '1'"}):
-        with pytest.raises(TypeError):
-            canonical_bytes(doc)
+        for writes in (canonical_bytes, lambda doc: write(doc, io.StringIO())):
+            with pytest.raises(TypeError):
+                writes(doc)
+    # only the stream writer takes an iterator
+    with pytest.raises(TypeError):
+        canonical_bytes({"terms": iter([])})
 
 
 def _series_cases(n: int):
