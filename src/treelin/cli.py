@@ -50,13 +50,15 @@ def _check_destinations(args):
         if not path:
             continue
         option = "--" + name.replace("_", "-")
-        other = named.setdefault(os.path.realpath(path), option)
+        other = named.setdefault(real := os.path.realpath(path), option)
         if other != option:
             raise UsageError(f"{other} and {option} name the same file {path}")
         folder = os.path.dirname(path) or os.curdir
         if not os.path.isdir(folder):
             raise UsageError(f"cannot write {path}: no directory {folder}")
-        if os.path.isdir(path) or not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        # a regular file is made in its real target's folder, then renamed over the target
+        if os.path.isdir(path) or not os.access(path if os.path.exists(path) else folder, os.W_OK) or (
+                os.path.isfile(path) and not os.access(os.path.dirname(real), os.W_OK)):
             raise UsageError(f"cannot write {path}: not a writable file")
 
 

@@ -838,6 +838,39 @@ def test_running_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
                             "of memory at n=2, D=6\n")
 
 
+def test_a_report_that_fails_while_written_leaves_the_previous_file(tmp_path, capsys,
+                                                                   monkeypatch):
+    # h's terms run out of memory after the 300th, while the report is written:
+    # the file keeps its bytes, and no partial file is left beside it
+    problem = _write_problem(tmp_path, seed=1, n=2, degree_f=3, trunc=30)
+    out = tmp_path / "h.json"
+    out.write_bytes(b"previous\n")
+    out.chmod(0o640)
+    listing = sorted(os.listdir(tmp_path))
+    iter_terms = series._DenseSeries.iter_terms
+
+    def short_of_memory(self):
+        for count, term in enumerate(iter_terms(self)):
+            if count == 300:
+                raise MemoryError
+            yield term
+
+    argv = ["linearize", "germ", "--input", str(problem), "--degree", "30", "--output", str(out)]
+    with monkeypatch.context() as patch:
+        patch.setattr(series._DenseSeries, "iter_terms", short_of_memory)
+        capsys.readouterr()
+        assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "domain error (ResourceLimit): the linearize command ran out of memory")
+    assert out.read_bytes() == b"previous\n"
+    assert sorted(os.listdir(tmp_path)) == listing
+    # written whole, the report takes the place of the file and keeps its mode
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["degree"] == 30
+    assert out.stat().st_mode & 0o777 == 0o640
+    assert sorted(os.listdir(tmp_path)) == listing
+
+
 def test_running_out_of_memory_outside_a_solve_exits_2(capsys, monkeypatch):
     # a real order-16 enumeration needs a memory cap, so the forest is made to fail
     def no_memory(N):

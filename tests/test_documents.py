@@ -79,6 +79,10 @@ def test_writer_refuses_what_json_refuses_and_keys_other_than_str():
     # only the stream writer takes an iterator
     with pytest.raises(TypeError):
         canonical_bytes({"terms": iter([])})
+    # and only as the document or an object's value, not within a list or an iterator's item
+    for doc in ([iter([])], iter([{"terms": iter([])}])):
+        with pytest.raises(TypeError):
+            write(doc, io.StringIO())
 
 
 def _series_cases(n: int):

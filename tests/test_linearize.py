@@ -36,7 +36,7 @@ from treelin import (
 from treelin import bruno, cli, linearize, series, trees, treesum
 from treelin.diagnostics import germ_family_radius
 from treelin.bruno import omega_frac, omega_hat, omega_tilde
-from treelin.divisors import apply_inverse_D, divisor_table
+from treelin.divisors import RESONANCE_TOL, apply_inverse_D, divisor_table
 from treelin.documents import load_json, problem_from_doc
 from treelin.families import SeriesFamily, formal_derivative
 from treelin.linearize import SETTLED_RTOL
@@ -103,6 +103,17 @@ def test_resonant_germ_raises():
     f = random_vector_series(np.random.default_rng(0), 2, 4)
     with pytest.raises(DivisorBelowTolerance):
         solve(Germ(spec, f), 4, "recursive")
+
+
+@pytest.mark.parametrize("method", ["recursive", "tree", "fixedpoint"])
+def test_a_divisor_of_modulus_exactly_the_tolerance_is_divided_by(method):
+    # omega = (5e-13, 0): slot ((2, 0), 1) has the divisor 2 * 5e-13, exactly
+    # RESONANCE_TOL, which is not below it; f = z_1^2 e_2 reaches no smaller one
+    spec = FieldSpectrum((5e-13, 0.0))
+    assert spec.divisor((2, 0), 1) == RESONANCE_TOL
+    f = VectorSeries.from_coeffs(2, 2, {(2, 0): (0.0, 1.0)})
+    lin = solve(VectorField(spec, f), 2, method)
+    assert lin.h.coefficient((2, 0)) == (0.0, 1.0 / RESONANCE_TOL)
 
 
 def test_clip_mode_records_and_continues():
